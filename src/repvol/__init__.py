@@ -10,3 +10,11 @@ faces of embedded graphs, and ``cli`` wires it all to a command line.
 """
 
 __version__ = "0.1.0"
+
+
+class InvariantViolation(AssertionError):
+    """A library self-check failed: a bug in repvol, not bad input.
+
+    Raised explicitly rather than through ``assert``, so ``python -O``
+    keeps the checks; the CLI reports it with exit code 4.
+    """

@@ -7,10 +7,10 @@ graphs) and ``db`` (the volume table).  Output is plain text, markdown
 or JSON; JSON is always dumped with sorted keys and two-space indent so
 repeated runs are byte-identical.
 
-Exit codes: 0 success; 2 malformed input, printed to stderr as the
-originating error class name plus message; 3 a bound was refused
-because some tangle could not be certified hyperbolic; 4 internal
-assertion failure.
+Exit codes: 0 success; 2 malformed input or a refused size (a
+RecursionError included), printed to stderr as the originating error
+class name plus message; 3 a bound was refused because some tangle
+could not be certified hyperbolic; 4 internal assertion failure.
 """
 
 import argparse
@@ -512,8 +512,9 @@ def main(argv=None):
     except AssertionError as exc:
         print("internal assertion failure: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, LookupError, OSError, words.NonTermination,
-            graphs.GroupTooLarge, pieces.SizeExceeded) as exc:
+    except (ValueError, LookupError, OSError, RecursionError,
+            words.NonTermination, graphs.GroupTooLarge,
+            pieces.SizeExceeded) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import pieces
+from . import InvariantViolation, pieces
 from .bounds import AMBIENTS
 
 GROUP_LIMIT = 10 ** 6
@@ -174,15 +174,60 @@ class ValidationReport(NamedTuple):
     parts: tuple
 
 
+def _enumerate_free_group(graph, generators):
+    """Order of the group ``generators`` span, listed element by element.
+
+    Raises GroupTooLarge past GROUP_LIMIT elements and
+    VertexStabilizerNontrivial if a nontrivial element fixes a vertex.
+    """
+    identity = tuple(range(len(graph.vertices)))
+    elements = {identity}
+    queue = deque([identity])
+    while queue:
+        p = queue.popleft()
+        for gen in generators:
+            q = tuple(gen[i] for i in p)
+            if q not in elements:
+                if len(elements) >= GROUP_LIMIT:
+                    raise GroupTooLarge(
+                        "the reflection group exceeds %d elements"
+                        % GROUP_LIMIT)
+                elements.add(q)
+                queue.append(q)
+
+    for p in elements:
+        if p == identity:
+            continue
+        for i, image in enumerate(p):
+            if image == i:
+                raise VertexStabilizerNontrivial(
+                    "a nontrivial symmetry fixes the vertex %r"
+                    % (graph.vertices[i],))
+    return len(elements)
+
+
 def validate_reflection_graph(graph):
     """Audit ``graph`` against the reflection-graph contract.
 
     Checks run in a fixed order: bipartiteness, connectivity, regularity,
     then per reflection the permutation/involution/class-swap/edge-
     preservation axioms and tag correctness, then tag coverage of every
-    edge, then the generated group (enumerated explicitly, refused above
-    GROUP_LIMIT): no nontrivial element may fix a vertex and the edge
-    orbits must number exactly the valence.  The report is cached on the
+    edge, then the generated group G: no nontrivial element may fix a
+    vertex, the edge orbits ("classes") must number exactly the valence,
+    and |G| must not exceed GROUP_LIMIT.
+
+    The group is not listed.  The edge classes come from a breadth-first
+    search over the generators.  If every vertex meets each class exactly
+    once, G acts freely: elements preserve classes, so one fixing a vertex
+    fixes each of its edges and hence its neighbours, and by connectivity
+    it fixes everything.  Then |G| is the size of one vertex's orbit, and
+    the whole stage costs O(n * generators).  Conversely a free action
+    puts one edge of each class at every vertex, so on a graph that passed
+    the earlier checks the condition fails exactly when the action is not
+    free.  Only then is the group enumerated element by element (refused
+    above GROUP_LIMIT), to name the failure: a vertex fixed by a
+    nontrivial element (VertexStabilizerNontrivial), otherwise the wrong
+    number of classes (WrongEdgeClassCount).  The report is cached on the
     instance and returned on later calls without rechecking.
     """
     if graph._report is not None:
@@ -233,13 +278,13 @@ def validate_reflection_graph(graph):
     if valence == 0:
         raise NotRegular("the graph has no edges")
 
+    vertex_set = set(graph.vertices)
     edge_set = set(graph.edges)
     tagged = set()
     perms = []
     for idx, refl in enumerate(graph.reflections):
         mapping = refl.mapping
-        if set(mapping) != set(graph.vertices) or \
-                set(mapping.values()) != set(graph.vertices):
+        if set(mapping) != vertex_set or set(mapping.values()) != vertex_set:
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
         for v in graph.vertices:
@@ -273,57 +318,54 @@ def validate_reflection_graph(graph):
             raise BadReflection(
                 "edge %r has no distinguished reflection" % (edge,))
 
-    identity = tuple(range(n))
     generators = sorted(set(perms))
-    elements = {identity}
-    queue = deque([identity])
-    while queue:
-        p = queue.popleft()
-        for gen in generators:
-            q = tuple(gen[i] for i in p)
-            if q not in elements:
-                if len(elements) >= GROUP_LIMIT:
-                    raise GroupTooLarge(
-                        "the reflection group exceeds %d elements"
-                        % GROUP_LIMIT)
-                elements.add(q)
-                queue.append(q)
-
-    for p in elements:
-        if p == identity:
-            continue
-        for i, image in enumerate(p):
-            if image == i:
-                raise VertexStabilizerNontrivial(
-                    "a nontrivial symmetry fixes the vertex %r"
-                    % (graph.vertices[i],))
-
-    edge_index = {e: k for k, e in enumerate(graph.edges)}
-    assigned = set()
+    ends = [(pos[u], pos[v]) for u, v in graph.edges]
+    edge_index = {e: k for k, e in enumerate(ends)}
+    class_of = [None] * len(ends)
     classes = []
-    for start in range(len(graph.edges)):
-        if start in assigned:
+    for start in range(len(ends)):
+        if class_of[start] is not None:
             continue
-        orbit = {start}
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            u, v = graph.edges[k]
-            for refl in graph.reflections:
-                image = _norm_edge(pos, refl.mapping[u], refl.mapping[v])
-                j = edge_index[image]
+        class_of[start] = len(classes)
+        members = [start]
+        for k in members:
+            a, b = ends[k]
+            for gen in generators:
+                x, y = gen[a], gen[b]
+                j = edge_index[(x, y) if x < y else (y, x)]
+                if class_of[j] is None:
+                    class_of[j] = len(classes)
+                    members.append(j)
+        classes.append(tuple(graph.edges[k] for k in sorted(members)))
+
+    meets = [set() for _ in range(n)]
+    for (a, b), c in zip(ends, class_of):
+        meets[a].add(c)
+        meets[b].add(c)
+    if len(classes) == valence and all(len(m) == valence for m in meets):
+        orbit = {0}
+        frontier = [0]
+        for i in frontier:
+            for gen in generators:
+                j = gen[i]
                 if j not in orbit:
+                    if len(orbit) >= GROUP_LIMIT:
+                        raise GroupTooLarge(
+                            "the reflection group exceeds %d elements"
+                            % GROUP_LIMIT)
                     orbit.add(j)
-                    queue.append(j)
-        assigned |= orbit
-        classes.append(tuple(graph.edges[k] for k in sorted(orbit)))
-    if len(classes) != valence:
-        raise WrongEdgeClassCount(
-            "%d edge classes for a %d-valent graph" % (len(classes), valence))
+                    frontier.append(j)
+        group_order = len(orbit)
+    else:
+        group_order = _enumerate_free_group(graph, generators)
+        if len(classes) != valence:
+            raise WrongEdgeClassCount(
+                "%d edge classes for a %d-valent graph"
+                % (len(classes), valence))
 
     parts = (tuple(v for v in graph.vertices if color[v] == 0),
              tuple(v for v in graph.vertices if color[v] == 1))
-    report = ValidationReport(valence, len(elements), tuple(classes), parts)
+    report = ValidationReport(valence, group_order, tuple(classes), parts)
     graph._report = report
     return report
 
@@ -675,8 +717,10 @@ def trace_faces(edges, rotation):
                         break
             if not bipartite:
                 break
-    if bipartite:
-        assert all(k % 2 == 0 for k in lengths)
+    if bipartite and any(k % 2 for k in lengths):
+        raise InvariantViolation(
+            "odd face lengths %s on a bipartite graph"
+            % sorted(k for k in lengths if k % 2))
 
     return FaceReport(tuple(faces), tuple(sorted(lengths.items())),
                       euler, bipartite)
@@ -716,7 +760,9 @@ def bigon_bound_check(edges, rotation, n):
         raise NotSphere("Euler characteristic %d" % report.euler)
     total = sum((Fraction(want - n * k, want) * count
                  for k, count in report.vector), Fraction(0))
-    assert total == 2, total
+    if total != 2:
+        raise InvariantViolation(
+            "the Euler identity sums to %s, not 2" % total)
     bigons = dict(report.vector).get(2, 0)
     return BigonCheck(bigons >= want, bigons, want, report)
 

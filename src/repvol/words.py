@@ -28,6 +28,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import InvariantViolation
+
 
 class WordError(ValueError):
     """Base class for cyclic-word validation failures."""
@@ -390,7 +392,7 @@ def reduce(word):
     to Fractions.  The iteration applies split_relation() depth first,
     solving a word for itself whenever its expansion returns to it; the
     result is checked against the counting formula q_i(word) / 2m and a
-    disagreement raises AssertionError (it would mean a bug, not bad
+    disagreement raises InvariantViolation (it would mean a bug, not bad
     input).  Exceeding 4x the single-mountain word count in halving steps
     raises NonTermination.
 
@@ -459,14 +461,17 @@ def reduce(word):
     finally:
         sys.setrecursionlimit(limit)
     leftover = vec.non_constant_words()
-    assert not leftover, "non-constant words survived: {}".format(leftover)
+    if leftover:
+        raise InvariantViolation(
+            "non-constant words survived: {}".format(leftover))
     coefficients = vec.constant_part()
 
     counts = word.letter_counts()
     expected = {i: Fraction(q, order) for i, q in counts.items()}
-    assert coefficients == expected, \
-        "iteration result {} disagrees with counting formula {}".format(
-            coefficients, expected)
+    if coefficients != expected:
+        raise InvariantViolation(
+            "iteration result {} disagrees with counting formula {}".format(
+                coefficients, expected))
 
     cert = ReductionCertificate(word, coefficients, steps, solved)
     return coefficients, cert

@@ -75,6 +75,18 @@ def test_reduce_invalid_indices_exit_2(capsys):
     assert err.startswith("DeltaOutOfRange:")
 
 
+def test_library_recursion_error_exit_2(capsys, monkeypatch):
+    def deep(word):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.words, "reduce", deep)
+    code, out, err = run(capsys, ["reduce", "--order", "10",
+                                  "--indices", V4_INDICES])
+    assert code == 2
+    assert out == ""
+    assert err == "RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_reduce_argument_combinations(capsys, tmp_path):
     path = write_json(tmp_path / "w.json", {"order": 4, "indices": [1] * 4})
     code, _, err = run(capsys, ["reduce", path, "--order", "4"])

@@ -259,6 +259,124 @@ def test_group_cap(monkeypatch):
         validate_reflection_graph(cycle_reflection_graph(6))
 
 
+def test_group_cap_without_free_action(monkeypatch):
+    # the cube with a vertex-fixing symmetry takes the enumeration path
+    cube = cube_reflection_graph()
+
+    def swap12(v):
+        return (v & 1) | (((v >> 2) & 1) << 1) | (((v >> 1) & 1) << 2)
+
+    extra = Reflection({v: swap12(v) ^ 1 for v in range(8)},
+                       [(0, 1), (6, 7)])
+    bad = ReflectionGraph(cube.vertices, cube.edges,
+                          cube.reflections + (extra,))
+    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 4)
+    with pytest.raises(GroupTooLarge):
+        validate_reflection_graph(bad)
+
+
+def test_group_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 5)
+    with pytest.raises(GroupTooLarge):
+        validate_reflection_graph(cycle_reflection_graph(6))
+    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 6)
+    assert validate_reflection_graph(
+        cycle_reflection_graph(6)).group_order == 6
+
+
+def test_c1000_validates():
+    report = validate_reflection_graph(cycle_reflection_graph(1000))
+    assert report.group_order == 1000
+    assert len(report.edge_classes) == 2
+
+
+def _relabelled(graph, rng):
+    """The same graph under fresh labels, with every input order shuffled."""
+    labels = rng.sample(range(10 * len(graph.vertices)), len(graph.vertices))
+    lab = dict(zip(graph.vertices, labels))
+    vertices = [lab[v] for v in graph.vertices]
+    edges = [(lab[u], lab[v]) if rng.random() < 0.5 else (lab[v], lab[u])
+             for u, v in graph.edges]
+    reflections = [
+        Reflection({lab[k]: lab[w] for k, w in r.mapping.items()},
+                   [(lab[a], lab[b]) for a, b in r.swaps])
+        for r in graph.reflections]
+    for items in (vertices, edges, reflections):
+        rng.shuffle(items)
+    return ReflectionGraph(vertices, edges, reflections, graph.ambient)
+
+
+def _brute_force_report(graph):
+    """(group order, edge classes, parts, valence) by listing the group.
+
+    Elements are closed under composition as label dicts; the action is
+    asserted free; edge classes are the images of each edge under every
+    element, ordered like the validator's (by smallest edge position).
+    """
+    verts = list(graph.vertices)
+    gens = [r.mapping for r in graph.reflections]
+    ident = {v: v for v in verts}
+    elements = {tuple(verts): ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = {v: g[p[v]] for v in verts}
+                key = tuple(q[v] for v in verts)
+                if key not in elements:
+                    elements[key] = q
+                    fresh.append(q)
+        frontier = fresh
+    for p in elements.values():
+        assert p is ident or all(p[v] != v for v in verts)
+
+    position = {}
+    for k, (u, v) in enumerate(graph.edges):
+        position[(u, v)] = position[(v, u)] = k
+    orbits = {frozenset(position[(p[u], p[v])] for p in elements.values())
+              for u, v in graph.edges}
+    classes = tuple(tuple(graph.edges[k] for k in sorted(orbit))
+                    for orbit in sorted(orbits, key=min))
+
+    adj = {v: [] for v in verts}
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side = {verts[0]: 0}
+    stack = [verts[0]]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in side:
+                side[w] = 1 - side[u]
+                stack.append(w)
+    parts = tuple(tuple(v for v in verts if side[v] == s) for s in (0, 1))
+    return len(elements), classes, parts, len(adj[verts[0]])
+
+
+def test_validation_matches_brute_force_group():
+    rng = random.Random(4913)
+    cases = [cycle_reflection_graph(n) for n in range(4, 50, 2)]
+    cases += [lattice_reflection_graph(4, 4),
+               lattice_reflection_graph(8, 16),
+               cube_reflection_graph(), k33_reflection_graph()]
+    cases.append(product_p1(product_p1(
+        _validated(cycle_reflection_graph(8)))))
+    for size in (4, 6):
+        chain = [_validated(cycle_reflection_graph(size))]
+        for _ in range(3):
+            chain.append(product_p1(chain[-1]))
+        cases += chain
+    for graph in cases:
+        for g in (graph, _relabelled(graph, rng)):
+            report = validate_reflection_graph(g)
+            got = (report.group_order, report.edge_classes, report.parts,
+                   report.valence)
+            assert got == _brute_force_report(g)
+            assert report.group_order == len(g.vertices)
+
+
 def test_construction_errors():
     with pytest.raises(GraphError):
         ReflectionGraph([0, 0], [], [])

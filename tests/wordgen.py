@@ -30,11 +30,19 @@ def all_valid_words(order):
 
 
 def random_valid_word(rng, order):
-    """Rejection-sample a valid word of the given order."""
+    """Rejection-sample a valid word of the given order.
+
+    Every inner step is -1, 0 or +1 by construction, so a candidate whose
+    closing step (last letter back to the first) is anything else is
+    rejected before validate_word() sees it.  The rng draws are the same
+    either way.
+    """
     while True:
         seq = [rng.randint(1, order)]
         for _ in range(order - 1):
             seq.append((seq[-1] - 1 + rng.choice((-1, 0, 1))) % order + 1)
+        if (seq[0] - seq[-1]) % order not in (0, 1, order - 1):
+            continue
         try:
             return validate_word(order, seq)
         except WordError:
