@@ -23,7 +23,7 @@ runs the iteration, records a replayable certificate, and checks the result
 against that counting formula.
 """
 
-import sys
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -63,11 +63,6 @@ class MissingBasisVolume(LookupError):
     """A letter with nonzero coefficient has no volume assigned."""
 
 
-def _deltas(order, indices):
-    n = len(indices)
-    return [(indices[(k + 1) % n] - indices[k]) % order for k in range(n)]
-
-
 def _derive_flags(order, indices, reflected=False):
     """Reflection marks for an index sequence, or raise.
 
@@ -76,28 +71,28 @@ def _derive_flags(order, indices, reflected=False):
     for constant words and for the ascending order-2 word.
     """
     n = len(indices)
-    deltas = _deltas(order, indices)
     down = order - 1
-    for k, d in enumerate(deltas):
-        if d not in (0, 1, down):
-            raise DeltaOutOfRange(
-                "step from T{} to T{} is not +1, 0 or -1 mod {}".format(
-                    indices[k], indices[(k + 1) % n], order))
-    # Parity of mark k relative to mark 0: repeats flip, steps preserve.
-    rel = [0] * n
-    for k in range(n - 1):
-        rel[k + 1] = rel[k] ^ (1 if deltas[k] == 0 else 0)
-    # The parity chain always closes up for legal deltas (the number of
-    # repeats in a closed walk is even), so only value conflicts remain.
+    deltas = [(b - a) % order
+              for a, b in zip(indices, indices[1:] + indices[:1])]
+    if not {0, 1, down}.issuperset(deltas):
+        k = next(k for k, d in enumerate(deltas) if d not in (0, 1, down))
+        raise DeltaOutOfRange(
+            "step from T{} to T{} is not +1, 0 or -1 mod {}".format(
+                indices[k], indices[(k + 1) % n], order))
+    # rel is the parity of mark k relative to mark 0: repeats flip, steps
+    # preserve.  The chain always closes up for legal deltas (the number
+    # of repeats in a closed walk is even), so only value conflicts remain.
+    rel = 0
+    marks = []
     first = None  # forced value of mark 0, if any
-    if order > 2:
-        for k, d in enumerate(deltas):
-            if d == 1:
-                forced = rel[k]  # mark k must be False
-            elif d == down:
-                forced = rel[k] ^ 1  # mark k must be True
-            else:
-                continue
+    forcing = order > 2
+    for d in deltas:
+        marks.append(rel)
+        if d == 0:
+            rel ^= 1
+        elif forcing:
+            # an ascending step needs mark k False, a descending one True
+            forced = rel if d == 1 else rel ^ 1
             if first is None:
                 first = forced
             elif first != forced:
@@ -106,35 +101,63 @@ def _derive_flags(order, indices, reflected=False):
                     "on {}".format(list(indices)))
     if first is None:
         first = 1 if reflected else 0
-    return tuple(bool(first ^ r) for r in rel)
+    return tuple([bool(first ^ r) for r in marks])
 
 
-def _min_rotation(seq):
+def _least_rotation(seq):
+    """Where the lexicographically least rotation of a tuple starts, in O(n).
+
+    Duval's Lyndon factorization (1983) run over ``seq + seq``: the last
+    factor that starts inside the first copy starts the least rotation.
+
+    >>> _least_rotation((2, 1, 2, 1))
+    1
+    """
     n = len(seq)
-    doubled = list(seq) + list(seq)
-    best = None
-    for s in range(n):
-        cand = tuple(doubled[s:s + n])
-        if best is None or cand < best:
-            best = cand
-    return best
+    doubled = seq + seq
+    end = 2 * n
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < end:
+            a, b = doubled[k], doubled[j]
+            if a < b:
+                k = i
+            elif a == b:
+                k += 1
+            else:
+                break
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 class CyclicWord:
     """A validated cyclic word, stored in canonical (lex-least) rotation.
 
     Create instances with validate_word(); the constructor trusts its
-    arguments.  Equality and hashing use (order, indices) only, so the two
-    order-2 representatives compare equal, as they should: they name the
-    same word.
+    arguments.  When ``flags`` is omitted the marks are derived from
+    ``indices`` on first access, as for the words split_relation() builds.
+    Equality and hashing use (order, indices) only, so the two order-2
+    representatives compare equal, as they should: they name the same
+    word.
     """
 
-    __slots__ = ("order", "indices", "flags")
+    __slots__ = ("order", "indices", "_flags", "_hash")
 
-    def __init__(self, order, indices, flags):
+    def __init__(self, order, indices, flags=None):
         self.order = order
         self.indices = indices
-        self.flags = flags
+        self._flags = flags
+        self._hash = hash((order, indices))
+
+    @property
+    def flags(self):
+        if self._flags is None:
+            self._flags = _derive_flags(self.order, self.indices)
+        return self._flags
 
     def __eq__(self, other):
         if not isinstance(other, CyclicWord):
@@ -142,7 +165,7 @@ class CyclicWord:
         return self.order == other.order and self.indices == other.indices
 
     def __hash__(self):
-        return hash((self.order, self.indices))
+        return self._hash
 
     def __repr__(self):
         return "CyclicWord({}, {})".format(self.order, list(self.indices))
@@ -203,9 +226,14 @@ def validate_word(order, indices, reflected=False):
         if not isinstance(i, int) or not 1 <= i <= order:
             raise DeltaOutOfRange(
                 "letter subscript {!r} outside 1..{}".format(i, order))
-    _derive_flags(order, indices, reflected)  # validity of the input as given
-    canon = _min_rotation(indices)
-    return CyclicWord(order, canon, _derive_flags(order, canon, reflected))
+    flags = _derive_flags(order, indices, reflected)
+    # The marks follow the letters round the cycle, so the canonical
+    # rotation carries the same rotation of them.  Where no step forces
+    # a mark, the word is constant (its least rotation starts at 0) or
+    # has order 2 (all marks equal), and ``reflected`` lands on the same
+    # canonical letter either way.
+    k = _least_rotation(indices)
+    return CyclicWord(order, indices[k:] + indices[:k], flags[k:] + flags[:k])
 
 
 class WordVector:
@@ -263,13 +291,6 @@ class SplitResult(NamedTuple):
     produced: tuple    # two CyclicWords, the doubled halves
 
 
-class ReductionStep(NamedTuple):
-    word: CyclicWord
-    cut: tuple
-    halves: tuple
-    produced: tuple
-
-
 class SolvedCycle(NamedTuple):
     word: CyclicWord
     self_coefficient: Fraction
@@ -285,6 +306,15 @@ def split_relation(word, at=0):
 
     ``at`` indexes into the canonical rotation; anything outside
     0..order-1 raises BadCut.
+
+    ``word`` is trusted to be valid, as every word from validate_word()
+    or split_relation() is.  A doubled half a.rev(a) of a valid word is
+    then valid too (the steps of rev(a) are those of a negated, and both
+    joins are repeats), so the produced words are only put into least
+    rotation, never re-validated; their marks are derived on first use.
+    A hand-built CyclicWord that breaks the step rules is untrusted input
+    and gives an unspecified result: validate it first, as
+    replay_certificate() does for every step.
     """
     if not isinstance(at, int) or not 0 <= at < word.order:
         raise BadCut("cut position {!r} outside 0..{}".format(
@@ -293,9 +323,12 @@ def split_relation(word, at=0):
     doubled = word.indices + word.indices
     a1 = doubled[at:at + m]
     a2 = doubled[at + m:at + 2 * m]
-    produced = tuple(validate_word(word.order, half + tuple(reversed(half)))
-                     for half in (a1, a2))
-    return SplitResult(word, (at, at + m), (a1, a2), produced)
+    produced = []
+    for half in (a1, a2):
+        mirror = half + half[::-1]
+        k = _least_rotation(mirror)
+        produced.append(CyclicWord(word.order, mirror[k:] + mirror[:k]))
+    return SplitResult(word, (at, at + m), (a1, a2), tuple(produced))
 
 
 def count_single_mountain_words(order):
@@ -342,8 +375,9 @@ class ReductionCertificate:
     and was solved for (word, self-coefficient, resulting vector);
     ``coefficients`` the final combination over constant-word subscripts.
     Replaying: the step equations w = (p1 + p2) / 2 determine the result by
-    exact linear elimination, independent of the recursion that found them;
-    see replay_certificate().
+    exact elimination in SCC order (one strongly connected component of
+    the step graph at a time, sinks first), independent of the search that
+    found them; see replay_certificate().
     """
 
     def __init__(self, word, coefficients, steps, solved_cycles):
@@ -381,20 +415,29 @@ class ReductionCertificate:
         }
 
 
-def _constant_word(order, subscript):
-    return validate_word(order, (subscript,) * order)
+def _add_term(out, w, x):
+    """out[w] += x on a {word: Fraction} dict, dropping a zero sum."""
+    old = out.get(w)
+    if old is None:
+        out[w] = x
+    else:
+        x += old
+        if x:
+            out[w] = x
+        else:
+            del out[w]
 
 
 def reduce(word):
     """Rewrite ``word`` over the constant words x_i = T_i^{2m}, exactly.
 
     Returns (coefficients, certificate) where coefficients maps subscripts
-    to Fractions.  The iteration applies split_relation() depth first,
-    solving a word for itself whenever its expansion returns to it; the
-    result is checked against the counting formula q_i(word) / 2m and a
-    disagreement raises InvariantViolation (it would mean a bug, not bad
-    input).  Exceeding 4x the single-mountain word count in halving steps
-    raises NonTermination.
+    to Fractions.  The iteration applies split_relation() depth first, on
+    an explicit stack, solving a word for itself whenever its expansion
+    returns to it; the result is checked against the counting formula
+    q_i(word) / 2m and a disagreement raises InvariantViolation (it would
+    mean a bug, not bad input).  Exceeding 4x the single-mountain word
+    count in halving steps raises NonTermination.
 
     >>> w = validate_word(10, [1,1,1,1,1,1,1,1,2,2])
     >>> coeffs, cert = reduce(w)
@@ -403,68 +446,88 @@ def reduce(word):
     """
     order = word.order
     budget = 4 * count_single_mountain_words(order)
-    state = {"splits": 0}
-    cache = {}
+    one = Fraction(1)
+    half = Fraction(1, 2)
+    cache = {}      # popped word -> {word: Fraction} over its ancestors
+    active = set()  # words whose frames are on the stack
+    frames = []     # (word, iterator over its produced words, their sum)
     steps = []
     solved = []
-    active = set()
-    half = Fraction(1, 2)
 
-    def resolve(vec, seen):
+    def resolve(vec):
         # Substitute cached values for any popped words.  A cached vector
         # only mentions words that were ancestors of its frame when it
         # popped, so the substitution chain runs strictly down the old
         # stack and terminates.  Words still on the stack stay symbolic;
-        # the frame that owns them will solve them.
-        out = WordVector()
-        for w, c in vec.terms.items():
-            if w.is_constant or w in active:
-                out = out + WordVector({w: c})
+        # the frame that owns them will solve them.  The chain is walked
+        # in post-order, each popped word resolved once.
+        done = {}
+        path = [(None, iter(vec))]
+        while path:
+            owner, pending = path[-1]
+            for w in pending:
+                if not (w.is_constant or w in active or w in done):
+                    path.append((w, iter(cache[w])))
+                    break
             else:
-                if w not in seen:
-                    seen[w] = resolve(cache[w], seen)
-                out = out + seen[w].scale(c)
-        return out
+                path.pop()
+                out = {}
+                for w, c in (vec if owner is None else cache[owner]).items():
+                    if w.is_constant or w in active:
+                        _add_term(out, w, c)
+                    else:
+                        for u, x in done[w].items():
+                            _add_term(out, u, c * x)
+                if owner is None:
+                    return out
+                done[owner] = out
 
-    def expand(w):
-        if w.is_constant:
-            return WordVector({w: Fraction(1)})
-        if w in active:
-            return WordVector({w: Fraction(1)})
+    def enter(w):
+        # w's vector when it is already known, else push w's frame and
+        # return None.
+        if w.is_constant or w in active:
+            return {w: one}
         if w in cache:
-            return resolve(cache[w], {})
-        active.add(w)
-        state["splits"] += 1
-        if state["splits"] > budget:
+            return resolve(cache[w])
+        if len(steps) >= budget:
             raise NonTermination(
                 "exceeded {} halving steps at order {}".format(budget, order))
+        active.add(w)
         s = split_relation(w)
-        steps.append(ReductionStep(*s))
-        vec = expand(s.produced[0]).scale(half) + \
-            expand(s.produced[1]).scale(half)
-        active.discard(w)
-        c = vec.terms.pop(w, Fraction(0))
-        vec = WordVector(vec.terms)
-        if c:
-            if c >= 1:
-                raise NonTermination(
-                    "self-coefficient {} leaves nothing to solve".format(c))
-            vec = vec.scale(Fraction(1) / (1 - c))
-            solved.append(SolvedCycle(w, c, vec))
-        cache[w] = vec
-        return vec
+        steps.append(s)
+        frames.append((w, iter(s.produced), {}))
+        return None
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 30000))
-    try:
-        vec = expand(word)
-    finally:
-        sys.setrecursionlimit(limit)
-    leftover = vec.non_constant_words()
+    vec = enter(word)
+    while frames:
+        w, produced, acc = frames[-1]
+        if vec is not None:
+            for u, x in vec.items():
+                _add_term(acc, u, x)
+        p = next(produced, None)
+        if p is not None:
+            vec = enter(p)
+            continue
+        frames.pop()
+        active.discard(w)
+        # w = acc / 2, and acc may hold w itself: w = c*w + rest
+        c = acc.pop(w, 0) * half
+        if c >= 1:
+            raise NonTermination(
+                "self-coefficient {} leaves nothing to solve".format(c))
+        scale = half / (1 - c)
+        acc = {u: scale * x for u, x in acc.items()}
+        if c:
+            solved.append(SolvedCycle(w, c, WordVector(acc)))
+        cache[w] = acc
+        vec = acc
+
+    result = WordVector(vec)
+    leftover = result.non_constant_words()
     if leftover:
         raise InvariantViolation(
             "non-constant words survived: {}".format(leftover))
-    coefficients = vec.constant_part()
+    coefficients = result.constant_part()
 
     counts = word.letter_counts()
     expected = {i: Fraction(q, order) for i, q in counts.items()}
@@ -481,18 +544,148 @@ class CertificateError(ValueError):
     """A certificate that does not replay to its claimed result."""
 
 
+def _components_sinks_first(successors):
+    """Strongly connected components of a graph, each after all it reaches.
+
+    Nodes are 0..n-1 and ``successors[v]`` lists the nodes v points to.
+    Tarjan's algorithm (1972) on an explicit stack, so depth is not bounded
+    by recursion.  Returns a list of components, each a list of nodes in
+    reverse discovery order.
+    """
+    n = len(successors)
+    number = [0] * n    # discovery number from 1; 0 = not yet discovered
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    count = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, pending = path[-1]
+            for u in pending:
+                if not number[u]:
+                    count += 1
+                    number[u] = low[u] = count
+                    stack.append(u)
+                    on_stack[u] = True
+                    path.append((u, iter(successors[u])))
+                    break
+                if on_stack[u] and number[u] < low[v]:
+                    low[v] = number[u]
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == number[v]:
+                    component = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        component.append(u)
+                        if u == v:
+                            break
+                    components.append(component)
+    return components
+
+
+def _solve_component(component, successors, constants, solved):
+    """Solve one component's step equations by exact elimination.
+
+    Row k reads 2*w_k - (its produced words inside the component) =
+    (its constant produced words) + (its other produced words).  The last
+    are in ``solved`` already and enter as letter vectors.  Columns
+    0..k-1 are the component's words and column -i is subscript i.  Rows
+    hold integers: each is scaled to clear its denominators and divided
+    by its content after every update, which stays exact and costs far
+    less than Fraction arithmetic.  Gauss-Jordan leaves each row with its
+    own word and letters only, and ``solved[v]`` becomes that word's
+    letter vector as (denominator, {subscript: numerator}).
+    """
+    local = {v: k for k, v in enumerate(component)}
+    rows = []
+    for v in component:
+        outside = [solved[u] for u in successors[v] if u not in local]
+        scale = math.lcm(*(den for den, _ in outside))
+        row = {local[v]: 2 * scale}
+        for u in successors[v]:
+            if u in local:
+                col = local[u]
+                row[col] = row.get(col, 0) - scale
+        for i in constants[v]:
+            row[-i] = row.get(-i, 0) + scale
+        for den, nums in outside:
+            factor = scale // den
+            for i, x in nums.items():
+                row[-i] = row.get(-i, 0) + factor * x
+        rows.append({c: x for c, x in row.items() if x})
+
+    holders = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            if c >= 0:
+                holders.setdefault(c, set()).add(r)
+    # Forward references mostly point at later-discovered words, so
+    # eliminating in reverse discovery order keeps fill-in small.
+    for col in range(len(rows)):
+        pivot = rows[col]
+        diagonal = pivot.get(col)
+        if not diagonal:
+            raise CertificateError("singular step system")
+        for r in holders.pop(col):
+            if r == col:
+                continue
+            factor = rows[r].pop(col)
+            row = {c: diagonal * x for c, x in rows[r].items()}
+            for c, x in pivot.items():
+                if c == col:
+                    continue
+                value = row.get(c, 0) - factor * x
+                if value:
+                    row[c] = value
+                    if c >= 0:
+                        holders[c].add(r)
+                else:
+                    del row[c]
+                    if c >= 0:
+                        holders[c].discard(r)
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {c: x // content for c, x in row.items()}
+            rows[r] = row
+    for v, k in local.items():
+        row = rows[k]
+        den = row[k]
+        nums = {-c: x for c, x in row.items() if c < 0}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
+
+
 def replay_certificate(cert):
     """Recompute a certificate's coefficients from its steps alone.
 
     Each step is first re-derived: the word must validate and
     split_relation() must reproduce the recorded cut, halves and produced
-    words.  The step equations w = (p1 + p2)/2 are then solved by exact
-    Gaussian elimination (no recursion, no memo, nothing shared with
-    reduce()) and the coefficients of the certificate's root word are
-    returned.  Raises CertificateError on any mismatch.
+    words.  The step equations w = (p1 + p2)/2 are then solved in SCC
+    order: the strongly connected components of the graph from each word
+    to the words it produces, sinks first, each solved by exact
+    elimination over its own words, with the words it reaches already
+    reduced to letter vectors.  No recursion, no memo, nothing shared
+    with reduce().  Returns the coefficients of the certificate's root
+    word; raises CertificateError on any mismatch.
     """
-    words = []
-    eqs = {}
+    index = {}
+    eqs = []
     for step in cert.steps:
         w = validate_word(step.word.order, step.word.indices)
         s = split_relation(w, step.cut[0])
@@ -500,13 +693,13 @@ def replay_certificate(cert):
                 or s.produced != tuple(step.produced):
             raise CertificateError(
                 "step for {!r} does not re-derive".format(w))
-        if w not in eqs:
-            words.append(w)
-            eqs[w] = s.produced
-        elif eqs[w] != s.produced:
+        if w not in index:
+            index[w] = len(eqs)
+            eqs.append(s.produced)
+        elif eqs[index[w]] != s.produced:
             raise CertificateError(
                 "conflicting equations recorded for {!r}".format(w))
-    if cert.word not in eqs:
+    if cert.word not in index:
         # A basis word reduces to itself with nothing to solve; its
         # certificate is empty and replays to the unit coefficient.
         if cert.word.is_constant and not cert.steps \
@@ -514,68 +707,23 @@ def replay_certificate(cert):
             return {cert.word.indices[0]: Fraction(1)}
         raise CertificateError("no step splits the root word")
 
-    index = {w: k for k, w in enumerate(words)}
-    n = len(words)
-    half = Fraction(1, 2)
-    zero = Fraction(0)
-    # Sparse rows of [A | B]: columns < n are unknown words, columns
-    # n.. are constant subscripts.  Row k is the equation for words[k],
-    # so its diagonal holds 1 minus any self-produced halves.
-    letters = sorted({i for w in words for i in w.letter_counts()})
-    lcol = {i: n + k for k, i in enumerate(letters)}
-    rows = []
-    for w in words:
-        row = {index[w]: Fraction(1)}
-        for p in eqs[w]:
+    successors = [[] for _ in eqs]
+    constants = [[] for _ in eqs]
+    for v, produced in enumerate(eqs):
+        for p in produced:
             if p.is_constant:
-                col = lcol[p.indices[0]]
-                row[col] = row.get(col, zero) + half
+                constants[v].append(p.indices[0])
             elif p in index:
-                col = index[p]
-                row[col] = row.get(col, zero) - half
+                successors[v].append(index[p])
             else:
                 raise CertificateError(
                     "produced word {!r} has no equation and is not "
                     "constant".format(p))
-        rows.append({c: v for c, v in row.items() if v})
-
-    holders = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            if c < n:
-                holders.setdefault(c, set()).add(r)
-    # Sweep unknowns in reverse discovery order: forward references
-    # mostly point at later words, so fill-in stays small.
-    for col in range(n - 1, -1, -1):
-        pivot = rows[col]
-        scale = pivot.get(col)
-        if not scale:
-            raise CertificateError("singular step system")
-        if scale != 1:
-            for c in pivot:
-                pivot[c] /= scale
-        for r in list(holders.get(col, ())):
-            if r == col:
-                continue
-            row = rows[r]
-            factor = row.pop(col, None)
-            if factor is None:
-                continue
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                value = row.get(c, zero) - factor * v
-                if value:
-                    row[c] = value
-                    if c < n:
-                        holders.setdefault(c, set()).add(r)
-                else:
-                    row.pop(c, None)
-                    if c < n:
-                        holders.setdefault(c, set()).discard(r)
-        holders.pop(col, None)
-    root = rows[index[cert.word]]
-    return {letters[c - n]: v for c, v in root.items() if c >= n}
+    solved = [None] * len(eqs)
+    for component in _components_sinks_first(successors):
+        _solve_component(component, successors, constants, solved)
+    den, nums = solved[index[cert.word]]
+    return {i: Fraction(x, den) for i, x in sorted(nums.items())}
 
 
 def verify_certificate(cert):

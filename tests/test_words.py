@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from repvol import words
 from repvol.words import (
     BadCut, CertificateError, DeltaOutOfRange, FlagInconsistent,
-    LengthMismatch, MissingBasisVolume, WordVector, bound_from_reduction,
-    count_single_mountain_words, reduce, replay_certificate, split_relation,
-    validate_word, verify_certificate,
+    LengthMismatch, MissingBasisVolume, ReductionCertificate, WordVector,
+    bound_from_reduction, count_single_mountain_words, reduce,
+    replay_certificate, split_relation, validate_word, verify_certificate,
 )
 
 from wordgen import all_valid_words, oracle_coefficients, random_valid_word
@@ -89,6 +90,35 @@ def test_constant_word_mark_alternation():
     assert validate_word(6, w.indices, reflected=True) == w
 
 
+def test_canonical_marks_are_the_input_marks_rotated():
+    # validate_word rotates the marks of the input instead of deriving
+    # them again on the canonical rotation; both must agree
+    for order in (2, 4, 6, 8):
+        for w in all_valid_words(order):
+            for k in range(order):
+                rotated = w.indices[k:] + w.indices[:k]
+                for rep in (False, True):
+                    assert validate_word(order, rotated, reflected=rep).flags \
+                        == words._derive_flags(order, w.indices, rep)
+
+
+def test_least_rotation_matches_brute_force():
+    rng = random.Random(1983)
+    cases = [(1,), (3, 3, 3), (1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 1, 2, 2, 1),
+             (1, 1, 2, 1, 1, 2, 1), (3, 1, 3, 1, 3)]
+    for _ in range(3000):
+        n = rng.randint(1, 24)
+        alphabet = rng.randint(1, 4)
+        seq = tuple(rng.randint(1, alphabet) for _ in range(n))
+        cases.append(seq)
+        cases.append(seq[:rng.randint(1, 4)] * rng.randint(2, 6))
+    for seq in cases:
+        k = words._least_rotation(seq)
+        assert 0 <= k < len(seq)
+        assert seq[k:] + seq[:k] == \
+            min(seq[s:] + seq[:s] for s in range(len(seq)))
+
+
 def test_letter_counts():
     w = W(10, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2)
     assert w.letter_counts() == {1: 8, 2: 2}
@@ -137,6 +167,19 @@ def test_split_bad_cut():
         split_relation(w, 4)
     with pytest.raises(BadCut):
         split_relation(w, -1)
+
+
+def test_split_words_match_validate_word():
+    # split_relation builds its words without validating them; they must
+    # be exactly what validate_word makes of the same doubled halves
+    for order in range(2, 11, 2):
+        for w in all_valid_words(order):
+            for at in range(order):
+                s = split_relation(w, at)
+                for half, p in zip(s.halves, s.produced):
+                    ref = validate_word(order, half + half[::-1])
+                    assert p.indices == ref.indices
+                    assert p.flags == ref.flags
 
 
 def test_split_produces_valid_mirror_words():
@@ -221,6 +264,38 @@ def test_each_word_split_exactly_once_per_reduction():
         assert len(split_words) == len(set(split_words))
 
 
+# A walk-built order-28 word whose depth-first reduction runs 120 frames
+# deep (1360 halving steps).
+DEEP_28 = (5, 6, 6, 5, 4, 4, 4, 4, 5, 5, 4, 3, 2, 1, 28, 28, 28, 28, 1, 2, 3,
+           3, 2, 2, 2, 2, 3, 4)
+
+
+def _counting_formula(indices):
+    n = len(indices)
+    return {i: Fraction(indices.count(i), n) for i in set(indices)}
+
+
+def test_reduce_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("reduce changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    coeffs, cert = reduce(validate_word(28, DEEP_28))
+    assert coeffs == _counting_formula(DEEP_28)
+    assert len(cert.steps) == 1360
+
+
+def test_reduce_and_replay_under_a_low_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        coeffs, cert = reduce(validate_word(28, DEEP_28))
+        assert verify_certificate(cert)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coeffs == _counting_formula(DEEP_28)
+
+
 def test_split_budget_has_headroom():
     rng = random.Random(99)
     worst = 0
@@ -264,12 +339,64 @@ def test_tampered_certificate_is_rejected():
         verify_certificate(truncated)
 
     st = cert.steps[0]
-    forged = words.ReductionStep(st.word, st.cut, st.halves,
-                                 (st.produced[1], st.produced[0]))
+    forged = words.SplitResult(st.word, st.cut, st.halves,
+                               (st.produced[1], st.produced[0]))
     with pytest.raises(CertificateError):
         verify_certificate(words.ReductionCertificate(
             cert.word, cert.coefficients, (forged,) + cert.steps[1:],
             cert.solved_cycles))
+
+
+# Its certificate has 1792 steps, and 382 of its words form one strongly
+# connected class.  Replay used to eliminate over every word at once and
+# took about 20 s here.
+LARGE_CLASS_34 = (2, 2, 2, 2, 3, 3, 2, 1, 34, 34, 1, 2, 2, 2, 2, 1, 34, 33,
+                  33, 33, 33, 33, 33, 33, 32, 32, 33, 34, 1, 2, 3, 3, 2, 2)
+
+
+def _class_of(cert, start):
+    """Words ``start`` reaches that also reach it, by two searches."""
+    forward, backward = {}, {}
+    for st in cert.steps:
+        for p in st.produced:
+            if not p.is_constant:
+                forward.setdefault(st.word, []).append(p)
+                backward.setdefault(p, []).append(st.word)
+
+    def reached(edges):
+        seen, todo = {start}, [start]
+        while todo:
+            for u in edges.get(todo.pop(), ()):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    return reached(forward) & reached(backward)
+
+
+def test_large_strongly_connected_class_replays():
+    _, cert = reduce(validate_word(34, LARGE_CLASS_34))
+    assert len(cert.steps) == 1792
+    assert replay_certificate(cert) == _counting_formula(LARGE_CLASS_34)
+    assert verify_certificate(cert)
+
+    # the replay's own component split only names a member; the class
+    # itself is found by the searches above
+    split_words = [st.word for st in cert.steps]
+    position = {w: k for k, w in enumerate(split_words)}
+    successors = [[position[p] for p in st.produced if not p.is_constant]
+                  for st in cert.steps]
+    largest = max(words._components_sinks_first(successors), key=len)
+    big_class = _class_of(cert, split_words[largest[0]])
+    assert len(big_class) == 382
+    k = next(k for k, w in enumerate(split_words)
+             if w in big_class and w != cert.word)
+    dropped = ReductionCertificate(
+        cert.word, cert.coefficients, cert.steps[:k] + cert.steps[k + 1:],
+        cert.solved_cycles)
+    with pytest.raises(CertificateError):
+        verify_certificate(dropped)
 
 
 def test_certificate_json_shape():
