@@ -26,7 +26,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from . import arborescent, pieces
+from . import arborescent
 from .pieces import EndpointMismatch
 
 FAMILIES = ("rational-square", "integer-cylindrical", "reciprocal-saucer")
@@ -224,11 +224,6 @@ class VolumeDB:
             })
         return {"version": 1, "entries": entries,
                 "limits": {c: str(v) for c, v in sorted(self.limits.items())}}
-
-
-def db_query(db, family, conway, ambient, signature, orientation="standard"):
-    """Recorded volume, or NON_HYPERBOLIC for a zero row; NotFound else."""
-    return db.query(family, conway, ambient, signature, orientation)
 
 
 class RuleStep(NamedTuple):
@@ -533,23 +528,27 @@ def parse_link_spec(data):
                     str(reference) if reference is not None else None)
 
 
-def _realize(spec):
-    """Build the combinatorial complex to validate the arrangement."""
-    try:
-        if spec.arrangement == "bracelet":
-            pieces.build_bracelet(
-                [pieces.saucer_template(s.conway) for s in spec.slots])
-        elif spec.arrangement == "lattice":
-            grid = []
-            for r in range(spec.rows):
-                row = spec.slots[r * spec.cols:(r + 1) * spec.cols]
-                grid.append([pieces.square_template(s.conway) for s in row])
-            pieces.build_torus_lattice(grid)
-        elif spec.arrangement == "cylinder-stack":
-            pieces.build_cylinder_stack(
-                [pieces.cylindrical_template(s.conway) for s in spec.slots])
-    except pieces.PieceError as err:
-        raise ArrangementInvalid(str(err)) from err
+def _check_arrangement(spec):
+    """Refuse a slot count or grid shape the arrangement cannot glue up.
+
+    Bracelets, lattices and stacks glue fixed templates (saucers, squares,
+    two-strand cylinders) whose glued faces always carry equal endpoint
+    counts, so the count and shape of the slots are all that can be wrong.
+    """
+    count = len(spec.slots)
+    if spec.arrangement == "bracelet":
+        if count < 2 or count % 2:
+            raise ArrangementInvalid("a bracelet needs an even number of "
+                                     "tangles, at least two, got %d" % count)
+    elif spec.arrangement == "lattice":
+        rows, cols = spec.rows, spec.cols
+        if rows < 1 or count != rows * cols:
+            raise ArrangementInvalid("lattice grid must be rectangular")
+        if rows < 2 or cols < 2 or rows % 2 or cols % 2:
+            raise ArrangementInvalid("lattice dimensions must be even and at "
+                                     "least 2 x 2, got %d x %d" % (rows, cols))
+    elif spec.arrangement == "cylinder-stack" and not count:
+        raise ArrangementInvalid("a cylinder stack needs at least one tangle")
 
 
 def _demanded_signatures(spec):
@@ -591,7 +590,7 @@ def lower_bound(db, spec, comparisons=()):
     """
     if not isinstance(spec, LinkSpec):
         spec = parse_link_spec(spec)
-    _realize(spec)
+    _check_arrangement(spec)
     rule, demands = _demanded_signatures(spec)
 
     terms = []

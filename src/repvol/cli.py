@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from . import arborescent, bounds, graphs, pieces, words
@@ -204,11 +203,7 @@ def _batch_bound(args, config, db, comparisons):
         except (ValueError, LookupError, OSError) as exc:
             return name, None, exc
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, names))
-    else:
-        results = [work(name) for name in names]
+    results = [work(name) for name in names]
 
     if config.format == "json":
         rows = []
@@ -308,10 +303,7 @@ def cmd_graph_replicant(args, config):
     graph = _load_graph(args.graph)
     graphs.validate_reflection_graph(graph)
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
-    seed = None
-    if args.seed is not None:
-        seed = graphs._vertex_in(json.loads(args.seed))
-    built = graphs.g_replicant(graph, template, seed=seed)
+    built = graphs.g_replicant(graph, template)
     print(_dump_json({"group_order": built.group_order,
                       "complex": built.complex.to_json_dict()}))
     return 0
@@ -447,8 +439,6 @@ def _build_parser():
                             "of them")
         p.add_argument("--compare", action="append", metavar="t=N",
                        help="attach twist-number comparison bounds")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel workers for a directory of inputs")
         p.set_defaults(func=cmd_bound, default_format=fmt)
 
     p = sub.add_parser("classify", parents=[common],
@@ -469,7 +459,6 @@ def _build_parser():
     g.add_argument("graph", help="graph JSON file")
     g.add_argument("--template", required=True,
                    help="piece template JSON file")
-    g.add_argument("--seed", help="seed vertex, as JSON")
     g.set_defaults(func=cmd_graph_replicant, default_format="json")
     g = gsub.add_parser("product", parents=[common],
                         help="cross the graph with a two-point fiber")

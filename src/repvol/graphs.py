@@ -376,23 +376,17 @@ class GReplicant(NamedTuple):
     group_order: int
 
 
-def g_replicant(graph, template, seed=None):
+def g_replicant(graph, template):
     """Place a copy of ``template`` at every vertex, glued along edges.
 
     The k-th edge class (classes ordered by their smallest edge) glues
     along face k+1 of both neighbouring copies, so the template must have
     exactly as many faces as the graph valence.  Copy labels are vertex
-    positions.  ``seed`` picks the vertex anchoring the construction; it
-    is validated but the complex does not depend on it, because every
-    reflection fixes glued endpoint labels.
+    positions.
     """
     report = graph._report
     if report is None:
         raise NotValidated("validate the graph before building a replicant")
-    if seed is None:
-        seed = graph.vertices[0]
-    if seed not in graph._pos:
-        raise GraphError("seed %r is not a vertex" % (seed,))
     if len(template.faces) != report.valence:
         raise ValenceMismatch(
             "template %r has %d faces but the graph is %d-valent"

@@ -635,12 +635,57 @@ def _refine_colors(complex, base):
         colors = new
 
 
+def _propagate(a, b, root, image):
+    """Extend root -> image along glued faces over root's component.
+
+    Returns the map, or None at the first disagreement: template,
+    partner face, endpoint pairing, glued state, or a repeated image.
+    A map returned covers a whole component of ``b``, so later trials,
+    which start from unused images, never reach its images.
+    """
+    trial = {root: image}
+    taken = {image}
+    stack = [root]
+    while stack:
+        label = stack.pop()
+        template = a.template_of(label)
+        if b.template_of(trial[label]) != template:
+            return None
+        for face_no in range(1, len(template.faces) + 1):
+            partner = a.glued_partner((label, face_no))
+            image_partner = b.glued_partner((trial[label], face_no))
+            if (partner is None) != (image_partner is None):
+                return None
+            if partner is None:
+                continue
+            (other, other_face), pairing = partner
+            (image_other, image_other_face), image_pairing = image_partner
+            if other_face != image_other_face or pairing != image_pairing:
+                return None
+            if other in trial:
+                if trial[other] != image_other:
+                    return None
+            elif image_other in taken:
+                return None
+            else:
+                trial[other] = image_other
+                taken.add(image_other)
+                stack.append(other)
+    return trial
+
+
 def isomorphic(a, b):
     """Search for a copy relabeling carrying a's gluings onto b's.
 
     The bijection must preserve templates, face numbers, and endpoint
     pairings.  Returns the witness map on success.  Complexes above
     ISO_COPY_LIMIT copies are refused.
+
+    Glued face f maps to glued face f, so the image of one copy fixes
+    the map on its component.  Each component of ``a`` is rooted at its
+    first copy, and the first unused image of the same refined colour
+    (in ``b.copies`` order) that propagates is kept; isomorphism of
+    components is an equivalence, so keeping the first loses nothing.
     """
     if len(a.copies) > ISO_COPY_LIMIT or len(b.copies) > ISO_COPY_LIMIT:
         raise SizeExceeded("refusing isomorphism search above %d copies"
@@ -650,71 +695,25 @@ def isomorphic(a, b):
     base = _template_index((a, b))
     colors_a = _refine_colors(a, base)
     colors_b = _refine_colors(b, base)
-
-    def histogram(colors):
-        out = {}
-        for color in colors.values():
-            out[color] = out.get(color, 0) + 1
-        return out
-
-    if histogram(colors_a) != histogram(colors_b):
+    if sorted(colors_a.values()) != sorted(colors_b.values()):
         return IsoResult(False, None)
 
-    candidates = {}
-    for _, label in a.copies:
-        candidates[label] = [lb for _, lb in b.copies
-                             if colors_b[lb] == colors_a[label]
-                             and b.template_of(lb) == a.template_of(label)]
-        if not candidates[label]:
-            return IsoResult(False, None)
-    labels = sorted((len(candidates[label]), i)
-                    for i, (_, label) in enumerate(a.copies))
-    todo = [a.copies[i][1] for _, i in labels]
-
-    assignment = {}
+    witness = {}
     used = set()
-
-    def compatible(label, image):
-        template = a.template_of(label)
-        for face_no in range(1, len(template.faces) + 1):
-            partner = a.glued_partner((label, face_no))
-            image_partner = b.glued_partner((image, face_no))
-            if partner is None:
-                if image_partner is not None:
-                    return False
+    for _, root in a.copies:
+        if root in witness:
+            continue
+        for _, image in b.copies:
+            if image in used or colors_b[image] != colors_a[root]:
                 continue
-            if image_partner is None:
-                return False
-            (other, other_face), pairing = partner
-            (image_other, image_other_face), image_pairing = image_partner
-            if other_face != image_other_face:
-                return False
-            if other in assignment:
-                if assignment[other] != image_other:
-                    return False
-                if pairing != image_pairing:
-                    return False
-        return True
-
-    def search(k):
-        if k == len(todo):
-            return True
-        label = todo[k]
-        for image in candidates[label]:
-            if image in used:
-                continue
-            assignment[label] = image
-            if compatible(label, image):
-                used.add(image)
-                if search(k + 1):
-                    return True
-                used.discard(image)
-            del assignment[label]
-        return False
-
-    if search(0):
-        return IsoResult(True, dict(assignment))
-    return IsoResult(False, None)
+            trial = _propagate(a, b, root, image)
+            if trial is not None:
+                break
+        else:
+            return IsoResult(False, None)
+        witness.update(trial)
+        used.update(trial.values())
+    return IsoResult(True, witness)
 
 
 def verify_isomorphism(a, b, witness):

@@ -21,34 +21,34 @@ def test_builtin_shape(db):
 
 
 def test_query_tetrahedral_bigon(db):
-    value = bounds.db_query(db, "rational-square", "2", "S3", (2, 2))
+    value = db.query("rational-square", "2", "S3", (2, 2))
     assert value == Decimal("3.13223067")
 
 
 def test_query_clasp(db):
-    value = bounds.db_query(db, "reciprocal-saucer", "1/2", "S3", (6,))
+    value = db.query("reciprocal-saucer", "1/2", "S3", (6,))
     assert value == Decimal("2.44257492")
 
 
 def test_query_zero_row_is_marker_not_absence(db):
-    value = bounds.db_query(db, "reciprocal-saucer", "1/2", "S3", (4,))
+    value = db.query("reciprocal-saucer", "1/2", "S3", (4,))
     assert value is bounds.NON_HYPERBOLIC
 
 
 def test_query_missing(db):
     with pytest.raises(bounds.NotFound):
-        bounds.db_query(db, "reciprocal-saucer", "1/7", "S3", (4,))
+        db.query("reciprocal-saucer", "1/7", "S3", (4,))
     with pytest.raises(bounds.NotFound):
-        bounds.db_query(db, "rational-square", "2", "S3", (2, 2),
-                        orientation="rotated")
+        db.query("rational-square", "2", "S3", (2, 2),
+                 orientation="rotated")
 
 
 def test_query_normalizes_notation(db):
-    assert bounds.db_query(db, "rational-square", "  2   1 ", "S3",
-                           (2, 2)) == Decimal("5.81283664")
+    assert db.query("rational-square", "  2   1 ", "S3",
+                    (2, 2)) == Decimal("5.81283664")
     # a leading minus is the reflection, which shares its mirror's volume
-    assert bounds.db_query(db, "reciprocal-saucer", "-1/2", "S3",
-                           (6,)) == Decimal("2.44257492")
+    assert db.query("reciprocal-saucer", "-1/2", "S3",
+                    (6,)) == Decimal("2.44257492")
 
 
 def test_db_validation(db):
@@ -294,7 +294,12 @@ def test_arrangement_rejections(db):
         {"arrangement": "lattice", "ambient": "S3", "slot": "2"},
         {"arrangement": "cylinder-stack", "ambient": "S3", "slots": ["2"]},
         {"arrangement": "mystery", "ambient": "S3", "slots": ["2"]},
+        {"arrangement": "cylinder-stack", "ambient": "TxI", "slots": []},
     ]
+    square = bounds.SlotSpec("rational-square", "2", "standard", ())
+    bad += [bounds.LinkSpec("ragged", "lattice", "S3", (square,) * 3, 2, 2),
+            bounds.LinkSpec("extra", "lattice", "S3", (square,) * 5, 2, 2),
+            bounds.LinkSpec("flat", "lattice", "S3", (), 0, 2)]
     for spec in bad:
         with pytest.raises(bounds.ArrangementInvalid):
             bounds.lower_bound(db, spec)

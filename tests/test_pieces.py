@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -224,6 +225,118 @@ def test_isomorphic_size_guard():
     c = replicate(saucer_template("big"), (10002,))
     with pytest.raises(SizeExceeded):
         isomorphic(c, c)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_large_square_replicants_are_isomorphic(n):
+    # 100 x 100 is exactly ISO_COPY_LIMIT copies
+    sq = square_template("2")
+    natural = replicate(sq, (n, n))
+    transposed = replicate(sq, ReplicantSchedule((n, n), (2, 1)))
+    result = isomorphic(natural, transposed)
+    assert result.isomorphic
+    assert verify_isomorphism(natural, transposed, result.witness)
+
+
+def random_complex(rng, pool, size):
+    """``size`` copies drawn from ``pool``, some face slots glued at random."""
+    copies = [(rng.choice(pool), (i,)) for i in range(size)]
+    faces = {(label, f + 1): len(face)
+             for template, label in copies
+             for f, face in enumerate(template.faces)}
+    free = list(faces)
+    rng.shuffle(free)
+    gluings = []
+    while free and rng.random() < 0.85:
+        side = free.pop()
+        partners = [s for s in free if faces[s] == faces[side]]
+        if not partners:
+            continue
+        other = rng.choice(partners)
+        free.remove(other)
+        images = list(range(1, faces[side] + 1))
+        rng.shuffle(images)
+        gluings.append((side, other, list(enumerate(images, 1))))
+    return GluingComplex(copies, gluings)
+
+
+def relabeled(rng, c):
+    """The same complex under fresh copy labels, listed in a new order."""
+    labels = [label for _, label in c.copies]
+    numbers = rng.sample(range(10, 10 + 3 * len(labels)), len(labels))
+    fresh = {label: (k,) for label, k in zip(labels, numbers)}
+    copies = [(t, fresh[label]) for t, label in c.copies]
+    rng.shuffle(copies)
+    gluings = [((fresh[g.a[0]], g.a[1]), (fresh[g.b[0]], g.b[1]), g.pairing)
+               for g in c.gluings]
+    rng.shuffle(gluings)
+    return GluingComplex(copies, gluings)
+
+
+def brute_force_isomorphic(a, b):
+    def half_gluings(c, name):
+        out = set()
+        for g in c.gluings:
+            out.add(((name[g.a[0]], g.a[1]), (name[g.b[0]], g.b[1]),
+                     tuple(sorted(g.pairing))))
+            out.add(((name[g.b[0]], g.b[1]), (name[g.a[0]], g.a[1]),
+                     tuple(sorted((y, x) for x, y in g.pairing))))
+        return out
+
+    labels_a = [label for _, label in a.copies]
+    labels_b = [label for _, label in b.copies]
+    if len(labels_a) != len(labels_b):
+        return False
+    target = half_gluings(b, {label: label for label in labels_b})
+    for images in itertools.permutations(labels_b):
+        name = dict(zip(labels_a, images))
+        if all(b.template_of(name[label]) == t for t, label in a.copies) \
+                and half_gluings(a, name) == target:
+            return True
+    return False
+
+
+def test_isomorphic_matches_brute_force():
+    rng = random.Random(404)
+    pool = [saucer_template("s"), cylindrical_template("c", 1),
+            cylindrical_template("c", 2), square_template("q"),
+            random_template(rng, 1)]
+    # Colour refinement passes all three pairs: it cannot tell a 4-cycle
+    # from two 2-cycles, and colours are numbered per complex, so they do
+    # not show which face is glued or which template sits in a copy.
+    s = saucer_template("s")
+    pairs = [
+        (replicate(s, (4,)),
+         GluingComplex([(s, (i,)) for i in range(4)],
+                       [(((0,), 1), ((1,), 1)), (((0,), 2), ((1,), 2)),
+                        (((2,), 1), ((3,), 1)), (((2,), 2), ((3,), 2))])),
+        (GluingComplex([(s, (0,)), (s, (1,))], [(((0,), 1), ((1,), 1))]),
+         GluingComplex([(s, (0,)), (s, (1,))], [(((0,), 2), ((1,), 2))])),
+        (GluingComplex([(s, (0,)), (pool[1], (1,))], []),
+         GluingComplex([(s, (0,)), (pool[2], (1,))], [])),
+    ]
+    fixed = len(pairs)
+    for _ in range(600):
+        size = rng.randint(1, 5)
+        choices = pool[:rng.randint(1, len(pool))]
+        a = random_complex(rng, choices, size)
+        roll = rng.random()
+        if roll < 0.5:
+            b = relabeled(rng, a)
+        else:
+            if roll < 0.75:
+                choices = [t for t, _ in a.copies]
+            b = relabeled(rng, random_complex(rng, choices, size))
+        pairs.append((a, b))
+    verdicts = []
+    for a, b in pairs:
+        result = isomorphic(a, b)
+        assert result.isomorphic == brute_force_isomorphic(a, b)
+        if result.isomorphic:
+            assert verify_isomorphism(a, b, result.witness)
+        verdicts.append(result.isomorphic)
+    assert not any(verdicts[:fixed])
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 # bracelets
