@@ -161,11 +161,10 @@ def canonicalize(expr):
             raise ParseError("loop tangles need m >= 1")
         return expr
     if isinstance(expr, Sum):
-        left = canonicalize(expr.left)
-        right = canonicalize(expr.right)
-        if isinstance(right, Sum):
-            return canonicalize(Sum(Sum(left, right.left), right.right))
-        return Sum(left, right)
+        out = canonicalize(expr.left)
+        for factor in reversed(_top_level_factors(canonicalize(expr.right))):
+            out = Sum(out, factor)
+        return out
     if isinstance(expr, Rotate90):
         child = canonicalize(expr.child)
         if isinstance(child, RationalLeaf):

@@ -176,11 +176,8 @@ class VolumeDB:
 
     def query(self, family, conway, ambient, signature,
               orientation="standard"):
-        key = _key(family, conway, ambient, signature, orientation)
-        try:
-            return self.entries[key].volume
-        except KeyError:
-            raise NotFound("no entry for %r" % (key,)) from None
+        return self.entry(family, conway, ambient, signature,
+                          orientation).volume
 
     def entry(self, family, conway, ambient, signature,
               orientation="standard"):

@@ -3,11 +3,13 @@
 A reflection graph is a finite connected r-valent bipartite graph carrying
 a set of involutions ("reflections") that exchange the two vertex classes,
 preserve the edge set, and are each tagged with the edges they transpose.
-The group the reflections generate must move every vertex freely and must
-split the edges into exactly r orbits.  Placing a copy of an r-faced piece
-template at every vertex and gluing neighbours along face k for the k-th
-edge orbit yields a gluing complex whose volume bound divides by the group
-order; ``g_replicant`` builds that complex.  ``product_p1`` doubles a
+The group the reflections generate must move every vertex freely.  As
+every edge is transposed by its tagged reflection, that is the same as
+splitting the edges into exactly r orbits, and the group then has one
+element per vertex.  Placing a copy of an r-faced piece template at every
+vertex and gluing neighbours along face k for the k-th edge orbit yields
+a gluing complex whose volume bound divides by the group order;
+``g_replicant`` builds that complex.  ``product_p1`` doubles a
 validated graph into two layers joined by vertical edges, raising the
 valence by one; iterated on an even cycle it produces prism and hyperprism
 graphs.
@@ -16,7 +18,9 @@ The second half of the module works with rotation systems on multigraphs.
 ``trace_faces`` recovers the faces of the induced closed surface, and two
 checks built on it decide whether a diagram supports the cell structures
 the volume estimates need: ``bigon_bound_check`` on spheres and
-``torus_boundary_check`` on tori.
+``torus_boundary_check`` on tori.  Bipartiteness and connectivity, in the
+validator and in the rotation-system checks alike, come from one
+breadth-first two-colouring.
 """
 
 from collections import Counter, deque
@@ -53,10 +57,6 @@ class VertexStabilizerNontrivial(GraphError):
     """Some nontrivial generated symmetry fixes a vertex."""
 
 
-class WrongEdgeClassCount(GraphError):
-    """Edge orbits under the reflection group do not number the valence."""
-
-
 class ValenceMismatch(GraphError):
     """Template face count differs from the graph valence."""
 
@@ -78,7 +78,7 @@ class NotSphere(GraphError):
 
 
 class GroupTooLarge(RuntimeError):
-    """Group enumeration refused to exceed GROUP_LIMIT elements."""
+    """The reflection group has more than GROUP_LIMIT elements."""
 
 
 def _norm_edge(pos, u, v):
@@ -174,36 +174,33 @@ class ValidationReport(NamedTuple):
     parts: tuple
 
 
-def _enumerate_free_group(graph, generators):
-    """Order of the group ``generators`` span, listed element by element.
+def _two_colour(vertices, adj):
+    """Breadth-first two-colouring of ``adj``, one component after another.
 
-    Raises GroupTooLarge past GROUP_LIMIT elements and
-    VertexStabilizerNontrivial if a nontrivial element fixes a vertex.
+    Roots are taken in ``vertices`` order and neighbours in ``adj`` order.
+    Returns the colour (0 or 1) of every vertex, the size of the first
+    vertex's component, and ``odd``: () on a bipartite graph, otherwise a
+    1-tuple holding the first vertex found on an edge whose ends share a
+    colour (a loop counts).  The traversal keeps going past that vertex.
     """
-    identity = tuple(range(len(graph.vertices)))
-    elements = {identity}
-    queue = deque([identity])
-    while queue:
-        p = queue.popleft()
-        for gen in generators:
-            q = tuple(gen[i] for i in p)
-            if q not in elements:
-                if len(elements) >= GROUP_LIMIT:
-                    raise GroupTooLarge(
-                        "the reflection group exceeds %d elements"
-                        % GROUP_LIMIT)
-                elements.add(q)
-                queue.append(q)
-
-    for p in elements:
-        if p == identity:
+    colour = {}
+    first = 0
+    odd = ()
+    for root in vertices:
+        if root in colour:
             continue
-        for i, image in enumerate(p):
-            if image == i:
-                raise VertexStabilizerNontrivial(
-                    "a nontrivial symmetry fixes the vertex %r"
-                    % (graph.vertices[i],))
-    return len(elements)
+        colour[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif not odd and colour[w] == colour[u]:
+                    odd = (w,)
+        if not first:
+            first = len(colour)
+    return colour, first, odd
 
 
 def validate_reflection_graph(graph):
@@ -213,22 +210,24 @@ def validate_reflection_graph(graph):
     then per reflection the permutation/involution/class-swap/edge-
     preservation axioms and tag correctness, then tag coverage of every
     edge, then the generated group G: no nontrivial element may fix a
-    vertex, the edge orbits ("classes") must number exactly the valence,
-    and |G| must not exceed GROUP_LIMIT.
+    vertex, which is the same as the edge orbits ("classes") numbering
+    exactly the valence, and |G| must not exceed GROUP_LIMIT.
 
-    The group is not listed.  The edge classes come from a breadth-first
-    search over the generators.  If every vertex meets each class exactly
-    once, G acts freely: elements preserve classes, so one fixing a vertex
-    fixes each of its edges and hence its neighbours, and by connectivity
-    it fixes everything.  Then |G| is the size of one vertex's orbit, and
-    the whole stage costs O(n * generators).  Conversely a free action
-    puts one edge of each class at every vertex, so on a graph that passed
-    the earlier checks the condition fails exactly when the action is not
-    free.  Only then is the group enumerated element by element (refused
-    above GROUP_LIMIT), to name the failure: a vertex fixed by a
-    nontrivial element (VertexStabilizerNontrivial), otherwise the wrong
-    number of classes (WrongEdgeClassCount).  The report is cached on the
-    instance and returned on later calls without rechecking.
+    The group is not listed.  Once every edge is tagged, each edge is
+    transposed by a generator, so on a connected graph G is transitive
+    on the vertices and every class meets every vertex.  If the classes
+    number the valence, each meets a vertex v once; an element fixing v
+    preserves classes, so it fixes v's edges and hence its neighbours,
+    and by connectivity it fixes everything.  If G acts freely, an
+    element carrying the edge (v, a) onto an edge at v either fixes v,
+    and is the identity, or maps a to v, agreeing there with the edge's
+    tagged reflection, and is that reflection; either way the edge comes
+    back to itself, so each class meets v once.  A free transitive action
+    has |G| = n, and the stage is a breadth-first search for the classes
+    over the generators, O(n * generators).  Stabilizers are conjugate
+    under a transitive action, so a refusal names the first vertex.  The
+    report is cached on the instance and returned on later calls without
+    rechecking.
     """
     if graph._report is not None:
         return graph._report
@@ -244,32 +243,12 @@ def validate_reflection_graph(graph):
         adj[u].append(v)
         adj[v].append(u)
 
-    color = {}
-    for root in graph.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise NotBipartite("odd cycle through %r" % (w,))
-
-    reached = {graph.vertices[0]}
-    queue = deque(reached)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != n:
+    color, reached, odd = _two_colour(graph.vertices, adj)
+    if odd:
+        raise NotBipartite("odd cycle through %r" % odd)
+    if reached != n:
         raise NotConnected("%d of %d vertices reachable from %r"
-                           % (len(reached), n, graph.vertices[0]))
+                           % (reached, n, graph.vertices[0]))
 
     degrees = {len(adj[v]) for v in graph.vertices}
     if len(degrees) != 1:
@@ -338,34 +317,16 @@ def validate_reflection_graph(graph):
                     members.append(j)
         classes.append(tuple(graph.edges[k] for k in sorted(members)))
 
-    meets = [set() for _ in range(n)]
-    for (a, b), c in zip(ends, class_of):
-        meets[a].add(c)
-        meets[b].add(c)
-    if len(classes) == valence and all(len(m) == valence for m in meets):
-        orbit = {0}
-        frontier = [0]
-        for i in frontier:
-            for gen in generators:
-                j = gen[i]
-                if j not in orbit:
-                    if len(orbit) >= GROUP_LIMIT:
-                        raise GroupTooLarge(
-                            "the reflection group exceeds %d elements"
-                            % GROUP_LIMIT)
-                    orbit.add(j)
-                    frontier.append(j)
-        group_order = len(orbit)
-    else:
-        group_order = _enumerate_free_group(graph, generators)
-        if len(classes) != valence:
-            raise WrongEdgeClassCount(
-                "%d edge classes for a %d-valent graph"
-                % (len(classes), valence))
+    if len(classes) != valence:
+        raise VertexStabilizerNontrivial(
+            "a nontrivial symmetry fixes the vertex %r" % (graph.vertices[0],))
+    if n > GROUP_LIMIT:
+        raise GroupTooLarge(
+            "the reflection group exceeds %d elements" % GROUP_LIMIT)
 
     parts = (tuple(v for v in graph.vertices if color[v] == 0),
              tuple(v for v in graph.vertices if color[v] == 1))
-    report = ValidationReport(valence, group_order, tuple(classes), parts)
+    report = ValidationReport(valence, n, tuple(classes), parts)
     graph._report = report
     return report
 
@@ -551,9 +512,9 @@ def graph_isomorphic(a, b):
 
     Accepts ReflectionGraph instances or (vertices, edges) pairs; only
     the underlying simple graphs are compared, reflections are ignored.
-    Backtracking over a breadth-first vertex order with iff-adjacency
-    pruning against everything already mapped; meant for the small graphs
-    handled here.  Returns a mapping dict, or None.
+    Backtracking, on an explicit stack, over a breadth-first vertex order
+    with iff-adjacency pruning against everything already mapped; meant
+    for the small graphs handled here.  Returns a mapping dict, or None.
     """
     va, ea = _plain_graph(a)
     vb, eb = _plain_graph(b)
@@ -591,14 +552,13 @@ def graph_isomorphic(a, b):
     mapping = {}
     used = set()
 
-    def extend(k):
-        if k == len(order):
-            return True
-        u = order[k]
-        images = [mapping[w] for w in adj_a[u] if w in mapping]
-        if images:
-            candidates = set(adj_b[images[0]])
-            for img in images[1:]:
+    def images(u):
+        # candidate images of u, lazily filtered against what is mapped
+        # when the search reaches them
+        mapped = [mapping[w] for w in adj_a[u] if w in mapping]
+        if mapped:
+            candidates = set(adj_b[mapped[0]])
+            for img in mapped[1:]:
                 candidates &= adj_b[img]
         else:
             candidates = set(vb)
@@ -609,15 +569,24 @@ def graph_isomorphic(a, b):
             if any((mapping[w] in adj_b[c]) != (w in adj_a[u])
                    for w in mapping):
                 continue
+            yield c
+
+    # pending[k] yields the untried images of order[k]; order[:k] is mapped
+    pending = []
+    while len(mapping) < len(order):
+        u = order[len(mapping)]
+        if len(pending) == len(mapping):
+            pending.append(images(u))
+        for c in pending[-1]:
             mapping[u] = c
             used.add(c)
-            if extend(k + 1):
-                return True
-            del mapping[u]
-            used.discard(c)
-        return False
-
-    return dict(mapping) if extend(0) else None
+            break
+        else:
+            pending.pop()
+            if not pending:
+                return None
+            used.discard(mapping.pop(order[len(pending) - 1]))
+    return mapping
 
 
 class FaceReport(NamedTuple):
@@ -688,29 +657,11 @@ def trace_faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - len(edges) + len(faces)
 
-    bipartite = all(u != v for u, v in edges)
-    if bipartite:
-        adj = {v: [] for v in rotation}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        color = {}
-        for root in rotation:
-            if root in color:
-                continue
-            color[root] = 0
-            queue = deque([root])
-            while queue and bipartite:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        bipartite = False
-                        break
-            if not bipartite:
-                break
+    adj = {v: [] for v in rotation}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    bipartite = not _two_colour(rotation, adj)[2]
     if bipartite and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"
@@ -782,23 +733,15 @@ def torus_boundary_check(edges, rotation):
         return TorusVerdict(False, "NotConnected",
                             "the graph has no vertices", report)
 
-    adj = {v: set() for v in rotation}
+    adj = {v: [] for v in rotation}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(rotation))
-    reached = {start}
-    queue = deque(reached)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != len(adj):
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = _two_colour(rotation, adj)[1]
+    if reached != len(adj):
         return TorusVerdict(False, "NotConnected",
                             "%d of %d vertices reachable"
-                            % (len(reached), len(adj)), report)
+                            % (reached, len(adj)), report)
 
     if report.euler != 0:
         return TorusVerdict(False, "ChiMismatch",

@@ -748,16 +748,10 @@ def verify_certificate(cert):
 
 
 def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
         # round-trip through repr so 0.1 means the decimal people typed
         return Fraction(repr(value))
-    return Fraction(value)  # Decimal lands here
+    return Fraction(value)
 
 
 def bound_from_reduction(coefficients, basis_volumes):

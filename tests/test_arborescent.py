@@ -88,6 +88,31 @@ def test_canonicalize_left_associates():
         Sum(Sum(canonicalize(a), canonicalize(b)), canonicalize(c))
 
 
+def test_canonicalize_right_nested_sum_is_linear(monkeypatch):
+    import repvol.arborescent as arborescent
+    leaves = [leaf("%d/%d" % (k, k + 1)) for k in range(1, 201)]
+    right = leaves[-1]
+    for node in reversed(leaves[:-1]):
+        right = Sum(node, right)
+    left = leaves[0]
+    for node in leaves[1:]:
+        left = Sum(left, node)
+    calls = 0
+    original = arborescent.canonicalize
+
+    def counted(expr):
+        nonlocal calls
+        calls += 1
+        return original(expr)
+
+    monkeypatch.setattr(arborescent, "canonicalize", counted)
+    verdict = classify(right)
+    nodes = 2 * len(leaves) - 1
+    assert calls <= 4 * nodes
+    assert verdict == classify(left)
+    assert original(right) == original(left) == left
+
+
 def test_is_rational_sum_rule():
     ok, value = is_rational(Sum(leaf("2"), leaf("3/2")))
     assert ok and (value.numerator, value.denominator) == (7, 2)

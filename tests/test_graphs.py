@@ -259,8 +259,8 @@ def test_group_cap(monkeypatch):
         validate_reflection_graph(cycle_reflection_graph(6))
 
 
-def test_group_cap_without_free_action(monkeypatch):
-    # the cube with a vertex-fixing symmetry takes the enumeration path
+def test_non_free_action_refused_before_group_cap(monkeypatch):
+    # the cube with a vertex-fixing symmetry is invalid whatever the cap
     cube = cube_reflection_graph()
 
     def swap12(v):
@@ -271,7 +271,7 @@ def test_group_cap_without_free_action(monkeypatch):
     bad = ReflectionGraph(cube.vertices, cube.edges,
                           cube.reflections + (extra,))
     monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 4)
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(VertexStabilizerNontrivial):
         validate_reflection_graph(bad)
 
 
@@ -309,9 +309,10 @@ def _relabelled(graph, rng):
 def _brute_force_report(graph):
     """(group order, edge classes, parts, valence) by listing the group.
 
-    Elements are closed under composition as label dicts; the action is
-    asserted free; edge classes are the images of each edge under every
-    element, ordered like the validator's (by smallest edge position).
+    Elements are closed under composition as label dicts; None if some
+    nontrivial element fixes a vertex; edge classes are the images of
+    each edge under every element, ordered like the validator's (by
+    smallest edge position).
     """
     verts = list(graph.vertices)
     gens = [r.mapping for r in graph.reflections]
@@ -329,7 +330,8 @@ def _brute_force_report(graph):
                     fresh.append(q)
         frontier = fresh
     for p in elements.values():
-        assert p is ident or all(p[v] != v for v in verts)
+        if p is not ident and any(p[v] == v for v in verts):
+            return None
 
     position = {}
     for k, (u, v) in enumerate(graph.edges):
@@ -375,6 +377,80 @@ def test_validation_matches_brute_force_group():
                    report.valence)
             assert got == _brute_force_report(g)
             assert report.group_order == len(g.vertices)
+
+
+def _side_swapping_involutions(graph):
+    """Every edge-preserving involution of ``graph`` that swaps its sides.
+
+    Automorphisms are listed by backtracking over a breadth-first vertex
+    order, each vertex checked for adjacency against all mapped ones.
+    """
+    verts = graph.vertices
+    adj = {v: set() for v in verts}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = [verts[0]]
+    for u in order:
+        order += [w for w in sorted(adj[u], key=verts.index)
+                  if w not in order]
+    side = {verts[0]: 0}
+    for u in order:
+        for w in adj[u]:
+            side.setdefault(w, 1 - side[u])
+
+    found = []
+
+    def extend(mapping):
+        if len(mapping) == len(order):
+            if all(mapping[mapping[v]] == v and side[mapping[v]] != side[v]
+                   for v in verts):
+                found.append(dict(mapping))
+            return
+        u = order[len(mapping)]
+        for c in verts:
+            if c not in mapping.values() and all(
+                    (mapping[w] in adj[c]) == (w in adj[u]) for w in mapping):
+                mapping[u] = c
+                extend(mapping)
+                del mapping[u]
+
+    extend({})
+    return found
+
+
+def test_non_free_validation_matches_brute_force():
+    # extra reflections drawn from the side-swapping involutions that
+    # transpose an edge, tagged with a random nonempty set of those edges
+    rng = random.Random(2718)
+    bases = [cycle_reflection_graph(n) for n in range(4, 13, 2)]
+    bases += [cube_reflection_graph(), k33_reflection_graph()]
+    outcomes = {"free": 0, "not free": 0}
+    for base in bases:
+        extras = []
+        for tau in _side_swapping_involutions(base):
+            swaps = [(a, b) for a, b in base.edges if tau[a] == b]
+            if swaps:
+                extras.append((tau, swaps))
+        for _ in range(12):
+            added = []
+            for tau, swaps in rng.sample(extras, rng.randint(1, 2)):
+                tags = rng.sample(swaps, rng.randint(1, len(swaps)))
+                added.append(Reflection(tau, tags))
+            graph = ReflectionGraph(base.vertices, base.edges,
+                                    base.reflections + tuple(added))
+            for g in (graph, _relabelled(graph, rng)):
+                expected = _brute_force_report(g)
+                if expected is None:
+                    outcomes["not free"] += 1
+                    with pytest.raises(VertexStabilizerNontrivial):
+                        validate_reflection_graph(g)
+                    continue
+                outcomes["free"] += 1
+                report = validate_reflection_graph(g)
+                assert (report.group_order, report.edge_classes,
+                        report.parts, report.valence) == expected
+    assert min(outcomes.values()) > 20
 
 
 def test_construction_errors():
@@ -494,6 +570,27 @@ def test_graph_isomorphic_rejects():
     star = (range(4), [(0, 1), (0, 2), (0, 3)])
     assert graph_isomorphic(path, star) is None
     assert graph_isomorphic(path, (range(4), [(3, 2), (0, 1), (2, 1)]))
+    # same degrees, so only an exhausted search can refuse
+    hexagon = (range(6), [(v, (v + 1) % 6) for v in range(6)])
+    triangles = (range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert graph_isomorphic(hexagon, triangles) is None
+
+
+def test_graph_isomorphic_does_not_recurse():
+    rng = random.Random(1000)
+    size = 1000
+    labels = rng.sample(range(10 * size), size)
+    edges = [(labels[v], labels[(v + 1) % size]) for v in range(size)]
+    rng.shuffle(edges)
+    copy = (rng.sample(labels, size), edges)
+    cycle = (range(size), [(v, (v + 1) % size) for v in range(size)])
+    mapping = graph_isomorphic(cycle, copy)
+    assert mapping is not None
+    assert sorted(mapping) == list(range(size))
+    assert sorted(mapping.values()) == sorted(labels)
+    edge_set = {frozenset(e) for e in edges}
+    assert all(frozenset((mapping[u], mapping[v])) in edge_set
+               for u, v in cycle[1])
 
 
 # serialization
