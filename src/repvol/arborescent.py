@@ -136,15 +136,67 @@ def leaf(notation):
     return RationalLeaf(parse_conway(notation))
 
 
-def _negated(value):
-    return _reduced(-value.numerator, value.denominator)
+_CLOSE = object()   # on the stack below a Rotate90's child, and the root
 
 
-def _inverted_negated(value):
-    # quarter-turn of a rational tangle
-    if value.denominator == 0:
-        return ConwayRational(0, 1)
-    return _reduced(-value.denominator, value.numerator)
+def _walk(expr):
+    """One pass on an explicit stack: the canonical tree, the root's
+    top-level factors left to right, the rational value (None when not
+    rational) and the sizes of all loop tangles.
+
+    Reflections travel down as a parity bit.  Each Sum is flattened,
+    left to right, into the (factor, value) list of the nearest
+    enclosing Rotate90, or of the root.  When a list closes it is folded
+    once into a left-associated Sum and its value.
+    """
+    lists = [[]]        # the root's list, then one per open Rotate90
+    loops = []
+    stack = [(_CLOSE, False), (expr, False)]
+    while True:
+        node, odd = stack.pop()
+        if node is _CLOSE:
+            items = lists.pop()
+            tree, value = items[0]
+            for factor, right in items[1:]:
+                tree = Sum(tree, factor)
+                if value is None or right is None or not (
+                        value.denominator == 1 or right.denominator == 1):
+                    value = None
+                elif value.denominator == 0 or right.denominator == 0:
+                    value = ConwayRational(1, 0)
+                else:
+                    value = _reduced(
+                        value.numerator * right.denominator
+                        + right.numerator * value.denominator,
+                        value.denominator * right.denominator)
+            if not lists:
+                return tree, [factor for factor, _ in items], value, loops
+            if value is not None:   # a quarter turn inverts and negates
+                value = (ConwayRational(0, 1) if value.denominator == 0 else
+                         _reduced(-value.denominator, value.numerator))
+            node = (RationalLeaf(value) if isinstance(tree, RationalLeaf)
+                    else Rotate90(tree))
+            lists[-1].append((node, value))
+        elif isinstance(node, Sum):
+            stack += ((node.right, odd), (node.left, odd))
+        elif isinstance(node, Reflect):
+            stack.append((node.child, not odd))
+        elif isinstance(node, Rotate90):
+            lists.append([])
+            stack += ((_CLOSE, odd), (node.child, odd))
+        elif isinstance(node, RationalLeaf):
+            if odd:
+                node = RationalLeaf(_reduced(-node.value.numerator,
+                                             node.value.denominator))
+            lists[-1].append((node, node.value))
+        elif isinstance(node, QLoop):
+            if node.m < 1:
+                raise ParseError("loop tangles need m >= 1")
+            loops.append(node.m)
+            lists[-1].append((node, None))
+        else:
+            raise ParseError("not an arborescent expression node: %r"
+                             % (Reflect(node) if odd else node,))
 
 
 def canonicalize(expr):
@@ -154,36 +206,7 @@ def canonicalize(expr):
     turn of a rational leaf folds into the leaf.  Rotations above
     non-rational subtrees stay as decoration nodes.
     """
-    if isinstance(expr, RationalLeaf):
-        return expr
-    if isinstance(expr, QLoop):
-        if expr.m < 1:
-            raise ParseError("loop tangles need m >= 1")
-        return expr
-    if isinstance(expr, Sum):
-        out = canonicalize(expr.left)
-        for factor in reversed(_top_level_factors(canonicalize(expr.right))):
-            out = Sum(out, factor)
-        return out
-    if isinstance(expr, Rotate90):
-        child = canonicalize(expr.child)
-        if isinstance(child, RationalLeaf):
-            return RationalLeaf(_inverted_negated(child.value))
-        return Rotate90(child)
-    if isinstance(expr, Reflect):
-        inner = expr.child
-        if isinstance(inner, Reflect):
-            return canonicalize(inner.child)
-        if isinstance(inner, Sum):
-            return canonicalize(Sum(Reflect(inner.left),
-                                    Reflect(inner.right)))
-        if isinstance(inner, Rotate90):
-            return canonicalize(Rotate90(Reflect(inner.child)))
-        if isinstance(inner, QLoop):
-            return canonicalize(inner)
-        if isinstance(inner, RationalLeaf):
-            return RationalLeaf(_negated(inner.value))
-    raise ParseError("not an arborescent expression node: %r" % (expr,))
+    return _walk(expr)[0]
 
 
 def is_rational(expr):
@@ -193,50 +216,13 @@ def is_rational(expr):
     tangle, in which case the fractions add.  Loop tangles are never
     rational; a quarter turn inverts and negates the fraction.
     """
-    expr = canonicalize(expr)
-    return _rational_value(expr)
-
-
-def _rational_value(expr):
-    if isinstance(expr, RationalLeaf):
-        return True, expr.value
-    if isinstance(expr, QLoop):
-        return False, None
-    if isinstance(expr, Rotate90):
-        ok, value = _rational_value(expr.child)
-        if not ok:
-            return False, None
-        return True, _inverted_negated(value)
-    if isinstance(expr, Sum):
-        ok_l, left = _rational_value(expr.left)
-        ok_r, right = _rational_value(expr.right)
-        if not (ok_l and ok_r):
-            return False, None
-        integer_side = (left.denominator == 1 or right.denominator == 1)
-        if not integer_side:
-            return False, None
-        if left.denominator == 0 or right.denominator == 0:
-            return True, ConwayRational(1, 0)
-        return True, _reduced(
-            left.numerator * right.denominator
-            + right.numerator * left.denominator,
-            left.denominator * right.denominator)
-    raise ParseError("not an arborescent expression node: %r" % (expr,))
+    value = _walk(expr)[2]
+    return value is not None, value
 
 
 def contains_qloop(expr, min_m):
     """Syntactic subterm search for a loop tangle with m >= min_m."""
-    expr = canonicalize(expr)
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, QLoop) and node.m >= min_m:
-            return True
-        if isinstance(node, Sum):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Rotate90, Reflect)):
-            stack.append(node.child)
-    return False
+    return any(m >= min_m for m in _walk(expr)[3])
 
 
 ENTIRELY_NON_HYPERBOLIC = "EntirelyNonHyperbolic"
@@ -257,18 +243,6 @@ class Classification(NamedTuple):
         return {"verdict": self.verdict, "reasons": list(self.reasons)}
 
 
-def _top_level_factors(expr):
-    out = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack.extend((node.left, node.right))
-        else:
-            out.append(node)
-    return out
-
-
 def classify(expr):
     """Sort an arborescent expression into its hyperbolicity bin.
 
@@ -279,34 +253,26 @@ def classify(expr):
     6-hyperbolic for the clasp fraction 1/2 (either sign), and
     principally 4-hyperbolic for every other non-integer rational.
     """
-    expr = canonicalize(expr)
-    reasons = []
-
-    rational, value = _rational_value(expr)
-    if rational and value.is_integer_tangle:
-        reasons.append("integer or infinity tangle (%s)" % value.text())
-        return Classification(ENTIRELY_NON_HYPERBOLIC,
-                              (*reasons, _SYNTACTIC_NOTE))
-    loop_factors = [node for node in _top_level_factors(expr)
-                    if isinstance(node, QLoop)]
-    if loop_factors:
-        reasons.append("sum with a top-level loop factor Q_%d"
-                       % loop_factors[0].m)
-        return Classification(ENTIRELY_NON_HYPERBOLIC,
-                              (*reasons, _SYNTACTIC_NOTE))
-    if contains_qloop(expr, 2):
-        reasons.append("contains a loop tangle Q_m with m >= 2")
-        return Classification(ENTIRELY_NON_HYPERBOLIC,
-                              (*reasons, _SYNTACTIC_NOTE))
-    if not rational:
-        reasons.append("non-rational with no disqualifying loop")
-        return Classification(PRINCIPALLY_2, (*reasons, _SYNTACTIC_NOTE))
-    if (abs(value.numerator), value.denominator) == (1, 2):
-        reasons.append("the clasp tangle 1/2")
-        return Classification(PRINCIPALLY_6, (*reasons, _SYNTACTIC_NOTE))
-    reasons.append("non-integer rational tangle %s, not the clasp"
-                   % value.text())
-    return Classification(PRINCIPALLY_4, (*reasons, _SYNTACTIC_NOTE))
+    _, factors, value, loops = _walk(expr)
+    top_loops = [factor.m for factor in factors if isinstance(factor, QLoop)]
+    verdict = ENTIRELY_NON_HYPERBOLIC
+    if value is not None and value.is_integer_tangle:
+        reason = "integer or infinity tangle (%s)" % value.text()
+    elif top_loops:
+        reason = "sum with a top-level loop factor Q_%d" % top_loops[-1]
+    elif any(m >= 2 for m in loops):
+        reason = "contains a loop tangle Q_m with m >= 2"
+    elif value is None:
+        verdict = PRINCIPALLY_2
+        reason = "non-rational with no disqualifying loop"
+    elif (abs(value.numerator), value.denominator) == (1, 2):
+        verdict = PRINCIPALLY_6
+        reason = "the clasp tangle 1/2"
+    else:
+        verdict = PRINCIPALLY_4
+        reason = ("non-integer rational tangle %s, not the clasp"
+                  % value.text())
+    return Classification(verdict, (reason, _SYNTACTIC_NOTE))
 
 
 def principal_signature(classification):
@@ -319,81 +285,108 @@ def principal_signature(classification):
     }[classification.verdict]
 
 
+_HEAD = re.compile(r"\s*([a-z0-9]+)\s*\(")
+_SPACE = re.compile(r"\s*")
+
+
 def parse_expr(text):
     """Read expression syntax: rat(2 1), q(3), sum(a, b), rot(a), refl(a)."""
-    expr, rest = _parse_expr(str(text).strip())
-    if rest.strip():
-        raise ParseError("trailing input %r" % rest.strip())
-    return expr
-
-
-def _parse_expr(text):
-    m = re.match(r"\s*([a-z0-9]+)\s*\(", text)
-    if not m:
-        raise ParseError("expected an expression at %r" % text[:30])
-    head, rest = m.group(1), text[m.end():]
-    if head == "rat":
-        depth = rest.find(")")
-        if depth < 0:
-            raise ParseError("unclosed rat(...)")
-        return RationalLeaf(parse_conway(rest[:depth])), rest[depth + 1:]
-    if head == "q":
-        depth = rest.find(")")
-        if depth < 0:
-            raise ParseError("unclosed q(...)")
-        try:
-            m_value = int(rest[:depth])
-        except ValueError:
-            raise ParseError("q(...) takes an integer") from None
-        if m_value < 1:
-            raise ParseError("loop tangles need m >= 1")
-        return QLoop(m_value), rest[depth + 1:]
-    if head == "sum":
-        left, rest = _parse_expr(rest)
-        rest = rest.lstrip()
-        if not rest.startswith(","):
-            raise ParseError("sum(...) takes two arguments")
-        right, rest = _parse_expr(rest[1:])
-        rest = rest.lstrip()
-        if not rest.startswith(")"):
-            raise ParseError("unclosed sum(...)")
-        return Sum(left, right), rest[1:]
-    if head in ("rot", "refl"):
-        child, rest = _parse_expr(rest)
-        rest = rest.lstrip()
-        if not rest.startswith(")"):
-            raise ParseError("unclosed %s(...)" % head)
-        node = Rotate90 if head == "rot" else Reflect
-        return node(child), rest[1:]
-    raise ParseError("unknown expression head %r" % head)
+    text = str(text).strip()
+    pos = 0
+    built = []
+    # what the text must hold next, last first: None for an expression,
+    # (separator, error message), or the class that closes an open node
+    todo = [None]
+    while todo:
+        step = todo.pop()
+        if isinstance(step, tuple):
+            pos = _SPACE.match(text, pos).end()
+            if not text.startswith(step[0], pos):
+                raise ParseError(step[1])
+            pos += 1
+        elif step is not None:
+            arity = len(step._fields)
+            built[-arity:] = [step(*built[-arity:])]
+        else:
+            m = _HEAD.match(text, pos)
+            if not m:
+                raise ParseError("expected an expression at %r"
+                                 % text[pos:pos + 30])
+            head, pos = m.group(1), m.end()
+            if head == "sum":
+                todo += (Sum, (")", "unclosed sum(...)"), None,
+                         (",", "sum(...) takes two arguments"), None)
+            elif head in ("rot", "refl"):
+                todo += (Rotate90 if head == "rot" else Reflect,
+                         (")", "unclosed %s(...)" % head), None)
+            elif head in ("rat", "q"):
+                close = text.find(")", pos)
+                if close < 0:
+                    raise ParseError("unclosed %s(...)" % head)
+                if head == "rat":
+                    built.append(RationalLeaf(parse_conway(text[pos:close])))
+                else:
+                    try:
+                        m_value = int(text[pos:close])
+                    except ValueError:
+                        raise ParseError("q(...) takes an integer") from None
+                    if m_value < 1:
+                        raise ParseError("loop tangles need m >= 1")
+                    built.append(QLoop(m_value))
+                pos = close + 1
+            else:
+                raise ParseError("unknown expression head %r" % head)
+    rest = text[pos:].strip()
+    if rest:
+        raise ParseError("trailing input %r" % rest)
+    return built[0]
 
 
 def expr_to_json_dict(expr):
-    if isinstance(expr, RationalLeaf):
-        return {"kind": "rational", "conway": expr.value.text()}
-    if isinstance(expr, QLoop):
-        return {"kind": "qloop", "m": expr.m}
-    if isinstance(expr, Sum):
-        return {"kind": "sum", "left": expr_to_json_dict(expr.left),
-                "right": expr_to_json_dict(expr.right)}
-    if isinstance(expr, Rotate90):
-        return {"kind": "rotate90", "child": expr_to_json_dict(expr.child)}
-    if isinstance(expr, Reflect):
-        return {"kind": "reflect", "child": expr_to_json_dict(expr.child)}
-    raise ParseError("not an arborescent expression node: %r" % (expr,))
+    root = {}
+    stack = [(expr, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, RationalLeaf):
+            out.update(kind="rational", conway=node.value.text())
+        elif isinstance(node, QLoop):
+            out.update(kind="qloop", m=node.m)
+        elif isinstance(node, Sum):
+            out.update(kind="sum", left={}, right={})
+            stack += ((node.right, out["right"]), (node.left, out["left"]))
+        elif isinstance(node, (Rotate90, Reflect)):
+            kind = "rotate90" if isinstance(node, Rotate90) else "reflect"
+            out.update(kind=kind, child={})
+            stack.append((node.child, out["child"]))
+        else:
+            raise ParseError("not an arborescent expression node: %r"
+                             % (node,))
+    return root
 
 
 def expr_from_json_dict(data):
-    kind = data.get("kind")
-    if kind == "rational":
-        return RationalLeaf(parse_conway(data["conway"]))
-    if kind == "qloop":
-        return QLoop(int(data["m"]))
-    if kind == "sum":
-        return Sum(expr_from_json_dict(data["left"]),
-                   expr_from_json_dict(data["right"]))
-    if kind == "rotate90":
-        return Rotate90(expr_from_json_dict(data["child"]))
-    if kind == "reflect":
-        return Reflect(expr_from_json_dict(data["child"]))
-    raise ParseError("unknown expression kind %r" % kind)
+    built = []
+    # (dict, key) of a node still to read, last first, or (class, None)
+    # to build once its children are built
+    todo = [((data,), 0)]
+    while todo:
+        holder, key = todo.pop()
+        if key is None:
+            arity = len(holder._fields)
+            built[-arity:] = [holder(*built[-arity:])]
+            continue
+        data = holder[key]
+        kind = data.get("kind")
+        if kind == "rational":
+            built.append(RationalLeaf(parse_conway(data["conway"])))
+        elif kind == "qloop":
+            built.append(QLoop(int(data["m"])))
+        elif kind == "sum":
+            todo += ((Sum, None), (data, "right"), (data, "left"))
+        elif kind == "rotate90":
+            todo += ((Rotate90, None), (data, "child"))
+        elif kind == "reflect":
+            todo += ((Reflect, None), (data, "child"))
+        else:
+            raise ParseError("unknown expression kind %r" % kind)
+    return built[0]

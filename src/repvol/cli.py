@@ -8,9 +8,10 @@ or JSON; JSON is always dumped with sorted keys and two-space indent so
 repeated runs are byte-identical.
 
 Exit codes: 0 success; 2 malformed input or a refused size (a
-RecursionError included), printed to stderr as the originating error
-class name plus message; 3 a bound was refused because some tangle
-could not be certified hyperbolic; 4 internal assertion failure.
+RecursionError only from JSON nested too deeply for the stdlib decoder),
+printed to stderr as the originating error class name plus message; 3 a
+bound was refused because some tangle could not be certified
+hyperbolic; 4 internal assertion failure.
 """
 
 import argparse
@@ -57,12 +58,6 @@ def _read_json(path):
 
 def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _load_db(config):
@@ -289,8 +284,8 @@ def cmd_graph_validate(args, config):
             "valid": True,
             "valence": report.valence,
             "group_order": report.group_order,
-            "edge_classes": _jsonable(report.edge_classes),
-            "parts": _jsonable(report.parts),
+            "edge_classes": report.edge_classes,
+            "parts": report.parts,
         }))
         return 0
 

@@ -450,34 +450,46 @@ def lattice_reflection_graph(rows, cols, ambient="S3"):
     return ReflectionGraph(vertices, edges, reflections, ambient)
 
 
+def _recast(v, kind, make):
+    """Rebuild the ``kind`` container ``v``, and every ``kind`` container
+    nested in it at any depth, with ``make``."""
+    frames = [(iter(v), [])]    # (items still to read, items recast)
+    while True:
+        items, done = frames[-1]
+        for x in items:
+            if isinstance(x, kind):
+                frames.append((iter(x), []))
+                break
+            done.append(x)
+        else:
+            frames.pop()
+            if not frames:
+                return make(done)
+            frames[-1][1].append(make(done))
+
+
 def _vertex_out(v):
-    if isinstance(v, tuple):
-        return [_vertex_out(x) for x in v]
-    return v
+    return _recast(v, tuple, list) if isinstance(v, tuple) else v
 
 
 def _vertex_in(v):
-    if isinstance(v, list):
-        return tuple(_vertex_in(x) for x in v)
-    return v
+    return _recast(v, list, tuple) if isinstance(v, list) else v
 
 
 def graph_to_json_dict(graph):
-    """Serialize a ReflectionGraph; tuples become lists, recursively."""
+    """Serialize a ReflectionGraph; tuples become lists, at any depth."""
     pos = graph._pos
     order = len(pos)
     return {
-        "vertices": [_vertex_out(v) for v in graph.vertices],
-        "edges": [[_vertex_out(u), _vertex_out(v)]
-                  for u, v in graph.edges],
+        "vertices": _vertex_out(graph.vertices),
+        "edges": _vertex_out(graph.edges),
         "reflections": [
             {"mapping": [[_vertex_out(k), _vertex_out(w)]
                          for k, w in sorted(
                              r.mapping.items(),
                              key=lambda kv: (pos.get(kv[0], order),
                                              repr(kv[0])))],
-             "swaps": [[_vertex_out(a), _vertex_out(b)]
-                       for a, b in r.swaps]}
+             "swaps": _vertex_out(r.swaps)}
             for r in graph.reflections],
         "ambient": graph.ambient,
     }
@@ -612,6 +624,11 @@ def trace_faces(edges, rotation):
     tuples, the sorted (length, count) vector, the Euler characteristic
     V - E + F, and whether the underlying multigraph is bipartite.
     """
+    return _faces(edges, rotation)[0]
+
+
+def _faces(edges, rotation):
+    """``trace_faces`` and the size of the first vertex's component."""
     edges = [tuple(e) for e in edges]
     rotation = {v: tuple((int(e), int(s)) for e, s in ends)
                 for v, ends in rotation.items()}
@@ -661,14 +678,14 @@ def trace_faces(edges, rotation):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    bipartite = not _two_colour(rotation, adj)[2]
-    if bipartite and any(k % 2 for k in lengths):
+    _, reached, odd = _two_colour(rotation, adj)
+    if not odd and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"
             % sorted(k for k in lengths if k % 2))
 
     return FaceReport(tuple(faces), tuple(sorted(lengths.items())),
-                      euler, bipartite)
+                      euler, not odd), reached
 
 
 class BigonCheck(NamedTuple):
@@ -728,20 +745,14 @@ def torus_boundary_check(edges, rotation):
     BigonFace, OddCycle (the graph must be bipartite), WrongValence
     (4 everywhere), NonSquareFace.  Success reports CompatibleSquares.
     """
-    report = trace_faces(edges, rotation)
+    report, reached = _faces(edges, rotation)
     if not rotation:
         return TorusVerdict(False, "NotConnected",
                             "the graph has no vertices", report)
-
-    adj = {v: [] for v in rotation}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = _two_colour(rotation, adj)[1]
-    if reached != len(adj):
+    if reached != len(rotation):
         return TorusVerdict(False, "NotConnected",
                             "%d of %d vertices reachable"
-                            % (reached, len(adj)), report)
+                            % (reached, len(rotation)), report)
 
     if report.euler != 0:
         return TorusVerdict(False, "ChiMismatch",

@@ -5,7 +5,8 @@ import pytest
 
 from repvol.arborescent import (
     ENTIRELY_NON_HYPERBOLIC, PRINCIPALLY_2, PRINCIPALLY_4, PRINCIPALLY_6,
-    ConwayRational, ParseError, QLoop, RationalLeaf, Reflect, Rotate90, Sum,
+    Classification, ConwayRational, ParseError, QLoop, RationalLeaf, Reflect,
+    Rotate90, Sum,
     canonicalize, classify, contains_qloop, expr_from_json_dict,
     expr_to_json_dict, is_rational, leaf, parse_conway, parse_expr,
     principal_signature, rational_from_quotients,
@@ -113,6 +114,94 @@ def test_canonicalize_right_nested_sum_is_linear(monkeypatch):
     assert original(right) == original(left) == left
 
 
+def _nested_sum_texts(parts):
+    """The right-nested and the left-nested sum of ``parts``, as text."""
+    right = ("".join("sum(%s, " % p for p in parts[:-1]) + parts[-1]
+             + ")" * (len(parts) - 1))
+    left = ("sum(" * (len(parts) - 1) + parts[0]
+            + "".join(", %s)" % p for p in parts[1:]))
+    return right, left
+
+
+def _sum_factors(tree):
+    """Top-level factors of a left-associated sum, left to right.
+
+    Walked by hand: ``==``, ``repr`` and ``json.dumps`` on a tuple tree
+    10^4 levels deep recurse in C and raise RecursionError.
+    """
+    factors = []
+    while isinstance(tree, Sum):
+        factors.append(tree.right)
+        tree = tree.left
+    factors.append(tree)
+    return factors[::-1]
+
+
+MIXED_PARTS = {
+    "rat(3/2)": RationalLeaf(ConwayRational(3, 2)),
+    "refl(rat(5/3))": RationalLeaf(ConwayRational(-5, 3)),
+    "rot(rat(2/5))": RationalLeaf(ConwayRational(-5, 2)),
+    "refl(rot(rat(2 1)))": RationalLeaf(ConwayRational(2, 3)),
+    "rot(sum(rat(1/2), q(1)))": Rotate90(Sum(RationalLeaf(
+        ConwayRational(1, 2)), QLoop(1))),
+}
+
+
+@pytest.mark.parametrize("kind", ["rational", "mixed", "top-loop"])
+def test_deep_sums_left_and_right_nested(kind):
+    n = 10 ** 4
+    rng = random.Random(n)
+    note = classify(leaf("1/3")).reasons[-1]
+    if kind == "rational":
+        ints = [rng.randint(-3, 3) for _ in range(n - 1)]
+        parts = ["rat(%d)" % k for k in ints] + ["rat(1/3)"]
+        factors = [RationalLeaf(ConwayRational(k, 1, (k,))) for k in ints]
+        factors.append(RationalLeaf(ConwayRational(1, 3)))
+        value = sum(ints) + Fraction(1, 3)
+        rational = (True, ConwayRational(value.numerator, 3))
+        verdict = Classification(PRINCIPALLY_4, (
+            "non-integer rational tangle %s, not the clasp" % value, note))
+    else:
+        parts = [rng.choice(sorted(MIXED_PARTS)) for _ in range(n)]
+        factors = [MIXED_PARTS[p] for p in parts]
+        rational = (False, None)
+        verdict = Classification(PRINCIPALLY_2, (
+            "non-rational with no disqualifying loop", note))
+        if kind == "top-loop":
+            # the reason names the rightmost top-level loop
+            for at, m in ((100, 2), (7000, 1)):
+                parts.insert(at, "q(%d)" % m)
+                factors.insert(at, QLoop(m))
+            verdict = Classification(ENTIRELY_NON_HYPERBOLIC, (
+                "sum with a top-level loop factor Q_1", note))
+    for text in _nested_sum_texts(parts):
+        tree = parse_expr(text)
+        assert _sum_factors(canonicalize(tree)) == factors
+        assert is_rational(tree) == rational
+        assert classify(tree) == verdict
+
+
+def test_deeply_nested_reflections():
+    for depth, numerator in ((1500, 2), (1501, -2)):
+        tree = parse_expr("refl(" * depth + "rat(2/3)" + ")" * depth)
+        assert canonicalize(tree) == RationalLeaf(
+            ConwayRational(numerator, 3))
+        assert classify(tree).verdict == PRINCIPALLY_4
+        again = expr_from_json_dict(expr_to_json_dict(tree))
+        for node in (tree, again):
+            for _ in range(depth):
+                assert isinstance(node, Reflect)
+                node = node.child
+            assert node == RationalLeaf(ConwayRational(2, 3))
+
+
+def test_bad_node_is_named_under_its_reflection_parity():
+    with pytest.raises(ParseError, match=r"node: None$"):
+        canonicalize(Sum(leaf("1"), Reflect(Reflect(None))))
+    with pytest.raises(ParseError, match=r"node: Reflect\(child=None\)$"):
+        classify(Reflect(Sum(leaf("1"), Rotate90(None))))
+
+
 def test_is_rational_sum_rule():
     ok, value = is_rational(Sum(leaf("2"), leaf("3/2")))
     assert ok and (value.numerator, value.denominator) == (7, 2)
@@ -210,6 +299,8 @@ def test_parse_expr_forms():
     assert e == Sum(RationalLeaf(ConwayRational(1, 2)),
                     Reflect(Rotate90(QLoop(2))))
     assert classify(parse_expr("rat(1/2)")).verdict == PRINCIPALLY_6
+    assert parse_expr(" sum( rat(1/2) ,\n refl( q(2) ) ) ") == Sum(
+        RationalLeaf(ConwayRational(1, 2)), Reflect(QLoop(2)))
 
 
 def test_parse_expr_rejects_junk():

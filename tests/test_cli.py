@@ -157,6 +157,16 @@ def test_classify_parse_error(capsys):
     assert err.startswith("ParseError:")
 
 
+def test_classify_deep_expression(capsys):
+    parts = ["rat(%d/%d)" % (k, k + 1) for k in range(1, 1201)]
+    text = ("".join("sum(%s, " % p for p in parts[:-1]) + parts[-1]
+            + ")" * (len(parts) - 1))
+    code, out, err = run(capsys, ["classify", text])
+    assert code == 0
+    assert out.splitlines()[0] == "Principally2"
+    assert err == ""
+
+
 def test_bound_bracelet6(capsys, bracelet6):
     code, out, _ = run(capsys, ["bound", bracelet6, "--compare", "t=6"])
     assert code == 0
@@ -285,6 +295,16 @@ def test_graph_validate_rejects(capsys, tmp_path):
     code, _, err = run(capsys, ["graph", "validate", path])
     assert code == 2
     assert err.startswith("NotBipartite:")
+
+
+def test_graph_validate_too_deep_json_exit_2(capsys, tmp_path):
+    # the stdlib JSON decoder recurses once per nested array
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, ["graph", "validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("RecursionError: ")
 
 
 def test_graph_replicant_matches_library(capsys, c6_path, saucer_path):

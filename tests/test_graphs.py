@@ -597,11 +597,19 @@ def test_graph_isomorphic_does_not_recurse():
 
 def test_graph_json_roundtrip():
     import json
-    for g in (cycle_reflection_graph(6),
-              product_p1(_validated(cycle_reflection_graph(4))),
-              k33_reflection_graph()):
+    c6 = cycle_reflection_graph(6)
+    nest = {v: ("v", (v, (v % 2,))) for v in c6.vertices}
+    nested = ReflectionGraph(
+        [nest[v] for v in c6.vertices],
+        [(nest[u], nest[v]) for u, v in c6.edges],
+        [Reflection({nest[k]: nest[w] for k, w in r.mapping.items()},
+                    [(nest[a], nest[b]) for a, b in r.swaps])
+         for r in c6.reflections])
+    for g in (c6, product_p1(_validated(cycle_reflection_graph(4))),
+              k33_reflection_graph(), nested):
         data = graph_to_json_dict(g)
-        json.dumps(data)
+        # lists all the way down: no tuple survives into the dictionary
+        assert json.loads(json.dumps(data)) == data
         back = graph_from_json_dict(data)
         assert back.vertices == g.vertices
         assert back.edges == g.edges

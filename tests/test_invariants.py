@@ -21,6 +21,36 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def test_no_library_function_calls_itself():
+    # a call per level of input nesting ends in RecursionError on deep
+    # input; library code walks on explicit stacks instead
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {id(func): cls.name for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for func in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(func))
+            for call in ast.walk(func):
+                target = getattr(call, "func", None)
+                if owner is None:
+                    # a method's bare-name call reaches a module function
+                    hit = (isinstance(target, ast.Name)
+                           and target.id == func.name)
+                else:
+                    hit = (isinstance(target, ast.Attribute)
+                           and target.attr == func.name
+                           and isinstance(target.value, ast.Name)
+                           and target.value.id in ("self", "cls"))
+                if hit:
+                    found.append(".".join(
+                        n for n in (path.stem, owner, func.name) if n))
+                    break
+    assert found == []
+
+
 def test_counting_formula_check_raises(monkeypatch):
     monkeypatch.setattr(words.WordVector, "constant_part",
                         lambda self: {1: 1})
