@@ -21,6 +21,7 @@ Totals are computed as exact Fractions and rendered fixed-point.
 """
 
 import json
+from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -128,11 +129,14 @@ class VolumeDB:
     ``entries`` maps (family, conway, ambient, signature, orientation)
     to an Entry whose volume is a positive Decimal or NON_HYPERBOLIC;
     ``limits`` maps reciprocal-tangle notation to the volume its
-    replicants approach from below.
+    replicants approach from below.  Rows are also indexed by column,
+    (family, conway, ambient, orientation), each column mapping its
+    signatures to entries in insertion order.
     """
 
     def __init__(self, entries, limits):
         table = {}
+        columns = {}
         for key, entry in dict(entries).items():
             key = _key(*key)
             volume, provenance = entry
@@ -144,7 +148,11 @@ class VolumeDB:
             if key in table:
                 raise BoundsError("duplicate entry for %r" % (key,))
             table[key] = Entry(volume, str(provenance))
+            family, conway, ambient, signature, orientation = key
+            columns.setdefault((family, conway, ambient, orientation),
+                               {})[signature] = table[key]
         self.entries = table
+        self._columns = columns
         self.limits = {_normalize_conway(c): Decimal(v)
                        for c, v in dict(limits).items()}
         for conway, limit in self.limits.items():
@@ -189,10 +197,12 @@ class VolumeDB:
 
     def recorded_signatures(self, family, conway, ambient,
                             orientation="standard"):
-        conway = _normalize_conway(conway)
-        return {key[3]: entry for key, entry in self.entries.items()
-                if key[:3] == (family, conway, ambient)
-                and key[4] == orientation}
+        """Signature -> Entry for one column, as a fresh dict."""
+        column = (family, _normalize_conway(conway), ambient, orientation)
+        try:
+            return dict(self._columns.get(column, ()))
+        except TypeError:  # an unhashable family or orientation names none
+            return {}
 
     def limit_for(self, conway):
         return self.limits.get(_normalize_conway(conway))
@@ -577,6 +587,33 @@ def _demanded_signatures(spec):
     return "declared-decomposition-bound", [s.signature for s in spec.slots]
 
 
+def _certify_slot(db, ambient, i, slot, demand):
+    """Certify slot ``i`` at ``demand`` and fetch its volume entry.
+
+    Returns (basis, entry); raises UncertifiedTangle naming the slot.
+    """
+    ref = TangleRef(slot.family, slot.conway, ambient, slot.orientation)
+    verdict = certify_hyperbolic(db, ref, demand)
+    if isinstance(verdict, UnknownHyperbolicity):
+        detail = "; ".join(verdict.counterevidence) or verdict.reason
+        raise UncertifiedTangle(
+            "slot %d (%s %s): %s" % (i, slot.family, slot.conway, detail),
+            slot=i)
+    try:
+        entry = db.entry(slot.family, slot.conway, ambient, demand,
+                         slot.orientation)
+    except NotFound:
+        raise UncertifiedTangle(
+            "slot %d (%s %s): certified hyperbolic at %r but no "
+            "volume is recorded there" % (i, slot.family, slot.conway,
+                                          demand), slot=i) from None
+    if entry.volume is NON_HYPERBOLIC:
+        raise UncertifiedTangle(
+            "slot %d (%s %s): recorded as not hyperbolic at %r"
+            % (i, slot.family, slot.conway, demand), slot=i)
+    return verdict.basis, entry
+
+
 def lower_bound(db, spec, comparisons=()):
     """Dispatch a link description to its bound rule and sum the terms.
 
@@ -584,38 +621,35 @@ def lower_bound(db, spec, comparisons=()):
     and the volume must be recorded at exactly that signature.  Slot
     reflections share the unreflected tangle's database key, so a
     reflected slot needs no separate row.
+
+    Each distinct (family, conway, orientation, demand) is certified and
+    looked up once; the slots that repeat it reuse its basis and entry.
+    Terms stay in slot order, and a refusal names the first failing
+    slot.
     """
     if not isinstance(spec, LinkSpec):
         spec = parse_link_spec(spec)
     _check_arrangement(spec)
     rule, demands = _demanded_signatures(spec)
 
+    known = {}  # key -> (basis, entry)
+    repeats = Counter()
     terms = []
-    total = Fraction(0)
     for i, (slot, demand) in enumerate(zip(spec.slots, demands)):
-        ref = TangleRef(slot.family, slot.conway, spec.ambient,
-                        slot.orientation)
-        verdict = certify_hyperbolic(db, ref, demand)
-        if isinstance(verdict, UnknownHyperbolicity):
-            detail = "; ".join(verdict.counterevidence) or verdict.reason
-            raise UncertifiedTangle(
-                "slot %d (%s %s): %s" % (i, slot.family, slot.conway,
-                                         detail), slot=i)
-        try:
-            entry = db.entry(slot.family, slot.conway, spec.ambient,
-                             demand, slot.orientation)
-        except NotFound:
-            raise UncertifiedTangle(
-                "slot %d (%s %s): certified hyperbolic at %r but no "
-                "volume is recorded there" % (i, slot.family, slot.conway,
-                                              demand), slot=i) from None
-        if entry.volume is NON_HYPERBOLIC:
-            raise UncertifiedTangle(
-                "slot %d (%s %s): recorded as not hyperbolic at %r"
-                % (i, slot.family, slot.conway, demand), slot=i)
+        if isinstance(slot.family, str) and isinstance(slot.orientation, str):
+            key = (slot.family, slot.conway, slot.orientation, demand)
+        else:
+            # Any other JSON value keys its slot alone: a list is
+            # unhashable, and 1 == True although their rows differ.
+            key = i
+        if key not in known:
+            known[key] = _certify_slot(db, spec.ambient, i, slot, demand)
+        basis, entry = known[key]
+        repeats[key] += 1
         terms.append(Term(i, slot.family, slot.conway, demand,
-                          entry.volume, entry.provenance, verdict.basis))
-        total += Fraction(entry.volume)
+                          entry.volume, entry.provenance, basis))
+    total = sum((Fraction(known[key][1].volume) * count
+                 for key, count in repeats.items()), Fraction(0))
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
                        tuple(comparisons), spec.reference_volume)
@@ -794,16 +828,16 @@ def column_monotonicity(db):
     hyperbolicity, never volume, is known to transport along increasing
     signatures.  Zero rows participate as zero.
     """
+    # Columns in the order of their least one-index row among the
+    # sorted table keys.
+    columns = []
+    for (family, conway, ambient, orientation), rows in db._columns.items():
+        firsts = [sig for sig in rows if len(sig) == 1]
+        if family == "reciprocal-saucer" and firsts:
+            columns.append((family, conway, ambient, min(firsts),
+                            orientation))
     out = []
-    seen = set()
-    for key in sorted(db.entries):
-        family, conway, ambient, signature, orientation = key
-        if family != "reciprocal-saucer" or len(signature) != 1:
-            continue
-        column = (family, conway, ambient, orientation)
-        if column in seen:
-            continue
-        seen.add(column)
+    for family, conway, ambient, _, orientation in sorted(columns):
         recorded = db.recorded_signatures(family, conway, ambient,
                                           orientation)
         values = []

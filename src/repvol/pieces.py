@@ -17,6 +17,7 @@ no geometry.  Tracing strand matchings across gluing bijections counts
 link components.
 """
 
+import collections
 import itertools
 from typing import NamedTuple
 
@@ -674,6 +675,39 @@ def _propagate(a, b, root, image):
     return trial
 
 
+def _components(complex):
+    """Copy labels per component, each listed from its first copy.
+
+    Components come in the order of their first copy in ``copies``.
+    """
+    position = complex._position
+    neighbours = [[] for _ in complex.copies]
+    for g in complex.gluings:
+        i, j = position[g.a[0]], position[g.b[0]]
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    labels = [label for _, label in complex.copies]
+    seen = bytearray(len(labels))
+    out = []
+    for start in range(len(labels)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        component = [start]
+        for i in component:
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    component.append(j)
+        out.append([labels[i] for i in component])
+    return out
+
+
+def _shape(component, colors):
+    """Size and sorted refined colours of a component."""
+    return len(component), tuple(sorted(colors[label] for label in component))
+
+
 def isomorphic(a, b):
     """Search for a copy relabeling carrying a's gluings onto b's.
 
@@ -686,6 +720,16 @@ def isomorphic(a, b):
     first copy, and the first unused image of the same refined colour
     (in ``b.copies`` order) that propagates is kept; isomorphism of
     components is an equivalence, so keeping the first loses nothing.
+
+    Candidates are bucketed: ``b``'s components by shape (size and
+    sorted refined colours), and the copies of each bucket by colour
+    into queues in ``b.copies`` order.  A root is tried only against
+    the queue of its component's shape and its own colour, because an
+    image that propagates lies in a component of that shape.  Copies
+    of a used component are skipped, and dropped once they reach the
+    front of their queue, so no root rescans them.  Every image left
+    out would have failed to propagate, so the witness is the one a
+    scan of all of ``b.copies`` would find.
     """
     if len(a.copies) > ISO_COPY_LIMIT or len(b.copies) > ISO_COPY_LIMIT:
         raise SizeExceeded("refusing isomorphism search above %d copies"
@@ -698,13 +742,28 @@ def isomorphic(a, b):
     if sorted(colors_a.values()) != sorted(colors_b.values()):
         return IsoResult(False, None)
 
+    shapes = {}  # shape -> its number
+    shape_of = []  # b's component index -> its shape's number
+    owner = {}  # b's copy -> its component's index
+    for index, component in enumerate(_components(b)):
+        shape_of.append(shapes.setdefault(_shape(component, colors_b),
+                                          len(shapes)))
+        owner.update(dict.fromkeys(component, index))
+    # (shape number, colour) -> images in b.copies order
+    queues = collections.defaultdict(collections.deque)
+    for _, image in b.copies:
+        queues[shape_of[owner[image]], colors_b[image]].append(image)
+
     witness = {}
-    used = set()
-    for _, root in a.copies:
-        if root in witness:
-            continue
-        for _, image in b.copies:
-            if image in used or colors_b[image] != colors_a[root]:
+    used = set()  # indices of b's components already matched
+    for component in _components(a):
+        root = component[0]
+        shape = shapes.get(_shape(component, colors_a))
+        queue = queues.get((shape, colors_a[root]))
+        while queue and owner[queue[0]] in used:
+            queue.popleft()
+        for image in queue or ():
+            if owner[image] in used:
                 continue
             trial = _propagate(a, b, root, image)
             if trial is not None:
@@ -712,12 +771,18 @@ def isomorphic(a, b):
         else:
             return IsoResult(False, None)
         witness.update(trial)
-        used.update(trial.values())
+        used.add(owner[image])
     return IsoResult(True, witness)
 
 
 def verify_isomorphism(a, b, witness):
-    """Check that a witness map really carries a onto b."""
+    """Check that a witness map really carries a onto b.
+
+    The map must be a bijection between the copy labels that keeps
+    templates, and each gluing of ``a`` must land on a gluing of ``b``
+    with the same faces and endpoint pairing; equal gluing counts then
+    make the gluings correspond one to one.
+    """
     if sorted(witness) != sorted(label for _, label in a.copies):
         return False
     if sorted(witness.values()) != sorted(label for _, label in b.copies):
@@ -725,11 +790,14 @@ def verify_isomorphism(a, b, witness):
     for template, label in a.copies:
         if b.template_of(witness[label]) != template:
             return False
-    mapped = [((witness[g.a[0]], g.a[1]), (witness[g.b[0]], g.b[1]),
-               g.pairing) for g in a.gluings]
-    return GluingComplex(
-        [(b.template_of(label), label) for _, label in b.copies],
-        mapped) == GluingComplex(list(b.copies), list(b.gluings))
+    if len(a.gluings) != len(b.gluings):
+        return False
+    for g in a.gluings:
+        _, pairing = a.glued_partner(g.a)
+        image = b.glued_partner((witness[g.a[0]], g.a[1]))
+        if image != ((witness[g.b[0]], g.b[1]), pairing):
+            return False
+    return True
 
 
 def split_union(complex, left, right):

@@ -1,6 +1,8 @@
 """Tests for the volume database, certification rules, and bound dispatch."""
 
 import json
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -496,3 +498,295 @@ def test_report_renderings(db):
     twice = json.dumps(bounds.lower_bound(db, BRACELET6).to_json_dict(),
                        sort_keys=True)
     assert once == twice
+
+
+# each distinct slot certified once
+
+def per_slot_lower_bound(db, spec):
+    """The per-slot loop: certify and look up every slot on its own."""
+    if not isinstance(spec, bounds.LinkSpec):
+        spec = bounds.parse_link_spec(spec)
+    bounds._check_arrangement(spec)
+    rule, demands = bounds._demanded_signatures(spec)
+    terms = []
+    total = Fraction(0)
+    for i, (slot, demand) in enumerate(zip(spec.slots, demands)):
+        ref = bounds.TangleRef(slot.family, slot.conway, spec.ambient,
+                               slot.orientation)
+        verdict = bounds.certify_hyperbolic(db, ref, demand)
+        if isinstance(verdict, bounds.UnknownHyperbolicity):
+            detail = "; ".join(verdict.counterevidence) or verdict.reason
+            raise bounds.UncertifiedTangle(
+                "slot %d (%s %s): %s" % (i, slot.family, slot.conway,
+                                         detail), slot=i)
+        try:
+            entry = db.entry(slot.family, slot.conway, spec.ambient,
+                             demand, slot.orientation)
+        except bounds.NotFound:
+            raise bounds.UncertifiedTangle(
+                "slot %d (%s %s): certified hyperbolic at %r but no "
+                "volume is recorded there" % (i, slot.family, slot.conway,
+                                              demand), slot=i) from None
+        if entry.volume is bounds.NON_HYPERBOLIC:
+            raise bounds.UncertifiedTangle(
+                "slot %d (%s %s): recorded as not hyperbolic at %r"
+                % (i, slot.family, slot.conway, demand), slot=i)
+        terms.append(bounds.Term(i, slot.family, slot.conway, demand,
+                                 entry.volume, entry.provenance,
+                                 verdict.basis))
+        total += Fraction(entry.volume)
+    return bounds.BoundReport(spec.name, spec.arrangement, spec.ambient,
+                              rule, tuple(terms), total, bounds.EQUALITY_NOTE,
+                              (), spec.reference_volume)
+
+
+PARITY_ROWS = [
+    {"family": "integer-cylindrical", "conway": c, "ambient": "SolidTorus",
+     "signature": [2], "volume": v} for c, v in (("2", "3.1"), ("3", "4.2"))
+] + [
+    {"family": "rational-square", "conway": c, "ambient": "S2xS1",
+     "signature": sig, "volume": v}
+    for c, sig, v in (("2", [2, 2], "2.5"), ("2", [2, 4], "2.9"),
+                      ("3", [2, 2], "3.5"), ("2 1", [2, 6], "0"))
+] + [
+    {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+     "signature": [6], "orientation": "rotated", "volume": "5.1"},
+    {"family": "reciprocal-saucer", "conway": "1/6", "ambient": "S3",
+     "signature": [4], "volume": "0"},
+    {"family": "reciprocal-saucer", "conway": "1/6", "ambient": "S3",
+     "signature": [6], "volume": "5.9"},
+]
+
+# Reflections ("-"), unrecorded tangles ("6", "1/7"), a recorded zero
+# ("1/2" at (4,)) and certified-but-unrecorded signatures (bracelets of 12,
+# squares at (2, 8)) all appear.
+_POOLS = {
+    "reciprocal-saucer": ("1/2", "1/3", "1/4", "-1/4", "1/5", "1/6", "1/7"),
+    "rational-square": ("2", "-2", "3", "4", "5", "2 1", "- 2  1", "6"),
+    "integer-cylindrical": ("2", "-2", "3", "4", "5", "6"),
+}
+_SHAPES = (("bracelet", "S3"), ("lattice", "S3"), ("lattice", "TxI"),
+           ("lattice", "S2xS1"), ("cylinder-stack", "TxI"),
+           ("cylinder-stack", "SolidTorus"), ("custom", "S3"),
+           ("custom", "S2xS1"))
+
+
+def random_link_spec(rng):
+    arrangement, ambient = rng.choice(_SHAPES)
+    spec = {"arrangement": arrangement, "ambient": ambient}
+    if arrangement == "lattice":
+        spec["rows"], spec["cols"] = rng.choice((2, 4, 6)), \
+            rng.choice((2, 4, 6))
+        count = spec["rows"] * spec["cols"]
+    elif arrangement == "bracelet":
+        count = rng.choice((2, 4, 6, 8, 10, 12))
+    else:
+        count = rng.randint(1, 12)
+    # Draw from a few tangles so that slots repeat.
+    distinct = rng.randint(1, 3)
+    menu = []
+    for _ in range(distinct):
+        family = bounds._DEFAULT_FAMILY.get(arrangement) or rng.choice(
+            ("rational-square", "reciprocal-saucer"))
+        slot = {"family": family, "conway": rng.choice(_POOLS[family])}
+        if family == "reciprocal-saucer" and rng.random() < 0.2:
+            slot["orientation"] = "rotated"
+        if arrangement == "custom":
+            slot["signature"] = ([2, rng.choice((2, 4, 6, 8))]
+                                 if family == "rational-square"
+                                 else [rng.choice((4, 6, 8, 10, 12))])
+        menu.append(slot)
+    spec["slots"] = [dict(rng.choice(menu)) for _ in range(count)]
+    return spec
+
+
+def outcome(fn, db, spec):
+    try:
+        return fn(db, spec)
+    except bounds.BoundsError as exc:
+        return type(exc), str(exc), getattr(exc, "slot", None)
+
+
+def test_lower_bound_matches_per_slot_loop(db):
+    rng = random.Random(2024)
+    extended = db.extended(PARITY_ROWS)
+    kinds = Counter()
+    for _ in range(1500):
+        spec = random_link_spec(rng)
+        for table in (db, extended):
+            expected = outcome(per_slot_lower_bound, table, spec)
+            assert outcome(bounds.lower_bound, table, spec) == expected
+            if isinstance(expected, bounds.BoundReport):
+                kinds["report"] += 1
+            else:
+                kinds[expected[1].split(": ", 1)[-1][:20]] += 1
+    # Reports and every kind of refusal occur.
+    assert kinds["report"] > 300
+    assert kinds["recorded as not hype"] > 20
+    assert kinds["certified hyperbolic"] > 20
+    assert sum(kinds.values()) - kinds["report"] > 300
+
+
+def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
+    extended = db.extended([
+        {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+         "signature": [6], "orientation": "1", "volume": "5.0"}])
+    odd = [["x"], {"y": 1}, None, 1, True, 1.0, "1"]
+    for value in odd:
+        for other in odd:
+            for field in ("family", "orientation"):
+                spec = {"arrangement": "bracelet", "ambient": "S3",
+                        "slots": [{"conway": "1/4", field: value},
+                                  {"conway": "1/4", field: other}] * 3}
+                for table in (db, extended):
+                    assert outcome(bounds.lower_bound, table, spec) \
+                        == outcome(per_slot_lower_bound, table, spec)
+
+
+def counting_certifier(monkeypatch):
+    calls = []
+    real = bounds.certify_hyperbolic
+
+    def certify(db, tangle, signature):
+        calls.append((tuple(tangle), signature))
+        return real(db, tangle, signature)
+
+    monkeypatch.setattr(bounds, "certify_hyperbolic", certify)
+    return calls
+
+
+def test_repeated_slot_is_certified_once(db, monkeypatch):
+    calls = counting_certifier(monkeypatch)
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 200,
+            "cols": 200, "slot": "2 1"}
+    report = bounds.lower_bound(db, spec)
+    assert len(calls) == 1
+    assert len(report.terms) == 40000
+    assert report.total == 40000 * Fraction(Decimal("7.48167784"))
+    assert report.terms[-1] == bounds.Term(
+        39999, "rational-square", "2 1", (2, 2), Decimal("7.48167784"),
+        "builtin", "DatabaseEntry")
+
+
+def test_mixed_slots_are_certified_once_each(db, monkeypatch):
+    calls = counting_certifier(monkeypatch)
+    rng = random.Random(5)
+    slots = [rng.choice(("2", "3", "-3", "2 1")) for _ in range(36)]
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 6,
+            "cols": 6, "slots": slots}
+    assert bounds.lower_bound(db, spec) == per_slot_lower_bound(db, spec)
+    distinct = {bounds._normalize_conway(s) for s in slots}
+    assert len(distinct) == 3
+    assert len(calls) == 3 + 36  # once each here, once per slot in the loop
+
+    del calls[:]
+    custom = {"arrangement": "custom", "ambient": "S3", "slots": [
+        {"family": "rational-square", "conway": c, "signature": sig}
+        for c, sig in (("2", [2, 2]), ("2", [2, 4]), ("2", [2, 2]),
+                       ("3", [2, 2]), ("2", [2, 4]))]}
+    bounds.lower_bound(db, custom)
+    assert sorted(calls) == sorted(
+        {(("rational-square", c, "S3", "standard"), sig)
+         for c, sig in (("2", (2, 2)), ("2", (2, 4)), ("3", (2, 2)))})
+
+
+# the column index
+
+def scanned_signatures(db, family, conway, ambient, orientation="standard"):
+    conway = bounds._normalize_conway(conway)
+    return {key[3]: entry for key, entry in db.entries.items()
+            if key[:3] == (family, conway, ambient)
+            and key[4] == orientation}
+
+
+def test_recorded_signatures_is_a_fresh_dict(db):
+    first = db.recorded_signatures("reciprocal-saucer", "1/4", "S3")
+    assert len(first) == 4
+    first.clear()
+    first[(4,)] = "forged"
+    again = db.recorded_signatures("reciprocal-saucer", "1/4", "S3")
+    assert again == scanned_signatures(db, "reciprocal-saucer", "1/4", "S3")
+    assert len(again) == 4
+
+
+def test_column_index_matches_full_scan(db):
+    extended = db.extended(PARITY_ROWS + [
+        {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+         "signature": [2], "orientation": "rotated", "volume": "1.0"},
+        {"family": "rational-square", "conway": "2", "ambient": "S3",
+         "signature": [2, 8], "volume": "3.7"}])
+    for table in (db, extended):
+        columns = {(f, c, a, o) for f, c, a, _, o in table.entries}
+        columns |= {("rational-square", "7", "S3", "standard"),
+                    ("reciprocal-saucer", "1/4", "TxI", "standard"),
+                    ("reciprocal-saucer", "1/4", "S3", "mirrored")}
+        for family, conway, ambient, orientation in sorted(columns):
+            for spelled in (conway, "-" + conway, " %s " % conway):
+                got = table.recorded_signatures(family, spelled, ambient,
+                                                orientation)
+                want = scanned_signatures(table, family, spelled, ambient,
+                                          orientation)
+                assert list(got.items()) == list(want.items())
+    assert extended.recorded_signatures(
+        "rational-square", "2", "S3", ["unhashable"]) == {}
+
+
+def sorted_scan_monotonicity(db):
+    """The full-table check: sort every key, first sighting per column."""
+    out = []
+    seen = set()
+    for key in sorted(db.entries):
+        family, conway, ambient, signature, orientation = key
+        if family != "reciprocal-saucer" or len(signature) != 1:
+            continue
+        column = (family, conway, ambient, orientation)
+        if column in seen:
+            continue
+        seen.add(column)
+        recorded = scanned_signatures(db, family, conway, ambient,
+                                      orientation)
+        values = []
+        for sig in sorted(s for s in recorded if len(s) == 1):
+            entry = recorded[sig]
+            values.append((sig, Decimal(0)
+                           if entry.volume is bounds.NON_HYPERBOLIC
+                           else entry.volume))
+        for (sig_a, val_a), (sig_b, val_b) in zip(values, values[1:]):
+            if val_a >= val_b:
+                out.append(bounds.Violation(
+                    "column-not-increasing", conway,
+                    "value %s at %r does not exceed %s at %r"
+                    % (val_b, sig_b, val_a, sig_a)))
+    return out
+
+
+def test_column_monotonicity_matches_sorted_scan(db):
+    assert bounds.column_monotonicity(db) == sorted_scan_monotonicity(db) \
+        == []
+
+    def row(conway, sig, volume, orientation="standard", ambient="S3"):
+        return {"family": "reciprocal-saucer", "conway": conway,
+                "ambient": ambient, "signature": sig,
+                "orientation": orientation, "volume": volume}
+
+    # Orientations of one tangle whose least rows differ ("b" sorts
+    # after "a" but its least row comes first), a column with a two-index
+    # row, a zero row, another ambient, and "--1/9", which keys as "-1/9"
+    # but reads the "1/9" column.
+    data = db.to_json_dict()
+    data["entries"] += [
+        row("1/4", [6], "5.1", "rotated"), row("1/4", [4], "5.3", "rotated"),
+        row("1/3", [8], "2.0", "a"), row("1/3", [6], "2.5", "b"),
+        row("1/3", [10], "2.4", "b"), row("1/3", [2, 2], "1.0", "a"),
+        row("1/3", [12], "0", "a"),
+        row("--1/9", [8], "3.0"), row("1/9", [6], "3.5"),
+        row("1/9", [4], "0"), row("1/9", [10], "3.4"),
+        row("1/5", [6], "1.0", ambient="SolidTorus"),
+        row("1/5", [4], "2.0", ambient="SolidTorus"),
+    ]
+    forged = bounds.VolumeDB.from_json_dict(data)
+    flagged = bounds.column_monotonicity(forged)
+    assert flagged == sorted_scan_monotonicity(forged)
+    assert [v.subject for v in flagged] \
+        == ["-1/9", "1/3", "1/3", "1/4", "1/5", "1/9"]
+    assert [v.detail.split()[1] for v in flagged[1:3]] == ["2.4", "0"]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -296,7 +297,9 @@ def brute_force_isomorphic(a, b):
     return False
 
 
-def test_isomorphic_matches_brute_force():
+def brute_force_pairs():
+    """Complex pairs for the brute-force test, and how many of them lead
+    as fixed pairs that colour refinement cannot tell apart."""
     rng = random.Random(404)
     pool = [saucer_template("s"), cylindrical_template("c", 1),
             cylindrical_template("c", 2), square_template("q"),
@@ -328,6 +331,11 @@ def test_isomorphic_matches_brute_force():
                 choices = [t for t, _ in a.copies]
             b = relabeled(rng, random_complex(rng, choices, size))
         pairs.append((a, b))
+    return pairs, fixed
+
+
+def test_isomorphic_matches_brute_force():
+    pairs, fixed = brute_force_pairs()
     verdicts = []
     for a, b in pairs:
         result = isomorphic(a, b)
@@ -337,6 +345,219 @@ def test_isomorphic_matches_brute_force():
         verdicts.append(result.isomorphic)
     assert not any(verdicts[:fixed])
     assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def rebuilt_verify(a, b, witness):
+    """Witness check by rebuilding b under the map and comparing."""
+    if sorted(witness) != sorted(label for _, label in a.copies):
+        return False
+    if sorted(witness.values()) != sorted(label for _, label in b.copies):
+        return False
+    for template, label in a.copies:
+        if b.template_of(witness[label]) != template:
+            return False
+    mapped = [((witness[g.a[0]], g.a[1]), (witness[g.b[0]], g.b[1]),
+               g.pairing) for g in a.gluings]
+    return GluingComplex(
+        [(b.template_of(label), label) for _, label in b.copies],
+        mapped) == GluingComplex(list(b.copies), list(b.gluings))
+
+
+def template_bijection(rng, a, b):
+    """A random copy map keeping templates, or None if none exists."""
+    images = {}
+    for template, label in b.copies:
+        images.setdefault(template, []).append(label)
+    for group in images.values():
+        rng.shuffle(group)
+    out = {}
+    for template, label in a.copies:
+        if not images.get(template):
+            return None
+        out[label] = images[template].pop()
+    return out
+
+
+def lands_on_unglued_slot(a, b, witness):
+    return any(b.glued_partner((witness[label], face)) is None
+               for (label, face) in (g.a for g in a.gluings))
+
+
+def witness_cases(rng, a, b):
+    """(name, witness) pairs: right, wrong in each way, and not maps."""
+    found = isomorphic(a, b)
+    if found.isomorphic:
+        yield "correct", found.witness
+    base = found.witness if found.isomorphic \
+        else template_bijection(rng, a, b)
+    if base is None:
+        base = dict(zip((label for _, label in a.copies),
+                        (label for _, label in b.copies)))
+    labels = list(base)
+    for _ in range(4):
+        guess = template_bijection(rng, a, b)
+        if guess is not None:
+            name = "to unglued" if lands_on_unglued_slot(a, b, guess) \
+                else "bijection"
+            yield name, guess
+    if len(labels) >= 2:
+        x, y = rng.sample(labels, 2)
+        swapped = dict(base)
+        swapped[x], swapped[y] = base[y], base[x]
+        same = a.template_of(x) == a.template_of(y)
+        yield "swapped" if same else "template swap", swapped
+        merged = dict(base)
+        merged[x] = base[y]
+        yield "not bijective", merged
+    dropped = dict(base)
+    dropped.pop(labels[0])
+    yield "not bijective", dropped
+    extra = dict(base)
+    extra[(-1,)] = (-1,)
+    yield "not bijective", extra
+
+
+def test_verify_isomorphism_matches_rebuilt_check():
+    rng = random.Random(91)
+    pairs, _ = brute_force_pairs()
+    seen = collections.Counter()
+    for a, b in pairs:
+        cases = list(witness_cases(rng, a, b))
+        # Drop one gluing: equal copies, different gluing counts.
+        if a.gluings:
+            fewer = GluingComplex(list(a.copies), list(a.gluings[1:]))
+            identity = {label: label for _, label in a.copies}
+            for left, right in ((a, fewer), (fewer, a)):
+                expected = rebuilt_verify(left, right, identity)
+                assert verify_isomorphism(left, right, identity) == expected
+                seen["gluing counts", expected] += 1
+        for name, witness in cases:
+            expected = rebuilt_verify(a, b, witness)
+            assert verify_isomorphism(a, b, witness) == expected
+            seen[name, expected] += 1
+    assert seen["correct", True] > 100
+    assert seen["gluing counts", False] > 300
+    for name in ("to unglued", "swapped", "template swap", "not bijective"):
+        assert seen[name, False] > 50, name
+    assert seen["bijection", True] > 20
+    assert seen["swapped", True] > 20  # swapping like copies can be fine
+    assert sum(n for (_, ok), n in seen.items() if not ok) > 1000
+
+
+def first_fit_witness(a, b):
+    """The full scan: each root of ``a``, in ``a.copies`` order, takes
+    the first unused image of its colour in ``b.copies`` order that
+    propagates.  For isomorphic complexes only."""
+    base = pieces._template_index((a, b))
+    colors_a = pieces._refine_colors(a, base)
+    colors_b = pieces._refine_colors(b, base)
+    queues = {}
+    for _, label in b.copies:
+        queues.setdefault(colors_b[label], []).append(label)
+    start = dict.fromkeys(queues, 0)
+    witness, used = {}, set()
+    for _, root in a.copies:
+        if root in witness:
+            continue
+        colour = colors_a[root]
+        queue = queues[colour]
+        # A used prefix would be skipped image by image; skip it at once.
+        while queue[start[colour]] in used:
+            start[colour] += 1
+        for image in queue[start[colour]:]:
+            if image in used:
+                continue
+            trial = pieces._propagate(a, b, root, image)
+            if trial is not None:
+                break
+        else:
+            raise AssertionError("no image propagates")
+        witness.update(trial)
+        used.update(trial.values())
+    return witness
+
+
+def cycles_and_singletons(rng, lengths, singles):
+    """Saucer cycles of the given lengths plus unglued copies, shuffled."""
+    s = saucer_template("s")
+    copies, gluings = [], []
+    numbers = rng.sample(range(10 ** 6), sum(lengths) + singles)
+    for length in lengths:
+        ring = [(numbers.pop(),) for _ in range(length)]
+        copies += [(s, label) for label in ring]
+        for i in range(0, length, 2):
+            gluings.append(((ring[i], 1), (ring[i + 1], 1)))
+            gluings.append(((ring[i + 1], 2), (ring[(i + 2) % length], 2)))
+    copies += [(s, (numbers.pop(),)) for _ in range(singles)]
+    rng.shuffle(copies)
+    return GluingComplex(copies, gluings)
+
+
+def test_witness_follows_the_full_scan_order():
+    pairs, _ = brute_force_pairs()
+    rng = random.Random(17)
+    sq = square_template("2")
+    for n in (10, 20, 30, 40):
+        pairs.append((replicate(sq, (n, n)),
+                      replicate(sq, ReplicantSchedule((n, n), (2, 1)))))
+    # Cycles of every length share one colour, so a scan of all copies
+    # tries the wrong cycles first; the shape buckets skip them.
+    for _ in range(20):
+        lengths = [rng.choice((2, 4, 6, 8)) for _ in range(rng.randint(1, 8))]
+        a = cycles_and_singletons(rng, lengths, rng.randint(0, 5))
+        pairs.append((a, relabeled(rng, a)))
+    matched = 0
+    for a, b in pairs:
+        result = isomorphic(a, b)
+        if result.isomorphic:
+            assert result.witness == first_fit_witness(a, b)
+            matched += 1
+    assert matched > 300
+
+
+def counting_trials(monkeypatch):
+    trials = []
+    real = pieces._propagate
+
+    def propagate(a, b, root, image):
+        trials.append(root)
+        return real(a, b, root, image)
+
+    monkeypatch.setattr(pieces, "_propagate", propagate)
+    return trials
+
+
+def test_roots_skip_components_of_another_shape(monkeypatch):
+    # All copies share one colour, and any copy of a cycle maps onto any
+    # other copy of a cycle of its length, so the first image of the
+    # root's shape always propagates.
+    rng = random.Random(23)
+    a = cycles_and_singletons(rng, [2, 8, 4, 2, 6, 8, 4, 2], 3)
+    b = relabeled(rng, a)
+    trials = counting_trials(monkeypatch)
+    result = isomorphic(a, b)
+    assert result.isomorphic
+    assert len(trials) == 8 + 3
+    del trials[:]
+    assert result.witness == first_fit_witness(a, b)
+    assert len(trials) > 8 + 3  # the full scan tries other lengths
+
+
+def test_many_unglued_copies_match_without_rescanning(monkeypatch):
+    # 10 000 singleton components of one template: the full scan skipped
+    # every used copy again for each root (2.8 s); each root now takes
+    # the first unused copy of its bucket.
+    t = saucer_template("s")
+    a = GluingComplex([(t, (i,)) for i in range(pieces.ISO_COPY_LIMIT)], [])
+    b = GluingComplex(list(reversed(a.copies)), [])
+    trials = counting_trials(monkeypatch)
+    result = isomorphic(a, b)
+    assert result.isomorphic
+    assert len(trials) == len(a.copies)
+    assert verify_isomorphism(a, b, result.witness)
+    assert result.witness == first_fit_witness(a, b)
+    last = len(a.copies) - 1
+    assert result.witness == {(i,): (last - i,) for i in range(last + 1)}
 
 
 # bracelets
