@@ -614,6 +614,24 @@ def _certify_slot(db, ambient, i, slot, demand):
     return verdict.basis, entry
 
 
+def _slot_key(i, slot, demand):
+    """Key under which slot ``i`` shares its verdict with equal slots.
+
+    Only str fields and a hashable demand are shared; any other value
+    keys its slot alone, since a list is unhashable and 1 == True
+    although their rows differ.
+    """
+    if type(slot.family) is type(slot.conway) is type(slot.orientation) \
+            is str:
+        key = (slot.family, slot.conway, slot.orientation, demand)
+        try:
+            hash(key)
+        except TypeError:
+            return i
+        return key
+    return i
+
+
 def lower_bound(db, spec, comparisons=()):
     """Dispatch a link description to its bound rule and sum the terms.
 
@@ -636,12 +654,7 @@ def lower_bound(db, spec, comparisons=()):
     repeats = Counter()
     terms = []
     for i, (slot, demand) in enumerate(zip(spec.slots, demands)):
-        if isinstance(slot.family, str) and isinstance(slot.orientation, str):
-            key = (slot.family, slot.conway, slot.orientation, demand)
-        else:
-            # Any other JSON value keys its slot alone: a list is
-            # unhashable, and 1 == True although their rows differ.
-            key = i
+        key = _slot_key(i, slot, demand)
         if key not in known:
             known[key] = _certify_slot(db, spec.ambient, i, slot, demand)
         basis, entry = known[key]

@@ -675,39 +675,6 @@ def _propagate(a, b, root, image):
     return trial
 
 
-def _components(complex):
-    """Copy labels per component, each listed from its first copy.
-
-    Components come in the order of their first copy in ``copies``.
-    """
-    position = complex._position
-    neighbours = [[] for _ in complex.copies]
-    for g in complex.gluings:
-        i, j = position[g.a[0]], position[g.b[0]]
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    labels = [label for _, label in complex.copies]
-    seen = bytearray(len(labels))
-    out = []
-    for start in range(len(labels)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        component = [start]
-        for i in component:
-            for j in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = 1
-                    component.append(j)
-        out.append([labels[i] for i in component])
-    return out
-
-
-def _shape(component, colors):
-    """Size and sorted refined colours of a component."""
-    return len(component), tuple(sorted(colors[label] for label in component))
-
-
 def isomorphic(a, b):
     """Search for a copy relabeling carrying a's gluings onto b's.
 
@@ -721,15 +688,11 @@ def isomorphic(a, b):
     (in ``b.copies`` order) that propagates is kept; isomorphism of
     components is an equivalence, so keeping the first loses nothing.
 
-    Candidates are bucketed: ``b``'s components by shape (size and
-    sorted refined colours), and the copies of each bucket by colour
-    into queues in ``b.copies`` order.  A root is tried only against
-    the queue of its component's shape and its own colour, because an
-    image that propagates lies in a component of that shape.  Copies
-    of a used component are skipped, and dropped once they reach the
-    front of their queue, so no root rescans them.  Every image left
-    out would have failed to propagate, so the witness is the one a
-    scan of all of ``b.copies`` would find.
+    Each colour keeps a queue of ``b``'s copies in ``b.copies`` order,
+    and a root scans only its own colour's queue.  Used images are
+    popped off the front before each scan, so many unglued copies of
+    one template match in linear time; the candidate order, and with
+    it the witness, is that of a scan of all of ``b.copies``.
     """
     if len(a.copies) > ISO_COPY_LIMIT or len(b.copies) > ISO_COPY_LIMIT:
         raise SizeExceeded("refusing isomorphism search above %d copies"
@@ -742,28 +705,20 @@ def isomorphic(a, b):
     if sorted(colors_a.values()) != sorted(colors_b.values()):
         return IsoResult(False, None)
 
-    shapes = {}  # shape -> its number
-    shape_of = []  # b's component index -> its shape's number
-    owner = {}  # b's copy -> its component's index
-    for index, component in enumerate(_components(b)):
-        shape_of.append(shapes.setdefault(_shape(component, colors_b),
-                                          len(shapes)))
-        owner.update(dict.fromkeys(component, index))
-    # (shape number, colour) -> images in b.copies order
     queues = collections.defaultdict(collections.deque)
     for _, image in b.copies:
-        queues[shape_of[owner[image]], colors_b[image]].append(image)
+        queues[colors_b[image]].append(image)
 
     witness = {}
-    used = set()  # indices of b's components already matched
-    for component in _components(a):
-        root = component[0]
-        shape = shapes.get(_shape(component, colors_a))
-        queue = queues.get((shape, colors_a[root]))
-        while queue and owner[queue[0]] in used:
+    used = set()
+    for _, root in a.copies:
+        if root in witness:
+            continue
+        queue = queues[colors_a[root]]
+        while queue and queue[0] in used:
             queue.popleft()
-        for image in queue or ():
-            if owner[image] in used:
+        for image in queue:
+            if image in used:
                 continue
             trial = _propagate(a, b, root, image)
             if trial is not None:
@@ -771,7 +726,7 @@ def isomorphic(a, b):
         else:
             return IsoResult(False, None)
         witness.update(trial)
-        used.add(owner[image])
+        used.update(trial.values())
     return IsoResult(True, witness)
 
 

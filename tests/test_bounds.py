@@ -1,6 +1,7 @@
 """Tests for the volume database, certification rules, and bound dispatch."""
 
 import json
+import itertools
 import random
 from collections import Counter
 from decimal import Decimal
@@ -641,6 +642,23 @@ def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
                 for table in (db, extended):
                     assert outcome(bounds.lower_bound, table, spec) \
                         == outcome(per_slot_lower_bound, table, spec)
+    # Hand-built specs skip parsing, so a conway or a custom signature
+    # may be any value as well.
+    conways = [["2"], 2, 2.0, True, 1.0, "2", "-2"]
+    signatures = [[2, 2], (2, 2), (2.0, 2), "22", ([2], 2), None, (1, 1),
+                  (True, True), [2, 4]]
+    reports = 0
+    pairs = itertools.product(conways, signatures, repeat=2)
+    for first, first_sig, second, second_sig in pairs:
+        slots = (
+            bounds.SlotSpec("rational-square", first, "standard", first_sig),
+            bounds.SlotSpec("rational-square", second, "standard",
+                            second_sig))
+        spec = bounds.LinkSpec("odd", "custom", "S3", slots * 2)
+        expected = outcome(per_slot_lower_bound, db, spec)
+        assert outcome(bounds.lower_bound, db, spec) == expected
+        reports += isinstance(expected, bounds.BoundReport)
+    assert reports > 100
 
 
 def counting_certifier(monkeypatch):

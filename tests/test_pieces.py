@@ -500,8 +500,8 @@ def test_witness_follows_the_full_scan_order():
     for n in (10, 20, 30, 40):
         pairs.append((replicate(sq, (n, n)),
                       replicate(sq, ReplicantSchedule((n, n), (2, 1)))))
-    # Cycles of every length share one colour, so a scan of all copies
-    # tries the wrong cycles first; the shape buckets skip them.
+    # Cycles of every length share one colour, so roots try cycles of
+    # the wrong length before the right one.
     for _ in range(20):
         lengths = [rng.choice((2, 4, 6, 8)) for _ in range(rng.randint(1, 8))]
         a = cycles_and_singletons(rng, lengths, rng.randint(0, 5))
@@ -527,26 +527,10 @@ def counting_trials(monkeypatch):
     return trials
 
 
-def test_roots_skip_components_of_another_shape(monkeypatch):
-    # All copies share one colour, and any copy of a cycle maps onto any
-    # other copy of a cycle of its length, so the first image of the
-    # root's shape always propagates.
-    rng = random.Random(23)
-    a = cycles_and_singletons(rng, [2, 8, 4, 2, 6, 8, 4, 2], 3)
-    b = relabeled(rng, a)
-    trials = counting_trials(monkeypatch)
-    result = isomorphic(a, b)
-    assert result.isomorphic
-    assert len(trials) == 8 + 3
-    del trials[:]
-    assert result.witness == first_fit_witness(a, b)
-    assert len(trials) > 8 + 3  # the full scan tries other lengths
-
-
 def test_many_unglued_copies_match_without_rescanning(monkeypatch):
     # 10 000 singleton components of one template: the full scan skipped
     # every used copy again for each root (2.8 s); each root now takes
-    # the first unused copy of its bucket.
+    # the front of its colour's queue.
     t = saucer_template("s")
     a = GluingComplex([(t, (i,)) for i in range(pieces.ISO_COPY_LIMIT)], [])
     b = GluingComplex(list(reversed(a.copies)), [])
