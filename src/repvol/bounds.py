@@ -92,11 +92,9 @@ class Entry(NamedTuple):
 
 
 def _normalize_conway(text):
-    """Collapse whitespace; a leading minus (the tangle's reflection)
-    keys to the unreflected row, mirror volumes being equal."""
-    out = " ".join(str(text).split())
-    if out.startswith("-") and len(out) > 1:
-        out = out[1:].lstrip()
+    """Collapse whitespace and drop leading minus signs (a reflection,
+    whose volume is the same) so a tangle keys to its unreflected row."""
+    out = " ".join(str(text).split()).lstrip("- ")
     if not out:
         raise BoundsError("empty tangle notation")
     return out
@@ -105,7 +103,7 @@ def _normalize_conway(text):
 def _normalize_signature(signature):
     try:
         out = tuple(int(n) for n in signature)
-    except TypeError:
+    except (TypeError, ValueError):
         raise BoundsError("signature must be a tuple of even counts") \
             from None
     if not out or any(n <= 0 or n % 2 for n in out):
@@ -114,11 +112,15 @@ def _normalize_signature(signature):
     return out
 
 
-def _key(family, conway, ambient, signature, orientation):
+def _check_names(family, ambient):
     if family not in FAMILIES:
-        raise BoundsError("unknown family %r" % family)
+        raise BoundsError("unknown family %r" % (family,))
     if ambient not in AMBIENTS:
-        raise BoundsError("unknown ambient %r" % ambient)
+        raise BoundsError("unknown ambient %r" % (ambient,))
+
+
+def _key(family, conway, ambient, signature, orientation):
+    _check_names(family, ambient)
     return (family, _normalize_conway(conway), ambient,
             _normalize_signature(signature), str(orientation))
 
@@ -161,15 +163,27 @@ class VolumeDB:
 
     @classmethod
     def from_json_dict(cls, data, provenance="user"):
+        """Read a table dict as in the JSON file; BoundsError if malformed."""
         entries = {}
-        for row in data.get("entries", ()):
-            key = (row["family"], row["conway"], row["ambient"],
-                   tuple(row["signature"]),
-                   row.get("orientation", "standard"))
-            volume = str(row["volume"])
-            value = NON_HYPERBOLIC if Decimal(volume) == 0 else volume
-            entries[key] = (value, row.get("provenance", provenance))
-        return cls(entries, data.get("limits", {}))
+        where = "volume table"  # the part being read, named in a refusal
+        try:
+            for i, row in enumerate(data.get("entries", ())):
+                where = "volume table row %d" % i
+                key = (row["family"], row["conway"], row["ambient"],
+                       tuple(row["signature"]),
+                       row.get("orientation", "standard"))
+                volume = str(row["volume"])
+                value = NON_HYPERBOLIC if Decimal(volume) == 0 else volume
+                entries[key] = (value, row.get("provenance", provenance))
+            where = "volume table limits"
+            limits = {c: Decimal(v) for c, v in data.get("limits", {}).items()}
+        except KeyError as missing:
+            raise BoundsError("%s has no %s field" % (where, missing)) \
+                from None
+        except (AttributeError, TypeError, ArithmeticError) as exc:
+            raise BoundsError("malformed %s (%s)"
+                              % (where, type(exc).__name__)) from None
+        return cls(entries, limits)
 
     @classmethod
     def load(cls, path, provenance="user"):
@@ -343,10 +357,9 @@ def certify_hyperbolic(db, tangle, signature):
                     "arborescent verdict %s: %s"
                     % (verdict.verdict, "; ".join(verdict.reasons)))]
                 if principal != signature:
-                    rule = _monotonicity_rule(tangle, signature)
                     chain.append(RuleStep(
-                        rule[0], "%s; %r extends to %r"
-                        % (rule[1], principal, signature)))
+                        monotone[0], "%s; %r extends to %r"
+                        % (monotone[1], principal, signature)))
                 return HyperbolicityCertificate(
                     tangle, signature, "Classification", tuple(chain))
             if principal is None:
@@ -398,8 +411,7 @@ class BoundReport(NamedTuple):
             "ambient": self.ambient,
             "rule": self.rule,
             "terms": [{
-                "slot": list(t.slot) if isinstance(t.slot, tuple)
-                else t.slot,
+                "slot": t.slot,
                 "family": t.family, "conway": t.conway,
                 "signature": list(t.signature), "volume": str(t.volume),
                 "provenance": t.provenance, "basis": t.basis,
@@ -487,7 +499,19 @@ class LinkSpec(NamedTuple):
 
 
 def parse_link_spec(data):
-    """Read a link description dict (see the JSON schema in README)."""
+    """Check a link description, a dict (JSON schema in README) or a
+    hand-built LinkSpec read in its dict form, and return its LinkSpec.
+
+    The one checker of link descriptions; every refusal is a BoundsError
+    naming the slot or field.  Of the gluing, only the count and shape of
+    the slots can be wrong: the templates glued (saucers, squares,
+    cylinders) always meet with equal endpoint counts.
+    """
+    if isinstance(data, LinkSpec):
+        data = data._asdict()
+    if not isinstance(data, dict):
+        raise BoundsError("a link description is a JSON object, got %s"
+                          % type(data).__name__)
     arrangement = data.get("arrangement")
     if arrangement not in ARRANGEMENTS:
         raise ArrangementInvalid("unknown arrangement %r" % (arrangement,))
@@ -496,28 +520,42 @@ def parse_link_spec(data):
         raise BoundsError("unknown ambient %r" % (ambient,))
 
     raw_slots = data.get("slots")
-    rows = int(data.get("rows", 0))
-    cols = int(data.get("cols", 0))
+    try:
+        rows = int(data.get("rows", 0))
+        cols = int(data.get("cols", 0))
+    except (TypeError, ValueError):
+        raise ArrangementInvalid("rows and cols must be integers") from None
     if arrangement == "lattice":
         if rows <= 0 or cols <= 0:
             raise ArrangementInvalid("a lattice needs rows and cols")
         if raw_slots is None and "slot" in data:
             raw_slots = [data["slot"]] * (rows * cols)
-        if raw_slots is None or len(raw_slots) != rows * cols:
+        if not isinstance(raw_slots, (list, tuple)) \
+                or len(raw_slots) != rows * cols:
             raise ArrangementInvalid(
                 "a %d x %d lattice needs %d slots (row-major)"
                 % (rows, cols, rows * cols))
     elif raw_slots is None:
         raise BoundsError("link description needs slots")
+    elif not isinstance(raw_slots, (list, tuple)):
+        raise BoundsError("slots must be a list, got %r" % (raw_slots,))
 
     slots = []
     for i, raw in enumerate(raw_slots):
         if isinstance(raw, str):
             raw = {"conway": raw}
+        elif isinstance(raw, SlotSpec):
+            raw = raw._asdict()
+        elif not isinstance(raw, dict):
+            raise BoundsError("slot %d must be a string or an object" % i)
         family = raw.get("family", _DEFAULT_FAMILY.get(arrangement))
         if family is None:
             raise BoundsError("slot %d needs an explicit family" % i)
-        signature = tuple(raw.get("signature", ()))
+        if family not in FAMILIES:
+            raise BoundsError("slot %d: unknown family %r" % (i, family))
+        signature = raw.get("signature", ())
+        if not isinstance(signature, (list, tuple)):
+            raise BoundsError("slot %d: signature must be a list" % i)
         if arrangement == "custom":
             if not signature:
                 raise BoundsError(
@@ -526,143 +564,112 @@ def parse_link_spec(data):
         elif signature:
             raise BoundsError("only custom arrangements take per-slot "
                               "signatures (slot %d)" % i)
-        slots.append(SlotSpec(family, _normalize_conway(raw["conway"]),
-                              raw.get("orientation", "standard"),
-                              signature))
+        conway = raw.get("conway")
+        if not isinstance(conway, str):
+            raise BoundsError("slot %d: conway must be a string" % i)
+        orientation = raw.get("orientation", "standard")
+        if not isinstance(orientation, str):
+            raise BoundsError("slot %d: orientation must be a string" % i)
+        slots.append(SlotSpec(family, _normalize_conway(conway), orientation,
+                              tuple(signature)))
+
+    count = len(slots)
+    if arrangement == "bracelet" and (count < 2 or count % 2):
+        raise ArrangementInvalid("a bracelet needs an even number of "
+                                 "tangles, at least two, got %d" % count)
+    if arrangement == "lattice" and (rows < 2 or cols < 2 or rows % 2
+                                     or cols % 2):
+        raise ArrangementInvalid("lattice dimensions must be even and at "
+                                 "least 2 x 2, got %d x %d" % (rows, cols))
+    if arrangement == "cylinder-stack" and not count:
+        raise ArrangementInvalid("a cylinder stack needs at least one tangle")
+    if arrangement == "bracelet" and ambient != "S3":
+        raise ArrangementInvalid("bracelet bounds hold in S3, not %s"
+                                 % ambient)
+    if arrangement == "lattice" and ambient not in ("S3", "TxI", "S2xS1"):
+        raise ArrangementInvalid("lattice bounds hold in S3, TxI, or S2xS1, "
+                                 "not %s" % ambient)
+    if arrangement == "cylinder-stack" and ambient not in ("TxI",
+                                                           "SolidTorus"):
+        raise ArrangementInvalid("cylinder stacks close up in TxI or the "
+                                 "solid torus, not %s" % ambient)
+
     reference = data.get("reference_volume")
     return LinkSpec(data.get("name", arrangement), arrangement, ambient,
                     tuple(slots), rows, cols,
                     str(reference) if reference is not None else None)
 
 
-def _check_arrangement(spec):
-    """Refuse a slot count or grid shape the arrangement cannot glue up.
-
-    Bracelets, lattices and stacks glue fixed templates (saucers, squares,
-    two-strand cylinders) whose glued faces always carry equal endpoint
-    counts, so the count and shape of the slots are all that can be wrong.
-    """
-    count = len(spec.slots)
-    if spec.arrangement == "bracelet":
-        if count < 2 or count % 2:
-            raise ArrangementInvalid("a bracelet needs an even number of "
-                                     "tangles, at least two, got %d" % count)
-    elif spec.arrangement == "lattice":
-        rows, cols = spec.rows, spec.cols
-        if rows < 1 or count != rows * cols:
-            raise ArrangementInvalid("lattice grid must be rectangular")
-        if rows < 2 or cols < 2 or rows % 2 or cols % 2:
-            raise ArrangementInvalid("lattice dimensions must be even and at "
-                                     "least 2 x 2, got %d x %d" % (rows, cols))
-    elif spec.arrangement == "cylinder-stack" and not count:
-        raise ArrangementInvalid("a cylinder stack needs at least one tangle")
-
-
 def _demanded_signatures(spec):
-    if spec.arrangement == "bracelet":
-        if spec.ambient != "S3":
-            raise ArrangementInvalid("bracelet bounds hold in S3, not %s"
-                                     % spec.ambient)
-        demand = (len(spec.slots),)
-        return "bracelet-cycle-bound", [demand] * len(spec.slots)
-    if spec.arrangement == "lattice":
-        if spec.ambient == "S3":
-            demand = (spec.cols, spec.rows)
-            return "torus-lattice-bound", [demand] * len(spec.slots)
-        if spec.ambient == "TxI":
-            return "cube-decomposition-bound", [(2, 2)] * len(spec.slots)
-        if spec.ambient == "S2xS1":
-            demand = (2, spec.rows)
-            return "sphere-product-lattice-bound", \
-                [demand] * len(spec.slots)
-        raise ArrangementInvalid("lattice bounds hold in S3, TxI, or "
-                                 "S2xS1, not %s" % spec.ambient)
-    if spec.arrangement == "cylinder-stack":
-        if spec.ambient == "TxI":
-            return "thickened-torus-stack-bound", [(2,)] * len(spec.slots)
-        if spec.ambient == "SolidTorus":
-            return "solid-torus-stack-bound", [(2,)] * len(spec.slots)
-        raise ArrangementInvalid("cylinder stacks close up in TxI or the "
-                                 "solid torus, not %s" % spec.ambient)
-    return "declared-decomposition-bound", [s.signature for s in spec.slots]
+    """The bound rule of a checked spec and the signature of each slot."""
+    if spec.arrangement == "custom":
+        return "declared-decomposition-bound", [s.signature
+                                                for s in spec.slots]
+    rule, demand = {
+        ("bracelet", "S3"): ("bracelet-cycle-bound", (len(spec.slots),)),
+        ("lattice", "S3"): ("torus-lattice-bound", (spec.cols, spec.rows)),
+        ("lattice", "TxI"): ("cube-decomposition-bound", (2, 2)),
+        ("lattice", "S2xS1"): ("sphere-product-lattice-bound",
+                               (2, spec.rows)),
+        ("cylinder-stack", "TxI"): ("thickened-torus-stack-bound", (2,)),
+        ("cylinder-stack", "SolidTorus"): ("solid-torus-stack-bound", (2,)),
+    }[spec.arrangement, spec.ambient]
+    return rule, [demand] * len(spec.slots)
 
 
-def _certify_slot(db, ambient, i, slot, demand):
-    """Certify slot ``i`` at ``demand`` and fetch its volume entry.
-
-    Returns (basis, entry); raises UncertifiedTangle naming the slot.
-    """
-    ref = TangleRef(slot.family, slot.conway, ambient, slot.orientation)
-    verdict = certify_hyperbolic(db, ref, demand)
+def _certified_entry(db, ref, signature, label, slot=None):
+    """Certify a link slot or compose factor and fetch its volume entry;
+    a refusal opens with ``label`` and the tangle, and carries ``slot``."""
+    where = "%s (%s %s)" % (label, ref.family, ref.conway)
+    verdict = certify_hyperbolic(db, ref, signature)
     if isinstance(verdict, UnknownHyperbolicity):
         detail = "; ".join(verdict.counterevidence) or verdict.reason
-        raise UncertifiedTangle(
-            "slot %d (%s %s): %s" % (i, slot.family, slot.conway, detail),
-            slot=i)
+        raise UncertifiedTangle("%s: %s" % (where, detail), slot=slot)
     try:
-        entry = db.entry(slot.family, slot.conway, ambient, demand,
-                         slot.orientation)
+        entry = db.entry(ref.family, ref.conway, ref.ambient, signature,
+                         ref.orientation)
     except NotFound:
         raise UncertifiedTangle(
-            "slot %d (%s %s): certified hyperbolic at %r but no "
-            "volume is recorded there" % (i, slot.family, slot.conway,
-                                          demand), slot=i) from None
+            "%s: certified hyperbolic at %r but no volume is recorded there"
+            % (where, signature), slot=slot) from None
     if entry.volume is NON_HYPERBOLIC:
-        raise UncertifiedTangle(
-            "slot %d (%s %s): recorded as not hyperbolic at %r"
-            % (i, slot.family, slot.conway, demand), slot=i)
-    return verdict.basis, entry
-
-
-def _slot_key(i, slot, demand):
-    """Key under which slot ``i`` shares its verdict with equal slots.
-
-    Only str fields and a hashable demand are shared; any other value
-    keys its slot alone, since a list is unhashable and 1 == True
-    although their rows differ.
-    """
-    if type(slot.family) is type(slot.conway) is type(slot.orientation) \
-            is str:
-        key = (slot.family, slot.conway, slot.orientation, demand)
-        try:
-            hash(key)
-        except TypeError:
-            return i
-        return key
-    return i
+        raise UncertifiedTangle("%s: recorded as not hyperbolic at %r"
+                                % (where, signature), slot=slot)
+    return verdict, entry
 
 
 def lower_bound(db, spec, comparisons=()):
     """Dispatch a link description to its bound rule and sum the terms.
 
-    Every slot must be certifiable at the signature the rule demands,
-    and the volume must be recorded at exactly that signature.  Slot
-    reflections share the unreflected tangle's database key, so a
-    reflected slot needs no separate row.
+    The description, a dict or a hand-built LinkSpec, first passes the
+    one checker, parse_link_spec().  Every slot must be certifiable at
+    the signature the rule demands, and the volume must be recorded at
+    exactly that signature.  Slot reflections share the unreflected
+    tangle's database key, so a reflected slot needs no separate row.
 
-    Each distinct (family, conway, orientation, demand) is certified and
-    looked up once; the slots that repeat it reuse its basis and entry.
-    Terms stay in slot order, and a refusal names the first failing
-    slot.
+    Each distinct (slot, demand) is certified and looked up once; the
+    slots that repeat it reuse its basis and entry.  Terms stay in slot
+    order, and a refusal names the first failing slot.
     """
-    if not isinstance(spec, LinkSpec):
-        spec = parse_link_spec(spec)
-    _check_arrangement(spec)
+    spec = parse_link_spec(spec)
     rule, demands = _demanded_signatures(spec)
 
-    known = {}  # key -> (basis, entry)
-    repeats = Counter()
+    keys = list(zip(spec.slots, demands))
+    known = {}  # (slot, demand) -> (basis, entry)
     terms = []
-    for i, (slot, demand) in enumerate(zip(spec.slots, demands)):
-        key = _slot_key(i, slot, demand)
+    for i, key in enumerate(keys):
+        slot, demand = key
         if key not in known:
-            known[key] = _certify_slot(db, spec.ambient, i, slot, demand)
+            ref = TangleRef(slot.family, slot.conway, spec.ambient,
+                            slot.orientation)
+            verdict, entry = _certified_entry(db, ref, demand, "slot %d" % i,
+                                              slot=i)
+            known[key] = verdict.basis, entry
         basis, entry = known[key]
-        repeats[key] += 1
         terms.append(Term(i, slot.family, slot.conway, demand,
                           entry.volume, entry.provenance, basis))
     total = sum((Fraction(known[key][1].volume) * count
-                 for key, count in repeats.items()), Fraction(0))
+                 for key, count in Counter(keys).items()), Fraction(0))
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
                        tuple(comparisons), spec.reference_volume)
@@ -675,31 +682,26 @@ class ComposedBound(NamedTuple):
     rule: str
 
 
+def _tangle_operand(operand):
+    """None or a ComposedBound as is; else a TangleRef of known names."""
+    if operand is None or isinstance(operand, ComposedBound):
+        return operand
+    ref = TangleRef(*operand)
+    _check_names(ref.family, ref.ambient)
+    return ref
+
+
 def _factor(db, operand, signature, ambient, rule):
     if isinstance(operand, ComposedBound):
         if operand.rule != rule:
             raise BoundsError("composite built by the %s rule cannot "
                               "join a %s chain" % (operand.rule, rule))
         return operand
-    ref = TangleRef(*operand)
-    if ref.ambient != ambient:
+    if operand.ambient != ambient:
         raise BoundsError("factor ambient %s does not match the rule's %s"
-                          % (ref.ambient, ambient))
-    verdict = certify_hyperbolic(db, ref, signature)
-    if isinstance(verdict, UnknownHyperbolicity):
-        raise UncertifiedTangle("factor %s %s: %s"
-                                % (ref.family, ref.conway, verdict.reason))
-    try:
-        volume = db.query(ref.family, ref.conway, ref.ambient, signature,
-                          ref.orientation)
-    except NotFound:
-        raise UncertifiedTangle(
-            "factor %s %s: no recorded volume at %r"
-            % (ref.family, ref.conway, signature)) from None
-    if volume is NON_HYPERBOLIC:
-        raise UncertifiedTangle("factor %s %s: recorded as not hyperbolic "
-                                "at %r" % (ref.family, ref.conway, signature))
-    return ComposedBound(verdict, Fraction(volume), rule)
+                          % (operand.ambient, ambient))
+    verdict, entry = _certified_entry(db, operand, signature, "factor")
+    return ComposedBound(verdict, Fraction(entry.volume), rule)
 
 
 _FACE_COUNTS = {"reciprocal-saucer": 2, "integer-cylindrical": 2,
@@ -708,12 +710,11 @@ _FACE_COUNTS = {"reciprocal-saucer": 2, "integer-cylindrical": 2,
 
 def _check_composable(a, b):
     def count(operand):
-        if isinstance(operand, ComposedBound):
-            tangle = operand.certificate.tangle
-            if isinstance(tangle, TangleRef):
-                return _FACE_COUNTS[tangle.family]
-            return None  # composite of composites: counts already matched
-        return _FACE_COUNTS[TangleRef(*operand).family]
+        tangle = operand.certificate.tangle \
+            if isinstance(operand, ComposedBound) else operand
+        if isinstance(tangle, TangleRef):
+            return _FACE_COUNTS[tangle.family]
+        return None  # composite of composites: counts already matched
 
     ca, cb = count(a), count(b)
     if ca is not None and cb is not None and ca != cb:
@@ -752,6 +753,7 @@ def compose_bound(db, tangle_a, tangle_b=None, rule="thickened-cylinder",
     else:
         raise BoundsError("unknown composition rule %r" % (rule,))
 
+    tangle_a, tangle_b = _tangle_operand(tangle_a), _tangle_operand(tangle_b)
     if tangle_b is None:
         return _factor(db, tangle_a, signature, ambient, rule)
 
@@ -843,16 +845,13 @@ def column_monotonicity(db):
     """
     # Columns in the order of their least one-index row among the
     # sorted table keys.
-    columns = []
+    columns = {}
     for (family, conway, ambient, orientation), rows in db._columns.items():
         firsts = [sig for sig in rows if len(sig) == 1]
         if family == "reciprocal-saucer" and firsts:
-            columns.append((family, conway, ambient, min(firsts),
-                            orientation))
+            columns[family, conway, ambient, min(firsts), orientation] = rows
     out = []
-    for family, conway, ambient, _, orientation in sorted(columns):
-        recorded = db.recorded_signatures(family, conway, ambient,
-                                          orientation)
+    for (_, conway, _, _, _), recorded in sorted(columns.items()):
         values = []
         for sig in sorted(s for s in recorded if len(s) == 1):
             entry = recorded[sig]

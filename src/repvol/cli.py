@@ -155,8 +155,7 @@ def _comparisons_from(args):
 
 
 def _bound_for(path, db, comparisons):
-    spec = bounds.parse_link_spec(_read_json(path))
-    return bounds.lower_bound(db, spec, comparisons)
+    return bounds.lower_bound(db, _read_json(path), comparisons)
 
 
 def _plain_report(report, places):

@@ -157,10 +157,16 @@ class PieceTemplate:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["id"], data["faces"], data["strands"],
-                   data.get("free_boundary", ()),
-                   data.get("closed_components", 0),
-                   data.get("interfaces"))
+        """Read and check a template; PieceError if malformed."""
+        try:
+            return cls(data["id"], data["faces"], data["strands"],
+                       data.get("free_boundary", ()),
+                       data.get("closed_components", 0),
+                       data.get("interfaces"))
+        except (AttributeError, LookupError, TypeError) as exc:
+            # the constructor raises these only while reading its input
+            raise PieceError("malformed piece template JSON: %s %s"
+                             % (type(exc).__name__, exc)) from None
 
 
 def saucer_template(label):

@@ -138,7 +138,10 @@ class CyclicWord:
     """A validated cyclic word, stored in canonical (lex-least) rotation.
 
     Create instances with validate_word(); the constructor trusts its
-    arguments.  When ``flags`` is omitted the marks are derived from
+    arguments, and every method assumes ``indices`` is a valid word in
+    least rotation (is_constant reads only its two ends).  Code that
+    receives a word from outside, such as replay_certificate(), validates
+    it first.  When ``flags`` is omitted the marks are derived from
     ``indices`` on first access, as for the words split_relation() builds.
     Equality and hashing use (order, indices) only, so the two order-2
     representatives compare equal, as they should: they name the same
@@ -177,7 +180,10 @@ class CyclicWord:
 
     @property
     def is_constant(self):
-        return len(set(self.indices)) == 1
+        # In least rotation a word that is not constant ends on a letter
+        # above its first, else rotating that letter to the front would
+        # give a smaller rotation.
+        return self.indices[0] == self.indices[-1]
 
     def letter_counts(self):
         """Occurrences of each subscript, e.g. {1: 8, 2: 2}."""
@@ -197,8 +203,14 @@ class CyclicWord:
 
     @classmethod
     def from_json_dict(cls, d):
-        return validate_word(d["order"], d["indices"],
-                             reflected=bool(d.get("reflected", False)))
+        """Read and validate a word; WordError if malformed."""
+        try:
+            order, indices = d["order"], tuple(d["indices"])
+            reflected = bool(d.get("reflected", False))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise WordError("malformed word JSON: %s %s"
+                            % (type(exc).__name__, exc)) from None
+        return validate_word(order, indices, reflected=reflected)
 
 
 def validate_word(order, indices, reflected=False):
@@ -674,16 +686,17 @@ def _solve_component(component, successors, constants, solved):
 def replay_certificate(cert):
     """Recompute a certificate's coefficients from its steps alone.
 
-    Each step is first re-derived: the word must validate and
-    split_relation() must reproduce the recorded cut, halves and produced
-    words.  The step equations w = (p1 + p2)/2 are then solved in SCC
-    order: the strongly connected components of the graph from each word
-    to the words it produces, sinks first, each solved by exact
-    elimination over its own words, with the words it reaches already
-    reduced to letter vectors.  No recursion, no memo, nothing shared
-    with reduce().  Returns the coefficients of the certificate's root
-    word; raises CertificateError on any mismatch.
+    The root word must validate, and each step is re-derived: its word
+    must validate and split_relation() must reproduce the recorded cut,
+    halves and produced words.  The step equations w = (p1 + p2)/2 are
+    then solved in SCC order: the strongly connected components of the
+    graph from each word to the words it produces, sinks first, each
+    solved by exact elimination over its own words, with the words it
+    reaches already reduced to letter vectors.  No recursion, no memo,
+    nothing shared with reduce().  Returns the coefficients of the
+    certificate's root word; raises CertificateError on any mismatch.
     """
+    root = validate_word(cert.word.order, cert.word.indices)
     index = {}
     eqs = []
     for step in cert.steps:
@@ -699,12 +712,11 @@ def replay_certificate(cert):
         elif eqs[index[w]] != s.produced:
             raise CertificateError(
                 "conflicting equations recorded for {!r}".format(w))
-    if cert.word not in index:
+    if root not in index:
         # A basis word reduces to itself with nothing to solve; its
         # certificate is empty and replays to the unit coefficient.
-        if cert.word.is_constant and not cert.steps \
-                and not cert.solved_cycles:
-            return {cert.word.indices[0]: Fraction(1)}
+        if root.is_constant and not cert.steps and not cert.solved_cycles:
+            return {root.indices[0]: Fraction(1)}
         raise CertificateError("no step splits the root word")
 
     successors = [[] for _ in eqs]
@@ -722,7 +734,7 @@ def replay_certificate(cert):
     solved = [None] * len(eqs)
     for component in _components_sinks_first(successors):
         _solve_component(component, successors, constants, solved)
-    den, nums = solved[index[cert.word]]
+    den, nums = solved[index[root]]
     return {i: Fraction(x, den) for i, x in sorted(nums.items())}
 
 

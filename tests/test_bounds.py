@@ -54,6 +54,26 @@ def test_query_normalizes_notation(db):
                     (6,)) == Decimal("2.44257492")
 
 
+def test_normalize_conway_is_idempotent(db):
+    for text in ("1/4", "-1/4", "--1/9", "- - 2 1", " -2  1 ", "2 1",
+                 "- -- 1/3"):
+        once = bounds._normalize_conway(text)
+        assert bounds._normalize_conway(once) == once
+        assert not once.startswith("-")
+    assert bounds._normalize_conway("--1/9") == "1/9"
+    assert bounds._normalize_conway("- - 2 1") == "2 1"
+    for empty in ("", "  ", "-", "- -"):
+        with pytest.raises(bounds.BoundsError, match="empty tangle notation"):
+            bounds._normalize_conway(empty)
+    assert set(db.extended([]).entries) == set(db.entries)
+    extended = db.extended([{
+        "family": "reciprocal-saucer", "conway": "--1/9", "ambient": "S3",
+        "signature": [8], "volume": "3.0"}])
+    assert extended.query("reciprocal-saucer", "1/9", "S3", (8,)) \
+        == Decimal("3.0")
+    assert set(extended.extended([]).entries) == set(extended.entries)
+
+
 def test_db_validation(db):
     with pytest.raises(bounds.BoundsError):
         bounds.VolumeDB({("no-such-family", "2", "S3", (2,), "standard"):
@@ -308,6 +328,77 @@ def test_arrangement_rejections(db):
             bounds.lower_bound(db, spec)
 
 
+MALFORMED_SPECS = [
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": [1, "1/4"]},
+     "slot 0 must be a string or an object"),
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": ["1/4", None]},
+     "slot 1 must be a string or an object"),
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": 7},
+     "slots must be a list, got 7"),
+    ({"arrangement": "lattice", "ambient": "S3", "rows": 2, "cols": 2,
+      "slots": "2222"}, "a 2 x 2 lattice needs 4 slots"),
+    ([1, 2], "a link description is a JSON object, got list"),
+    ({"arrangement": "custom", "ambient": "S3", "slots": [
+        {"family": "rational-square", "conway": "2", "signature": 5}]},
+     "slot 0: signature must be a list"),
+    ({"arrangement": "bracelet", "ambient": "S3",
+      "slots": [{"conway": "1/4", "family": ["x"]}] * 4},
+     "slot 0: unknown family ['x']"),
+    ({"arrangement": "bracelet", "ambient": "S3",
+      "slots": ["1/4", {"conway": "1/4", "family": 1}]},
+     "slot 1: unknown family 1"),
+    ({"arrangement": "bracelet", "ambient": "S3",
+      "slots": [{"conway": "1/4", "orientation": 1}] * 4},
+     "slot 0: orientation must be a string"),
+    ({"arrangement": "bracelet", "ambient": "S3",
+      "slots": [{"conway": "1/4", "orientation": True}] * 4},
+     "slot 0: orientation must be a string"),
+    ({"arrangement": "bracelet", "ambient": "S3",
+      "slots": [{"family": "reciprocal-saucer"}] * 4},
+     "slot 0: conway must be a string"),
+    ({"arrangement": "lattice", "ambient": "S3", "rows": None, "cols": 2,
+      "slot": "2"}, "rows and cols must be integers"),
+]
+
+
+def test_malformed_descriptions_are_refused_before_certifying(db,
+                                                              monkeypatch):
+    calls = counting_certifier(monkeypatch)
+    for spec, message in MALFORMED_SPECS:
+        for call in (bounds.parse_link_spec, lambda s: bounds.lower_bound(
+                db, s)):
+            with pytest.raises(bounds.BoundsError) as info:
+                call(spec)
+            assert not isinstance(info.value, bounds.UncertifiedTangle)
+            assert str(info.value).startswith(message)
+    assert calls == []
+
+
+def test_hand_built_spec_is_refused_as_its_dict(db):
+    square = bounds.SlotSpec("rational-square", "2", "standard", ())
+    saucer = bounds.SlotSpec("reciprocal-saucer", "1/4", "standard", ())
+    cylinder = bounds.SlotSpec("integer-cylindrical", "2", "standard", ())
+    specs = [
+        bounds.LinkSpec("ragged", "lattice", "S3", (square,) * 3, 2, 2),
+        bounds.LinkSpec("odd", "lattice", "S3", (square,) * 6, 2, 3),
+        bounds.LinkSpec("three", "bracelet", "S3", (saucer,) * 3),
+        bounds.LinkSpec("flat", "bracelet", "TxI", (saucer,) * 4),
+        bounds.LinkSpec("open", "cylinder-stack", "S3", (cylinder,)),
+        bounds.LinkSpec("empty", "cylinder-stack", "TxI", ()),
+        bounds.LinkSpec("bare", "bracelet", "S3", None),
+        bounds.LinkSpec("typo", "bracelet", "S3",
+                        (saucer._replace(conway=4),) * 4),
+        bounds.LinkSpec("ok", "lattice", "TxI", (square,) * 4, 2, 2),
+    ]
+    for spec in specs:
+        as_dict = dict(spec._asdict())
+        if spec.slots is not None:
+            as_dict["slots"] = [dict(s._asdict()) for s in spec.slots]
+        assert outcome(bounds.lower_bound, db, spec) \
+            == outcome(bounds.lower_bound, db, as_dict)
+    assert isinstance(bounds.lower_bound(db, specs[-1]), bounds.BoundReport)
+
+
 def test_link_spec_parse_errors(db):
     with pytest.raises(bounds.BoundsError):
         bounds.parse_link_spec({"arrangement": "bracelet",
@@ -396,6 +487,38 @@ def test_compose_errors(db):
     with pytest.raises(bounds.BoundsError):
         bounds.compose_bound(db, averaged, saucer, rule="saucer",
                              signature=(4,))
+
+
+def test_compose_refuses_unknown_names(db):
+    cyl = bounds.TangleRef("integer-cylindrical", "2", "TxI")
+    saucer = bounds.TangleRef("reciprocal-saucer", "1/3", "S3")
+    for good, rule, signature in ((cyl, "thickened-cylinder", (2,)),
+                                  (saucer, "saucer", (4,))):
+        for field, value in (("family", "mystery"), ("ambient", "Nowhere"),
+                             ("family", ["x"])):
+            bad = good._replace(**{field: value})
+            for operands in ((bad,), (bad, good), (good, bad)):
+                with pytest.raises(bounds.BoundsError) as info:
+                    bounds.compose_bound(db, *operands, rule=rule,
+                                         signature=signature)
+                assert type(info.value) is bounds.BoundsError
+                assert str(info.value) == "unknown %s %r" % (field, value)
+
+
+def test_compose_factor_refusals_name_the_factor(db):
+    clasp = bounds.TangleRef("reciprocal-saucer", "1/2", "S3")
+    with pytest.raises(bounds.UncertifiedTangle) as info:
+        bounds.compose_bound(db, clasp, rule="saucer", signature=(4,))
+    assert str(info.value) == (
+        "factor (reciprocal-saucer 1/2): recorded as not hyperbolic at (4,); "
+        "classified principally 6-hyperbolic, above the requested (4,)")
+    assert info.value.slot is None
+    unrecorded = bounds.TangleRef("reciprocal-saucer", "1/4", "S3")
+    with pytest.raises(bounds.UncertifiedTangle) as info:
+        bounds.compose_bound(db, unrecorded, rule="saucer", signature=(12,))
+    assert str(info.value) == (
+        "factor (reciprocal-saucer 1/4): certified hyperbolic at (12,) but "
+        "no volume is recorded there")
 
 
 def test_classical_alternating_t6():
@@ -505,9 +628,7 @@ def test_report_renderings(db):
 
 def per_slot_lower_bound(db, spec):
     """The per-slot loop: certify and look up every slot on its own."""
-    if not isinstance(spec, bounds.LinkSpec):
-        spec = bounds.parse_link_spec(spec)
-    bounds._check_arrangement(spec)
+    spec = bounds.parse_link_spec(spec)
     rule, demands = bounds._demanded_signatures(spec)
     terms = []
     total = Fraction(0)
@@ -629,25 +750,47 @@ def test_lower_bound_matches_per_slot_loop(db):
 
 
 def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
+    # A slot field that is not a string is malformed input: refused by
+    # the checker as a BoundsError naming the slot, the same for a dict
+    # and for the hand-built LinkSpec it stands for.  String fields give
+    # what the per-slot loop gives.
     extended = db.extended([
         {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
          "signature": [6], "orientation": "1", "volume": "5.0"}])
     odd = [["x"], {"y": 1}, None, 1, True, 1.0, "1"]
+    strings = 0
     for value in odd:
         for other in odd:
             for field in ("family", "orientation"):
+                fields = [{"family": "reciprocal-saucer", "conway": "1/4",
+                           "orientation": "standard", field: v}
+                          for v in (value, other)] * 3
                 spec = {"arrangement": "bracelet", "ambient": "S3",
                         "slots": [{"conway": "1/4", field: value},
                                   {"conway": "1/4", field: other}] * 3}
+                hand = bounds.LinkSpec(
+                    "bracelet", "bracelet", "S3",
+                    tuple(bounds.SlotSpec(signature=(), **f)
+                          for f in fields))
                 for table in (db, extended):
-                    assert outcome(bounds.lower_bound, table, spec) \
-                        == outcome(per_slot_lower_bound, table, spec)
-    # Hand-built specs skip parsing, so a conway or a custom signature
-    # may be any value as well.
+                    got = outcome(bounds.lower_bound, table, spec)
+                    assert outcome(bounds.lower_bound, table, hand) == got
+                    if isinstance(value, str) and isinstance(other, str):
+                        strings += 1
+                        assert got == outcome(per_slot_lower_bound, table,
+                                              spec)
+                    else:
+                        assert got[0] is bounds.BoundsError
+                        assert got[1].startswith("slot ")
+                        assert field in got[1]
+    assert strings == 4
+    # Hand-built custom slots: a conway that is not a string, or a
+    # signature that is not a list or tuple of even counts, is refused as
+    # its dict form is; string conways give what the per-slot loop gives.
     conways = [["2"], 2, 2.0, True, 1.0, "2", "-2"]
     signatures = [[2, 2], (2, 2), (2.0, 2), "22", ([2], 2), None, (1, 1),
                   (True, True), [2, 4]]
-    reports = 0
+    kinds = Counter()
     pairs = itertools.product(conways, signatures, repeat=2)
     for first, first_sig, second, second_sig in pairs:
         slots = (
@@ -657,8 +800,19 @@ def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
         spec = bounds.LinkSpec("odd", "custom", "S3", slots * 2)
         expected = outcome(per_slot_lower_bound, db, spec)
         assert outcome(bounds.lower_bound, db, spec) == expected
-        reports += isinstance(expected, bounds.BoundReport)
-    assert reports > 100
+        as_dict = {"name": "odd", "arrangement": "custom", "ambient": "S3",
+                   "slots": [s._asdict() for s in slots * 2]}
+        assert outcome(bounds.lower_bound, db, as_dict) == expected
+        if isinstance(expected, bounds.BoundReport):
+            kinds["report"] += 1
+            assert isinstance(first, str) and isinstance(second, str)
+        else:
+            assert expected[0] is not bounds.UncertifiedTangle \
+                or isinstance(first, str) and isinstance(second, str)
+            kinds[expected[1].split(": ", 1)[-1][:20]] += 1
+    assert kinds["report"] > 30
+    assert kinds["conway must be a str"] > 100
+    assert kinds["signature must be a "] > 100
 
 
 def counting_certifier(monkeypatch):
@@ -789,8 +943,8 @@ def test_column_monotonicity_matches_sorted_scan(db):
 
     # Orientations of one tangle whose least rows differ ("b" sorts
     # after "a" but its least row comes first), a column with a two-index
-    # row, a zero row, another ambient, and "--1/9", which keys as "-1/9"
-    # but reads the "1/9" column.
+    # row, a zero row, another ambient, and "--1/9", a reflected
+    # reflection that keys into the "1/9" column like any reflection.
     data = db.to_json_dict()
     data["entries"] += [
         row("1/4", [6], "5.1", "rotated"), row("1/4", [4], "5.3", "rotated"),
@@ -806,5 +960,6 @@ def test_column_monotonicity_matches_sorted_scan(db):
     flagged = bounds.column_monotonicity(forged)
     assert flagged == sorted_scan_monotonicity(forged)
     assert [v.subject for v in flagged] \
-        == ["-1/9", "1/3", "1/3", "1/4", "1/5", "1/9"]
-    assert [v.detail.split()[1] for v in flagged[1:3]] == ["2.4", "0"]
+        == ["1/3", "1/3", "1/4", "1/5", "1/9"]
+    assert [v.detail.split()[1] for v in flagged[:2]] == ["2.4", "0"]
+    assert "value 3.0 at (8,)" in flagged[-1].detail

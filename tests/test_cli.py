@@ -225,6 +225,52 @@ def test_bound_malformed_json(capsys, tmp_path):
     assert "JSONDecodeError" in err
 
 
+MALFORMED_BOUND_SPECS = {
+    "slot-number": {"arrangement": "bracelet", "ambient": "S3",
+                    "slots": [4, "1/4"]},
+    "slot-null": {"arrangement": "bracelet", "ambient": "S3",
+                  "slots": ["1/4", None]},
+    "slots-seven": {"arrangement": "bracelet", "ambient": "S3", "slots": 7},
+    "top-array": [1, 2],
+    "signature-five": {"arrangement": "custom", "ambient": "S3", "slots": [
+        {"family": "rational-square", "conway": "2", "signature": 5}]},
+    "family-list": {"arrangement": "bracelet", "ambient": "S3",
+                    "slots": [{"conway": "1/4", "family": ["x"]}] * 4},
+    "family-one": {"arrangement": "bracelet", "ambient": "S3",
+                   "slots": [{"conway": "1/4", "family": 1}] * 4},
+    "orientation-one": {"arrangement": "bracelet", "ambient": "S3",
+                        "slots": [{"conway": "1/4", "orientation": 1}] * 4},
+    "orientation-true": {"arrangement": "bracelet", "ambient": "S3",
+                         "slots": [{"conway": "1/4",
+                                    "orientation": True}] * 4},
+    "no-conway": {"arrangement": "bracelet", "ambient": "S3",
+                  "slots": [{"family": "reciprocal-saucer"}] * 4},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BOUND_SPECS))
+def test_bound_malformed_description_exit_2(capsys, tmp_path, case):
+    path = write_json(tmp_path / "spec.json", MALFORMED_BOUND_SPECS[case])
+    code, out, err = run(capsys, ["bound", path])
+    assert code == 2 and out == ""
+    name, message = err.rstrip("\n").split(": ", 1)
+    assert issubclass(getattr(bounds, name), bounds.BoundsError)
+    assert name != "UncertifiedTangle"
+    assert "slot" in message or "description" in message
+
+
+def test_batch_bound_malformed_descriptions(capsys, tmp_path):
+    d = tmp_path / "specs"
+    d.mkdir()
+    for case, data in MALFORMED_BOUND_SPECS.items():
+        write_json(d / (case + ".json"), data)
+    write_json(d / "good.json", BRACELET6)
+    code, out, _ = run(capsys, ["bound", str(d)])
+    assert code == 2
+    assert out.count("\nerror BoundsError: ") == len(MALFORMED_BOUND_SPECS)
+    assert "== good.json ==\nbracelet6:" in out
+
+
 def test_batch_bound_jobs_deterministic(capsys, tmp_path):
     d = tmp_path / "specs"
     d.mkdir()
@@ -335,6 +381,54 @@ def test_replicate_matches_library(capsys, saucer_path):
     built = pieces.GluingComplex.from_json_dict(json.loads(out))
     expected = pieces.replicate(pieces.saucer_template("S"), (6,))
     assert pieces.isomorphic(built, expected)
+
+
+@pytest.mark.parametrize("template", [
+    [1],
+    {"id": "x", "faces": 5, "strands": []},
+    {"id": "x", "faces": [[1, 2], [1, 2]], "strands": [[1, 2]]},
+])
+def test_replicate_malformed_template_exit_2(capsys, tmp_path, template):
+    path = write_json(tmp_path / "template.json", template)
+    code, _, err = run(capsys, ["replicate", path, "--schedule", "2"])
+    assert code == 2
+    assert err.startswith("PieceError: malformed piece template JSON")
+
+
+def test_replicate_template_errors_keep_their_class(capsys, tmp_path):
+    path = write_json(tmp_path / "template.json",
+                      {"id": "x", "faces": [[1, 2]], "strands": []})
+    code, _, err = run(capsys, ["replicate", path, "--schedule", "2"])
+    assert code == 2
+    assert err.startswith("PieceError: unmatched endpoints")
+
+
+@pytest.mark.parametrize("word", [[4], {"order": 4, "indices": 5},
+                                  {"indices": [1, 1, 2, 2]}])
+def test_reduce_malformed_word_file_exit_2(capsys, tmp_path, word):
+    path = write_json(tmp_path / "word.json", word)
+    code, _, err = run(capsys, ["reduce", path])
+    assert code == 2
+    assert err.startswith("WordError: malformed word JSON")
+
+
+@pytest.mark.parametrize("table, message", [
+    ([], "malformed volume table (AttributeError)"),
+    ({"entries": [5]}, "malformed volume table row 0 (TypeError)"),
+    ({"entries": [{"family": "reciprocal-saucer", "conway": "1/4",
+                   "ambient": "S3", "signature": [6], "volume": "abc"}]},
+     "malformed volume table row 0 (InvalidOperation)"),
+    ({"entries": [{"family": "reciprocal-saucer", "ambient": "S3",
+                   "signature": [6], "volume": "1.0"}]},
+     "volume table row 0 has no 'conway' field"),
+    ({"entries": [], "limits": {"1/4": "abc"}},
+     "malformed volume table limits (InvalidOperation)"),
+])
+def test_db_malformed_table_exit_2(capsys, tmp_path, table, message):
+    path = write_json(tmp_path / "table.json", table)
+    code, _, err = run(capsys, ["--db", path, "db", "check"])
+    assert code == 2
+    assert err == "BoundsError: %s\n" % message
 
 
 def test_db_query_single(capsys):

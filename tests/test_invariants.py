@@ -1,6 +1,7 @@
 """Library self-checks: raised explicitly, never through ``assert``."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import repvol
 from repvol import InvariantViolation, cli, words
 
 SOURCE = Path(repvol.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_library():
@@ -66,3 +68,24 @@ def test_cli_maps_invariant_violation_to_exit_4(monkeypatch, capsys):
                      "--indices", "1,1,1,1,1,1,1,1,2,2"])
     assert code == 4
     assert capsys.readouterr().err.startswith("internal assertion failure:")
+
+
+def test_benchmark_wrapped_names_exist():
+    # The traced benchmark run replaces these library attributes with
+    # wrappers; one that is renamed or deleted would break that run.
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer, names in tracing.LAYERS.items():
+        module = tracing.MODULES[layer]
+        for name in names:
+            if "." in name:
+                cls_name, attr = name.split(".")
+                cls = getattr(module, cls_name, None)
+                found = cls is not None and attr in vars(cls)
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append("%s.%s" % (layer, name))
+    assert missing == []

@@ -119,6 +119,14 @@ def test_least_rotation_matches_brute_force():
             min(seq[s:] + seq[:s] for s in range(len(seq)))
 
 
+def test_is_constant_reads_the_ends_of_the_least_rotation():
+    # In least rotation a word is constant exactly when it starts and ends
+    # on the same letter; checked on every word of orders 2 to 10.
+    for order in range(2, 11, 2):
+        for w in all_valid_words(order):
+            assert w.is_constant == (len(set(w.indices)) == 1)
+
+
 def test_letter_counts():
     w = W(10, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2)
     assert w.letter_counts() == {1: 8, 2: 2}
@@ -345,6 +353,15 @@ def test_tampered_certificate_is_rejected():
         verify_certificate(words.ReductionCertificate(
             cert.word, cert.coefficients, (forged,) + cert.steps[1:],
             cert.solved_cycles))
+
+
+def test_forged_root_word_is_validated_before_replay():
+    # (1, 2, 2, 1) starts and ends on T1 but is no constant word; its
+    # least rotation (1, 1, 2, 2) has no step, so the claim is refused.
+    forged = ReductionCertificate(words.CyclicWord(4, (1, 2, 2, 1)),
+                                  {1: Fraction(1)}, (), ())
+    with pytest.raises(CertificateError):
+        verify_certificate(forged)
 
 
 # Its certificate has 1792 steps, and 382 of its words form one strongly
