@@ -103,9 +103,13 @@ def _normalize_conway(text):
 def _normalize_signature(signature):
     try:
         out = tuple(int(n) for n in signature)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BoundsError("signature must be a tuple of even counts") \
             from None
+    # int() would read 2.9, "2" and True as counts; bool is an int subclass
+    if any(type(n) is not int for n in signature):
+        raise BoundsError("signature entries must be integers, got %r"
+                          % (signature,))
     if not out or any(n <= 0 or n % 2 for n in out):
         raise BoundsError("signature entries must be positive and even, "
                           "got %r" % (signature,))
@@ -560,7 +564,10 @@ def parse_link_spec(data):
             if not signature:
                 raise BoundsError(
                     "custom slots need explicit signatures (slot %d)" % i)
-            signature = _normalize_signature(signature)
+            try:
+                signature = _normalize_signature(signature)
+            except BoundsError as exc:
+                raise BoundsError("slot %d: %s" % (i, exc)) from None
         elif signature:
             raise BoundsError("only custom arrangements take per-slot "
                               "signatures (slot %d)" % i)

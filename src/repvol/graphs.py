@@ -713,11 +713,11 @@ def bigon_bound_check(edges, rotation, n):
         raise GraphError("n must be at least 1")
     report = trace_faces(edges, rotation)
     want = 2 * (n + 1)
-    for v in sorted(rotation, key=repr):
-        if len(rotation[v]) != want:
-            raise WrongValence(
-                "vertex %r has valence %d, expected %d"
-                % (v, len(rotation[v]), want))
+    offenders = [v for v in rotation if len(rotation[v]) != want]
+    if offenders:
+        v = min(offenders, key=repr)
+        raise WrongValence("vertex %r has valence %d, expected %d"
+                           % (v, len(rotation[v]), want))
     if report.euler != 2:
         raise NotSphere("Euler characteristic %d" % report.euler)
     total = sum((Fraction(want - n * k, want) * count
@@ -766,11 +766,12 @@ def torus_boundary_check(edges, rotation):
     if not report.bipartite:
         return TorusVerdict(False, "OddCycle",
                             "the graph carries an odd cycle", report)
-    for v in sorted(rotation, key=repr):
-        if len(rotation[v]) != 4:
-            return TorusVerdict(False, "WrongValence",
-                                "vertex %r has valence %d, expected 4"
-                                % (v, len(rotation[v])), report)
+    offenders = [v for v in rotation if len(rotation[v]) != 4]
+    if offenders:
+        v = min(offenders, key=repr)
+        return TorusVerdict(False, "WrongValence",
+                            "vertex %r has valence %d, expected 4"
+                            % (v, len(rotation[v])), report)
     if set(lengths) != {4}:
         other = sorted(k for k in lengths if k != 4)
         return TorusVerdict(False, "NonSquareFace",

@@ -248,54 +248,6 @@ def validate_word(order, indices, reflected=False):
     return CyclicWord(order, indices[k:] + indices[:k], flags[k:] + flags[:k])
 
 
-class WordVector:
-    """A formal rational combination of cyclic words.
-
-    Zero coefficients are dropped eagerly.  Instances are treated as
-    immutable; arithmetic returns new vectors.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[w] = c
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return WordVector(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return WordVector({w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WordVector) and self.terms == other.terms
-
-    def __repr__(self):
-        parts = ["{}*{!r}".format(c, w) for w, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].order, t[0].indices))]
-        return "WordVector({})".format(" + ".join(parts) or "0")
-
-    def constant_part(self):
-        """Coefficients of the constant words, as {subscript: Fraction}."""
-        return {w.indices[0]: c for w, c in self.terms.items()
-                if w.is_constant}
-
-    def non_constant_words(self):
-        return [w for w in self.terms if not w.is_constant]
-
-
 class SplitResult(NamedTuple):
     word: CyclicWord
     cut: tuple
@@ -306,7 +258,7 @@ class SplitResult(NamedTuple):
 class SolvedCycle(NamedTuple):
     word: CyclicWord
     self_coefficient: Fraction
-    value: WordVector
+    value: dict  # {CyclicWord: Fraction}, as reduce() caches it for word
 
 
 def split_relation(word, at=0):
@@ -384,7 +336,8 @@ class ReductionCertificate:
 
     ``steps`` holds every halving application in the order performed;
     ``solved_cycles`` the frames where a word re-entered its own expansion
-    and was solved for (word, self-coefficient, resulting vector);
+    and was solved for (word, self-coefficient, and the resulting
+    {CyclicWord: Fraction} combination);
     ``coefficients`` the final combination over constant-word subscripts.
     Replaying: the step equations w = (p1 + p2) / 2 determine the result by
     exact elimination in SCC order (one strongly connected component of
@@ -399,31 +352,30 @@ class ReductionCertificate:
         self.solved_cycles = tuple(solved_cycles)
 
     def to_json_dict(self):
-        def wd(w):
-            return w.to_json_dict()
-
+        cycles = []
+        for s in self.solved_cycles:
+            terms = sorted(s.value.items(), key=lambda t: t[0].indices)
+            cycles.append({
+                "word": s.word.to_json_dict(),
+                "self_coefficient": str(s.self_coefficient),
+                "value": {
+                    "letters": {str(w.indices[0]): str(c)
+                                for w, c in terms if w.is_constant},
+                    "words": [[w.to_json_dict(), str(c)]
+                              for w, c in terms if not w.is_constant],
+                },
+            })
         return {
-            "word": wd(self.word),
+            "word": self.word.to_json_dict(),
             "coefficients": {str(i): str(c) for i, c in
                              sorted(self.coefficients.items())},
             "steps": [{
-                "word": wd(s.word),
+                "word": s.word.to_json_dict(),
                 "cut": list(s.cut),
                 "halves": [list(h) for h in s.halves],
-                "produced": [wd(p) for p in s.produced],
+                "produced": [p.to_json_dict() for p in s.produced],
             } for s in self.steps],
-            "solved_cycles": [{
-                "word": wd(s.word),
-                "self_coefficient": str(s.self_coefficient),
-                "value": {
-                    "letters": {str(i): str(c) for i, c in
-                                sorted(s.value.constant_part().items())},
-                    "words": [[wd(w), str(c)] for w, c in
-                              sorted(((w, c) for w, c in s.value.terms.items()
-                                      if not w.is_constant),
-                                     key=lambda t: t[0].indices)],
-                },
-            } for s in self.solved_cycles],
+            "solved_cycles": cycles,
         }
 
 
@@ -530,16 +482,15 @@ def reduce(word):
         scale = half / (1 - c)
         acc = {u: scale * x for u, x in acc.items()}
         if c:
-            solved.append(SolvedCycle(w, c, WordVector(acc)))
+            solved.append(SolvedCycle(w, c, acc))
         cache[w] = acc
         vec = acc
 
-    result = WordVector(vec)
-    leftover = result.non_constant_words()
+    leftover = [w for w in vec if not w.is_constant]
     if leftover:
         raise InvariantViolation(
             "non-constant words survived: {}".format(leftover))
-    coefficients = result.constant_part()
+    coefficients = {w.indices[0]: c for w, c in vec.items()}
 
     counts = word.letter_counts()
     expected = {i: Fraction(q, order) for i, q in counts.items()}

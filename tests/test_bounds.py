@@ -128,6 +128,22 @@ def test_certify_clasp_unknown_with_counterevidence(db):
     assert "principally 6" in joined
 
 
+def test_signature_entries_must_be_integers(db):
+    # int() would read 2.9 and "2" as 2 and True as 1
+    ref = bounds.TangleRef("rational-square", "2", "S3")
+    for signature in [(2.9, 2), (2.0, 2), ("2", "2"), (True, 2)]:
+        with pytest.raises(bounds.BoundsError, match="must be integers"):
+            bounds.certify_hyperbolic(db, ref, signature)
+    saucer = bounds.TangleRef("reciprocal-saucer", "1/4", "S3")
+    with pytest.raises(bounds.BoundsError, match="must be integers"):
+        bounds.compose_bound(db, saucer, saucer, rule="saucer",
+                             signature=(4.0,))
+    row = {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+           "signature": [6.0], "volume": "5.0"}
+    with pytest.raises(bounds.BoundsError, match="must be integers"):
+        bounds.VolumeDB.from_json_dict({"entries": [row]})
+
+
 def test_certify_tetrahedral_componentwise(db):
     ref = bounds.TangleRef("rational-square", "2", "S3")
     direct = bounds.certify_hyperbolic(db, ref, (2, 2))
@@ -358,6 +374,20 @@ MALFORMED_SPECS = [
      "slot 0: conway must be a string"),
     ({"arrangement": "lattice", "ambient": "S3", "rows": None, "cols": 2,
       "slot": "2"}, "rows and cols must be integers"),
+] + [
+    ({"arrangement": "custom", "ambient": "S3", "slots": [
+        {"family": "rational-square", "conway": "2", "signature": [2, 2]},
+        {"family": "rational-square", "conway": "2", "signature": sig}]},
+     "slot 1: " + message)
+    for sig, message in [
+        ([2.9, "2"], "signature entries must be integers, got [2.9, '2']"),
+        ([2.0, 2], "signature entries must be integers, got [2.0, 2]"),
+        (["2", "2"], "signature entries must be integers, got ['2', '2']"),
+        ([True, 2], "signature entries must be integers, got [True, 2]"),
+        ([float("inf"), 2], "signature must be a tuple of even counts"),
+        ([[2], 2], "signature must be a tuple of even counts"),
+        ([1, 1], "signature entries must be positive and even, got [1, 1]"),
+    ]
 ]
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,22 @@ def test_reduce_json_deterministic(capsys):
     assert data["certificate"]["coefficients"] == data["coefficients"]
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("plain",
+     "56bee77c2ed61037da128331847c3f5e64f7931e3bab0c8eafad4c71c9acbdd5"),
+    ("json",
+     "7e0cb81334d95c272e0c85eb3531ad7bc9282510931cb247695454d623793a7f"),
+    ("markdown",
+     "a23b4f9e1c8bef1207251a3d993f213f629e4bf21ce1129d19899a4cf3f81b4f"),
+])
+def test_reduce_certificate_output_is_pinned(capsys, fmt, digest):
+    # SHA-256 of stdout, fixed so that certificate output cannot drift
+    code, out, _ = run(capsys, ["--format", fmt, "reduce", "--order", "10",
+                                "--indices", V4_INDICES, "--certificate"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_clasp(capsys):
     code, out, _ = run(capsys, ["classify", "rat(1/2)"])
     assert code == 0
@@ -225,6 +242,11 @@ def test_bound_malformed_json(capsys, tmp_path):
     assert "JSONDecodeError" in err
 
 
+def custom_square(signature):
+    return {"arrangement": "custom", "ambient": "S3", "slots": [
+        {"family": "rational-square", "conway": "2", "signature": signature}]}
+
+
 MALFORMED_BOUND_SPECS = {
     "slot-number": {"arrangement": "bracelet", "ambient": "S3",
                     "slots": [4, "1/4"]},
@@ -232,8 +254,7 @@ MALFORMED_BOUND_SPECS = {
                   "slots": ["1/4", None]},
     "slots-seven": {"arrangement": "bracelet", "ambient": "S3", "slots": 7},
     "top-array": [1, 2],
-    "signature-five": {"arrangement": "custom", "ambient": "S3", "slots": [
-        {"family": "rational-square", "conway": "2", "signature": 5}]},
+    "signature-five": custom_square(5),
     "family-list": {"arrangement": "bracelet", "ambient": "S3",
                     "slots": [{"conway": "1/4", "family": ["x"]}] * 4},
     "family-one": {"arrangement": "bracelet", "ambient": "S3",
@@ -245,6 +266,11 @@ MALFORMED_BOUND_SPECS = {
                                     "orientation": True}] * 4},
     "no-conway": {"arrangement": "bracelet", "ambient": "S3",
                   "slots": [{"family": "reciprocal-saucer"}] * 4},
+    "signature-float-string": custom_square([2.9, "2"]),
+    "signature-float": custom_square([2.0, 2]),
+    "signature-strings": custom_square(["2", "2"]),
+    "signature-true": custom_square([True, 2]),
+    "signature-infinity": custom_square([float("inf"), 2]),
 }
 
 
@@ -257,6 +283,14 @@ def test_bound_malformed_description_exit_2(capsys, tmp_path, case):
     assert issubclass(getattr(bounds, name), bounds.BoundsError)
     assert name != "UncertifiedTangle"
     assert "slot" in message or "description" in message
+
+
+def test_bound_signature_entries_must_be_integers(capsys, tmp_path):
+    path = write_json(tmp_path / "spec.json", custom_square([2.9, "2"]))
+    code, out, err = run(capsys, ["bound", path])
+    assert (code, out) == (2, "")
+    assert err == ("BoundsError: slot 0: signature entries must be "
+                   "integers, got [2.9, '2']\n")
 
 
 def test_batch_bound_malformed_descriptions(capsys, tmp_path):

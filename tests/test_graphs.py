@@ -766,6 +766,20 @@ def test_bigon_bound_guards():
         bigon_bound_check(edges, rotation, 1)
 
 
+def test_wrong_valence_names_the_vertex_of_least_repr():
+    # "v" is listed first; both checks name "u", the least by repr
+    edges, rotation = dipole(4)
+    rotation = {"v": rotation["v"], "u": rotation["u"]}
+    with pytest.raises(WrongValence,
+                       match="^vertex 'u' has valence 4, expected 6$"):
+        bigon_bound_check(edges, rotation, 2)
+    theta = [("u", "v")] * 3
+    rot = {"v": [(0, 1), (1, 1), (2, 1)], "u": [(0, 0), (1, 0), (2, 0)]}
+    verdict = torus_boundary_check(theta, rot)
+    assert (verdict.reason, verdict.detail) == (
+        "WrongValence", "vertex 'u' has valence 3, expected 4")
+
+
 # torus boundary
 
 def test_torus_boundary_grid_accepts():

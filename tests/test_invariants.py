@@ -54,7 +54,7 @@ def test_no_library_function_calls_itself():
 
 
 def test_counting_formula_check_raises(monkeypatch):
-    monkeypatch.setattr(words.WordVector, "constant_part",
+    monkeypatch.setattr(words.CyclicWord, "letter_counts",
                         lambda self: {1: 1})
     word = words.validate_word(10, [1] * 8 + [2, 2])
     with pytest.raises(InvariantViolation, match="counting formula"):
@@ -62,7 +62,7 @@ def test_counting_formula_check_raises(monkeypatch):
 
 
 def test_cli_maps_invariant_violation_to_exit_4(monkeypatch, capsys):
-    monkeypatch.setattr(words.WordVector, "constant_part",
+    monkeypatch.setattr(words.CyclicWord, "letter_counts",
                         lambda self: {1: 1})
     code = cli.main(["reduce", "--order", "10",
                      "--indices", "1,1,1,1,1,1,1,1,2,2"])

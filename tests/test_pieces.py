@@ -548,11 +548,12 @@ def test_many_unglued_copies_match_without_rescanning(monkeypatch):
 
 def test_homogeneous_bracelet_is_the_replicant():
     t = saucer_template("1/4")
-    bracelet = build_bracelet([t] * 6)
-    assert bracelet == replicate(t, (6,))
-    result = isomorphic(bracelet, replicate(t, (6,)))
-    assert result.isomorphic
-    assert result.witness == {(i,): (i,) for i in range(6)}
+    for count in (2, 4, 6, 8):
+        bracelet = build_bracelet([t] * count)
+        assert bracelet == replicate(t, (count,))
+        result = isomorphic(bracelet, replicate(t, (count,)))
+        assert result.isomorphic
+        assert result.witness == {(i,): (i,) for i in range(count)}
 
 
 def test_mixed_bracelet_valid():
@@ -579,14 +580,19 @@ def test_bracelet_rejections():
     with pytest.raises(TooFewStrands):
         build_bracelet([thin, thin])
 
+    # the first bad connection in cycle order is named
+    with pytest.raises(EndpointMismatch,
+                       match="^tangles 2 and 3 meet with 2 and 3 endpoints$"):
+        build_bracelet([t, t, t, wide, t, t])
+
 
 # lattices
 
 def test_lattice_matches_replicant():
     sq = square_template("2")
-    grid = [[sq, sq], [sq, sq]]
-    lattice = build_torus_lattice(grid)
-    assert lattice == replicate(sq, (2, 2))
+    for height, width in ((2, 2), (2, 4), (4, 2), (4, 6)):
+        lattice = build_torus_lattice([[sq] * width] * height)
+        assert lattice == replicate(sq, (height, width))
 
 
 def test_lattice_rejections():
@@ -599,6 +605,16 @@ def test_lattice_rejections():
         build_torus_lattice([[sq, sq], [sq]])
     with pytest.raises(PieceError):
         build_torus_lattice([[saucer_template("s")] * 2] * 2)
+
+    # cells are checked row-major, rows before columns, so the wrap from
+    # (0, 3) to (0, 0) is the first bad gluing, ahead of (0, 3) to (1, 3)
+    wide = template_union(sq, sq)
+    grid = [[sq] * 4 for _ in range(2)]
+    grid[0][3] = grid[1][2] = wide
+    with pytest.raises(EndpointMismatch,
+                       match=r"^cells \(0, 3\) and \(0, 0\) meet with "
+                             r"unequal endpoints$"):
+        build_torus_lattice(grid)
 
 
 def test_lattice_copy_count():

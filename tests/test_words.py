@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -7,7 +9,7 @@ import pytest
 from repvol import words
 from repvol.words import (
     BadCut, CertificateError, DeltaOutOfRange, FlagInconsistent,
-    LengthMismatch, MissingBasisVolume, ReductionCertificate, WordVector,
+    LengthMismatch, MissingBasisVolume, ReductionCertificate,
     bound_from_reduction, count_single_mountain_words, reduce,
     replay_certificate, split_relation, validate_word, verify_certificate,
 )
@@ -228,8 +230,8 @@ def test_halving_chain_of_the_ten_letter_example():
     cyc = cert.solved_cycles[0]
     assert cyc.word.indices == V4
     assert cyc.self_coefficient == Fraction(1, 16)
-    assert cyc.value.constant_part() == {1: Fraction(4, 5),
-                                         2: Fraction(1, 5)}
+    assert cyc.value == {W(10, *X1): Fraction(4, 5),
+                         W(10, *X2): Fraction(1, 5)}
 
 
 # reduction against the counting formula and the oracle
@@ -426,6 +428,30 @@ def test_certificate_json_shape():
     assert d["solved_cycles"][0]["self_coefficient"] == "1/16"
 
 
+# SHA-256 of json.dumps(cert.to_json_dict(), sort_keys=True), fixed so
+# that a refactor of reduce() or of the certificate cannot change the bytes
+GOLDEN_CERTIFICATES = [
+    (LARGE_CLASS_34,
+     "56b89e702f536a3015921bf2f34a81067eab918c3e0f433c6b9a843d098ce4aa"),
+    (V4, "327b6527887ad85495c07cae704942e7a8d23316081ff1cc4f6b314ea00fabc8"),
+    ((2,) * 6,
+     "9417a3e77a3f2e2f3375c6b88c082e7201a315d4cd1d52959559ed773902335d"),
+    ((1, 1, 2, 2),
+     "6c7dc20cdf73ccaace8bf0e555596c532ed90dac212f01046f39c37b53c86767"),
+    ((6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 8, 7),
+     "479b5814c07d2dbbd4a8e8427afa0fd5532234364f65dd2d5cf9d345022a5993"),
+    ((1, 1, 16, 16, 1, 2, 3, 3, 2, 2, 2, 2, 2, 1, 16, 16),
+     "5a70e751ed283797910259ee65e248fec86a35bca568f46aea60d07bec90364c"),
+]
+
+
+@pytest.mark.parametrize("indices, digest", GOLDEN_CERTIFICATES)
+def test_certificate_bytes_are_pinned(indices, digest):
+    _, cert = reduce(validate_word(len(indices), indices))
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # single-mountain count used by the termination guard
 
 def _single_mountain_words(order):
@@ -492,16 +518,3 @@ def test_bound_from_reduction_exact_strings():
 def test_bound_missing_volume():
     with pytest.raises(MissingBasisVolume):
         bound_from_reduction({1: Fraction(1)}, {2: 5})
-
-
-# word vectors
-
-def test_word_vector_arithmetic_drops_zeros():
-    a = W(4, 1, 1, 2, 2)
-    b = W(4, 1, 1, 1, 1)
-    v = WordVector({a: Fraction(1, 2), b: Fraction(1, 3)})
-    w = WordVector({a: Fraction(-1, 2), b: Fraction(2, 3)})
-    s = v + w
-    assert s.terms == {b: Fraction(1)}
-    assert s.scale(3).terms == {b: Fraction(3)}
-    assert s.constant_part() == {1: Fraction(1)}
