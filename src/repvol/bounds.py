@@ -143,16 +143,20 @@ class VolumeDB:
     def __init__(self, entries, limits):
         table = {}
         columns = {}
-        for key, entry in dict(entries).items():
-            key = _key(*key)
-            volume, provenance = entry
-            if volume is not NON_HYPERBOLIC:
-                volume = Decimal(volume)
-                if volume <= 0:
-                    raise BoundsError("volumes must be positive, got %s"
-                                      % volume)
-            if key in table:
-                raise BoundsError("duplicate entry for %r" % (key,))
+        for i, (key, entry) in enumerate(dict(entries).items()):
+            try:
+                key = _key(*key)
+                volume, provenance = entry
+                if volume is not NON_HYPERBOLIC:
+                    volume = Decimal(volume)
+                    if volume <= 0:
+                        raise BoundsError("volumes must be positive, got %s"
+                                          % volume)
+                if key in table:
+                    raise BoundsError("duplicate entry for %r" % (key,))
+            except BoundsError as exc:
+                raise BoundsError("volume table row %d: %s" % (i, exc)) \
+                    from None
             table[key] = Entry(volume, str(provenance))
             family, conway, ambient, signature, orientation = key
             columns.setdefault((family, conway, ambient, orientation),
@@ -178,6 +182,9 @@ class VolumeDB:
                        row.get("orientation", "standard"))
                 volume = str(row["volume"])
                 value = NON_HYPERBOLIC if Decimal(volume) == 0 else volume
+                if key in entries:
+                    raise BoundsError("%s repeats row %d"
+                                      % (where, list(entries).index(key)))
                 entries[key] = (value, row.get("provenance", provenance))
             where = "volume table limits"
             limits = {c: Decimal(v) for c, v in data.get("limits", {}).items()}
@@ -524,11 +531,11 @@ def parse_link_spec(data):
         raise BoundsError("unknown ambient %r" % (ambient,))
 
     raw_slots = data.get("slots")
-    try:
-        rows = int(data.get("rows", 0))
-        cols = int(data.get("cols", 0))
-    except (TypeError, ValueError):
-        raise ArrangementInvalid("rows and cols must be integers") from None
+    rows, cols = data.get("rows", 0), data.get("cols", 0)
+    # int() would read 2.9 as 2 and overflow on infinity; bool is an int
+    if type(rows) is not int or type(cols) is not int:
+        raise ArrangementInvalid("rows and cols must be integers, got %r "
+                                 "and %r" % (rows, cols))
     if arrangement == "lattice":
         if rows <= 0 or cols <= 0:
             raise ArrangementInvalid("a lattice needs rows and cols")

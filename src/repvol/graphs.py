@@ -177,7 +177,10 @@ class ValidationReport(NamedTuple):
 def _two_colour(vertices, adj):
     """Breadth-first two-colouring of ``adj``, one component after another.
 
-    Roots are taken in ``vertices`` order and neighbours in ``adj`` order.
+    ``vertices`` may be any iterable, and ``adj`` anything indexable by its
+    vertices that yields their neighbours: a dict, or a list when the
+    vertices are range(n).  Roots are taken in ``vertices`` order and
+    neighbours in ``adj`` order.
     Returns the colour (0 or 1) of every vertex, the size of the first
     vertex's component, and ``odd``: () on a bipartite graph, otherwise a
     1-tuple holding the first vertex found on an edge whose ends share a
@@ -623,62 +626,81 @@ def trace_faces(edges, rotation):
     that end in the host's cyclic list.  Returns the faces as dart
     tuples, the sorted (length, count) vector, the Euler characteristic
     V - E + F, and whether the underlying multigraph is bipartite.
+
+    Faces come in the order of their least dart, darts compared as
+    (e, s) tuples, and each face starts at its least dart.  The run time
+    is linear in the number of vertices and edge ends.
     """
     return _faces(edges, rotation)[0]
 
 
 def _faces(edges, rotation):
-    """``trace_faces`` and the size of the first vertex's component."""
+    """``trace_faces`` and the size of the first vertex's component.
+
+    Works on integer darts: end (e, s) is dart 2e + s, so d ^ 1 is the
+    other end of d's edge.  One pass over ``rotation`` records ``host``,
+    the index of the vertex holding each end, and ``after``, the end that
+    follows it in that vertex's cyclic order; the face after dart d goes
+    on with after[d ^ 1].  2e + s sorts as (e, s) does, so tracing from
+    each untraced dart in turn meets the faces in the order of their
+    least dart.  The (e, s) tuples are the converted ends themselves.
+    """
     edges = [tuple(e) for e in edges]
-    rotation = {v: tuple((int(e), int(s)) for e, s in ends)
+    # tuples, not lists, here and in ``adj``: the collector stops tracking
+    # a tuple of ints, so a large system adds little to its later passes
+    rotation = {v: tuple([(int(e), int(s)) for e, s in ends])
                 for v, ends in rotation.items()}
-    place = {}
-    for v, ends in rotation.items():
-        for i, (e, s) in enumerate(ends):
-            if not 0 <= e < len(edges) or s not in (0, 1):
+    m = len(edges)
+    host = [-1] * (2 * m)
+    after = [0] * (2 * m)
+    pairs = [None] * (2 * m)
+    for i, (v, ends) in enumerate(rotation.items()):
+        ring = []
+        for end in ends:
+            e, s = end
+            if not 0 <= e < m or s not in (0, 1):
                 raise IncompleteRotation(
                     "unknown edge end (%r, %r) at %r" % (e, s, v))
             if edges[e][s] != v:
                 raise IncompleteRotation(
                     "end (%d, %d) listed at %r but edge %d puts it at %r"
                     % (e, s, v, e, edges[e][s]))
-            if (e, s) in place:
+            d = 2 * e + s
+            if host[d] >= 0:
                 raise IncompleteRotation(
                     "end (%d, %d) appears more than once" % (e, s))
-            place[(e, s)] = (v, i)
-    for e in range(len(edges)):
-        for s in (0, 1):
-            if (e, s) not in place:
-                raise IncompleteRotation(
-                    "end (%d, %d) is missing from the rotation at %r"
-                    % (e, s, edges[e][s]))
+            host[d] = i
+            pairs[d] = end
+            ring.append(d)
+        for j, d in enumerate(ring):
+            after[ring[j - 1]] = d
+    if -1 in host:
+        e, s = divmod(host.index(-1), 2)
+        raise IncompleteRotation(
+            "end (%d, %d) is missing from the rotation at %r"
+            % (e, s, edges[e][s]))
 
+    traced = bytearray(2 * m)
     faces = []
-    traced = set()
-    for start in sorted(place):
-        if start in traced:
+    for start in range(2 * m):
+        if traced[start]:
             continue
         walk = []
-        dart = start
-        while True:
-            walk.append(dart)
-            traced.add(dart)
-            e, s = dart
-            v, i = place[(e, 1 - s)]
-            ends = rotation[v]
-            dart = ends[(i + 1) % len(ends)]
-            if dart == start:
-                break
+        d = start
+        while not traced[d]:
+            traced[d] = 1
+            walk.append(pairs[d])
+            d = after[d ^ 1]
         faces.append(tuple(walk))
 
     lengths = Counter(len(f) for f in faces)
-    euler = len(rotation) - len(edges) + len(faces)
+    euler = len(rotation) - m + len(faces)
 
-    adj = {v: [] for v in rotation}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    _, reached, odd = _two_colour(rotation, adj)
+    for _, _ in edges:  # an edge longer than a pair fails to unpack
+        pass
+    adj = [tuple([host[(2 * e + s) ^ 1] for e, s in ends])
+           for ends in rotation.values()]
+    _, reached, odd = _two_colour(range(len(rotation)), adj)
     if not odd and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"

@@ -93,6 +93,25 @@ def test_db_validation(db):
                       "volume": "9.9"}])
 
 
+def test_db_refusals_name_the_row():
+    row = {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+           "signature": [6], "volume": "1.0"}
+    cases = [
+        (dict(row, volume="2.0"), "volume table row 1 repeats row 0"),
+        (dict(row, conway="-1/4"), "volume table row 1: duplicate entry "
+         "for ('reciprocal-saucer', '1/4', 'S3', (6,), 'standard')"),
+        (dict(row, signature=["6", "6"]), "volume table row 1: signature "
+         "entries must be integers, got ('6', '6')"),
+        (dict(row, signature=[8], volume="-1.0"),
+         "volume table row 1: volumes must be positive, got -1.0"),
+    ]
+    for second, message in cases:
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.VolumeDB.from_json_dict({"entries": [row, second]})
+        assert str(info.value) == message
+    assert len(bounds.VolumeDB.builtin().entries) == 55
+
+
 def test_db_json_round_trip(db):
     again = bounds.VolumeDB.from_json_dict(db.to_json_dict())
     assert again.entries == db.entries
@@ -375,6 +394,10 @@ MALFORMED_SPECS = [
     ({"arrangement": "lattice", "ambient": "S3", "rows": None, "cols": 2,
       "slot": "2"}, "rows and cols must be integers"),
 ] + [
+    ({"arrangement": "lattice", "ambient": "S3", "rows": rows, "cols": 2,
+      "slot": "2"}, "rows and cols must be integers, got %r and 2" % (rows,))
+    for rows in [2.9, 2.0, float("inf"), "2", True]
+] + [
     ({"arrangement": "custom", "ambient": "S3", "slots": [
         {"family": "rational-square", "conway": "2", "signature": [2, 2]},
         {"family": "rational-square", "conway": "2", "signature": sig}]},
@@ -402,6 +425,17 @@ def test_malformed_descriptions_are_refused_before_certifying(db,
             assert not isinstance(info.value, bounds.UncertifiedTangle)
             assert str(info.value).startswith(message)
     assert calls == []
+
+
+def test_lattice_rows_and_cols_must_be_integers(db):
+    # int() would bound "rows": 2.9 as 2 rows and overflow on infinity
+    for rows, cols in [(2.9, 2), (2, float("inf")), (True, 2), (2, "2")]:
+        spec = {"arrangement": "lattice", "ambient": "S3", "rows": rows,
+                "cols": cols, "slot": "2"}
+        with pytest.raises(bounds.ArrangementInvalid) as info:
+            bounds.lower_bound(db, spec)
+        assert str(info.value) == ("rows and cols must be integers, got "
+                                   "%r and %r" % (rows, cols))
 
 
 def test_hand_built_spec_is_refused_as_its_dict(db):

@@ -293,6 +293,15 @@ def test_bound_signature_entries_must_be_integers(capsys, tmp_path):
                    "integers, got [2.9, '2']\n")
 
 
+@pytest.mark.parametrize("rows", [2.9, float("inf")])
+def test_bound_lattice_rows_must_be_integers(capsys, tmp_path, rows):
+    path = write_json(tmp_path / "spec.json", dict(LATTICE2X2, rows=rows))
+    code, out, err = run(capsys, ["bound", path])
+    assert (code, out) == (2, "")
+    assert err == ("ArrangementInvalid: rows and cols must be integers, "
+                   "got %r and 2\n" % rows)
+
+
 def test_batch_bound_malformed_descriptions(capsys, tmp_path):
     d = tmp_path / "specs"
     d.mkdir()
@@ -457,6 +466,10 @@ def test_reduce_malformed_word_file_exit_2(capsys, tmp_path, word):
      "volume table row 0 has no 'conway' field"),
     ({"entries": [], "limits": {"1/4": "abc"}},
      "malformed volume table limits (InvalidOperation)"),
+    ({"entries": [{"family": "reciprocal-saucer", "conway": "1/4",
+                   "ambient": "S3", "signature": [6], "volume": v}
+                  for v in ("1.0", "2.0")]},
+     "volume table row 1 repeats row 0"),
 ])
 def test_db_malformed_table_exit_2(capsys, tmp_path, table, message):
     path = write_json(tmp_path / "table.json", table)

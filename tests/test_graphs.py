@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from repvol import pieces
+from repvol import InvariantViolation, pieces
 from repvol.graphs import (
     BadReflection, GraphError, GroupTooLarge, IncompleteRotation,
     NotBipartite, NotConnected, NotRegular, NotSphere, NotValidated,
@@ -59,23 +60,42 @@ def dipole(count, planar=True):
     return edges, rotation
 
 
-def grid_torus():
+def grid_torus(rows=2, cols=2, rng=None):
+    """The rows x cols square grid on a torus.
+
+    With ``rng``, the edge order, the vertex order and the first entry of
+    every cyclic order are shuffled, which changes no face.
+    """
     hidx, vidx, edges = {}, {}, []
-    for i in range(2):
-        for j in range(2):
+    for i in range(rows):
+        for j in range(cols):
             hidx[(i, j)] = len(edges)
-            edges.append(((i, j), (i, (j + 1) % 2)))
-    for i in range(2):
-        for j in range(2):
+            edges.append(((i, j), (i, (j + 1) % cols)))
+    for i in range(rows):
+        for j in range(cols):
             vidx[(i, j)] = len(edges)
-            edges.append(((i, j), ((i + 1) % 2, j)))
+            edges.append(((i, j), ((i + 1) % rows, j)))
     rotation = {}
-    for i in range(2):
-        for j in range(2):
+    for i in range(rows):
+        for j in range(cols):
             rotation[(i, j)] = [
-                (hidx[(i, j)], 0), (vidx[((i - 1) % 2, j)], 1),
-                (hidx[(i, (j - 1) % 2)], 1), (vidx[(i, j)], 0)]
-    return edges, rotation
+                (hidx[(i, j)], 0), (vidx[((i - 1) % rows, j)], 1),
+                (hidx[(i, (j - 1) % cols)], 1), (vidx[(i, j)], 0)]
+    if rng is None:
+        return edges, rotation
+    perm = list(range(len(edges)))
+    rng.shuffle(perm)
+    shuffled = [None] * len(edges)
+    for old, new in enumerate(perm):
+        shuffled[new] = edges[old]
+    vertices = list(rotation)
+    rng.shuffle(vertices)
+    turned = {}
+    for v in vertices:
+        ends = [(perm[e], s) for e, s in rotation[v]]
+        k = rng.randrange(4)
+        turned[v] = ends[k:] + ends[:k]
+    return shuffled, turned
 
 
 def octahedron():
@@ -726,14 +746,195 @@ def test_trace_faces_random_invariants():
 
 def test_incomplete_rotation():
     edges = [("u", "v")]
-    with pytest.raises(IncompleteRotation):
-        trace_faces(edges, {"u": [(0, 0)]})
-    with pytest.raises(IncompleteRotation):
-        trace_faces(edges, {"u": [(0, 0), (0, 0)], "v": [(0, 1)]})
-    with pytest.raises(IncompleteRotation):
-        trace_faces(edges, {"u": [(0, 1)], "v": [(0, 0)]})
-    with pytest.raises(IncompleteRotation):
-        trace_faces(edges, {"u": [(0, 0), (1, 0)], "v": [(0, 1)]})
+    cases = [
+        ({"u": [(0, 0)]},
+         "end (0, 1) is missing from the rotation at 'v'"),
+        ({"u": [(0, 0), (0, 0)], "v": [(0, 1)]},
+         "end (0, 0) appears more than once"),
+        ({"u": [(0, 1)], "v": [(0, 0)]},
+         "end (0, 1) listed at 'u' but edge 0 puts it at 'v'"),
+        ({"u": [(0, 0), (1, 0)], "v": [(0, 1)]},
+         "unknown edge end (1, 0) at 'u'"),
+        ({"u": [(0, 0)], "v": [(0, 2)]},
+         "unknown edge end (0, 2) at 'v'"),
+    ]
+    for rotation, message in cases:
+        with pytest.raises(IncompleteRotation) as info:
+            trace_faces(edges, rotation)
+        assert str(info.value) == message
+
+
+def reference_faces(edges, rotation):
+    """Face tracing on (e, s) tuples, kept as the reference the integer
+    dart tracer must agree with, result for result and error for error."""
+    edges = [tuple(e) for e in edges]
+    rotation = {v: tuple((int(e), int(s)) for e, s in ends)
+                for v, ends in rotation.items()}
+    place = {}
+    for v, ends in rotation.items():
+        for i, (e, s) in enumerate(ends):
+            if not 0 <= e < len(edges) or s not in (0, 1):
+                raise IncompleteRotation(
+                    "unknown edge end (%r, %r) at %r" % (e, s, v))
+            if edges[e][s] != v:
+                raise IncompleteRotation(
+                    "end (%d, %d) listed at %r but edge %d puts it at %r"
+                    % (e, s, v, e, edges[e][s]))
+            if (e, s) in place:
+                raise IncompleteRotation(
+                    "end (%d, %d) appears more than once" % (e, s))
+            place[(e, s)] = (v, i)
+    for e in range(len(edges)):
+        for s in (0, 1):
+            if (e, s) not in place:
+                raise IncompleteRotation(
+                    "end (%d, %d) is missing from the rotation at %r"
+                    % (e, s, edges[e][s]))
+
+    faces = []
+    traced = set()
+    for start in sorted(place):
+        if start in traced:
+            continue
+        walk = []
+        dart = start
+        while True:
+            walk.append(dart)
+            traced.add(dart)
+            e, s = dart
+            v, i = place[(e, 1 - s)]
+            ends = rotation[v]
+            dart = ends[(i + 1) % len(ends)]
+            if dart == start:
+                break
+        faces.append(tuple(walk))
+
+    lengths = Counter(len(f) for f in faces)
+    euler = len(rotation) - len(edges) + len(faces)
+
+    adj = {v: [] for v in rotation}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    _, reached, odd = graphs_module._two_colour(rotation, adj)
+    if not odd and any(k % 2 for k in lengths):
+        raise InvariantViolation(
+            "odd face lengths %s on a bipartite graph"
+            % sorted(k for k in lengths if k % 2))
+
+    return graphs_module.FaceReport(
+        tuple(faces), tuple(sorted(lengths.items())), euler, not odd), reached
+
+
+def random_rotation_system(rng):
+    """A random rotation system with loops, repeated edges and vertices
+    whose rotation is empty, in a shuffled vertex order."""
+    order = rng.randrange(1, 7)
+    edges = []
+    for _ in range(rng.randrange(10)):
+        roll = rng.random()
+        if roll < 0.2 or order == 1:
+            v = rng.randrange(order)
+            edges.append((v, v))
+        elif roll < 0.4 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(range(order), 2)))
+    ends = {v: [] for v in range(order)}
+    for e, (u, v) in enumerate(edges):
+        ends[u].append((e, 0))
+        ends[v].append((e, 1))
+    vertices = list(ends)
+    rng.shuffle(vertices)
+    rotation = {}
+    for v in vertices:
+        rng.shuffle(ends[v])
+        rotation[v] = ends[v]
+    return edges, rotation
+
+
+def corrupt(rng, edges, rotation):
+    """``(edges, rotation)`` with one random fault; the inputs are left
+    as they are."""
+    edges = list(edges)
+    rotation = {v: list(ends) for v, ends in rotation.items()}
+    vertices = list(rotation) or ["stray"]
+    v = rng.choice(vertices)
+    rotation.setdefault(v, [])
+    listed = [u for u in vertices if rotation[u]]
+    kind = rng.randrange(11)
+    if kind == 0 and listed:  # an end listed twice
+        u = rng.choice(listed)
+        rotation[rng.choice(listed)].append(rng.choice(rotation[u]))
+    elif kind == 1 and listed:  # an end left out
+        u = rng.choice(listed)
+        rotation[u].pop(rng.randrange(len(rotation[u])))
+    elif kind == 2 and listed:  # an end moved to another vertex
+        u = rng.choice(listed)
+        rotation[v].append(rotation[u].pop(rng.randrange(len(rotation[u]))))
+    elif kind == 3:  # an edge that does not exist
+        rotation[v].insert(0, (rng.choice([-1, len(edges)]), 0))
+    elif kind == 4 and edges:  # an end other than 0 or 1
+        rotation[v].append((rng.randrange(len(edges)), 2))
+    elif kind == 5 and listed:  # an end that is no integer
+        u = rng.choice(listed)
+        i = rng.randrange(len(rotation[u]))
+        e, s = rotation[u][i][0], rotation[u][i][-1]
+        rotation[u][i] = rng.choice([("x", s), (e, None), (e, 1.5),
+                                     (str(e), str(s)), (e,), (e, s, 0)])
+    elif kind == 6 and edges:  # an edge that is not a pair
+        e = rng.randrange(len(edges))
+        pair = edges[e] if isinstance(edges[e], tuple) else (v, v)
+        edges[e] = rng.choice([pair[:1], pair + (0,), (), 7])
+    elif kind == 7:  # a vertex that no edge ends at
+        rotation["stray"] = [(0, 0)] if edges else []
+    elif kind == 8 and listed:  # a rotation reversed
+        u = rng.choice(listed)
+        rotation[u].reverse()
+    elif kind == 9:  # an edge without ends
+        edges.append((v, v))
+    else:  # two faults at once, so that their order shows
+        return corrupt(rng, *corrupt(rng, edges, rotation))
+    return edges, rotation
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_face_tracing_matches_reference(monkeypatch):
+    rng = random.Random(4410)
+    systems = [grid_torus(r, c, rng) for r, c in
+               [(1, 1), (1, 3), (2, 2), (3, 3), (4, 6), (51, 50)]]
+    systems += [dipole(count, planar) for count in range(2, 9)
+                for planar in (True, False)]
+    systems += [grid_torus(), octahedron(),
+                ([("w", "w")] * 3,
+                 {"w": [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]}),
+                ([], {}), ([], {"a": []}), ([], {"a": [], "b": []})]
+    randoms = [random_rotation_system(rng) for _ in range(600)]
+    systems += randoms
+    for edges, rotation in systems[:] + randoms:
+        for _ in range(2):
+            systems.append(corrupt(rng, edges, rotation))
+
+    calls = [lambda e, r: graphs_module._faces(e, r), torus_boundary_check,
+             lambda e, r: bigon_bound_check(e, r, 1),
+             lambda e, r: bigon_bound_check(e, r, 3)]
+    refused = set()
+    for edges, rotation in systems:
+        new = [outcome(call, edges, rotation) for call in calls]
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_module, "_faces", reference_faces)
+            old = [outcome(call, edges, rotation) for call in calls]
+        assert new == old, (edges, rotation)
+        if isinstance(new[0], tuple) and len(new[0]) == 2 \
+                and isinstance(new[0][0], type):
+            refused.add(new[0][0])
+    assert refused == {IncompleteRotation, ValueError, TypeError, IndexError}
 
 
 # bigon bound
