@@ -33,6 +33,9 @@ from .pieces import EndpointMismatch
 FAMILIES = ("rational-square", "integer-cylindrical", "reciprocal-saucer")
 AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 ARRANGEMENTS = ("bracelet", "lattice", "cylinder-stack", "custom")
+# Most slots a lattice may have; rows * cols is checked against it before
+# the "slot" shorthand is expanded.
+LATTICE_SLOT_LIMIT = 10 ** 6
 
 BORROMEAN_VOLUME = Decimal("7.32772474")
 V_OCT = Decimal("3.66386238")
@@ -539,6 +542,10 @@ def parse_link_spec(data):
     if arrangement == "lattice":
         if rows <= 0 or cols <= 0:
             raise ArrangementInvalid("a lattice needs rows and cols")
+        if rows * cols > LATTICE_SLOT_LIMIT:
+            raise ArrangementInvalid(
+                "a %d x %d lattice has more than %d slots"
+                % (rows, cols, LATTICE_SLOT_LIMIT))
         if raw_slots is None and "slot" in data:
             raw_slots = [data["slot"]] * (rows * cols)
         if not isinstance(raw_slots, (list, tuple)) \

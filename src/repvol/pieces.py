@@ -248,15 +248,21 @@ def _normalize_schedule(schedule, ell):
     else:
         raise ScheduleMismatch("schedule must be a tuple of even counts "
                                "or a ReplicantSchedule")
-    indices = tuple(int(n) for n in indices)
+    # int() would read 6.9 as 6 and "4" as 4; bool is an int subclass
+    indices, order = tuple(indices), tuple(order)
+    if any(type(n) is not int for n in indices):
+        raise ScheduleMismatch("schedule entries must be integers, got %r"
+                               % (indices,))
+    if any(type(k) is not int for k in order):
+        raise ScheduleMismatch("order entries must be integers, got %r"
+                               % (order,))
     if len(indices) != ell:
         raise ScheduleMismatch("schedule length %d does not match %d face "
                                "pair(s)" % (len(indices), ell))
     if any(n <= 0 or n % 2 for n in indices):
         raise ScheduleMismatch("schedule entries must be positive and even, "
                                "got %r" % (indices,))
-    order = tuple(int(k) for k in order) if order else \
-        tuple(range(1, ell + 1))
+    order = order or tuple(range(1, ell + 1))
     if sorted(order) != list(range(1, ell + 1)):
         raise ScheduleMismatch("order must permute 1..%d, got %r"
                                % (ell, order))

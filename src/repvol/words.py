@@ -258,7 +258,9 @@ class SplitResult(NamedTuple):
 class SolvedCycle(NamedTuple):
     word: CyclicWord
     self_coefficient: Fraction
-    value: dict  # {CyclicWord: Fraction}, as reduce() caches it for word
+    # word as {CyclicWord: Fraction} over constant words and the words
+    # whose frames were still open when it was solved
+    value: dict
 
 
 def split_relation(word, at=0):
@@ -277,8 +279,9 @@ def split_relation(word, at=0):
     joins are repeats), so the produced words are only put into least
     rotation, never re-validated; their marks are derived on first use.
     A hand-built CyclicWord that breaks the step rules is untrusted input
-    and gives an unspecified result: validate it first, as
-    replay_certificate() does for every step.
+    and gives an unspecified result: validate it first.  replay_certificate()
+    relies on this: it validates the root and any step word that no earlier
+    re-derived step produced, and trusts the produced words.
     """
     if not isinstance(at, int) or not 0 <= at < word.order:
         raise BadCut("cut position {!r} outside 0..{}".format(
@@ -379,17 +382,27 @@ class ReductionCertificate:
         }
 
 
-def _add_term(out, w, x):
-    """out[w] += x on a {word: Fraction} dict, dropping a zero sum."""
-    old = out.get(w)
-    if old is None:
-        out[w] = x
-    else:
-        x += old
-        if x:
-            out[w] = x
+def _add_into(acc, terms, factor):
+    """acc[w] += factor * x for each (w, x) in terms; a zero sum drops w."""
+    for w, x in terms:
+        x *= factor
+        old = acc.get(w)
+        if old is None:
+            acc[w] = x
         else:
-            del out[w]
+            x += old
+            if x:
+                acc[w] = x
+            else:
+                del acc[w]
+
+
+def _lowest_terms(den, acc):
+    """(den, acc) with the gcd of den and every numerator divided out."""
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        return den // g, {w: x // g for w, x in acc.items()}
+    return den, acc
 
 
 def reduce(word):
@@ -403,6 +416,11 @@ def reduce(word):
     mean a bug, not bad input).  Exceeding 4x the single-mountain word
     count in halving steps raises NonTermination.
 
+    Every combination is held fraction-free, as a pair (den, {word: int})
+    in lowest terms, so a frame's solve w = rest / (2*den - self) divides
+    nothing; Fractions are built only for the solved cycles and the
+    result.
+
     >>> w = validate_word(10, [1,1,1,1,1,1,1,1,2,2])
     >>> coeffs, cert = reduce(w)
     >>> sorted(coeffs.items())
@@ -410,11 +428,9 @@ def reduce(word):
     """
     order = word.order
     budget = 4 * count_single_mountain_words(order)
-    one = Fraction(1)
-    half = Fraction(1, 2)
-    cache = {}      # popped word -> {word: Fraction} over its ancestors
+    cache = {}      # popped word -> (den, {word: int}) over its ancestors
     active = set()  # words whose frames are on the stack
-    frames = []     # (word, iterator over its produced words, their sum)
+    frames = []     # [word, iterator over its produced words, den, sum]
     steps = []
     solved = []
 
@@ -426,22 +442,27 @@ def reduce(word):
         # the frame that owns them will solve them.  The chain is walked
         # in post-order, each popped word resolved once.
         done = {}
-        path = [(None, iter(vec))]
+        path = [(None, iter(vec[1]))]
         while path:
             owner, pending = path[-1]
             for w in pending:
                 if not (w.is_constant or w in active or w in done):
-                    path.append((w, iter(cache[w])))
+                    path.append((w, iter(cache[w][1])))
                     break
             else:
                 path.pop()
+                den, nums = vec if owner is None else cache[owner]
+                # out is over den * up, up the lcm of the denominators
+                # of the values substituted
+                up = math.lcm(*(done[w][0] for w in nums if w in done))
                 out = {}
-                for w, c in (vec if owner is None else cache[owner]).items():
-                    if w.is_constant or w in active:
-                        _add_term(out, w, c)
+                for w, c in nums.items():
+                    if w in done:
+                        d, sub = done[w]
+                        _add_into(out, sub.items(), c * (up // d))
                     else:
-                        for u, x in done[w].items():
-                            _add_term(out, u, c * x)
+                        _add_into(out, ((w, c),), up)
+                out = _lowest_terms(den * up, out)
                 if owner is None:
                     return out
                 done[owner] = out
@@ -450,7 +471,7 @@ def reduce(word):
         # w's vector when it is already known, else push w's frame and
         # return None.
         if w.is_constant or w in active:
-            return {w: one}
+            return 1, {w: 1}
         if w in cache:
             return resolve(cache[w])
         if len(steps) >= budget:
@@ -459,38 +480,48 @@ def reduce(word):
         active.add(w)
         s = split_relation(w)
         steps.append(s)
-        frames.append((w, iter(s.produced), {}))
+        frames.append([w, iter(s.produced), 1, {}])
         return None
 
     vec = enter(word)
     while frames:
-        w, produced, acc = frames[-1]
+        frame = frames[-1]
         if vec is not None:
-            for u, x in vec.items():
-                _add_term(acc, u, x)
-        p = next(produced, None)
+            d, nums = vec
+            den, acc = frame[2], frame[3]
+            if den % d:
+                # rescale the sum to the lcm of the two denominators
+                up = d // math.gcd(den, d)
+                for u in acc:
+                    acc[u] *= up
+                frame[2] = den = den * up
+            _add_into(acc, nums.items(), den // d)
+        p = next(frame[1], None)
         if p is not None:
             vec = enter(p)
             continue
         frames.pop()
+        w, _, den, acc = frame
         active.discard(w)
-        # w = acc / 2, and acc may hold w itself: w = c*w + rest
-        c = acc.pop(w, 0) * half
-        if c >= 1:
+        # w = acc / (2*den), and acc may hold w itself: w = c*w + rest
+        # with c = self / (2*den), so w = rest / (2*den - self)
+        own = acc.pop(w, 0)
+        if own >= 2 * den:
             raise NonTermination(
-                "self-coefficient {} leaves nothing to solve".format(c))
-        scale = half / (1 - c)
-        acc = {u: scale * x for u, x in acc.items()}
-        if c:
-            solved.append(SolvedCycle(w, c, acc))
-        cache[w] = acc
-        vec = acc
+                "self-coefficient {} leaves nothing to solve".format(
+                    Fraction(own, 2 * den)))
+        vec = _lowest_terms(2 * den - own, acc)
+        if own:
+            value = {u: Fraction(x, vec[0]) for u, x in vec[1].items()}
+            solved.append(SolvedCycle(w, Fraction(own, 2 * den), value))
+        cache[w] = vec
 
-    leftover = [w for w in vec if not w.is_constant]
+    den, nums = vec
+    leftover = [w for w in nums if not w.is_constant]
     if leftover:
         raise InvariantViolation(
             "non-constant words survived: {}".format(leftover))
-    coefficients = {w.indices[0]: c for w, c in vec.items()}
+    coefficients = {w.indices[0]: Fraction(x, den) for w, x in nums.items()}
 
     counts = word.letter_counts()
     expected = {i: Fraction(q, order) for i, q in counts.items()}
@@ -638,20 +669,36 @@ def replay_certificate(cert):
     """Recompute a certificate's coefficients from its steps alone.
 
     The root word must validate, and each step is re-derived: its word
-    must validate and split_relation() must reproduce the recorded cut,
-    halves and produced words.  The step equations w = (p1 + p2)/2 are
-    then solved in SCC order: the strongly connected components of the
-    graph from each word to the words it produces, sinks first, each
+    must be valid and split_relation() must reproduce the recorded cut,
+    halves and produced words.  A word is known valid, with no call to
+    validate_word(), when it is the root or a word that an earlier
+    re-derived step produced (a doubled half of a valid word is valid;
+    see split_relation()) and it holds plain ints; every other step word
+    is validated.  Steps of a certificate from reduce() run depth first,
+    so only its root is validated.  The step equations w = (p1 + p2)/2
+    are then solved in SCC order: the strongly connected components of
+    the graph from each word to the words it produces, sinks first, each
     solved by exact elimination over its own words, with the words it
-    reaches already reduced to letter vectors.  No recursion, no memo,
-    nothing shared with reduce().  Returns the coefficients of the
-    certificate's root word; raises CertificateError on any mismatch.
+    reaches already reduced to letter vectors.  No recursion, and no
+    helper, memo or cache shared with reduce().  Returns the coefficients
+    of the certificate's root word; raises CertificateError on any
+    mismatch.
     """
     root = validate_word(cert.word.order, cert.word.indices)
+    # Known-valid word -> itself.  A hit must also hold plain ints: a
+    # float or bool equal to a trusted order or subscript still goes to
+    # validate_word, which refuses it, or keeps it, as before.
+    trusted = {root: root}
     index = {}
     eqs = []
     for step in cert.steps:
-        w = validate_word(step.word.order, step.word.indices)
+        w = step.word
+        known = trusted.get(w) if type(w) is CyclicWord else None
+        if known is not None and type(w.order) is int \
+                and set(map(type, w.indices)) == {int}:
+            w = known
+        else:
+            w = validate_word(w.order, w.indices)
         s = split_relation(w, step.cut[0])
         if s.cut != tuple(step.cut) or s.halves != tuple(step.halves) \
                 or s.produced != tuple(step.produced):
@@ -660,6 +707,8 @@ def replay_certificate(cert):
         if w not in index:
             index[w] = len(eqs)
             eqs.append(s.produced)
+            for p in s.produced:
+                trusted[p] = p
         elif eqs[index[w]] != s.produced:
             raise CertificateError(
                 "conflicting equations recorded for {!r}".format(w))

@@ -3,6 +3,7 @@
 import json
 import itertools
 import random
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -424,6 +425,28 @@ def test_malformed_descriptions_are_refused_before_certifying(db,
                 call(spec)
             assert not isinstance(info.value, bounds.UncertifiedTangle)
             assert str(info.value).startswith(message)
+    assert calls == []
+
+
+def test_lattice_slot_limit_refuses_before_expanding(db, monkeypatch):
+    calls = counting_certifier(monkeypatch)
+    limit = bounds.LATTICE_SLOT_LIMIT
+    listed = ["2"] * (limit + 1)
+    for rows, cols, slots in [(limit + 1, 1, None), (1, limit + 1, None),
+                              (10 ** 20, 2, None), (2, 10 ** 20, None),
+                              (limit + 1, 1, listed)]:
+        spec = {"arrangement": "lattice", "ambient": "TxI", "rows": rows,
+                "cols": cols}
+        if slots is None:
+            spec["slot"] = "2"
+        else:
+            spec["slots"] = slots
+        start = time.perf_counter()
+        with pytest.raises(bounds.ArrangementInvalid) as info:
+            bounds.lower_bound(db, spec)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == ("a %d x %d lattice has more than %d "
+                                   "slots" % (rows, cols, limit))
     assert calls == []
 
 

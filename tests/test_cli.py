@@ -302,6 +302,15 @@ def test_bound_lattice_rows_must_be_integers(capsys, tmp_path, rows):
                    "got %r and 2\n" % rows)
 
 
+def test_bound_oversized_lattice_exits_2(capsys, tmp_path):
+    path = write_json(tmp_path / "spec.json",
+                      dict(LATTICE2X2, rows=10 ** 20))
+    code, out, err = run(capsys, ["bound", path])
+    assert (code, out) == (2, "")
+    assert err == ("ArrangementInvalid: a %d x 2 lattice has more than %d "
+                   "slots\n" % (10 ** 20, bounds.LATTICE_SLOT_LIMIT))
+
+
 def test_batch_bound_malformed_descriptions(capsys, tmp_path):
     d = tmp_path / "specs"
     d.mkdir()

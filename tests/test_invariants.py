@@ -89,3 +89,38 @@ def test_benchmark_wrapped_names_exist():
             if not found:
                 missing.append("%s.%s" % (layer, name))
     assert missing == []
+
+
+def test_replay_shares_no_helper_with_reduce():
+    # Replay checks reduce's certificates, so it must not reach reduce()
+    # or any private name reduce() reaches (its vector arithmetic, a memo,
+    # a cache).  Public word primitives such as split_relation() are the
+    # relation itself and may be shared; the walk does not enter them.
+    tree = ast.parse((SOURCE / "words.py").read_text())
+    defined = {node.name: node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+
+    def reached(*roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name in roots or name.startswith("_"):
+                todo += [n.id for n in ast.walk(defined[name])
+                         if isinstance(n, ast.Name) and n.id in defined]
+        return seen
+
+    replay = reached("replay_certificate", "_solve_component",
+                     "_components_sinks_first")
+    private_to_reduce = {name for name in reached("reduce")
+                         if name.startswith("_")}
+    assert "reduce" not in replay
+    assert private_to_reduce, "the walk found none of reduce's helpers"
+    assert replay.isdisjoint(private_to_reduce)

@@ -176,6 +176,22 @@ def test_schedule_validation():
         replicate(t, 6)
 
 
+def test_schedule_entries_must_be_integers():
+    # int() would build 6 copies for 6.9 and 4 for "4"
+    t = square_template("2")
+    for schedule in [(2, 6.9), (2.0, 2), ("4", 2), (True, 2), (2, None)]:
+        with pytest.raises(ScheduleMismatch) as info:
+            replicate(t, schedule)
+        assert str(info.value) == (
+            "schedule entries must be integers, got %r" % (schedule,))
+    for order in [(1.0, 2), ("2", "1"), (True, 2)]:
+        with pytest.raises(ScheduleMismatch) as info:
+            replicate(t, ReplicantSchedule((2, 4), order))
+        assert str(info.value) == (
+            "order entries must be integers, got %r" % (order,))
+    assert len(replicate(t, ReplicantSchedule((2, 4), (2, 1))).copies) == 8
+
+
 def test_replicate_order_independence():
     t = square_template("2")
     one = replicate(t, ReplicantSchedule((2, 4), (1, 2)))

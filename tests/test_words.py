@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -518,3 +519,340 @@ def test_bound_from_reduction_exact_strings():
 def test_bound_missing_volume():
     with pytest.raises(MissingBasisVolume):
         bound_from_reduction({1: Fraction(1)}, {2: 5})
+
+
+# reduce on integer numerators and replay that trusts the words it derived,
+# each against the version it replaced
+
+def reference_reduce(word):
+    """reduce() over {CyclicWord: Fraction} vectors, as it was written
+    before it kept integer numerators; the parity tests below hold the
+    fraction-free reduce() to it."""
+    order = word.order
+    budget = 4 * count_single_mountain_words(order)
+    one, half = Fraction(1), Fraction(1, 2)
+    cache, active, frames, steps, solved = {}, set(), [], [], []
+
+    def add_term(out, w, x):
+        old = out.get(w)
+        if old is None:
+            out[w] = x
+        else:
+            x += old
+            if x:
+                out[w] = x
+            else:
+                del out[w]
+
+    def resolve(vec):
+        done = {}
+        path = [(None, iter(vec))]
+        while path:
+            owner, pending = path[-1]
+            for w in pending:
+                if not (w.is_constant or w in active or w in done):
+                    path.append((w, iter(cache[w])))
+                    break
+            else:
+                path.pop()
+                out = {}
+                for w, c in (vec if owner is None else cache[owner]).items():
+                    if w.is_constant or w in active:
+                        add_term(out, w, c)
+                    else:
+                        for u, x in done[w].items():
+                            add_term(out, u, c * x)
+                if owner is None:
+                    return out
+                done[owner] = out
+
+    def enter(w):
+        if w.is_constant or w in active:
+            return {w: one}
+        if w in cache:
+            return resolve(cache[w])
+        if len(steps) >= budget:
+            raise words.NonTermination(
+                "exceeded {} halving steps at order {}".format(budget, order))
+        active.add(w)
+        s = split_relation(w)
+        steps.append(s)
+        frames.append((w, iter(s.produced), {}))
+        return None
+
+    vec = enter(word)
+    while frames:
+        w, produced, acc = frames[-1]
+        if vec is not None:
+            for u, x in vec.items():
+                add_term(acc, u, x)
+        p = next(produced, None)
+        if p is not None:
+            vec = enter(p)
+            continue
+        frames.pop()
+        active.discard(w)
+        c = acc.pop(w, 0) * half
+        if c >= 1:
+            raise words.NonTermination(
+                "self-coefficient {} leaves nothing to solve".format(c))
+        scale = half / (1 - c)
+        acc = {u: scale * x for u, x in acc.items()}
+        if c:
+            solved.append(words.SolvedCycle(w, c, acc))
+        cache[w] = acc
+        vec = acc
+    coefficients = {w.indices[0]: c for w, c in vec.items()}
+    return coefficients, ReductionCertificate(word, coefficients, steps,
+                                              solved)
+
+
+def reference_replay(cert):
+    """replay_certificate() as it was written when it validated every
+    step word; the new replay must accept, refuse and name the first
+    error exactly as this does."""
+    root = validate_word(cert.word.order, cert.word.indices)
+    index = {}
+    eqs = []
+    for step in cert.steps:
+        w = validate_word(step.word.order, step.word.indices)
+        s = split_relation(w, step.cut[0])
+        if s.cut != tuple(step.cut) or s.halves != tuple(step.halves) \
+                or s.produced != tuple(step.produced):
+            raise CertificateError(
+                "step for {!r} does not re-derive".format(w))
+        if w not in index:
+            index[w] = len(eqs)
+            eqs.append(s.produced)
+        elif eqs[index[w]] != s.produced:
+            raise CertificateError(
+                "conflicting equations recorded for {!r}".format(w))
+    if root not in index:
+        if root.is_constant and not cert.steps and not cert.solved_cycles:
+            return {root.indices[0]: Fraction(1)}
+        raise CertificateError("no step splits the root word")
+    successors = [[] for _ in eqs]
+    constants = [[] for _ in eqs]
+    for v, produced in enumerate(eqs):
+        for p in produced:
+            if p.is_constant:
+                constants[v].append(p.indices[0])
+            elif p in index:
+                successors[v].append(index[p])
+            else:
+                raise CertificateError(
+                    "produced word {!r} has no equation and is not "
+                    "constant".format(p))
+    solved = [None] * len(eqs)
+    for component in words._components_sinks_first(successors):
+        words._solve_component(component, successors, constants, solved)
+    den, nums = solved[index[root]]
+    return {i: Fraction(x, den) for i, x in sorted(nums.items())}
+
+
+def _walk_word(rng, order):
+    """A random valid word of any even order: a walk that only takes
+    steps its current mark allows, redrawn until it closes up."""
+    while True:
+        seq = [rng.randint(1, order)]
+        mark = rng.random() < 0.5
+        first = mark
+        for _ in range(order - 1):
+            step = rng.choice((0, -1 if mark else 1))
+            mark = (not mark) if step == 0 else mark
+            seq.append((seq[-1] - 1 + step) % order + 1)
+        try:
+            return validate_word(order, seq, reflected=first)
+        except words.WordError:
+            continue
+
+
+def _parity_words():
+    rng = random.Random(20211111)
+    found = [validate_word(len(w), w) for w in (V4, DEEP_28, LARGE_CLASS_34)]
+    for order in range(8, 35, 2):
+        found += [_walk_word(rng, order) for _ in range(2)]
+    return found
+
+
+PARITY_WORDS = _parity_words()
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced(word):
+    return reduce(word)
+
+
+def _outcome(replay, cert):
+    try:
+        return replay(cert)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_walk_words_cover_orders_8_to_34():
+    assert {w.order for w in PARITY_WORDS} == set(range(8, 35, 2))
+    assert sum(1 for w in PARITY_WORDS if not w.is_constant) >= 28
+
+
+def test_fraction_free_reduce_matches_fraction_reduce():
+    for w in PARITY_WORDS:
+        coeffs, cert = _reduced(w)
+        ref_coeffs, ref = reference_reduce(w)
+        assert coeffs == ref_coeffs
+        assert all(type(c) is Fraction for c in coeffs.values())
+        assert cert.steps == ref.steps  # word, cut, halves, produced
+        assert cert.solved_cycles == ref.solved_cycles
+        for cyc in cert.solved_cycles:
+            assert type(cyc.self_coefficient) is Fraction
+            assert all(type(c) is Fraction for c in cyc.value.values())
+        assert cert.to_json_dict() == ref.to_json_dict()
+
+
+def _orphan_word(cert):
+    """A valid non-constant word of the certificate's order that no step
+    splits."""
+    order = cert.word.order
+    split = {st.word for st in cert.steps}
+    for j in range(2, order + 1):
+        w = validate_word(order, (j - 1,) * (order - 2) + (j, j))
+        if w not in split:
+            return w
+
+
+def _corruptions(cert):
+    """Certificates that differ from ``cert`` in one recorded fact, at its
+    first, middle and last step (the middle one only past 300 steps, to
+    keep the test quick)."""
+    steps, order = cert.steps, cert.word.order
+    m = order // 2
+    middle = len(steps) // 2
+    positions = {middle} if len(steps) > 300 else \
+        {0, middle, len(steps) - 1}
+
+    def swap(k, step):
+        return ReductionCertificate(cert.word, cert.coefficients,
+                                    steps[:k] + (step,) + steps[k + 1:],
+                                    cert.solved_cycles)
+
+    def insert(k, step):
+        return ReductionCertificate(cert.word, cert.coefficients,
+                                    steps[:k] + (step,) + steps[k:],
+                                    cert.solved_cycles)
+
+    out = []
+    for k in sorted(positions):
+        st = steps[k]
+        out.append(("wrong cut", swap(k, st._replace(cut=(1, 1 + m)))))
+        a1, a2 = st.halves
+        out.append(("wrong half", swap(k, st._replace(halves=(a2, a1)))))
+        out.append(("swapped produced", swap(k, st._replace(
+            produced=st.produced[::-1]))))
+        other = split_relation(st.word, 1)
+        out.append(("conflicting equation", insert(k + 1, other)))
+        out.append(("dropped step", ReductionCertificate(
+            cert.word, cert.coefficients, steps[:k] + steps[k + 1:],
+            cert.solved_cycles)))
+        out.append(("produced word with no equation", ReductionCertificate(
+            cert.word, cert.coefficients, steps[:k + 1],
+            cert.solved_cycles)))
+        # the same word, hand-built with a float subscript, a float order
+        # or bool subscripts; with the bools a wrong cut makes replay name
+        # the word it read
+        w = st.word
+        floated = w.indices[:-1] + (float(w.indices[-1]),)
+        out.append(("float subscript", swap(k, st._replace(
+            word=words.CyclicWord(order, floated)))))
+        out.append(("float order", swap(k, st._replace(
+            word=words.CyclicWord(float(order), w.indices)))))
+        if 1 in w.indices:
+            bools = tuple(True if i == 1 else i for i in w.indices)
+            out.append(("bool subscript", swap(k, st._replace(
+                word=words.CyclicWord(order, bools), cut=(1, 1 + m)))))
+    # orphan steps: an invalid word, and a valid one nothing produces
+    clash = words.CyclicWord(order, (1, 2) * m)
+    out.append(("invalid orphan", insert(len(steps), words.SplitResult(
+        clash, (0, m), (clash.indices[:m], clash.indices[m:]),
+        steps[0].produced))))
+    out.append(("valid orphan", insert(1, split_relation(
+        _orphan_word(cert)))))
+    return out
+
+
+def test_replay_matches_the_validate_every_step_replay():
+    named = {validate_word(28, DEEP_28), validate_word(34, LARGE_CLASS_34)}
+    checked = 0
+    for w in PARITY_WORDS:
+        coeffs, cert = _reduced(w)
+        assert replay_certificate(cert) == reference_replay(cert) == coeffs
+        # of the long certificates, only the two named words' are corrupted
+        if not cert.steps or len(cert.steps) > 1000 and w not in named:
+            continue
+        for name, bad in _corruptions(cert):
+            expected = _outcome(reference_replay, bad)
+            assert _outcome(replay_certificate, bad) == expected, name
+            checked += 1
+    assert checked > 500
+
+
+def test_replay_refuses_hand_built_words_equal_to_trusted_ones():
+    _, cert = reduce(validate_word(10, V4))
+    st = cert.steps[1]
+    cases = [
+        (words.CyclicWord(10, (1.0,) + st.word.indices[1:]),
+         DeltaOutOfRange, "letter subscript 1.0 outside 1..10"),
+        (words.CyclicWord(10.0, st.word.indices), LengthMismatch,
+         "order must be a positive even integer, got 10.0"),
+    ]
+    for word, error, message in cases:
+        assert word == st.word and hash(word) == hash(st.word)
+        bad = ReductionCertificate(
+            cert.word, cert.coefficients,
+            cert.steps[:1] + (st._replace(word=word),) + cert.steps[2:],
+            cert.solved_cycles)
+        for replay in (replay_certificate, reference_replay):
+            with pytest.raises(error) as info:
+                replay(bad)
+            assert str(info.value) == message
+    # 32.0 as the order of a root word's step, as in a hand-edited file
+    _, cert = _reduced(PARITY_WORDS[-1])
+    assert cert.word.order == 34
+    st = cert.steps[0]
+    bad = ReductionCertificate(
+        cert.word, cert.coefficients,
+        (st._replace(word=words.CyclicWord(34.0, st.word.indices)),)
+        + cert.steps[1:], cert.solved_cycles)
+    assert _outcome(replay_certificate, bad) == (
+        LengthMismatch, "order must be a positive even integer, got 34.0")
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    real = words.validate_word
+
+    def counted(order, indices, reflected=False):
+        calls.append(tuple(indices))
+        return real(order, indices, reflected)
+
+    monkeypatch.setattr(words, "validate_word", counted)
+    return calls
+
+
+def test_replay_validates_only_words_it_did_not_derive(monkeypatch):
+    certs = [_reduced(w)[1] for w in PARITY_WORDS]
+    calls = _count_validations(monkeypatch)
+    for cert in certs:
+        calls.clear()
+        replay_certificate(cert)
+        assert calls == [cert.word.indices]
+    # an orphan whose doubled halves are constant, so the replay succeeds
+    cert = next(c for c in certs if c.word.order == 12)
+    block = validate_word(12, (1,) * 6 + (2,) * 6)
+    assert block not in {st.word for st in cert.steps}
+    orphan = ReductionCertificate(
+        cert.word, cert.coefficients,
+        cert.steps[:1] + (split_relation(block),) + cert.steps[1:],
+        cert.solved_cycles)
+    calls.clear()
+    assert replay_certificate(orphan) == cert.coefficients
+    assert calls == [cert.word.indices, block.indices]
