@@ -131,6 +131,76 @@ class Reflect(NamedTuple):
     child: object
 
 
+_NODES = (RationalLeaf, QLoop, Sum, Rotate90, Reflect)
+
+
+def _node_eq(self, other):
+    """Nodes are equal when their types and fields are, all the way
+    down; a node never equals a plain tuple or a node of another type.
+    Compared on an explicit stack, so deep trees do not recurse."""
+    if not isinstance(other, tuple):
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) in _NODES:
+            stack += zip(a, b)
+        elif a != b:
+            return False
+    return True
+
+
+def _node_ne(self, other):
+    equal = _node_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _node_hash(self):
+    """Hash of the type name and the field hashes, folded bottom-up."""
+    done = []
+    stack = [(self, False)]
+    while stack:
+        node, folded = stack.pop()
+        if type(node) not in _NODES:
+            done.append(hash(node))
+        elif folded:
+            fields = done[len(done) - len(node):]
+            del done[len(done) - len(node):]
+            done.append(hash((type(node).__name__, *fields)))
+        else:
+            stack.append((node, True))
+            stack += ((field, False) for field in reversed(node))
+    return done[0]
+
+
+def _node_repr(self):
+    """The namedtuple repr, written from an explicit stack."""
+    parts = []
+    stack = [(self, False)]     # (item, whether it is literal text)
+    while stack:
+        item, text = stack.pop()
+        if text:
+            parts.append(item)
+        elif type(item) in _NODES:
+            stack.append((")", True))
+            for i in reversed(range(len(item))):
+                stack += ((item[i], False),
+                          ("%s%s=" % (", " if i else "", item._fields[i]),
+                           True))
+            stack.append((type(item).__name__ + "(", True))
+        else:
+            parts.append(repr(item))
+    return "".join(parts)
+
+
+for _node in _NODES:
+    _node.__eq__, _node.__ne__ = _node_eq, _node_ne
+    _node.__hash__, _node.__repr__ = _node_hash, _node_repr
+del _node
+
+
 def leaf(notation):
     """Shorthand: a rational leaf from notation text."""
     return RationalLeaf(parse_conway(notation))
@@ -380,7 +450,10 @@ def expr_from_json_dict(data):
         if kind == "rational":
             built.append(RationalLeaf(parse_conway(data["conway"])))
         elif kind == "qloop":
-            built.append(QLoop(int(data["m"])))
+            if type(data["m"]) is not int:
+                raise ParseError("qloop m must be an integer, got %r"
+                                 % (data["m"],))
+            built.append(QLoop(data["m"]))
         elif kind == "sum":
             todo += ((Sum, None), (data, "right"), (data, "left"))
         elif kind == "rotate90":

@@ -27,15 +27,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from . import arborescent
+from . import arborescent, pieces
 from .pieces import EndpointMismatch
 
 FAMILIES = ("rational-square", "integer-cylindrical", "reciprocal-saucer")
 AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 ARRANGEMENTS = ("bracelet", "lattice", "cylinder-stack", "custom")
-# Most slots a lattice may have; rows * cols is checked against it before
-# the "slot" shorthand is expanded.
-LATTICE_SLOT_LIMIT = 10 ** 6
 
 BORROMEAN_VOLUME = Decimal("7.32772474")
 V_OCT = Decimal("3.66386238")
@@ -495,10 +492,26 @@ class SlotSpec(NamedTuple):
     signature: tuple  # () unless the arrangement is custom
 
 
-_DEFAULT_FAMILY = {
-    "bracelet": "reciprocal-saucer",
-    "lattice": "rational-square",
-    "cylinder-stack": "integer-cylindrical",
+class _Arrangement(NamedTuple):
+    family: str     # what a slot defaults to
+    elsewhere: str  # the refusal of an ambient not in rules
+    rules: dict     # ambient -> (bound rule, LinkSpec -> signature)
+
+
+_FIXED = {
+    "bracelet": _Arrangement(
+        "reciprocal-saucer", "bracelet bounds hold in S3, not %s",
+        {"S3": ("bracelet-cycle-bound", lambda s: (len(s.slots),))}),
+    "lattice": _Arrangement(
+        "rational-square", "lattice bounds hold in S3, TxI, or S2xS1, not %s",
+        {"S3": ("torus-lattice-bound", lambda s: (s.cols, s.rows)),
+         "TxI": ("cube-decomposition-bound", lambda s: (2, 2)),
+         "S2xS1": ("sphere-product-lattice-bound", lambda s: (2, s.rows))}),
+    "cylinder-stack": _Arrangement(
+        "integer-cylindrical",
+        "cylinder stacks close up in TxI or the solid torus, not %s",
+        {"TxI": ("thickened-torus-stack-bound", lambda s: (2,)),
+         "SolidTorus": ("solid-torus-stack-bound", lambda s: (2,))}),
 }
 
 
@@ -532,6 +545,7 @@ def parse_link_spec(data):
     ambient = data.get("ambient")
     if ambient not in AMBIENTS:
         raise BoundsError("unknown ambient %r" % (ambient,))
+    fixed = _FIXED.get(arrangement)
 
     raw_slots = data.get("slots")
     rows, cols = data.get("rows", 0), data.get("cols", 0)
@@ -542,10 +556,10 @@ def parse_link_spec(data):
     if arrangement == "lattice":
         if rows <= 0 or cols <= 0:
             raise ArrangementInvalid("a lattice needs rows and cols")
-        if rows * cols > LATTICE_SLOT_LIMIT:
+        if rows * cols > pieces.COPY_LIMIT:
             raise ArrangementInvalid(
                 "a %d x %d lattice has more than %d slots"
-                % (rows, cols, LATTICE_SLOT_LIMIT))
+                % (rows, cols, pieces.COPY_LIMIT))
         if raw_slots is None and "slot" in data:
             raw_slots = [data["slot"]] * (rows * cols)
         if not isinstance(raw_slots, (list, tuple)) \
@@ -566,7 +580,7 @@ def parse_link_spec(data):
             raw = raw._asdict()
         elif not isinstance(raw, dict):
             raise BoundsError("slot %d must be a string or an object" % i)
-        family = raw.get("family", _DEFAULT_FAMILY.get(arrangement))
+        family = raw.get("family", fixed.family if fixed else None)
         if family is None:
             raise BoundsError("slot %d needs an explicit family" % i)
         if family not in FAMILIES:
@@ -594,26 +608,12 @@ def parse_link_spec(data):
         slots.append(SlotSpec(family, _normalize_conway(conway), orientation,
                               tuple(signature)))
 
-    count = len(slots)
-    if arrangement == "bracelet" and (count < 2 or count % 2):
-        raise ArrangementInvalid("a bracelet needs an even number of "
-                                 "tangles, at least two, got %d" % count)
-    if arrangement == "lattice" and (rows < 2 or cols < 2 or rows % 2
-                                     or cols % 2):
-        raise ArrangementInvalid("lattice dimensions must be even and at "
-                                 "least 2 x 2, got %d x %d" % (rows, cols))
-    if arrangement == "cylinder-stack" and not count:
-        raise ArrangementInvalid("a cylinder stack needs at least one tangle")
-    if arrangement == "bracelet" and ambient != "S3":
-        raise ArrangementInvalid("bracelet bounds hold in S3, not %s"
-                                 % ambient)
-    if arrangement == "lattice" and ambient not in ("S3", "TxI", "S2xS1"):
-        raise ArrangementInvalid("lattice bounds hold in S3, TxI, or S2xS1, "
-                                 "not %s" % ambient)
-    if arrangement == "cylinder-stack" and ambient not in ("TxI",
-                                                           "SolidTorus"):
-        raise ArrangementInvalid("cylinder stacks close up in TxI or the "
-                                 "solid torus, not %s" % ambient)
+    try:
+        pieces.check_shape(arrangement, len(slots), rows, cols)
+    except pieces.PieceError as exc:
+        raise ArrangementInvalid(str(exc)) from None
+    if fixed and ambient not in fixed.rules:
+        raise ArrangementInvalid(fixed.elsewhere % ambient)
 
     reference = data.get("reference_volume")
     return LinkSpec(data.get("name", arrangement), arrangement, ambient,
@@ -626,16 +626,8 @@ def _demanded_signatures(spec):
     if spec.arrangement == "custom":
         return "declared-decomposition-bound", [s.signature
                                                 for s in spec.slots]
-    rule, demand = {
-        ("bracelet", "S3"): ("bracelet-cycle-bound", (len(spec.slots),)),
-        ("lattice", "S3"): ("torus-lattice-bound", (spec.cols, spec.rows)),
-        ("lattice", "TxI"): ("cube-decomposition-bound", (2, 2)),
-        ("lattice", "S2xS1"): ("sphere-product-lattice-bound",
-                               (2, spec.rows)),
-        ("cylinder-stack", "TxI"): ("thickened-torus-stack-bound", (2,)),
-        ("cylinder-stack", "SolidTorus"): ("solid-torus-stack-bound", (2,)),
-    }[spec.arrangement, spec.ambient]
-    return rule, [demand] * len(spec.slots)
+    rule, demand = _FIXED[spec.arrangement].rules[spec.ambient]
+    return rule, [demand(spec)] * len(spec.slots)
 
 
 def _certified_entry(db, ref, signature, label, slot=None):
@@ -808,7 +800,10 @@ def compose_bound(db, tangle_a, tangle_b=None, rule="thickened-cylinder",
 
 def classical_bounds(twist_number, category):
     """Twist-number volume bounds for diagram comparison lines."""
-    t = int(twist_number)
+    if type(twist_number) is not int:
+        raise BoundsError("twist number must be an integer, got %r"
+                          % (twist_number,))
+    t = twist_number
     if t < 2:
         raise BadTwistNumber("twist-number formulas need t >= 2, got %d"
                              % t)

@@ -30,8 +30,6 @@ from typing import NamedTuple
 from . import InvariantViolation, pieces
 from .bounds import AMBIENTS
 
-GROUP_LIMIT = 10 ** 6
-
 
 class GraphError(ValueError):
     """A graph, reflection, or rotation input is malformed."""
@@ -78,7 +76,7 @@ class NotSphere(GraphError):
 
 
 class GroupTooLarge(RuntimeError):
-    """The reflection group has more than GROUP_LIMIT elements."""
+    """The reflection group has more than pieces.COPY_LIMIT elements."""
 
 
 def _norm_edge(pos, u, v):
@@ -214,7 +212,7 @@ def validate_reflection_graph(graph):
     preservation axioms and tag correctness, then tag coverage of every
     edge, then the generated group G: no nontrivial element may fix a
     vertex, which is the same as the edge orbits ("classes") numbering
-    exactly the valence, and |G| must not exceed GROUP_LIMIT.
+    exactly the valence, and |G| must not exceed pieces.COPY_LIMIT.
 
     The group is not listed.  Once every edge is tagged, each edge is
     transposed by a generator, so on a connected graph G is transitive
@@ -323,9 +321,9 @@ def validate_reflection_graph(graph):
     if len(classes) != valence:
         raise VertexStabilizerNontrivial(
             "a nontrivial symmetry fixes the vertex %r" % (graph.vertices[0],))
-    if n > GROUP_LIMIT:
+    if n > pieces.COPY_LIMIT:
         raise GroupTooLarge(
-            "the reflection group exceeds %d elements" % GROUP_LIMIT)
+            "the reflection group exceeds %d elements" % pieces.COPY_LIMIT)
 
     parts = (tuple(v for v in graph.vertices if color[v] == 0),
              tuple(v for v in graph.vertices if color[v] == 1))
@@ -403,8 +401,7 @@ def cycle_reflection_graph(size, ambient="S3"):
     generate a dihedral group of order ``size`` acting freely, and the
     edges fall into two classes, alternating around the cycle.
     """
-    size = int(size)
-    if size < 4 or size % 2:
+    if type(size) is not int or size < 4 or size % 2:
         raise GraphError("cycle size must be an even integer of at least 4")
     vertices = range(size)
     edges = [(v, (v + 1) % size) for v in vertices]
@@ -427,9 +424,8 @@ def lattice_reflection_graph(rows, cols, ambient="S3"):
     one per pair of column circles flips j, each tagged with every edge
     it transposes.  Four edge classes result, matching the valence.
     """
-    rows = int(rows)
-    cols = int(cols)
-    if rows < 4 or rows % 2 or cols < 4 or cols % 2:
+    if type(rows) is not int or type(cols) is not int or rows < 4 \
+            or rows % 2 or cols < 4 or cols % 2:
         raise GraphError(
             "lattice dimensions must be even integers of at least 4")
     vertices = [(i, j) for i in range(rows) for j in range(cols)]
@@ -730,7 +726,8 @@ def bigon_bound_check(edges, rotation, n):
     the Euler count rewritten per face, is recomputed in Fractions as a
     guard before the bigon count is compared against 2(n+1).
     """
-    n = int(n)
+    if type(n) is not int:
+        raise GraphError("n must be an integer, got %r" % (n,))
     if n < 1:
         raise GraphError("n must be at least 1")
     report = trace_faces(edges, rotation)

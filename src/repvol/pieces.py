@@ -20,9 +20,12 @@ link components.
 
 import collections
 import itertools
+import math
 from typing import NamedTuple
 
 ISO_COPY_LIMIT = 10 ** 4
+# Most copies a lattice, replicant or reflection group may hold.
+COPY_LIMIT = 10 ** 6
 
 
 class PieceError(ValueError):
@@ -50,7 +53,19 @@ class TooFewStrands(PieceError):
 
 
 class SizeExceeded(RuntimeError):
-    """Isomorphism search refused a complex above the copy limit."""
+    """A replicant or an isomorphism search is above its copy limit."""
+
+
+def _ints(field, values):
+    """``values`` as a tuple of ints, else a PieceError naming ``field``.
+
+    int() would read 1.9 as 1 and overflow on infinity; bool is an int
+    subclass.
+    """
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise PieceError("%s must be integers, got %r" % (field, values))
+    return values
 
 
 class PieceTemplate:
@@ -73,7 +88,7 @@ class PieceTemplate:
 
     def __init__(self, id, faces, strands, free_boundary=(),
                  closed_components=0, interfaces=None):
-        faces = tuple(tuple(int(x) for x in face) for face in faces)
+        faces = tuple(_ints("face labels", face) for face in faces)
         for face in faces:
             if face != tuple(range(1, len(face) + 1)):
                 raise PieceError(
@@ -85,8 +100,8 @@ class PieceTemplate:
         normalized = []
         for pair in strands:
             a, b = pair
-            a = (int(a[0]), int(a[1]))
-            b = (int(b[0]), int(b[1]))
+            a = _ints("strand ends", (a[0], a[1]))
+            b = _ints("strand ends", (b[0], b[1]))
             for face_no, label in (a, b):
                 if not 1 <= face_no <= len(faces):
                     raise PieceError("strand endpoint on missing face %d"
@@ -109,15 +124,18 @@ class PieceTemplate:
         self.strands = tuple(sorted(normalized))
         self._mate = mate
 
-        self.free_boundary = tuple(int(g) for g in free_boundary)
+        self.free_boundary = _ints("free_boundary", free_boundary)
         if any(g < 0 for g in self.free_boundary):
             raise PieceError("genus tags must be nonnegative")
-        self.closed_components = int(closed_components)
+        if type(closed_components) is not int:
+            raise PieceError("closed_components must be an integer, got %r"
+                             % (closed_components,))
+        self.closed_components = closed_components
         if self.closed_components < 0:
             raise PieceError("closed component count must be nonnegative")
         if interfaces is None:
             interfaces = (1,) * self.ell
-        self.interfaces = tuple(int(c) for c in interfaces)
+        self.interfaces = _ints("interfaces", interfaces)
         if len(self.interfaces) != self.ell:
             raise PieceError("need one interface count per face pair")
         if any(c < 0 for c in self.interfaces):
@@ -451,17 +469,34 @@ def replicate(template, schedule):
     Copies are labeled by index tuples, one coordinate per face pair in
     schedule order, and glued by the mirror pattern of _mirror_gluings().
     Every face slot ends up glued exactly once; free boundary is
-    untouched.
+    untouched.  A schedule of more than COPY_LIMIT copies is refused
+    before any copy is labeled.
     """
     if len(template.faces) % 2:
         raise ScheduleMismatch(
             "replication reflects across face pairs; template %r has an "
             "unpaired face" % template.id)
     indices, order = _normalize_schedule(schedule, template.ell)
+    if math.prod(indices) > COPY_LIMIT:
+        raise SizeExceeded("schedule %r makes more than %d copies"
+                           % (indices, COPY_LIMIT))
     sizes = [indices[k - 1] for k in order]
     labels = itertools.product(*(range(s) for s in sizes))
     return GluingComplex([(template, label) for label in labels],
                          _mirror_gluings(sizes, order))
+
+
+def check_shape(arrangement, count, rows=0, cols=0):
+    """Refuse a bracelet, lattice or stack whose size cannot close up."""
+    if arrangement == "bracelet" and (count < 2 or count % 2):
+        raise OddLength("a bracelet needs an even number of tangles, "
+                        "at least two, got %d" % count)
+    if arrangement == "lattice" and (rows < 2 or cols < 2 or rows % 2
+                                     or cols % 2):
+        raise OddDimension("lattice dimensions must be even and at least "
+                           "2 x 2, got %d x %d" % (rows, cols))
+    if arrangement == "cylinder-stack" and not count:
+        raise PieceError("a cylinder stack needs at least one tangle")
 
 
 def build_bracelet(tangles):
@@ -475,9 +510,7 @@ def build_bracelet(tangles):
     """
     tangles = list(tangles)
     count = len(tangles)
-    if count < 2 or count % 2:
-        raise OddLength("a bracelet needs an even number of tangles, "
-                        "at least two, got %d" % count)
+    check_shape("bracelet", count)
     for i, tangle in enumerate(tangles):
         j = (i + 1) % count
         face_no = 1 if i % 2 == 0 else 2
@@ -512,9 +545,7 @@ def build_torus_lattice(grid):
     if height == 0 or any(len(row) != len(rows[0]) for row in rows):
         raise PieceError("lattice grid must be rectangular")
     width = len(rows[0])
-    if height < 2 or width < 2 or height % 2 or width % 2:
-        raise OddDimension("lattice dimensions must be even and at least "
-                           "2 x 2, got %d x %d" % (height, width))
+    check_shape("lattice", height * width, height, width)
     copies = []
     for r, row in enumerate(rows):
         for c, template in enumerate(row):
@@ -541,8 +572,7 @@ def build_cylinder_stack(tangles):
     (equal labels), cyclically; a single tangle closes onto itself.
     """
     tangles = list(tangles)
-    if not tangles:
-        raise PieceError("a cylinder stack needs at least one tangle")
+    check_shape("cylinder-stack", len(tangles))
     gluings = []
     for i, tangle in enumerate(tangles):
         j = (i + 1) % len(tangles)

@@ -195,6 +195,48 @@ def test_deeply_nested_reflections():
             assert node == RationalLeaf(ConwayRational(2, 3))
 
 
+def test_node_equality_hash_and_repr_do_not_recurse():
+    # Tuple equality and the namedtuple repr recurse once per level and
+    # raise RecursionError near depth 1000.
+    for depth in (1500, 10 ** 4):
+        text = "refl(rot(" * depth + "sum(rat(2/3), q(1))" + "))" * depth
+        tree, again = parse_expr(text), parse_expr(text)
+        assert tree == again and not tree != again
+        assert hash(tree) == hash(again)
+        assert repr(tree) == (
+            "Reflect(child=Rotate90(child=" * depth
+            + "Sum(left=RationalLeaf(value=%r), right=QLoop(m=1))"
+            % (ConwayRational(2, 3),) + "))" * depth)
+        other = parse_expr(text.replace("q(1)", "q(2)"))
+        assert tree != other and not tree == other
+
+
+def test_nodes_compare_by_type_as_well_as_fields():
+    # As plain tuples, Rotate90(x) == Reflect(x) and QLoop(3) == (3,),
+    # with equal hashes.
+    x = leaf("1/3")
+    pairs = [(Rotate90(x), Reflect(x)), (QLoop(3), (3,)),
+             (Sum(x, QLoop(2)), (x, QLoop(2))), (Sum(x, QLoop(2)),
+                                                 Sum(x, (2,))),
+             (Reflect(Rotate90(x)), Reflect(Reflect(x)))]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b and not b == a
+        assert hash(a) != hash(b)
+    assert RationalLeaf(ConwayRational(1, 3)) != RationalLeaf((1, 3, ()))
+    assert QLoop(3) != 3 and QLoop(3) == QLoop(3)
+    assert len({Rotate90(x), Reflect(x), Rotate90(x)}) == 2
+
+
+def test_node_repr_is_the_namedtuple_repr():
+    value = ConwayRational(3, 2, (2, 1))
+    tree = Sum(RationalLeaf(value), Rotate90(Reflect(QLoop(3))))
+    assert repr(tree) == (
+        "Sum(left=RationalLeaf(value=%r), right=Rotate90(child=Reflect("
+        "child=QLoop(m=3))))" % (value,))
+    assert repr(Sum("a", None)) == "Sum(left='a', right=None)"
+
+
 def test_bad_node_is_named_under_its_reflection_parity():
     with pytest.raises(ParseError, match=r"node: None$"):
         canonicalize(Sum(leaf("1"), Reflect(Reflect(None))))
@@ -308,6 +350,17 @@ def test_parse_expr_rejects_junk():
                 "sum(rat(2), rat(3)) tail", ""):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+def test_expr_json_loop_size_must_be_an_integer():
+    # int() would read 2.9 as Q_2 and overflow on infinity
+    for m in (2.9, float("inf"), True, "2"):
+        with pytest.raises(ParseError) as info:
+            expr_from_json_dict({"kind": "sum",
+                                 "left": {"kind": "rational", "conway": "1"},
+                                 "right": {"kind": "qloop", "m": m}})
+        assert str(info.value) == "qloop m must be an integer, got %r" % (m,)
+    assert expr_from_json_dict({"kind": "qloop", "m": 2}) == QLoop(2)
 
 
 def test_expr_json_round_trip():

@@ -7,10 +7,11 @@ import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repvol import arborescent, bounds
+from repvol import arborescent, bounds, pieces
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +365,66 @@ def test_arrangement_rejections(db):
             bounds.lower_bound(db, spec)
 
 
+REFUSAL_TABLE = Path(__file__).with_name("arrangement_refusals.txt")
+TABLE_SLOTS = {"bracelet": "1/4", "cylinder-stack": "2",
+               "custom": {"family": "reciprocal-saucer", "conway": "1/4",
+                          "signature": [2]}}
+
+
+def parse_outcome(spec):
+    try:
+        bounds.parse_link_spec(spec)
+    except bounds.BoundsError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return "ok"
+
+
+def test_arrangement_refusals_match_the_recorded_table():
+    # Every arrangement in every ambient, at the sizes around each shape
+    # rule: bracelets, stacks and custom slots 0-7, lattices 0-5 x 0-5.
+    rows = [line.split(" | ") for line in
+            REFUSAL_TABLE.read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 4 * (8 + 8 + 8 + 36)
+    for case, recorded in rows:
+        arrangement, ambient, size = case.split()
+        spec = {"arrangement": arrangement, "ambient": ambient}
+        if arrangement == "lattice":
+            spec["rows"], spec["cols"] = map(int, size.split("x"))
+            spec["slot"] = "2"
+        else:
+            spec["slots"] = [TABLE_SLOTS[arrangement]] * int(size)
+        assert parse_outcome(spec) == recorded, case
+
+
+def test_builders_and_checker_refuse_a_shape_in_the_same_words():
+    saucer = pieces.saucer_template("1/4")
+    square = pieces.square_template("2")
+    cylinder = pieces.cylindrical_template("2")
+    cases = []
+    for n in range(8):
+        cases.append((pieces.build_bracelet, [saucer] * n,
+                      {"arrangement": "bracelet", "ambient": "S3",
+                       "slots": ["1/4"] * n}))
+        cases.append((pieces.build_cylinder_stack, [cylinder] * n,
+                      {"arrangement": "cylinder-stack", "ambient": "TxI",
+                       "slots": ["2"] * n}))
+    for r, c in itertools.product(range(1, 6), repeat=2):
+        cases.append((pieces.build_torus_lattice, [[square] * c] * r,
+                      {"arrangement": "lattice", "ambient": "S3",
+                       "rows": r, "cols": c, "slot": "2"}))
+    refused = 0
+    for build, tangles, spec in cases:
+        try:
+            build(tangles)
+        except pieces.PieceError as exc:
+            refused += 1
+            assert parse_outcome(spec) == "ArrangementInvalid: %s" % exc
+        else:
+            assert parse_outcome(spec) == "ok"
+    assert refused == 5 + 1 + 21
+
+
 MALFORMED_SPECS = [
     ({"arrangement": "bracelet", "ambient": "S3", "slots": [1, "1/4"]},
      "slot 0 must be a string or an object"),
@@ -430,7 +491,7 @@ def test_malformed_descriptions_are_refused_before_certifying(db,
 
 def test_lattice_slot_limit_refuses_before_expanding(db, monkeypatch):
     calls = counting_certifier(monkeypatch)
-    limit = bounds.LATTICE_SLOT_LIMIT
+    limit = pieces.COPY_LIMIT
     listed = ["2"] * (limit + 1)
     for rows, cols, slots in [(limit + 1, 1, None), (1, limit + 1, None),
                               (10 ** 20, 2, None), (2, 10 ** 20, None),
@@ -633,6 +694,12 @@ def test_classical_degenerate_and_bad():
             bounds.classical_bounds(t, "alternating")
     with pytest.raises(bounds.BoundsError):
         bounds.classical_bounds(6, "mystery")
+    # int() would read 2.9 as t = 2 and overflow on infinity
+    for t in (2.9, float("inf"), True, "6"):
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.classical_bounds(t, "alternating")
+        assert str(info.value) == ("twist number must be an integer, got %r"
+                                   % (t,))
 
 
 def test_limit_check_shipped_clean(db):
@@ -795,7 +862,8 @@ def random_link_spec(rng):
     distinct = rng.randint(1, 3)
     menu = []
     for _ in range(distinct):
-        family = bounds._DEFAULT_FAMILY.get(arrangement) or rng.choice(
+        fixed = bounds._FIXED.get(arrangement)
+        family = fixed.family if fixed else rng.choice(
             ("rational-square", "reciprocal-saucer"))
         slot = {"family": family, "conway": rng.choice(_POOLS[family])}
         if family == "reciprocal-saucer" and rng.random() < 0.2:

@@ -308,7 +308,7 @@ def test_bound_oversized_lattice_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["bound", path])
     assert (code, out) == (2, "")
     assert err == ("ArrangementInvalid: a %d x 2 lattice has more than %d "
-                   "slots\n" % (10 ** 20, bounds.LATTICE_SLOT_LIMIT))
+                   "slots\n" % (10 ** 20, pieces.COPY_LIMIT))
 
 
 def test_batch_bound_malformed_descriptions(capsys, tmp_path):
@@ -445,6 +445,32 @@ def test_replicate_malformed_template_exit_2(capsys, tmp_path, template):
     code, _, err = run(capsys, ["replicate", path, "--schedule", "2"])
     assert code == 2
     assert err.startswith("PieceError: malformed piece template JSON")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("closed_components", float("inf"),
+     "closed_components must be an integer, got inf"),
+    ("closed_components", 2.9,
+     "closed_components must be an integer, got 2.9"),
+    ("faces", [[1.9, 2.2], [1, 2]], "face labels must be integers, got "
+     "(1.9, 2.2)"),
+])
+def test_replicate_non_integer_template_field_exit_2(capsys, tmp_path, field,
+                                                     value, message):
+    # int() overflowed on infinity (a traceback, exit 1) and read 1.9 as 1
+    template = dict(pieces.saucer_template("S").to_json_dict(),
+                    **{field: value})
+    path = write_json(tmp_path / "template.json", template)
+    code, out, err = run(capsys, ["replicate", path, "--schedule", "2"])
+    assert (code, out, err) == (2, "", "PieceError: %s\n" % message)
+
+
+def test_replicate_oversized_schedule_exits_2(capsys, saucer_path):
+    code, out, err = run(capsys, ["replicate", saucer_path, "--schedule",
+                                  str(10 ** 20)])
+    assert (code, out) == (2, "")
+    assert err == ("SizeExceeded: schedule (%d,) makes more than %d copies\n"
+                   % (10 ** 20, pieces.COPY_LIMIT))
 
 
 def test_replicate_template_errors_keep_their_class(capsys, tmp_path):

@@ -274,7 +274,7 @@ def test_vertex_stabilizer_detected():
 
 
 def test_group_cap(monkeypatch):
-    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 4)
+    monkeypatch.setattr(pieces, "COPY_LIMIT", 4)
     with pytest.raises(GroupTooLarge):
         validate_reflection_graph(cycle_reflection_graph(6))
 
@@ -290,16 +290,16 @@ def test_non_free_action_refused_before_group_cap(monkeypatch):
                        [(0, 1), (6, 7)])
     bad = ReflectionGraph(cube.vertices, cube.edges,
                           cube.reflections + (extra,))
-    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 4)
+    monkeypatch.setattr(pieces, "COPY_LIMIT", 4)
     with pytest.raises(VertexStabilizerNontrivial):
         validate_reflection_graph(bad)
 
 
 def test_group_cap_is_exact(monkeypatch):
-    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 5)
+    monkeypatch.setattr(pieces, "COPY_LIMIT", 5)
     with pytest.raises(GroupTooLarge):
         validate_reflection_graph(cycle_reflection_graph(6))
-    monkeypatch.setattr(graphs_module, "GROUP_LIMIT", 6)
+    monkeypatch.setattr(pieces, "COPY_LIMIT", 6)
     assert validate_reflection_graph(
         cycle_reflection_graph(6)).group_order == 6
 
@@ -490,6 +490,24 @@ def test_construction_errors():
         lattice_reflection_graph(2, 4)
     with pytest.raises(GraphError):
         lattice_reflection_graph(4, 5)
+
+
+def test_sizes_must_be_integers():
+    # int() would build C6 for 6.9 and a 4 x 4 lattice for 4.5 x 4
+    for size in (6.9, 6.0, True, "6"):
+        with pytest.raises(GraphError, match="^cycle size must be an even "
+                           "integer of at least 4$"):
+            cycle_reflection_graph(size)
+    for rows, cols in ((4.5, 4), (4, 4.0), (4, "4"), (float("inf"), 4)):
+        with pytest.raises(GraphError, match="^lattice dimensions must be "
+                           "even integers of at least 4$"):
+            lattice_reflection_graph(rows, cols)
+    edges, rotation = dipole(4)
+    for n in (1.5, 1.0, True, float("inf")):
+        with pytest.raises(GraphError) as info:
+            bigon_bound_check(edges, rotation, n)
+        assert str(info.value) == "n must be an integer, got %r" % (n,)
+    assert bigon_bound_check(edges, rotation, 1).passed
 
 
 # replicants

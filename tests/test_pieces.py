@@ -1,10 +1,12 @@
 import collections
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
-from repvol import pieces
+from repvol import bounds, graphs, pieces
 from repvol.pieces import (
     ComponentCount, EndpointMismatch, GluingComplex, OddDimension, OddLength,
     PieceError, PieceTemplate, ReplicantSchedule, ScheduleMismatch,
@@ -82,6 +84,33 @@ def test_template_validation():
                       (((1, 1), (1, 2)), ((1, 1), (2, 1))))
     with pytest.raises(PieceError):
         PieceTemplate("offface", ((1,), (1,)), (((1, 1), (2, 5)),))
+
+
+def test_template_integer_fields_must_be_ints():
+    # int() would read 1.9 as 1 and overflow on infinity; bool is an int
+    good = saucer_template("s").to_json_dict()
+    inf = float("inf")
+    cases = [
+        ("faces", [[1.9, 2.2], [1, 2]], "face labels", (1.9, 2.2)),
+        ("faces", [[1, 2], [True, 2]], "face labels", (True, 2)),
+        ("strands", [[[1, 1.0], [1, 2]], [[2, 1], [2, 2]]], "strand ends",
+         (1, 1.0)),
+        ("strands", [[[1, 1], [1, 2]], [[2, 1], ["2", 2]]], "strand ends",
+         ("2", 2)),
+        ("free_boundary", [0, 1.5], "free_boundary", (0, 1.5)),
+        ("interfaces", [inf], "interfaces", (inf,)),
+    ]
+    for field, value, name, shown in cases:
+        with pytest.raises(PieceError) as info:
+            PieceTemplate.from_json_dict(dict(good, **{field: value}))
+        assert str(info.value) == "%s must be integers, got %r" % (name,
+                                                                   shown)
+    for count in (2.9, inf, True, "1"):
+        with pytest.raises(PieceError) as info:
+            PieceTemplate.from_json_dict(dict(good, closed_components=count))
+        assert str(info.value) == ("closed_components must be an integer, "
+                                   "got %r" % (count,))
+    assert PieceTemplate.from_json_dict(good) == saucer_template("s")
 
 
 def test_template_equality_and_roundtrip():
@@ -190,6 +219,55 @@ def test_schedule_entries_must_be_integers():
         assert str(info.value) == (
             "order entries must be integers, got %r" % (order,))
     assert len(replicate(t, ReplicantSchedule((2, 4), (2, 1))).copies) == 8
+
+
+def test_replicate_refuses_schedules_above_the_copy_limit():
+    # The product is checked before a single copy is labeled: expanding
+    # (10**20,) would try to allocate every copy.
+    limit = pieces.COPY_LIMIT
+    tracemalloc.start()
+    try:
+        for template, schedule in [
+                (saucer_template("s"), (10 ** 20,)),
+                (saucer_template("s"), (limit + 2,)),
+                (square_template("2"), (2, limit)),
+                (square_template("2"), (limit, 2)),
+                (square_template("2"), (1000, 1002)),
+                (square_template("2"), ReplicantSchedule((2, limit), (2, 1)))]:
+            start = time.perf_counter()
+            with pytest.raises(SizeExceeded) as info:
+                replicate(template, schedule)
+            assert time.perf_counter() - start < 0.1
+            indices = getattr(schedule, "indices", schedule)
+            assert str(info.value) == ("schedule %r makes more than %d "
+                                       "copies" % (indices, limit))
+        assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_copy_limit_read_at_call_time(monkeypatch):
+    # Lattice slots, replicant copies and reflection group elements are
+    # all capped by pieces.COPY_LIMIT; at the limit each is still built.
+    monkeypatch.setattr(pieces, "COPY_LIMIT", 36)
+    square = {"arrangement": "lattice", "ambient": "TxI", "slot": "2"}
+    assert bounds.parse_link_spec(dict(square, rows=6, cols=6)).rows == 6
+    with pytest.raises(bounds.ArrangementInvalid) as info:
+        bounds.parse_link_spec(dict(square, rows=37, cols=1))
+    assert str(info.value) == "a 37 x 1 lattice has more than 36 slots"
+
+    assert len(replicate(saucer_template("s"), (36,)).copies) == 36
+    assert len(replicate(square_template("2"), (6, 6)).copies) == 36
+    with pytest.raises(SizeExceeded) as info:
+        replicate(square_template("2"), (6, 8))
+    assert str(info.value) == "schedule (6, 8) makes more than 36 copies"
+
+    order = graphs.validate_reflection_graph(
+        graphs.cycle_reflection_graph(36)).group_order
+    assert order == 36
+    with pytest.raises(graphs.GroupTooLarge) as info:
+        graphs.validate_reflection_graph(graphs.cycle_reflection_graph(38))
+    assert str(info.value) == "the reflection group exceeds 36 elements"
 
 
 def test_replicate_order_independence():
