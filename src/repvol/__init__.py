@@ -7,9 +7,17 @@ database and turns certified decompositions into numeric lower bounds,
 ``arborescent`` classifies arborescent tangles by the replicant sizes that
 make them hyperbolic, ``graphs`` validates reflection graphs and traces
 faces of embedded graphs, and ``cli`` wires it all to a command line.
+
+What more than one layer reads lives here, so that importing one layer
+does not import another only for a name: the tangle families and ambient
+manifolds of the volume table, and the base classes the command line
+maps to exit codes.
 """
 
 __version__ = "0.1.0"
+
+FAMILIES = ("rational-square", "integer-cylindrical", "reciprocal-saucer")
+AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 
 
 class InvariantViolation(AssertionError):
@@ -17,4 +25,12 @@ class InvariantViolation(AssertionError):
 
     Raised explicitly rather than through ``assert``, so ``python -O``
     keeps the checks; the CLI reports it with exit code 4.
+    """
+
+
+class LimitExceeded(RuntimeError):
+    """A proven work bound or a size limit was reached.
+
+    The base of ``words.NonTermination``, ``graphs.GroupTooLarge`` and
+    ``pieces.SizeExceeded``; the CLI reports it with exit code 2.
     """

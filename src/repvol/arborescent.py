@@ -81,7 +81,10 @@ def rational_from_quotients(quotients):
     "2 1" means 1 + 1/2.  Computed on numerator/denominator pairs so
     intermediate infinities (from zero entries) are fine.
     """
-    quotients = tuple(int(c) for c in quotients)
+    quotients = tuple(quotients)
+    if any(type(c) is not int for c in quotients):
+        # int() would read 2.9 as 2 and overflow on infinity
+        raise ParseError("quotients must be integers, got %r" % (quotients,))
     if not quotients:
         raise ParseError("empty quotient sequence")
     p, q = quotients[0], 1

@@ -27,11 +27,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from . import arborescent, pieces
+from . import AMBIENTS, FAMILIES, arborescent, pieces
 from .pieces import EndpointMismatch
 
-FAMILIES = ("rational-square", "integer-cylindrical", "reciprocal-saucer")
-AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 ARRANGEMENTS = ("bracelet", "lattice", "cylinder-stack", "custom")
 
 BORROMEAN_VOLUME = Decimal("7.32772474")

@@ -12,6 +12,10 @@ RecursionError only from JSON nested too deeply for the stdlib decoder),
 printed to stderr as the originating error class name plus message; 3 a
 bound was refused because some tangle could not be certified
 hyperbolic; 4 internal assertion failure.
+
+Each command imports the library layers it runs, and no others, so a
+process compiles only what its command needs: ``reduce`` loads ``words``
+alone and ``classify`` ``arborescent`` alone.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from . import arborescent, bounds, graphs, pieces, words
+from . import AMBIENTS, FAMILIES, LimitExceeded
 
 FORMATS = ("plain", "json", "markdown")
 
@@ -61,6 +65,7 @@ def _dump_json(obj):
 
 
 def _load_db(config):
+    from . import bounds
     if config.db_path:
         return bounds.VolumeDB.load(config.db_path)
     return bounds.VolumeDB.builtin()
@@ -69,6 +74,7 @@ def _load_db(config):
 # ---------------------------------------------------------------- reduce
 
 def _load_word(args):
+    from . import words
     inline = args.order is not None or args.indices is not None
     if args.word is not None and inline:
         raise UsageError("give a word file or --order/--indices, not both")
@@ -85,6 +91,7 @@ def _coefficient_line(coefficients):
 
 
 def cmd_reduce(args, config):
+    from . import words
     word = _load_word(args)
     coefficients, cert = words.reduce(word)
     if args.certificate:
@@ -135,6 +142,7 @@ def cmd_reduce(args, config):
 # ------------------------------------------------------------- replicate
 
 def cmd_replicate(args, config):
+    from . import pieces
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
     built = pieces.replicate(template, _int_list(args.schedule))
     print(_dump_json(built.to_json_dict()))
@@ -144,6 +152,7 @@ def cmd_replicate(args, config):
 # ----------------------------------------------------------------- bound
 
 def _comparisons_from(args):
+    from . import bounds
     out = []
     for item in args.compare or ():
         m = re.fullmatch(r"t=(\d+)", item)
@@ -155,10 +164,12 @@ def _comparisons_from(args):
 
 
 def _bound_for(path, db, comparisons):
+    from . import bounds
     return bounds.lower_bound(db, _read_json(path), comparisons)
 
 
 def _plain_report(report, places):
+    from . import bounds
     lines = ["%s: %s in %s, rule %s" % (report.name, report.arrangement,
                                         report.ambient, report.rule)]
     for t in report.terms:
@@ -186,6 +197,7 @@ def _render_report(report, config):
 
 
 def _batch_bound(args, config, db, comparisons):
+    from . import bounds
     names = sorted(n for n in os.listdir(args.spec) if n.endswith(".json"))
     if not names:
         raise UsageError("no .json link descriptions in %s" % args.spec)
@@ -241,6 +253,7 @@ def cmd_bound(args, config):
 # -------------------------------------------------------------- classify
 
 def cmd_classify(args, config):
+    from . import arborescent
     tangle = arborescent.parse_expr(args.expr)
     result = arborescent.classify(tangle)
     signature = arborescent.principal_signature(result)
@@ -271,10 +284,12 @@ def cmd_classify(args, config):
 # ----------------------------------------------------------------- graph
 
 def _load_graph(path):
+    from . import graphs
     return graphs.graph_from_json_dict(_read_json(path))
 
 
 def cmd_graph_validate(args, config):
+    from . import graphs
     graph = _load_graph(args.graph)
     report = graphs.validate_reflection_graph(graph)
 
@@ -294,6 +309,7 @@ def cmd_graph_validate(args, config):
 
 
 def cmd_graph_replicant(args, config):
+    from . import graphs, pieces
     graph = _load_graph(args.graph)
     graphs.validate_reflection_graph(graph)
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
@@ -304,6 +320,7 @@ def cmd_graph_replicant(args, config):
 
 
 def cmd_graph_product(args, config):
+    from . import graphs
     graph = _load_graph(args.graph)
     graphs.validate_reflection_graph(graph)
     product = graphs.product_p1(graph)
@@ -314,12 +331,14 @@ def cmd_graph_product(args, config):
 # -------------------------------------------------------------------- db
 
 def _volume_text(volume, places):
+    from . import bounds
     if volume is bounds.NON_HYPERBOLIC:
         return "non-hyperbolic"
     return bounds.format_fixed(volume, places)
 
 
 def cmd_db_query(args, config):
+    from . import bounds
     db = _load_db(config)
     if args.signature is not None:
         signature = _int_list(args.signature)
@@ -358,6 +377,7 @@ def cmd_db_query(args, config):
 
 
 def cmd_db_check(args, config):
+    from . import bounds
     db = _load_db(config)
     violations = bounds.limit_check(db)
     observations = bounds.column_monotonicity(db)
@@ -465,10 +485,10 @@ def _build_parser():
     d = dsub.add_parser("query", parents=[common],
                         help="look up recorded volumes")
     d.add_argument("--family", required=True,
-                   choices=bounds.FAMILIES)
+                   choices=FAMILIES)
     d.add_argument("--conway", required=True,
                    help="tangle notation, e.g. 1/4 or '2 1'")
-    d.add_argument("--ambient", required=True, choices=bounds.AMBIENTS)
+    d.add_argument("--ambient", required=True, choices=AMBIENTS)
     d.add_argument("--signature",
                    help="comma-separated signature; omit to list all")
     d.add_argument("--orientation", default="standard")
@@ -489,17 +509,23 @@ def main(argv=None):
         format=getattr(args, "format", None) or args.default_format)
     try:
         return args.func(args, config)
-    except bounds.UncertifiedTangle as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
     except AssertionError as exc:
         print("internal assertion failure: %s" % exc, file=sys.stderr)
         return 4
     except (ValueError, LookupError, OSError, RecursionError,
-            words.NonTermination, graphs.GroupTooLarge,
-            pieces.SizeExceeded) as exc:
+            LimitExceeded) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
+        return 3 if _uncertified(exc) else 2
+
+
+def _uncertified(exc):
+    """Whether ``exc`` is a ``bounds.UncertifiedTangle``.
+
+    Looked up in ``sys.modules``: a command that never imported
+    ``bounds`` cannot have raised it.
+    """
+    bounds = sys.modules.get(__package__ + ".bounds")
+    return bounds is not None and isinstance(exc, bounds.UncertifiedTangle)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import InvariantViolation, pieces
-from .bounds import AMBIENTS
+from . import AMBIENTS, InvariantViolation, LimitExceeded, pieces
 
 
 class GraphError(ValueError):
@@ -75,7 +74,7 @@ class NotSphere(GraphError):
     """The traced surface is not a 2-sphere."""
 
 
-class GroupTooLarge(RuntimeError):
+class GroupTooLarge(LimitExceeded):
     """The reflection group has more than pieces.COPY_LIMIT elements."""
 
 

@@ -23,6 +23,8 @@ import itertools
 import math
 from typing import NamedTuple
 
+from . import LimitExceeded
+
 ISO_COPY_LIMIT = 10 ** 4
 # Most copies a lattice, replicant or reflection group may hold.
 COPY_LIMIT = 10 ** 6
@@ -52,7 +54,7 @@ class TooFewStrands(PieceError):
     """A bracelet connection carries fewer than two strands."""
 
 
-class SizeExceeded(RuntimeError):
+class SizeExceeded(LimitExceeded):
     """A replicant or an isomorphism search is above its copy limit."""
 
 
@@ -63,9 +65,19 @@ def _ints(field, values):
     subclass.
     """
     values = tuple(values)
-    if any(type(x) is not int for x in values):
-        raise PieceError("%s must be integers, got %r" % (field, values))
+    for x in values:
+        if type(x) is not int:
+            raise PieceError("%s must be integers, got %r" % (field, values))
     return values
+
+
+def _side(side):
+    """A gluing side as (copy label, face number), both checked integer."""
+    face = side[1]
+    if type(face) is not int:
+        raise PieceError("gluing face numbers must be integers, got %r"
+                         % (face,))
+    return _ints("gluing copy labels", side[0]), face
 
 
 class PieceTemplate:
@@ -311,7 +323,7 @@ class GluingComplex:
     __slots__ = ("copies", "gluings", "_position", "_slot_map")
 
     def __init__(self, copies, gluings):
-        copies = tuple((template, tuple(int(i) for i in label))
+        copies = tuple((template, _ints("copy labels", label))
                        for template, label in copies)
         position = {}
         for template, label in copies:
@@ -332,8 +344,8 @@ class GluingComplex:
             else:
                 side_a, side_b = item
                 pairing = None
-            side_a = (tuple(side_a[0]), int(side_a[1]))
-            side_b = (tuple(side_b[0]), int(side_b[1]))
+            side_a = _side(side_a)
+            side_b = _side(side_b)
             face_a = self._face_labels(templates, side_a)
             face_b = self._face_labels(templates, side_b)
             if side_a == side_b:
@@ -345,7 +357,8 @@ class GluingComplex:
                         % (side_a, side_b, len(face_a), len(face_b)))
                 pairing = tuple(zip(face_a, face_b))
             else:
-                pairing = tuple((int(x), int(y)) for x, y in pairing)
+                pairing = tuple(_ints("pairing labels", (x, y))
+                                for x, y in pairing)
                 if sorted(x for x, _ in pairing) != list(face_a) or \
                         sorted(y for _, y in pairing) != list(face_b):
                     raise PieceError(

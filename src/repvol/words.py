@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import InvariantViolation
+from . import InvariantViolation, LimitExceeded
 
 
 class WordError(ValueError):
@@ -51,7 +51,7 @@ class BadCut(WordError):
     """A split position that does not cut the word into two halves."""
 
 
-class NonTermination(RuntimeError):
+class NonTermination(LimitExceeded):
     """The halving iteration exceeded its proven work bound.
 
     This cannot happen for a valid word; it converts the termination

@@ -50,6 +50,15 @@ def test_parse_rejects_junk():
         parse_conway("0/0")
 
 
+@pytest.mark.parametrize("quotients", [[2.9, 1.5], [float("inf")], [True]])
+def test_quotients_must_be_integers(quotients):
+    # int() read [2.9, 1.5] as the tangle "2 1" and overflowed on infinity
+    with pytest.raises(ParseError) as info:
+        rational_from_quotients(quotients)
+    assert str(info.value) == ("quotients must be integers, got %r"
+                               % (tuple(quotients),))
+
+
 def test_quotients_match_fraction_oracle():
     rng = random.Random(99)
     for _ in range(300):

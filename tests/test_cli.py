@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repvol import bounds, cli, graphs, pieces
+import repvol
+from repvol import bounds, cli, graphs, pieces, words
 
 V4_INDICES = "1,1,1,1,1,1,1,1,2,2"
 
@@ -80,12 +84,68 @@ def test_library_recursion_error_exit_2(capsys, monkeypatch):
     def deep(word):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli.words, "reduce", deep)
+    monkeypatch.setattr(words, "reduce", deep)
     code, out, err = run(capsys, ["reduce", "--order", "10",
                                   "--indices", V4_INDICES])
     assert code == 2
     assert out == ""
     assert err == "RecursionError: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("module, name, error, argv, code", [
+    (words, "reduce", words.NonTermination,
+     ["reduce", "--order", "10", "--indices", V4_INDICES], 2),
+    (graphs, "validate_reflection_graph", graphs.GroupTooLarge,
+     ["graph", "validate", "{graph}"], 2),
+    (pieces, "replicate", pieces.SizeExceeded,
+     ["replicate", "{template}", "--schedule", "2"], 2),
+    (bounds, "lower_bound", bounds.UncertifiedTangle, ["bound", "{spec}"], 3),
+], ids=["NonTermination", "GroupTooLarge", "SizeExceeded",
+        "UncertifiedTangle"])
+def test_library_refusal_exit_codes(capsys, monkeypatch, c6_path, saucer_path,
+                                    bracelet6, module, name, error, argv,
+                                    code):
+    def refuse(*args):
+        raise error("refused here")
+
+    monkeypatch.setattr(module, name, refuse)
+    argv = [a.format(graph=c6_path, template=saucer_path, spec=bracelet6)
+            for a in argv]
+    assert run(capsys, argv) == (code, "",
+                                 "%s: refused here\n" % error.__name__)
+
+
+# Prints the library layers a `python -m repvol.cli` run imported.
+LAYERS_LOADED = """
+import runpy, sys
+try:
+    runpy.run_module("repvol.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(sorted(m.split(".")[1] for m in sys.modules
+             if m.startswith("repvol.")))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["reduce", "--order", "10", "--indices", V4_INDICES], ["words"]),
+    (["classify", "rat(2 1)"], ["arborescent"]),
+    (["replicate", "{template}", "--schedule", "2"], ["pieces"]),
+    (["bound", "{spec}"], ["arborescent", "bounds", "pieces"]),
+    (["graph", "validate", "{graph}"], ["graphs", "pieces"]),
+    (["db", "check"], ["arborescent", "bounds", "pieces"]),
+], ids=["reduce", "classify", "replicate", "bound", "graph", "db"])
+def test_each_command_loads_only_its_layers(c6_path, saucer_path, bracelet6,
+                                            argv, layers):
+    argv = [a.format(graph=c6_path, template=saucer_path, spec=bracelet6)
+            for a in argv]
+    src = os.path.dirname(os.path.dirname(repvol.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RV_DB", None)
+    proc = subprocess.run([sys.executable, "-c", LAYERS_LOADED, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == repr(layers)
 
 
 def test_reduce_argument_combinations(capsys, tmp_path):

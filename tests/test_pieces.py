@@ -838,3 +838,28 @@ def test_complex_json_roundtrip():
 
     c = replicate(square_template("2"), (2, 2))
     assert GluingComplex.from_json_dict(c.to_json_dict()) == c
+
+
+GLUING = {"a": [[0], 1], "b": [[1], 1], "pairing": [[1, 1], [2, 2]]}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("copies", [["saucer S", [0.7]], ["saucer S", [1]]],
+     "copy labels must be integers, got (0.7,)"),
+    ("copies", [["saucer S", [float("inf")]], ["saucer S", [1]]],
+     "copy labels must be integers, got (inf,)"),
+    ("gluings", [dict(GLUING, a=[[0], 1.9])],
+     "gluing face numbers must be integers, got 1.9"),
+    ("gluings", [dict(GLUING, b=[[1.0], 1])],
+     "gluing copy labels must be integers, got (1.0,)"),
+    ("gluings", [dict(GLUING, pairing=[[1.2, 1], [2.8, 2]])],
+     "pairing labels must be integers, got (1.2, 1)"),
+])
+def test_complex_json_fields_must_be_integers(field, value, message):
+    # int() read 0.7 as 0 and 1.9 as 1, and overflowed on infinity
+    data = build_bracelet([saucer_template("S")] * 2).to_json_dict()
+    data[field] = value
+    with pytest.raises(PieceError) as info:
+        GluingComplex.from_json_dict(data)
+    assert type(info.value) is PieceError
+    assert str(info.value) == message
