@@ -638,12 +638,14 @@ def _faces(edges, rotation):
     follows it in that vertex's cyclic order; the face after dart d goes
     on with after[d ^ 1].  2e + s sorts as (e, s) does, so tracing from
     each untraced dart in turn meets the faces in the order of their
-    least dart.  The (e, s) tuples are the converted ends themselves.
+    least dart.  The (e, s) tuples are the ends themselves, repacked.
+    An end whose edge or side is not a plain int is refused by name,
+    so 0.9 is not read as edge 0, nor True as side 1.
     """
     edges = [tuple(e) for e in edges]
     # tuples, not lists, here and in ``adj``: the collector stops tracking
     # a tuple of ints, so a large system adds little to its later passes
-    rotation = {v: tuple([(int(e), int(s)) for e, s in ends])
+    rotation = {v: tuple([(e, s) for e, s in ends])
                 for v, ends in rotation.items()}
     m = len(edges)
     host = [-1] * (2 * m)
@@ -653,7 +655,8 @@ def _faces(edges, rotation):
         ring = []
         for end in ends:
             e, s = end
-            if not 0 <= e < m or s not in (0, 1):
+            if type(e) is not int or type(s) is not int \
+                    or not 0 <= e < m or s not in (0, 1):
                 raise IncompleteRotation(
                     "unknown edge end (%r, %r) at %r" % (e, s, v))
             if edges[e][s] != v:

@@ -71,13 +71,26 @@ def _ints(field, values):
     return values
 
 
+def _pair(field, value):
+    """``value`` unpacked as two items, else a PieceError naming ``field``.
+
+    Indexing [0] and [1] would drop a third item without a word.
+    """
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise PieceError("%s must be pairs, got %r" % (field, value)) \
+            from None
+    return a, b
+
+
 def _side(side):
     """A gluing side as (copy label, face number), both checked integer."""
-    face = side[1]
+    label, face = _pair("gluing sides", side)
     if type(face) is not int:
         raise PieceError("gluing face numbers must be integers, got %r"
                          % (face,))
-    return _ints("gluing copy labels", side[0]), face
+    return _ints("gluing copy labels", label), face
 
 
 class PieceTemplate:
@@ -357,8 +370,9 @@ class GluingComplex:
                         % (side_a, side_b, len(face_a), len(face_b)))
                 pairing = tuple(zip(face_a, face_b))
             else:
-                pairing = tuple(_ints("pairing labels", (x, y))
-                                for x, y in pairing)
+                pairing = tuple(
+                    _ints("pairing labels", _pair("pairing entries", p))
+                    for p in pairing)
                 if sorted(x for x, _ in pairing) != list(face_a) or \
                         sorted(y for _, y in pairing) != list(face_b):
                     raise PieceError(
@@ -449,9 +463,8 @@ class GluingComplex:
                       for tid, label in data["copies"]]
         except KeyError as missing:
             raise PieceError("copy references missing template %s" % missing)
-        gluings = [((tuple(g["a"][0]), g["a"][1]),
-                    (tuple(g["b"][0]), g["b"][1]),
-                    [tuple(p) for p in g["pairing"]])
+        # list() keeps a null pairing an error, not the label-identity
+        gluings = [(g["a"], g["b"], list(g["pairing"]))
                    for g in data["gluings"]]
         return cls(copies, gluings)
 

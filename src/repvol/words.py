@@ -218,7 +218,8 @@ def validate_word(order, indices, reflected=False):
 
     Raises LengthMismatch for a bad order or a sequence of the wrong
     length, DeltaOutOfRange for subscripts or steps outside the rules, and
-    FlagInconsistent when no marking satisfies the step rules.
+    FlagInconsistent when no marking satisfies the step rules.  Subscripts
+    must be plain ints: True equals 1, but would print as TTrue.
 
     >>> validate_word(4, [2, 2, 1, 1]).indices
     (1, 1, 2, 2)
@@ -235,7 +236,7 @@ def validate_word(order, indices, reflected=False):
         raise LengthMismatch("expected {} letters, got {}".format(
             order, len(indices)))
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= order:
+        if type(i) is not int or not 1 <= i <= order:
             raise DeltaOutOfRange(
                 "letter subscript {!r} outside 1..{}".format(i, order))
     flags = _derive_flags(order, indices, reflected)
@@ -263,7 +264,7 @@ class SolvedCycle(NamedTuple):
     value: dict
 
 
-def split_relation(word, at=0):
+def split_relation(word, at=0, memo=None):
     """Cut ``word`` at positions (at, at + m) and double both halves.
 
     Returns a SplitResult whose ``produced`` words satisfy
@@ -282,19 +283,32 @@ def split_relation(word, at=0):
     and gives an unspecified result: validate it first.  replay_certificate()
     relies on this: it validates the root and any step word that no earlier
     re-derived step produced, and trusts the produced words.
+
+    ``memo``, if given, maps each half already doubled to its produced
+    word and is filled in here, so a half met again returns that same
+    CyclicWord without another least-rotation pass.  reduce() and
+    replay_certificate() each pass a fresh dict per call: a half of plain
+    ints determines its word, and only a valid word's halves go in, but a
+    dict kept between calls would grow without end and would let reduce()
+    and the replay that checks it share state.
     """
     if not isinstance(at, int) or not 0 <= at < word.order:
         raise BadCut("cut position {!r} outside 0..{}".format(
             at, word.order - 1))
+    if memo is None:
+        memo = {}
     m = word.order // 2
     doubled = word.indices + word.indices
     a1 = doubled[at:at + m]
     a2 = doubled[at + m:at + 2 * m]
     produced = []
     for half in (a1, a2):
-        mirror = half + half[::-1]
-        k = _least_rotation(mirror)
-        produced.append(CyclicWord(word.order, mirror[k:] + mirror[:k]))
+        p = memo.get(half)
+        if p is None:
+            mirror = half + half[::-1]
+            k = _least_rotation(mirror)
+            p = memo[half] = CyclicWord(word.order, mirror[k:] + mirror[:k])
+        produced.append(p)
     return SplitResult(word, (at, at + m), (a1, a2), tuple(produced))
 
 
@@ -428,6 +442,7 @@ def reduce(word):
     """
     order = word.order
     budget = 4 * count_single_mountain_words(order)
+    doubled = {}    # half -> its produced word, for split_relation()
     cache = {}      # popped word -> (den, {word: int}) over its ancestors
     active = set()  # words whose frames are on the stack
     frames = []     # [word, iterator over its produced words, den, sum]
@@ -478,7 +493,7 @@ def reduce(word):
             raise NonTermination(
                 "exceeded {} halving steps at order {}".format(budget, order))
         active.add(w)
-        s = split_relation(w)
+        s = split_relation(w, memo=doubled)
         steps.append(s)
         frames.append([w, iter(s.produced), 1, {}])
         return None
@@ -603,6 +618,11 @@ def _solve_component(component, successors, constants, solved):
     less than Fraction arithmetic.  Gauss-Jordan leaves each row with its
     own word and letters only, and ``solved[v]`` becomes that word's
     letter vector as (denominator, {subscript: numerator}).
+
+    Most components are one word.  Its row holds only its own column
+    (2*scale, less scale per self-loop) and letters, so it is solved as
+    built: its diagonal is checked, and no holder sets or elimination
+    are needed.
     """
     local = {v: k for k, v in enumerate(component)}
     rows = []
@@ -621,7 +641,24 @@ def _solve_component(component, successors, constants, solved):
             for i, x in nums.items():
                 row[-i] = row.get(-i, 0) + factor * x
         rows.append({c: x for c, x in row.items() if x})
+    if len(rows) == 1:
+        if not rows[0].get(0):
+            raise CertificateError("singular step system")
+    else:
+        _eliminate(rows)
+    for v, k in local.items():
+        row = rows[k]
+        den = row[k]
+        nums = {-c: x for c, x in row.items() if c < 0}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
 
+
+def _eliminate(rows):
+    """Gauss-Jordan on integer rows, each scaled by its content after
+    every update, until row k holds column k and letters only."""
     holders = {}
     for r, row in enumerate(rows):
         for c in row:
@@ -655,14 +692,6 @@ def _solve_component(component, successors, constants, solved):
             if content > 1:
                 row = {c: x // content for c, x in row.items()}
             rows[r] = row
-    for v, k in local.items():
-        row = rows[k]
-        den = row[k]
-        nums = {-c: x for c, x in row.items() if c < 0}
-        g = math.gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
 
 
 def replay_certificate(cert):
@@ -687,8 +716,10 @@ def replay_certificate(cert):
     root = validate_word(cert.word.order, cert.word.indices)
     # Known-valid word -> itself.  A hit must also hold plain ints: a
     # float or bool equal to a trusted order or subscript still goes to
-    # validate_word, which refuses it, or keeps it, as before.
+    # validate_word, which refuses both, so no half in ``doubled`` holds
+    # one.
     trusted = {root: root}
+    doubled = {}  # half -> its produced word, for split_relation()
     index = {}
     eqs = []
     for step in cert.steps:
@@ -699,7 +730,7 @@ def replay_certificate(cert):
             w = known
         else:
             w = validate_word(w.order, w.indices)
-        s = split_relation(w, step.cut[0])
+        s = split_relation(w, step.cut[0], memo=doubled)
         if s.cut != tuple(step.cut) or s.halves != tuple(step.halves) \
                 or s.produced != tuple(step.produced):
             raise CertificateError(

@@ -541,6 +541,15 @@ def test_replicate_template_errors_keep_their_class(capsys, tmp_path):
     assert err.startswith("PieceError: unmatched endpoints")
 
 
+def test_reduce_bool_subscripts_exit_2(capsys, tmp_path):
+    # true == 1 was read as a subscript printed "TTrue"
+    path = write_json(tmp_path / "word.json",
+                      {"order": 4, "indices": [True, True, 2, 2]})
+    code, out, err = run(capsys, ["reduce", path])
+    assert (code, out) == (2, "")
+    assert err == "DeltaOutOfRange: letter subscript True outside 1..4\n"
+
+
 @pytest.mark.parametrize("word", [[4], {"order": 4, "indices": 5},
                                   {"indices": [1, 1, 2, 2]}])
 def test_reduce_malformed_word_file_exit_2(capsys, tmp_path, word):

@@ -775,6 +775,15 @@ def test_incomplete_rotation():
          "unknown edge end (1, 0) at 'u'"),
         ({"u": [(0, 0)], "v": [(0, 2)]},
          "unknown edge end (0, 2) at 'v'"),
+        # int() would trace these as (0, 1), or fail naming no end
+        ({"u": [(0, 0)], "v": [(0.9, True)]},
+         "unknown edge end (0.9, True) at 'v'"),
+        ({"u": [(0, 0)], "v": [(0, True)]},
+         "unknown edge end (0, True) at 'v'"),
+        ({"u": [("x", 0)], "v": [(0, 1)]},
+         "unknown edge end ('x', 0) at 'u'"),
+        ({"u": [(0, 0)], "v": [("0", "1")]},
+         "unknown edge end ('0', '1') at 'v'"),
     ]
     for rotation, message in cases:
         with pytest.raises(IncompleteRotation) as info:
@@ -786,12 +795,13 @@ def reference_faces(edges, rotation):
     """Face tracing on (e, s) tuples, kept as the reference the integer
     dart tracer must agree with, result for result and error for error."""
     edges = [tuple(e) for e in edges]
-    rotation = {v: tuple((int(e), int(s)) for e, s in ends)
+    rotation = {v: tuple((e, s) for e, s in ends)
                 for v, ends in rotation.items()}
     place = {}
     for v, ends in rotation.items():
         for i, (e, s) in enumerate(ends):
-            if not 0 <= e < len(edges) or s not in (0, 1):
+            if type(e) is not int or type(s) is not int \
+                    or not 0 <= e < len(edges) or s not in (0, 1):
                 raise IncompleteRotation(
                     "unknown edge end (%r, %r) at %r" % (e, s, v))
             if edges[e][s] != v:

@@ -124,3 +124,44 @@ def test_replay_shares_no_helper_with_reduce():
     assert "reduce" not in replay
     assert private_to_reduce, "the walk found none of reduce's helpers"
     assert replay.isdisjoint(private_to_reduce)
+
+
+def test_words_keeps_no_state_between_calls():
+    # reduce() and replay_certificate() each hand split_relation() a fresh
+    # memo.  A dict, list or set bound at module or class level, a mutable
+    # default argument, a global statement or a functools cache would
+    # outlive one call and could be shared by reduce() and the replay that
+    # checks it.
+    tree = ast.parse((SOURCE / "words.py").read_text())
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+    factories = {"dict", "list", "set", "bytearray", "defaultdict",
+                 "Counter", "OrderedDict", "deque", "WeakKeyDictionary",
+                 "WeakValueDictionary"}
+
+    def builds_mutable(value):
+        if isinstance(value, ast.Call):
+            func = value.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            return name in factories
+        return isinstance(value, mutable)
+
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    found = ["line %d binds a mutable object" % node.lineno
+             for body in bodies for node in body
+             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+             and builds_mutable(node.value)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defaults = node.args.defaults + node.args.kw_defaults
+            found += ["%s has a mutable default" % node.name
+                      for value in defaults if builds_mutable(value)]
+        elif isinstance(node, ast.Global):
+            found.append("line %d declares a global" % node.lineno)
+        elif isinstance(node, ast.Import):
+            found += ["line %d imports functools" % node.lineno
+                      for alias in node.names if alias.name == "functools"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.append("line %d imports from functools" % node.lineno)
+    assert found == []

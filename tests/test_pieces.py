@@ -863,3 +863,28 @@ def test_complex_json_fields_must_be_integers(field, value, message):
         GluingComplex.from_json_dict(data)
     assert type(info.value) is PieceError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("gluing, message", [
+    (dict(GLUING, a=[[0], 1, 99]),
+     "gluing sides must be pairs, got [[0], 1, 99]"),
+    (dict(GLUING, b=[[1]]), "gluing sides must be pairs, got [[1]]"),
+    (dict(GLUING, a=5), "gluing sides must be pairs, got 5"),
+    (dict(GLUING, pairing=[[1, 1, 7], [2, 2]]),
+     "pairing entries must be pairs, got [1, 1, 7]"),
+    (dict(GLUING, pairing=[[1, 1], 2]),
+     "pairing entries must be pairs, got 2"),
+])
+def test_gluing_sides_and_pairing_entries_must_be_pairs(gluing, message):
+    # reading side[0] and side[1] dropped the 99; unpacking [1, 1, 7]
+    # raised a ValueError that named no field
+    data = build_bracelet([saucer_template("S")] * 2).to_json_dict()
+    data["gluings"] = [gluing]
+    copies = [(saucer_template("S"), (0,)), (saucer_template("S"), (1,))]
+    for build in (lambda: GluingComplex.from_json_dict(data),
+                  lambda: GluingComplex(copies, [(gluing["a"], gluing["b"],
+                                                  gluing["pairing"])])):
+        with pytest.raises(PieceError) as info:
+            build()
+        assert type(info.value) is PieceError
+        assert str(info.value) == message

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -63,6 +64,15 @@ def test_delta_out_of_range():
         W(4, 1, 3, 1, 3)
     with pytest.raises(DeltaOutOfRange):
         W(4, 1, 2, 7, 2)
+
+
+def test_bool_subscripts_are_refused():
+    # True == 1, so [True, True, 2, 2] was a valid word that printed as
+    # TTrue^R TTrue T2 T2^R
+    for indices in ([True, True, 2, 2], [2, 2, 1, True]):
+        with pytest.raises(DeltaOutOfRange) as info:
+            validate_word(4, indices)
+        assert str(info.value) == "letter subscript True outside 1..4"
 
 
 def test_length_and_order_checks():
@@ -191,6 +201,27 @@ def test_split_words_match_validate_word():
                     ref = validate_word(order, half + half[::-1])
                     assert p.indices == ref.indices
                     assert p.flags == ref.flags
+
+
+def test_split_with_a_memo_gives_the_same_words():
+    # one dict per order, so halves repeat across words and cuts
+    for order in range(2, 11, 2):
+        memo = {}
+        for w in all_valid_words(order):
+            for at in range(order):
+                plain = split_relation(w, at)
+                shared = split_relation(w, at, memo=memo)
+                assert shared == plain
+                assert [p.flags for p in shared.produced] == \
+                    [p.flags for p in plain.produced]
+                for half, p in zip(shared.halves, shared.produced):
+                    assert memo[half] is p
+                again = split_relation(w, at, memo=memo)
+                assert all(a is b for a, b in
+                           zip(again.produced, shared.produced))
+    # without a memo every call builds its words afresh
+    w = W(10, *V4)
+    assert split_relation(w).produced[1] is not split_relation(w).produced[1]
 
 
 def test_split_produces_valid_mirror_words():
@@ -856,3 +887,61 @@ def test_replay_validates_only_words_it_did_not_derive(monkeypatch):
     calls.clear()
     assert replay_certificate(orphan) == cert.coefficients
     assert calls == [cert.word.indices, block.indices]
+
+
+def _self_loop_steps():
+    """Step lists whose first word produces itself: a cut other than 0,
+    which reduce() never makes but a certificate may record, followed by
+    reduce()'s steps for the other produced word."""
+    out = []
+    for w in all_valid_words(10):
+        for at in range(1, 10):
+            s = split_relation(w, at)
+            if s.produced.count(w) == 1:
+                other = next(p for p in s.produced if p != w)
+                rest = reduce(other)[1].steps
+                out.append((s,) + tuple(st for st in rest if st.word != w))
+    return out
+
+
+def test_every_solved_word_matches_its_counting_formula():
+    # _solve_component must give every word of a component, not just the
+    # root, its own letter counts over the order, in lowest terms
+    step_lists = [_reduced(w)[1].steps for w in PARITY_WORDS]
+    step_lists += [reduce(w)[1].steps for order in range(2, 11, 2)
+                   for w in all_valid_words(order)]
+    step_lists += _self_loop_steps()
+    kinds = set()
+    for steps in step_lists:
+        index, eqs = {}, []
+        for st in steps:
+            if st.word not in index:
+                index[st.word] = len(eqs)
+                eqs.append(st)
+        successors = [[index[p] for p in st.produced if not p.is_constant]
+                      for st in eqs]
+        constants = [[p.indices[0] for p in st.produced if p.is_constant]
+                     for st in eqs]
+        solved = [None] * len(eqs)
+        for component in words._components_sinks_first(successors):
+            words._solve_component(component, successors, constants, solved)
+            v = component[0]
+            kinds.add("larger" if len(component) > 1 else
+                      "self-loop" if v in successors[v] else "one word")
+        for st, vector in zip(eqs, solved):
+            counts = st.word.letter_counts()
+            g = math.gcd(st.word.order, *counts.values())
+            assert vector == (st.word.order // g,
+                              {i: q // g for i, q in counts.items()})
+    assert kinds == {"one word", "self-loop", "larger"}
+
+
+def test_a_word_that_produces_only_itself_is_singular():
+    # 2w = w + w says nothing: the one-word row has a zero diagonal
+    w = W(4, 1, 1, 2, 2)
+    s = split_relation(w, 1)
+    assert s.produced == (w, w)
+    cert = ReductionCertificate(w, {1: Fraction(1, 2), 2: Fraction(1, 2)},
+                                [s], [])
+    with pytest.raises(CertificateError, match="^singular step system$"):
+        replay_certificate(cert)
