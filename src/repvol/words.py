@@ -620,9 +620,8 @@ def _solve_component(component, successors, constants, solved):
     letter vector as (denominator, {subscript: numerator}).
 
     Most components are one word.  Its row holds only its own column
-    (2*scale, less scale per self-loop) and letters, so it is solved as
-    built: its diagonal is checked, and no holder sets or elimination
-    are needed.
+    (2*scale, less scale per self-loop) and letters, so elimination
+    checks its diagonal and has no other row to update.
     """
     local = {v: k for k, v in enumerate(component)}
     rows = []
@@ -641,24 +640,7 @@ def _solve_component(component, successors, constants, solved):
             for i, x in nums.items():
                 row[-i] = row.get(-i, 0) + factor * x
         rows.append({c: x for c, x in row.items() if x})
-    if len(rows) == 1:
-        if not rows[0].get(0):
-            raise CertificateError("singular step system")
-    else:
-        _eliminate(rows)
-    for v, k in local.items():
-        row = rows[k]
-        den = row[k]
-        nums = {-c: x for c, x in row.items() if c < 0}
-        g = math.gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
 
-
-def _eliminate(rows):
-    """Gauss-Jordan on integer rows, each scaled by its content after
-    every update, until row k holds column k and letters only."""
     holders = {}
     for r, row in enumerate(rows):
         for c in row:
@@ -692,6 +674,14 @@ def _eliminate(rows):
             if content > 1:
                 row = {c: x // content for c, x in row.items()}
             rows[r] = row
+    for v, k in local.items():
+        row = rows[k]
+        den = row[k]
+        nums = {-c: x for c, x in row.items() if c < 0}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
 
 
 def replay_certificate(cert):
