@@ -11,7 +11,8 @@ faces of embedded graphs, and ``cli`` wires it all to a command line.
 What more than one layer reads lives here, so that importing one layer
 does not import another only for a name: the tangle families and ambient
 manifolds of the volume table, and the base classes the command line
-maps to exit codes.
+maps to exit codes: ``LimitExceeded`` (2), ``Uncertified`` (3) and
+``InvariantViolation`` (4).
 """
 
 __version__ = "0.1.0"
@@ -33,4 +34,12 @@ class LimitExceeded(RuntimeError):
 
     The base of ``words.NonTermination``, ``graphs.GroupTooLarge`` and
     ``pieces.SizeExceeded``; the CLI reports it with exit code 2.
+    """
+
+
+class Uncertified(ValueError):
+    """A piece could not be certified hyperbolic, so no bound is given.
+
+    The base of ``bounds.UncertifiedTangle``; the CLI reports it with exit
+    code 3.
     """

@@ -437,7 +437,14 @@ def expr_to_json_dict(expr):
     return root
 
 
+# The fields each kind of expression node reads besides "kind".
+_NODE_FIELDS = {"rational": ("conway",), "qloop": ("m",),
+                "sum": ("left", "right"), "rotate90": ("child",),
+                "reflect": ("child",)}
+
+
 def expr_from_json_dict(data):
+    """Read an expression tree; ParseError naming a malformed node."""
     built = []
     # (dict, key) of a node still to read, last first, or (class, None)
     # to build once its children are built
@@ -449,7 +456,14 @@ def expr_from_json_dict(data):
             built[-arity:] = [holder(*built[-arity:])]
             continue
         data = holder[key]
+        if not isinstance(data, dict):
+            part = "%s %s" % (holder["kind"], key) if key else "expression"
+            raise ParseError("%s must be a JSON object, got %r"
+                             % (part, data))
         kind = data.get("kind")
+        for field in _NODE_FIELDS.get(kind, ()):
+            if field not in data:
+                raise ParseError("%s node has no %s" % (kind, field))
         if kind == "rational":
             built.append(RationalLeaf(parse_conway(data["conway"])))
         elif kind == "qloop":

@@ -27,7 +27,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from . import AMBIENTS, FAMILIES, arborescent, pieces
+from . import AMBIENTS, FAMILIES, Uncertified, arborescent, pieces
 from .pieces import EndpointMismatch
 
 ARRANGEMENTS = ("bracelet", "lattice", "cylinder-stack", "custom")
@@ -49,7 +49,7 @@ class NotFound(LookupError):
     """No database row at the requested key."""
 
 
-class UncertifiedTangle(BoundsError):
+class UncertifiedTangle(BoundsError, Uncertified):
     """A slot could not be certified, or lacks the needed volume."""
 
     def __init__(self, message, slot=None):

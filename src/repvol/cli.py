@@ -10,8 +10,11 @@ repeated runs are byte-identical.
 Exit codes: 0 success; 2 malformed input or a refused size (a
 RecursionError only from JSON nested too deeply for the stdlib decoder),
 printed to stderr as the originating error class name plus message; 3 a
-bound was refused because some tangle could not be certified
-hyperbolic; 4 internal assertion failure.
+bound was refused because some tangle could not be certified hyperbolic
+(``repvol.Uncertified``); 4 internal assertion failure.  A directory of
+link descriptions reports each file's refusal, too-deep JSON included,
+in place of its bound, and exits 2 if any file was malformed, else 3 if
+any was uncertified.
 
 Each command imports the library layers it runs, and no others, so a
 process compiles only what its command needs: ``reduce`` loads ``words``
@@ -23,21 +26,23 @@ import json
 import os
 import re
 import sys
-from typing import NamedTuple
 
-from . import AMBIENTS, FAMILIES, LimitExceeded
+from . import AMBIENTS, FAMILIES, LimitExceeded, Uncertified
 
 FORMATS = ("plain", "json", "markdown")
+
+# What a command may raise on bad input or a refused size: reported as
+# its class name and message, not as a traceback.
+REFUSALS = (ValueError, LookupError, OSError, RecursionError, LimitExceeded)
+
+
+def _exit_code(refusal):
+    """3 for a piece that could not be certified, else 2."""
+    return 3 if isinstance(refusal, Uncertified) else 2
 
 
 class UsageError(ValueError):
     """Arguments do not make sense together."""
-
-
-class CliConfig(NamedTuple):
-    db_path: str
-    precision: int
-    format: str
 
 
 def _precision(text):
@@ -48,11 +53,11 @@ def _precision(text):
 
 
 def _int_list(text):
-    try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError:
-        raise UsageError("expected comma-separated integers, got %r"
-                         % text) from None
+    parts = text.replace(",", " ").split()
+    # the literals int() reads, so that no ValueError needs catching
+    if not all(re.fullmatch(r"[+-]?\d+(_\d+)*", part) for part in parts):
+        raise UsageError("expected comma-separated integers, got %r" % text)
+    return tuple(int(part) for part in parts)
 
 
 def _read_json(path):
@@ -64,10 +69,10 @@ def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _load_db(config):
+def _load_db(args):
     from . import bounds
-    if config.db_path:
-        return bounds.VolumeDB.load(config.db_path)
+    if args.db:
+        return bounds.VolumeDB.load(args.db)
     return bounds.VolumeDB.builtin()
 
 
@@ -90,14 +95,14 @@ def _coefficient_line(coefficients):
                      for i, c in sorted(coefficients.items()))
 
 
-def cmd_reduce(args, config):
+def cmd_reduce(args):
     from . import words
     word = _load_word(args)
     coefficients, cert = words.reduce(word)
     if args.certificate:
         words.verify_certificate(cert)
 
-    if config.format == "json":
+    if args.format == "json":
         out = {"word": word.to_json_dict(),
                "coefficients": {str(i): str(c) for i, c in
                                 sorted(coefficients.items())}}
@@ -106,7 +111,7 @@ def cmd_reduce(args, config):
         print(_dump_json(out))
         return 0
 
-    if config.format == "markdown":
+    if args.format == "markdown":
         lines = ["# Reduction: %s" % word, ""]
         lines.append("| subscript | coefficient |")
         lines.append("| --- | --- |")
@@ -141,7 +146,7 @@ def cmd_reduce(args, config):
 
 # ------------------------------------------------------------- replicate
 
-def cmd_replicate(args, config):
+def cmd_replicate(args):
     from . import pieces
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
     built = pieces.replicate(template, _int_list(args.schedule))
@@ -161,11 +166,6 @@ def _comparisons_from(args):
                              "got %r" % item)
         out.extend(bounds.classical_bounds(int(m.group(1)), "montesinos"))
     return tuple(out)
-
-
-def _bound_for(path, db, comparisons):
-    from . import bounds
-    return bounds.lower_bound(db, _read_json(path), comparisons)
 
 
 def _plain_report(report, places):
@@ -188,35 +188,22 @@ def _plain_report(report, places):
     return "\n".join(lines)
 
 
-def _render_report(report, config):
-    if config.format == "json":
-        return _dump_json(report.to_json_dict(config.precision))
-    if config.format == "markdown":
-        return report.to_markdown(config.precision).rstrip("\n")
-    return _plain_report(report, config.precision)
+def _render_report(report, args):
+    if args.format == "json":
+        return _dump_json(report.to_json_dict(args.precision))
+    if args.format == "markdown":
+        return report.to_markdown(args.precision).rstrip("\n")
+    return _plain_report(report, args.precision)
 
 
-def _batch_bound(args, config, db, comparisons):
-    from . import bounds
-    names = sorted(n for n in os.listdir(args.spec) if n.endswith(".json"))
-    if not names:
-        raise UsageError("no .json link descriptions in %s" % args.spec)
-
-    def work(name):
-        try:
-            return name, _bound_for(os.path.join(args.spec, name),
-                                    db, comparisons), None
-        except (ValueError, LookupError, OSError) as exc:
-            return name, None, exc
-
-    results = [work(name) for name in names]
-
-    if config.format == "json":
+def _print_batch(results, args):
+    """Print (file, report or None, refusal or None) rows as one document."""
+    if args.format == "json":
         rows = []
         for name, report, exc in results:
             if exc is None:
                 rows.append({"file": name,
-                             "report": report.to_json_dict(config.precision)})
+                             "report": report.to_json_dict(args.precision)})
             else:
                 rows.append({"file": name,
                              "error": {"type": type(exc).__name__,
@@ -226,46 +213,55 @@ def _batch_bound(args, config, db, comparisons):
         blocks = []
         for name, report, exc in results:
             if exc is None:
-                body = _render_report(report, config)
+                body = _render_report(report, args)
             else:
                 body = "error %s: %s" % (type(exc).__name__, exc)
             blocks.append("== %s ==\n%s" % (name, body))
         print("\n\n".join(blocks))
 
-    errors = [exc for _, _, exc in results if exc is not None]
-    if any(not isinstance(exc, bounds.UncertifiedTangle) for exc in errors):
-        return 2
-    if errors:
-        return 3
-    return 0
 
-
-def cmd_bound(args, config):
-    db = _load_db(config)
+def cmd_bound(args):
+    from . import bounds
+    db = _load_db(args)
     comparisons = _comparisons_from(args)
-    if os.path.isdir(args.spec):
-        return _batch_bound(args, config, db, comparisons)
-    report = _bound_for(args.spec, db, comparisons)
-    print(_render_report(report, config))
-    return 0
+    if not os.path.isdir(args.spec):
+        report = bounds.lower_bound(db, _read_json(args.spec), comparisons)
+        print(_render_report(report, args))
+        return 0
+    names = sorted(n for n in os.listdir(args.spec) if n.endswith(".json"))
+    if not names:
+        raise UsageError("no .json link descriptions in %s" % args.spec)
+    results = []
+    for name in names:
+        path = os.path.join(args.spec, name)
+        try:
+            report = bounds.lower_bound(db, _read_json(path), comparisons)
+            results.append((name, report, None))
+        except REFUSALS as exc:
+            results.append((name, None, exc))
+    _print_batch(results, args)
+    # the least code among the refused files: malformed input beats an
+    # uncertified tangle
+    return min((_exit_code(exc) for _, _, exc in results if exc is not None),
+               default=0)
 
 
 # -------------------------------------------------------------- classify
 
-def cmd_classify(args, config):
+def cmd_classify(args):
     from . import arborescent
     tangle = arborescent.parse_expr(args.expr)
     result = arborescent.classify(tangle)
     signature = arborescent.principal_signature(result)
 
-    if config.format == "json":
+    if args.format == "json":
         out = result.to_json_dict()
         out["principal_signature"] = (list(signature)
                                       if signature is not None else None)
         print(_dump_json(out))
         return 0
 
-    if config.format == "markdown":
+    if args.format == "markdown":
         lines = ["# Classification: %s" % args.expr, "",
                  "**%s**" % result.verdict, ""]
         lines.extend("- %s" % reason for reason in result.reasons)
@@ -283,17 +279,12 @@ def cmd_classify(args, config):
 
 # ----------------------------------------------------------------- graph
 
-def _load_graph(path):
+def cmd_graph_validate(args):
     from . import graphs
-    return graphs.graph_from_json_dict(_read_json(path))
-
-
-def cmd_graph_validate(args, config):
-    from . import graphs
-    graph = _load_graph(args.graph)
+    graph = graphs.graph_from_json_dict(_read_json(args.graph))
     report = graphs.validate_reflection_graph(graph)
 
-    if config.format == "json":
+    if args.format == "json":
         print(_dump_json({
             "valid": True,
             "valence": report.valence,
@@ -308,9 +299,9 @@ def cmd_graph_validate(args, config):
     return 0
 
 
-def cmd_graph_replicant(args, config):
+def cmd_graph_replicant(args):
     from . import graphs, pieces
-    graph = _load_graph(args.graph)
+    graph = graphs.graph_from_json_dict(_read_json(args.graph))
     graphs.validate_reflection_graph(graph)
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
     built = graphs.g_replicant(graph, template)
@@ -319,9 +310,9 @@ def cmd_graph_replicant(args, config):
     return 0
 
 
-def cmd_graph_product(args, config):
+def cmd_graph_product(args):
     from . import graphs
-    graph = _load_graph(args.graph)
+    graph = graphs.graph_from_json_dict(_read_json(args.graph))
     graphs.validate_reflection_graph(graph)
     product = graphs.product_p1(graph)
     print(_dump_json(graphs.graph_to_json_dict(product)))
@@ -337,9 +328,9 @@ def _volume_text(volume, places):
     return bounds.format_fixed(volume, places)
 
 
-def cmd_db_query(args, config):
+def cmd_db_query(args):
     from . import bounds
-    db = _load_db(config)
+    db = _load_db(args)
     if args.signature is not None:
         signature = _int_list(args.signature)
         entry = db.entry(args.family, args.conway, args.ambient,
@@ -355,34 +346,32 @@ def cmd_db_query(args, config):
         rows = sorted(recorded.items())
     limit = db.limit_for(args.conway)
 
-    if config.format == "json":
+    if args.format == "json":
         out = {"rows": [{"signature": list(sig),
-                         "volume": _volume_text(entry.volume,
-                                                config.precision),
+                         "volume": _volume_text(entry.volume, args.precision),
                          "provenance": entry.provenance}
                         for sig, entry in rows]}
         if limit is not None:
-            out["limit"] = bounds.format_fixed(limit, config.precision)
+            out["limit"] = bounds.format_fixed(limit, args.precision)
         print(_dump_json(out))
         return 0
 
     for sig, entry in rows:
         print("(%s): %s [%s]" % (", ".join(str(n) for n in sig),
-                                 _volume_text(entry.volume,
-                                              config.precision),
+                                 _volume_text(entry.volume, args.precision),
                                  entry.provenance))
     if limit is not None:
-        print("limit: %s" % bounds.format_fixed(limit, config.precision))
+        print("limit: %s" % bounds.format_fixed(limit, args.precision))
     return 0
 
 
-def cmd_db_check(args, config):
+def cmd_db_check(args):
     from . import bounds
-    db = _load_db(config)
+    db = _load_db(args)
     violations = bounds.limit_check(db)
     observations = bounds.column_monotonicity(db)
 
-    if config.format == "json":
+    if args.format == "json":
         print(_dump_json({
             "violations": [{"kind": v.kind, "subject": v.subject,
                             "detail": v.detail} for v in violations],
@@ -502,30 +491,17 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    config = CliConfig(
-        db_path=(getattr(args, "db", None)
-                 or os.environ.get("RV_DB") or None),
-        precision=getattr(args, "precision", 8),
-        format=getattr(args, "format", None) or args.default_format)
+    args.db = getattr(args, "db", None) or os.environ.get("RV_DB")
+    args.precision = getattr(args, "precision", 8)
+    args.format = getattr(args, "format", args.default_format)
     try:
-        return args.func(args, config)
+        return args.func(args)
     except AssertionError as exc:
         print("internal assertion failure: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, LookupError, OSError, RecursionError,
-            LimitExceeded) as exc:
+    except REFUSALS as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3 if _uncertified(exc) else 2
-
-
-def _uncertified(exc):
-    """Whether ``exc`` is a ``bounds.UncertifiedTangle``.
-
-    Looked up in ``sys.modules``: a command that never imported
-    ``bounds`` cannot have raised it.
-    """
-    bounds = sys.modules.get(__package__ + ".bounds")
-    return bounds is not None and isinstance(exc, bounds.UncertifiedTangle)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

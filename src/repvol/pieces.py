@@ -124,9 +124,8 @@ class PieceTemplate:
         mate = {}
         normalized = []
         for pair in strands:
-            a, b = pair
-            a = _ints("strand ends", (a[0], a[1]))
-            b = _ints("strand ends", (b[0], b[1]))
+            a, b = (_pair("strand ends", _ints("strand ends", end))
+                    for end in _pair("strands", pair))
             for face_no, label in (a, b):
                 if not 1 <= face_no <= len(faces):
                     raise PieceError("strand endpoint on missing face %d"
@@ -225,6 +224,9 @@ def saucer_template(label):
 
 def cylindrical_template(label, strand_count=2):
     """Two-face piece whose strands pass straight through."""
+    if type(strand_count) is not int:
+        raise PieceError("strand_count must be an integer, got %r"
+                         % (strand_count,))
     if strand_count < 1:
         raise PieceError("a cylindrical piece needs at least one strand")
     labels = tuple(range(1, strand_count + 1))
@@ -352,11 +354,10 @@ class GluingComplex:
         normalized = []
         used = set()
         for item in gluings:
-            if len(item) == 3:
-                side_a, side_b, pairing = item
-            else:
-                side_a, side_b = item
-                pairing = None
+            if len(item) not in (2, 3):
+                raise PieceError("gluings must have 2 or 3 entries, got %r"
+                                 % (item,))
+            side_a, side_b, pairing = (*item, None)[:3]
             side_a = _side(side_a)
             side_b = _side(side_b)
             face_a = self._face_labels(templates, side_a)
@@ -456,16 +457,30 @@ class GluingComplex:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read and check a complex; PieceError naming a malformed part."""
+        if not isinstance(data, dict):
+            raise PieceError("a gluing complex must be a JSON object, got %r"
+                             % (data,))
+        for key, kind, name in (("templates", dict, "an object"),
+                                ("copies", list, "an array"),
+                                ("gluings", list, "an array")):
+            if not isinstance(data.get(key), kind):
+                raise PieceError("gluing complex %s must be %s, got %r"
+                                 % (key, name, data.get(key)))
         table = {tid: PieceTemplate.from_json_dict(td)
                  for tid, td in data["templates"].items()}
         try:
-            copies = [(table[tid], tuple(label))
-                      for tid, label in data["copies"]]
+            copies = [(table[tid], tuple(label)) for tid, label in
+                      (_pair("copies", copy) for copy in data["copies"])]
         except KeyError as missing:
             raise PieceError("copy references missing template %s" % missing)
-        # list() keeps a null pairing an error, not the label-identity
-        gluings = [(g["a"], g["b"], list(g["pairing"]))
-                   for g in data["gluings"]]
+        gluings = []
+        for g in data["gluings"]:
+            if not (isinstance(g, dict) and g.keys() >= {"a", "b", "pairing"}):
+                raise PieceError("gluings must be objects with a, b and "
+                                 "pairing, got %r" % (g,))
+            # list() keeps a null pairing an error, not the label-identity
+            gluings.append((g["a"], g["b"], list(g["pairing"])))
         return cls(copies, gluings)
 
 

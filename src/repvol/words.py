@@ -206,10 +206,14 @@ class CyclicWord:
         """Read and validate a word; WordError if malformed."""
         try:
             order, indices = d["order"], tuple(d["indices"])
-            reflected = bool(d.get("reflected", False))
+            reflected = d.get("reflected", False)
         except (AttributeError, KeyError, TypeError) as exc:
             raise WordError("malformed word JSON: %s %s"
                             % (type(exc).__name__, exc)) from None
+        if type(reflected) is not bool:
+            # bool() would read the string "false" as true
+            raise WordError("malformed word JSON: reflected must be true "
+                            "or false, got %r" % (reflected,))
         return validate_word(order, indices, reflected=reflected)
 
 

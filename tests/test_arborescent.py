@@ -372,6 +372,25 @@ def test_expr_json_loop_size_must_be_an_integer():
     assert expr_from_json_dict({"kind": "qloop", "m": 2}) == QLoop(2)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "sum"}, "sum node has no left"),
+    ({"kind": "sum", "left": {"kind": "qloop", "m": 2}},
+     "sum node has no right"),
+    ({"kind": "rational"}, "rational node has no conway"),
+    ({"kind": "reflect", "child": {"kind": "qloop"}}, "qloop node has no m"),
+    ([], "expression must be a JSON object, got []"),
+    ({"kind": "rotate90", "child": [1]},
+     "rotate90 child must be a JSON object, got [1]"),
+    ({"kind": "sum", "left": {"kind": "qloop", "m": 2}, "right": "q(2)"},
+     "sum right must be a JSON object, got 'q(2)'"),
+])
+def test_expr_json_names_its_malformed_node(data, message):
+    # a missing field raised KeyError, and a list AttributeError
+    with pytest.raises(ParseError) as info:
+        expr_from_json_dict(data)
+    assert str(info.value) == message
+
+
 def test_expr_json_round_trip():
     fixtures = [
         parse_expr("sum(rat(1/2), q(2))"),

@@ -413,6 +413,68 @@ def test_batch_bound_mixed_results(capsys, tmp_path):
     assert set(rows[1]["report"]) >= {"terms", "total"}
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def refuse_spec_named_limit(monkeypatch):
+    """Make lower_bound raise SizeExceeded for the spec named "limit"."""
+    real = bounds.lower_bound
+
+    def lower_bound(db, spec, comparisons=()):
+        if spec.get("name") == "limit":
+            raise pieces.SizeExceeded("a replicant above the copy limit")
+        return real(db, spec, comparisons)
+
+    monkeypatch.setattr(bounds, "lower_bound", lower_bound)
+
+
+def test_batch_bound_reports_too_deep_json(capsys, tmp_path):
+    # the stdlib decoder's RecursionError used to abort the whole batch
+    d = tmp_path / "specs"
+    d.mkdir()
+    write_json(d / "good.json", BRACELET6)
+    (d / "deep.json").write_text(DEEP_JSON)
+    code, out, err = run(capsys, ["bound", str(d)])
+    assert (code, err) == (2, "")
+    assert out.startswith("== deep.json ==\nerror RecursionError: ")
+    assert "\n\n== good.json ==\nbracelet6:" in out
+
+
+def test_batch_bound_reports_limit_refusal(capsys, monkeypatch, tmp_path):
+    refuse_spec_named_limit(monkeypatch)
+    d = tmp_path / "specs"
+    d.mkdir()
+    write_json(d / "good.json", BRACELET6)
+    write_json(d / "limit.json", dict(BRACELET6, name="limit"))
+    code, out, err = run(capsys, ["bound", str(d)])
+    assert (code, err) == (2, "")
+    assert out.startswith("== good.json ==\nbracelet6:")
+    assert out.endswith("\n\n== limit.json ==\nerror SizeExceeded: "
+                        "a replicant above the copy limit\n")
+
+
+@pytest.mark.parametrize("kind", ["malformed", "limit", "uncertified",
+                                  "too-deep"])
+def test_single_file_and_batch_exit_codes_agree(capsys, monkeypatch,
+                                                tmp_path, kind):
+    refuse_spec_named_limit(monkeypatch)
+    d = tmp_path / "specs"
+    d.mkdir()
+    write_json(d / "good.json", BRACELET6)
+    path = d / "bad.json"
+    if kind == "too-deep":
+        path.write_text(DEEP_JSON)
+    else:
+        write_json(path, {"malformed": MALFORMED_BOUND_SPECS["slots-seven"],
+                          "limit": dict(BRACELET6, name="limit"),
+                          "uncertified": CLASP_BRACELET}[kind])
+    single, _, err = run(capsys, ["bound", str(path)])
+    batch, out, _ = run(capsys, ["bound", str(d)])
+    assert single == batch == (3 if kind == "uncertified" else 2)
+    name = err.split(":")[0]
+    assert "== bad.json ==\nerror %s: " % name in out
+
+
 def test_batch_bound_empty_dir(capsys, tmp_path):
     d = tmp_path / "empty"
     d.mkdir()
@@ -557,6 +619,14 @@ def test_reduce_malformed_word_file_exit_2(capsys, tmp_path, word):
     code, _, err = run(capsys, ["reduce", path])
     assert code == 2
     assert err.startswith("WordError: malformed word JSON")
+
+
+def test_reduce_reflected_must_be_a_bool(capsys, tmp_path):
+    path = write_json(tmp_path / "word.json",
+                      {"order": 2, "indices": [1, 2], "reflected": "false"})
+    assert run(capsys, ["reduce", path]) == (
+        2, "", "WordError: malformed word JSON: reflected must be true or "
+               "false, got 'false'\n")
 
 
 @pytest.mark.parametrize("table, message", [

@@ -165,3 +165,35 @@ def test_words_keeps_no_state_between_calls():
         elif isinstance(node, ast.ImportFrom) and node.module == "functools":
             found.append("line %d imports from functools" % node.lineno)
     assert found == []
+
+
+REFUSAL_CLASSES = {"ValueError", "LookupError", "OSError", "RecursionError",
+                   "LimitExceeded"}
+
+
+def _names(node):
+    """The bare names a class expression or tuple of them lists."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {e.id for e in elts if isinstance(e, ast.Name)}
+
+
+def test_cli_names_its_refusal_classes_once():
+    # single-file and batch runs map exceptions to exit codes by one
+    # policy; a second list of classes is how the two drifted apart
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    tuples = [node for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+              and _names(node) & REFUSAL_CLASSES]
+    assert [_names(node) for node in tuples] == [REFUSAL_CLASSES]
+    listed = ["line %d" % node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              and _names(node.type) & REFUSAL_CLASSES]
+    assert listed == []
+
+
+def test_cli_reads_nothing_from_sys_modules():
+    # exit codes come from the package-root classes, not from looking up
+    # whichever layers a command happened to import
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    found = ["line %d" % node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "modules"]
+    assert found == []

@@ -113,6 +113,33 @@ def test_template_integer_fields_must_be_ints():
     assert PieceTemplate.from_json_dict(good) == saucer_template("s")
 
 
+@pytest.mark.parametrize("strands, message", [
+    ([[[1, 1, 99], [1, 2]], [[2, 1], [2, 2]]],
+     "strand ends must be pairs, got (1, 1, 99)"),
+    ([[[1, 1], [1, 2]], [[2, 1], [2]]], "strand ends must be pairs, got (2,)"),
+    ([[[1, 1], [1, 2], [2, 1]], [[2, 1], [2, 2]]],
+     "strands must be pairs, got [[1, 1], [1, 2], [2, 1]]"),
+    ([[[1, 1], [1, 2]], 5], "strands must be pairs, got 5"),
+])
+def test_template_strands_and_ends_must_be_pairs(strands, message):
+    # reading a[0] and a[1] dropped the 99; unpacking three ends raised a
+    # ValueError that named no field
+    data = dict(saucer_template("s").to_json_dict(), strands=strands)
+    for build in (lambda: PieceTemplate.from_json_dict(data),
+                  lambda: PieceTemplate("s", data["faces"], strands)):
+        with pytest.raises(PieceError) as info:
+            build()
+        assert type(info.value) is PieceError
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "2"])
+def test_cylindrical_strand_count_must_be_an_int(count):
+    # True built one strand and 2.5 raised a TypeError from range()
+    with pytest.raises(PieceError, match="strand_count must be an integer"):
+        cylindrical_template("x", count)
+
+
 def test_template_equality_and_roundtrip():
     t = saucer_template("1/2")
     assert t == PieceTemplate.from_json_dict(t.to_json_dict())
@@ -888,3 +915,48 @@ def test_gluing_sides_and_pairing_entries_must_be_pairs(gluing, message):
             build()
         assert type(info.value) is PieceError
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("item", [(((0,), 1),),
+                                  (((0,), 1), ((1,), 1), None, None)])
+def test_gluing_items_have_two_or_three_entries(item):
+    # unpacking a 1- or 4-tuple raised a ValueError that named no field
+    copies = [(saucer_template("S"), (0,)), (saucer_template("S"), (1,))]
+    with pytest.raises(PieceError) as info:
+        GluingComplex(copies, [item])
+    assert str(info.value) == ("gluings must have 2 or 3 entries, got %r"
+                               % (item,))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"templates": None}, "gluing complex templates must be an object, "
+                          "got None"),
+    ({"templates": []}, "gluing complex templates must be an object, "
+                        "got []"),
+    ({"copies": {}}, "gluing complex copies must be an array, got {}"),
+    ({"gluings": 3}, "gluing complex gluings must be an array, got 3"),
+    ({"copies": [["saucer S"]]}, "copies must be pairs, got ['saucer S']"),
+    ({"gluings": [[[0], 1]]},
+     "gluings must be objects with a, b and pairing, got [[0], 1]"),
+    ({"gluings": [{"a": [[0], 1], "b": [[1], 1]}]},
+     "gluings must be objects with a, b and pairing, got "
+     "{'a': [[0], 1], 'b': [[1], 1]}"),
+])
+def test_complex_json_names_its_malformed_part(change, message):
+    # a missing "templates" raised KeyError, and a list there
+    # AttributeError, which the command line does not treat as a refusal
+    data = build_bracelet([saucer_template("S")] * 2).to_json_dict()
+    data.update(change)
+    with pytest.raises(PieceError) as info:
+        GluingComplex.from_json_dict(data)
+    assert str(info.value) == message
+
+
+def test_complex_json_must_be_an_object_with_templates():
+    data = build_bracelet([saucer_template("S")] * 2).to_json_dict()
+    del data["templates"]
+    for malformed, shown in ((data, "templates must be an object, got None"),
+                             ([], "must be a JSON object, got []")):
+        with pytest.raises(PieceError) as info:
+            GluingComplex.from_json_dict(malformed)
+        assert str(info.value).endswith(shown)

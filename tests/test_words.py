@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -93,6 +94,17 @@ def test_order_two_keeps_its_representative():
     d = marked.to_json_dict()
     assert d.get("reflected") is True
     assert words.CyclicWord.from_json_dict(d).flags == (True, True)
+
+
+@pytest.mark.parametrize("reflected", ["false", "true", 0, 1, None, [True]])
+def test_word_json_reflected_must_be_a_bool(reflected):
+    # bool() read the string "false" as true, and the word was written
+    # back as "reflected": true
+    with pytest.raises(words.WordError,
+                       match="reflected must be true or false, got %s"
+                       % re.escape(repr(reflected))):
+        words.CyclicWord.from_json_dict(
+            {"order": 2, "indices": [1, 2], "reflected": reflected})
 
 
 def test_constant_word_mark_alternation():
