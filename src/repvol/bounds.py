@@ -546,6 +546,7 @@ def parse_link_spec(data):
     fixed = _FIXED.get(arrangement)
 
     raw_slots = data.get("slots")
+    repeat = 1
     rows, cols = data.get("rows", 0), data.get("cols", 0)
     # int() would read 2.9 as 2 and overflow on infinity; bool is an int
     if type(rows) is not int or type(cols) is not int:
@@ -559,8 +560,10 @@ def parse_link_spec(data):
                 "a %d x %d lattice has more than %d slots"
                 % (rows, cols, pieces.COPY_LIMIT))
         if raw_slots is None and "slot" in data:
-            raw_slots = [data["slot"]] * (rows * cols)
-        if not isinstance(raw_slots, (list, tuple)) \
+            # one slot for every cell: check it once, as slot 0, and
+            # repeat its SlotSpec
+            raw_slots, repeat = [data["slot"]], rows * cols
+        elif not isinstance(raw_slots, (list, tuple)) \
                 or len(raw_slots) != rows * cols:
             raise ArrangementInvalid(
                 "a %d x %d lattice needs %d slots (row-major)"
@@ -605,6 +608,7 @@ def parse_link_spec(data):
             raise BoundsError("slot %d: orientation must be a string" % i)
         slots.append(SlotSpec(family, _normalize_conway(conway), orientation,
                               tuple(signature)))
+    slots *= repeat
 
     try:
         pieces.check_shape(arrangement, len(slots), rows, cols)

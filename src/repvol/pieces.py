@@ -84,13 +84,24 @@ def _pair(field, value):
     return a, b
 
 
+def _label(field, label):
+    """A copy label as a tuple of ints, else a PieceError naming ``field``.
+
+    tuple() of a number would raise a bare TypeError.
+    """
+    if not isinstance(label, (tuple, list)):
+        raise PieceError("%s must be arrays of integers, got %r"
+                         % (field, label))
+    return _ints(field, label)
+
+
 def _side(side):
     """A gluing side as (copy label, face number), both checked integer."""
     label, face = _pair("gluing sides", side)
     if type(face) is not int:
         raise PieceError("gluing face numbers must be integers, got %r"
                          % (face,))
-    return _ints("gluing copy labels", label), face
+    return _label("gluing copy labels", label), face
 
 
 class PieceTemplate:
@@ -338,8 +349,9 @@ class GluingComplex:
     __slots__ = ("copies", "gluings", "_position", "_slot_map")
 
     def __init__(self, copies, gluings):
-        copies = tuple((template, _ints("copy labels", label))
-                       for template, label in copies)
+        copies = tuple((template, _label("copy labels", label))
+                       for template, label in
+                       (_pair("copies", copy) for copy in copies))
         position = {}
         for template, label in copies:
             if not isinstance(template, PieceTemplate):
@@ -354,7 +366,7 @@ class GluingComplex:
         normalized = []
         used = set()
         for item in gluings:
-            if len(item) not in (2, 3):
+            if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
                 raise PieceError("gluings must have 2 or 3 entries, got %r"
                                  % (item,))
             side_a, side_b, pairing = (*item, None)[:3]
@@ -370,6 +382,9 @@ class GluingComplex:
                         "faces %r and %r carry %d and %d endpoints"
                         % (side_a, side_b, len(face_a), len(face_b)))
                 pairing = tuple(zip(face_a, face_b))
+            elif not isinstance(pairing, (tuple, list)):
+                raise PieceError("gluing pairings must be arrays, got %r"
+                                 % (pairing,))
             else:
                 pairing = tuple(
                     _ints("pairing labels", _pair("pairing entries", p))
@@ -469,18 +484,21 @@ class GluingComplex:
                                  % (key, name, data.get(key)))
         table = {tid: PieceTemplate.from_json_dict(td)
                  for tid, td in data["templates"].items()}
-        try:
-            copies = [(table[tid], tuple(label)) for tid, label in
-                      (_pair("copies", copy) for copy in data["copies"])]
-        except KeyError as missing:
-            raise PieceError("copy references missing template %s" % missing)
+        copies = []
+        for tid, label in (_pair("copies", copy) for copy in data["copies"]):
+            if not isinstance(tid, str) or tid not in table:
+                raise PieceError("copy references missing template %r"
+                                 % (tid,))
+            copies.append((table[tid], label))
         gluings = []
         for g in data["gluings"]:
             if not (isinstance(g, dict) and g.keys() >= {"a", "b", "pairing"}):
                 raise PieceError("gluings must be objects with a, b and "
                                  "pairing, got %r" % (g,))
-            # list() keeps a null pairing an error, not the label-identity
-            gluings.append((g["a"], g["b"], list(g["pairing"])))
+            # a null pairing is an error here, not the label-identity
+            if g["pairing"] is None:
+                raise PieceError("gluing pairings must be arrays, got None")
+            gluings.append((g["a"], g["b"], g["pairing"]))
         return cls(copies, gluings)
 
 

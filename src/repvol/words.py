@@ -360,10 +360,11 @@ class ReductionCertificate:
     and was solved for (word, self-coefficient, and the resulting
     {CyclicWord: Fraction} combination);
     ``coefficients`` the final combination over constant-word subscripts.
-    Replaying: the step equations w = (p1 + p2) / 2 determine the result by
-    exact elimination in SCC order (one strongly connected component of
-    the step graph at a time, sinks first), independent of the search that
-    found them; see replay_certificate().
+    Replaying: the step equations w = (p1 + p2) / 2 have exactly one
+    solution when every step word reaches, through the words it produces,
+    a word that produces a constant word, and the letter counts of each
+    word over the order are that solution; see replay_certificate().
+    Replay reads no value recorded in ``solved_cycles``.
     """
 
     def __init__(self, word, coefficients, steps, solved_cycles):
@@ -557,137 +558,6 @@ class CertificateError(ValueError):
     """A certificate that does not replay to its claimed result."""
 
 
-def _components_sinks_first(successors):
-    """Strongly connected components of a graph, each after all it reaches.
-
-    Nodes are 0..n-1 and ``successors[v]`` lists the nodes v points to.
-    Tarjan's algorithm (1972) on an explicit stack, so depth is not bounded
-    by recursion.  Returns a list of components, each a list of nodes in
-    reverse discovery order.
-    """
-    n = len(successors)
-    number = [0] * n    # discovery number from 1; 0 = not yet discovered
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    count = 0
-    for root in range(n):
-        if number[root]:
-            continue
-        count += 1
-        number[root] = low[root] = count
-        stack.append(root)
-        on_stack[root] = True
-        path = [(root, iter(successors[root]))]
-        while path:
-            v, pending = path[-1]
-            for u in pending:
-                if not number[u]:
-                    count += 1
-                    number[u] = low[u] = count
-                    stack.append(u)
-                    on_stack[u] = True
-                    path.append((u, iter(successors[u])))
-                    break
-                if on_stack[u] and number[u] < low[v]:
-                    low[v] = number[u]
-            else:
-                path.pop()
-                if path:
-                    parent = path[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == number[v]:
-                    component = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        component.append(u)
-                        if u == v:
-                            break
-                    components.append(component)
-    return components
-
-
-def _solve_component(component, successors, constants, solved):
-    """Solve one component's step equations by exact elimination.
-
-    Row k reads 2*w_k - (its produced words inside the component) =
-    (its constant produced words) + (its other produced words).  The last
-    are in ``solved`` already and enter as letter vectors.  Columns
-    0..k-1 are the component's words and column -i is subscript i.  Rows
-    hold integers: each is scaled to clear its denominators and divided
-    by its content after every update, which stays exact and costs far
-    less than Fraction arithmetic.  Gauss-Jordan leaves each row with its
-    own word and letters only, and ``solved[v]`` becomes that word's
-    letter vector as (denominator, {subscript: numerator}).
-
-    Most components are one word.  Its row holds only its own column
-    (2*scale, less scale per self-loop) and letters, so elimination
-    checks its diagonal and has no other row to update.
-    """
-    local = {v: k for k, v in enumerate(component)}
-    rows = []
-    for v in component:
-        outside = [solved[u] for u in successors[v] if u not in local]
-        scale = math.lcm(*(den for den, _ in outside))
-        row = {local[v]: 2 * scale}
-        for u in successors[v]:
-            if u in local:
-                col = local[u]
-                row[col] = row.get(col, 0) - scale
-        for i in constants[v]:
-            row[-i] = row.get(-i, 0) + scale
-        for den, nums in outside:
-            factor = scale // den
-            for i, x in nums.items():
-                row[-i] = row.get(-i, 0) + factor * x
-        rows.append({c: x for c, x in row.items() if x})
-
-    holders = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            if c >= 0:
-                holders.setdefault(c, set()).add(r)
-    # Forward references mostly point at later-discovered words, so
-    # eliminating in reverse discovery order keeps fill-in small.
-    for col in range(len(rows)):
-        pivot = rows[col]
-        diagonal = pivot.get(col)
-        if not diagonal:
-            raise CertificateError("singular step system")
-        for r in holders.pop(col):
-            if r == col:
-                continue
-            factor = rows[r].pop(col)
-            row = {c: diagonal * x for c, x in rows[r].items()}
-            for c, x in pivot.items():
-                if c == col:
-                    continue
-                value = row.get(c, 0) - factor * x
-                if value:
-                    row[c] = value
-                    if c >= 0:
-                        holders[c].add(r)
-                else:
-                    del row[c]
-                    if c >= 0:
-                        holders[c].discard(r)
-            content = math.gcd(*row.values())
-            if content > 1:
-                row = {c: x // content for c, x in row.items()}
-            rows[r] = row
-    for v, k in local.items():
-        row = rows[k]
-        den = row[k]
-        nums = {-c: x for c, x in row.items() if c < 0}
-        g = math.gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        solved[v] = (den // g, {i: x // g for i, x in nums.items()})
-
-
 def replay_certificate(cert):
     """Recompute a certificate's coefficients from its steps alone.
 
@@ -698,11 +568,22 @@ def replay_certificate(cert):
     re-derived step produced (a doubled half of a valid word is valid;
     see split_relation()) and it holds plain ints; every other step word
     is validated.  Steps of a certificate from reduce() run depth first,
-    so only its root is validated.  The step equations w = (p1 + p2)/2
-    are then solved in SCC order: the strongly connected components of
-    the graph from each word to the words it produces, sinks first, each
-    solved by exact elimination over its own words, with the words it
-    reaches already reduced to letter vectors.  No recursion, and no
+    so only its root is validated.
+
+    The step equations w = (p1 + p2)/2, one per step word, then fix the
+    result without being solved.  Written x = Qx + b over the step words,
+    Q is sub-stochastic: each produced word that is not constant has
+    weight 1/2 in its producer's row, and a constant one leaks its 1/2
+    into b.  Such a system has exactly one solution iff every state
+    reaches a leaking row; otherwise some closed class of words keeps the
+    eigenvalue 1 (Kemeny and Snell, Finite Markov Chains, 1960, absorbing
+    chains).  So replay searches back from the words that produce a
+    constant word and refuses the system as singular when the search
+    misses a step word, the steps that nothing produces included.  The
+    letter counts q(w) / order satisfy every re-derived step, because
+    2*q(w) = q(p1) + q(p2) and the constant word T_i^order has
+    q = order * e_i; the one solution is therefore q(root) / order.  The
+    search is linear in the number of steps, uses no recursion, and no
     helper, memo or cache shared with reduce().  Returns the coefficients
     of the certificate's root word; raises CertificateError on any
     mismatch.
@@ -744,23 +625,30 @@ def replay_certificate(cert):
             return {root.indices[0]: Fraction(1)}
         raise CertificateError("no step splits the root word")
 
-    successors = [[] for _ in eqs]
-    constants = [[] for _ in eqs]
+    # A word leaks when it produces a constant word.  Search back from the
+    # leaking words along "is produced by" edges.
+    producers = [[] for _ in eqs]
+    seen = [False] * len(eqs)
     for v, produced in enumerate(eqs):
         for p in produced:
             if p.is_constant:
-                constants[v].append(p.indices[0])
+                seen[v] = True
             elif p in index:
-                successors[v].append(index[p])
+                producers[index[p]].append(v)
             else:
                 raise CertificateError(
                     "produced word {!r} has no equation and is not "
                     "constant".format(p))
-    solved = [None] * len(eqs)
-    for component in _components_sinks_first(successors):
-        _solve_component(component, successors, constants, solved)
-    den, nums = solved[index[root]]
-    return {i: Fraction(x, den) for i, x in sorted(nums.items())}
+    reached = [v for v, leaks in enumerate(seen) if leaks]
+    for v in reached:  # grows while it is read: a breadth-first queue
+        for u in producers[v]:
+            if not seen[u]:
+                seen[u] = True
+                reached.append(u)
+    if len(reached) < len(eqs):
+        raise CertificateError("singular step system")
+    return {i: Fraction(q, root.order)
+            for i, q in sorted(root.letter_counts().items())}
 
 
 def verify_certificate(cert):

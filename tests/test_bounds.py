@@ -278,6 +278,33 @@ def test_cube_lattice_demands_two_two(db):
     assert report.total == 8 * Fraction(Decimal("4.3692852"))
 
 
+def test_lattice_slot_shorthand_is_read_once(db, monkeypatch):
+    # the shorthand used to copy its text into every cell and normalize
+    # each copy again
+    shorthand = {"arrangement": "lattice", "ambient": "TxI",
+                 "rows": 30, "cols": 20, "slot": " 2   1"}
+    explicit = dict(shorthand, slots=[" 2   1"] * 600)
+    del explicit["slot"]
+    expected = bounds.lower_bound(db, explicit)
+    calls = []
+    real = bounds._normalize_conway
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(bounds, "_normalize_conway", counted)
+    spec = bounds.parse_link_spec(shorthand)
+    assert calls == [" 2   1"]
+    assert spec.slots == bounds.parse_link_spec(explicit).slots
+    assert spec.slots[0].conway == "2 1"
+    assert bounds.lower_bound(db, shorthand) == expected
+    bad = dict(shorthand, slot={"conway": "2", "orientation": 3})
+    with pytest.raises(bounds.BoundsError,
+                       match="^slot 0: orientation must be a string$"):
+        bounds.parse_link_spec(bad)
+
+
 def test_cylinder_stack_example(db):
     spec = {"arrangement": "cylinder-stack", "ambient": "TxI",
             "slots": ["2", "3"]}

@@ -117,8 +117,7 @@ def test_replay_shares_no_helper_with_reduce():
                          if isinstance(n, ast.Name) and n.id in defined]
         return seen
 
-    replay = reached("replay_certificate", "_solve_component",
-                     "_components_sinks_first")
+    replay = reached("replay_certificate")
     private_to_reduce = {name for name in reached("reduce")
                          if name.startswith("_")}
     assert "reduce" not in replay

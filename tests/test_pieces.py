@@ -929,6 +929,46 @@ def test_gluing_items_have_two_or_three_entries(item):
 
 
 @pytest.mark.parametrize("change, message", [
+    ({"gluings": [dict(GLUING, pairing=None)]},
+     "gluing pairings must be arrays, got None"),
+    ({"gluings": [dict(GLUING, pairing=5)]},
+     "gluing pairings must be arrays, got 5"),
+    ({"copies": [["saucer S", 0], ["saucer S", [1]]]},
+     "copy labels must be arrays of integers, got 0"),
+    ({"gluings": [dict(GLUING, a=[5, 1])]},
+     "gluing copy labels must be arrays of integers, got 5"),
+    ({"copies": [[["saucer S"], [0]]]},
+     "copy references missing template ['saucer S']"),
+])
+def test_complex_json_names_a_part_that_is_not_an_array(change, message):
+    # each ended in a bare TypeError from list(), tuple() or a dict lookup
+    data = build_bracelet([saucer_template("S")] * 2).to_json_dict()
+    data.update(change)
+    with pytest.raises(PieceError) as info:
+        GluingComplex.from_json_dict(data)
+    assert type(info.value) is PieceError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("copies, gluings, message", [
+    ([(saucer_template("S"), (0,))], [5],
+     "gluings must have 2 or 3 entries, got 5"),
+    ([5], [], "copies must be pairs, got 5"),
+    ([(saucer_template("S"), 0)], [], "copy labels must be arrays of "
+                                      "integers, got 0"),
+    ([(saucer_template("S"), (0,)), (saucer_template("S"), (1,))],
+     [(((0,), 1), ((1,), 1), 5)], "gluing pairings must be arrays, got 5"),
+])
+def test_complex_names_a_copy_or_gluing_of_the_wrong_kind(copies, gluings,
+                                                          message):
+    # each ended in a bare TypeError from len(), unpacking or iteration
+    with pytest.raises(PieceError) as info:
+        GluingComplex(copies, gluings)
+    assert type(info.value) is PieceError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
     ({"templates": None}, "gluing complex templates must be an object, "
                           "got None"),
     ({"templates": []}, "gluing complex templates must be an object, "

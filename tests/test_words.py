@@ -17,7 +17,10 @@ from repvol.words import (
     replay_certificate, split_relation, validate_word, verify_certificate,
 )
 
-from wordgen import all_valid_words, oracle_coefficients, random_valid_word
+from wordgen import (
+    all_valid_words, components_sinks_first, oracle_coefficients,
+    random_valid_word, solve_component,
+)
 
 
 def W(order, *indices):
@@ -450,7 +453,7 @@ def test_large_strongly_connected_class_replays():
     position = {w: k for k, w in enumerate(split_words)}
     successors = [[position[p] for p in st.produced if not p.is_constant]
                   for st in cert.steps]
-    largest = max(words._components_sinks_first(successors), key=len)
+    largest = max(components_sinks_first(successors), key=len)
     big_class = _class_of(cert, split_words[largest[0]])
     assert len(big_class) == 382
     k = next(k for k, w in enumerate(split_words)
@@ -687,8 +690,8 @@ def reference_replay(cert):
                     "produced word {!r} has no equation and is not "
                     "constant".format(p))
     solved = [None] * len(eqs)
-    for component in words._components_sinks_first(successors):
-        words._solve_component(component, successors, constants, solved)
+    for component in components_sinks_first(successors):
+        solve_component(component, successors, constants, solved)
     den, nums = solved[index[root]]
     return {i: Fraction(x, den) for i, x in sorted(nums.items())}
 
@@ -917,8 +920,9 @@ def _self_loop_steps():
 
 
 def test_every_solved_word_matches_its_counting_formula():
-    # _solve_component must give every word of a component, not just the
-    # root, its own letter counts over the order, in lowest terms
+    # The test-side eliminator gives every word of a component, not just
+    # the root, its own letter counts over the order, in lowest terms:
+    # the solution that replay_certificate() reads off without solving
     step_lists = [_reduced(w)[1].steps for w in PARITY_WORDS]
     step_lists += [reduce(w)[1].steps for order in range(2, 11, 2)
                    for w in all_valid_words(order)]
@@ -935,8 +939,8 @@ def test_every_solved_word_matches_its_counting_formula():
         constants = [[p.indices[0] for p in st.produced if p.is_constant]
                      for st in eqs]
         solved = [None] * len(eqs)
-        for component in words._components_sinks_first(successors):
-            words._solve_component(component, successors, constants, solved)
+        for component in components_sinks_first(successors):
+            solve_component(component, successors, constants, solved)
             v = component[0]
             kinds.add("larger" if len(component) > 1 else
                       "self-loop" if v in successors[v] else "one word")
@@ -945,6 +949,10 @@ def test_every_solved_word_matches_its_counting_formula():
             g = math.gcd(st.word.order, *counts.values())
             assert vector == (st.word.order // g,
                               {i: q // g for i, q in counts.items()})
+        if steps:
+            root = steps[0].word
+            assert replay_certificate(ReductionCertificate(
+                root, {}, steps, ())) == _counting_formula(root.indices)
     assert kinds == {"one word", "self-loop", "larger"}
 
 
@@ -957,3 +965,48 @@ def test_a_word_that_produces_only_itself_is_singular():
                                 [s], [])
     with pytest.raises(CertificateError, match="^singular step system$"):
         replay_certificate(cert)
+
+
+def test_an_orphan_step_that_produces_only_itself_is_singular():
+    # nothing produces (1, 1, 2, 2) here, but it is still an equation word,
+    # and 2w = w + w leaves it undetermined
+    _, cert = reduce(W(4, 1, 4, 3, 2))
+    orphan = split_relation(W(4, 1, 1, 2, 2), 1)
+    assert orphan.word not in {st.word for st in cert.steps}
+    bad = ReductionCertificate(cert.word, cert.coefficients,
+                               cert.steps + (orphan,), cert.solved_cycles)
+    for replay in (replay_certificate, reference_replay):
+        with pytest.raises(CertificateError, match="^singular step system$"):
+            replay(bad)
+
+
+def test_replay_validates_once_and_splits_once_per_step(monkeypatch):
+    _, cert = _reduced(validate_word(34, LARGE_CLASS_34))
+    validations = _count_validations(monkeypatch)
+    splits = []
+    real = words.split_relation
+
+    def counted(word, at=0, memo=None):
+        splits.append(word)
+        return real(word, at, memo)
+
+    monkeypatch.setattr(words, "split_relation", counted)
+    assert replay_certificate(cert) == _counting_formula(LARGE_CLASS_34)
+    assert validations == [cert.word.indices]
+    assert splits == [st.word for st in cert.steps]
+    assert len(splits) == 1792
+
+
+def test_replay_agrees_with_the_sparse_eliminator_and_the_oracle():
+    for order in range(2, 11, 2):
+        for w in all_valid_words(order):
+            cert = _reduced(w)[1]
+            assert replay_certificate(cert) == reference_replay(cert) \
+                == oracle_coefficients(w.indices)
+    # test_replay_matches_the_validate_every_step_replay holds every
+    # parity word's replay to the eliminator; the dense oracle takes a
+    # second or more past about 60 steps
+    for w in PARITY_WORDS:
+        cert = _reduced(w)[1]
+        if len(cert.steps) <= 60:
+            assert replay_certificate(cert) == oracle_coefficients(w.indices)
