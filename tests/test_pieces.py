@@ -565,22 +565,54 @@ def test_verify_isomorphism_matches_rebuilt_check():
     assert sum(n for (_, ok), n in seen.items() if not ok) > 1000
 
 
+def test_a_changed_partner_map_leaves_the_complex_alone():
+    # glued_partner handed out the complex's own pairing dict: this edit
+    # made isomorphic and verify_isomorphism refuse an equal complex
+    a = replicate(saucer_template("s"), (4,))
+    b = replicate(saucer_template("s"), (4,))
+    _, m = a.glued_partner(((0,), 1))
+    m[1], m[2] = 2, 1
+    assert a.glued_partner(((0,), 1)) == (((1,), 1), {1: 1, 2: 2})
+    identity = {label: label for _, label in a.copies}
+    assert a == b
+    assert isomorphic(a, b) == (True, identity)
+    assert verify_isomorphism(a, b, identity)
+
+
+@pytest.mark.parametrize("change", [
+    lambda w: {**w, (3,): [3]},
+    lambda w: {**w, (3,): "3"},
+    lambda w: None,
+    lambda w: {**w, (3,): (3.0,)},
+    lambda w: {(0,): (0,), (1,): (1,), (2,): (2,), (3.0,): (3,)},
+    lambda w: {**w, (1,): (True,)},
+], ids=["list image", "string image", "None", "float image", "float key",
+        "bool image"])
+def test_verify_isomorphism_refuses_a_malformed_witness(change):
+    # a list, a string or None raised a bare TypeError from sorted(), and
+    # the float label (3.0,) was taken for the copy (3,)
+    a = replicate(saucer_template("s"), (4,))
+    identity = {label: label for _, label in a.copies}
+    assert verify_isomorphism(a, a, identity)
+    assert verify_isomorphism(a, a, change(identity)) is False
+
+
 def first_fit_witness(a, b):
     """The full scan: each root of ``a``, in ``a.copies`` order, takes
     the first unused image of its colour in ``b.copies`` order that
-    propagates.  For isomorphic complexes only."""
+    propagates.  The private helpers work on copy positions; the
+    witness maps labels.  For isomorphic complexes only."""
     base = pieces._template_index((a, b))
     colors_a = pieces._refine_colors(a, base)
     colors_b = pieces._refine_colors(b, base)
     queues = {}
-    for _, label in b.copies:
-        queues.setdefault(colors_b[label], []).append(label)
+    for image, colour in enumerate(colors_b):
+        queues.setdefault(colour, []).append(image)
     start = dict.fromkeys(queues, 0)
     witness, used = {}, set()
-    for _, root in a.copies:
+    for root, colour in enumerate(colors_a):
         if root in witness:
             continue
-        colour = colors_a[root]
         queue = queues[colour]
         # A used prefix would be skipped image by image; skip it at once.
         while queue[start[colour]] in used:
@@ -595,7 +627,7 @@ def first_fit_witness(a, b):
             raise AssertionError("no image propagates")
         witness.update(trial)
         used.update(trial.values())
-    return witness
+    return {a.copies[x][1]: b.copies[y][1] for x, y in witness.items()}
 
 
 def cycles_and_singletons(rng, lengths, singles):
@@ -855,6 +887,72 @@ def test_complex_validation():
                       [(((0,), 1), ((1,), 1), ((1, 1), (2, 1)))])
     with pytest.raises(PieceError):
         GluingComplex([(t, (0,))], [(((0,), 1), ((2,), 1))])
+
+
+def mirror_oracle(copies, sizes, pairs):
+    """The mirror pattern written out by labels, through the validating
+    constructor: axis j steps copy 2i to 2i+1 across face 2k-1 and copy
+    2i-1 to 2i across face 2k, k = pairs[j], cyclically."""
+    gluings = []
+    for label in itertools.product(*map(range, sizes)):
+        for axis, (size, k) in enumerate(zip(sizes, pairs)):
+            if label[axis] % 2:
+                continue
+            step = [label[:axis] + ((label[axis] + d) % size,) +
+                    label[axis + 1:] for d in (1, -1)]
+            gluings.append(((label, 2 * k - 1), (step[0], 2 * k - 1)))
+            gluings.append(((step[1], 2 * k), (label, 2 * k)))
+    return GluingComplex(copies, gluings)
+
+
+def mirror_built_cases():
+    """(complex from a mirror builder, its grid sizes, its face pairs)."""
+    rng = random.Random(31)
+    s, sq = saucer_template("s"), square_template("2")
+    one_pair = [s, cylindrical_template("c", 1), cylindrical_template("c", 3),
+                template_union(s, cylindrical_template("c", 2))]
+    for t in one_pair:
+        for n in (2, 4, 6):
+            yield replicate(t, (n,)), (n,), (1,)
+    two_pairs = [sq, template_union(sq, square_template("3"))]
+    for t in two_pairs:
+        for indices in ((2, 2), (2, 4), (6, 4)):
+            for order in itertools.permutations((1, 2)):
+                sizes = tuple(indices[k - 1] for k in order)
+                yield (replicate(t, ReplicantSchedule(indices, order)),
+                       sizes, order)
+    t = random_template(rng, 3)
+    for order in itertools.permutations((1, 2, 3)):
+        sizes = tuple((2, 4, 2)[k - 1] for k in order)
+        yield replicate(t, ReplicantSchedule((2, 4, 2), order)), sizes, order
+    pool = [s, saucer_template("t"), cylindrical_template("c", 2)]
+    for count in (2, 4, 8):
+        yield (build_bracelet([rng.choice(pool) for _ in range(count)]),
+               (count,), (1,))
+    for height, width in ((2, 2), (2, 6), (4, 4)):
+        grid = [[rng.choice([sq, square_template("3"), square_template("x")])
+                 for _ in range(width)] for _ in range(height)]
+        yield build_torus_lattice(grid), (height, width), (1, 2)
+
+
+def test_mirror_builders_match_the_validating_constructor():
+    # the builders fill their face table directly; the constructor reads
+    # the same gluings through every check
+    cases = 0
+    for c, sizes, pairs in mirror_built_cases():
+        rebuilt = GluingComplex(list(c.copies), list(c.gluings))
+        for other in (rebuilt, mirror_oracle(list(c.copies), sizes, pairs)):
+            assert c == other and hash(c) == hash(other)
+            assert c.to_json_dict() == other.to_json_dict()
+            assert c._partners == other._partners
+            label, face_count = c.copies[0][1], len(c.copies[0][0].faces)
+            missing = [(label, 0), (label, face_count + 1), (label, 1.5),
+                       ((-1,) * len(label), 1), ((99,) * len(label), 1)]
+            for side in c.slots() + missing:
+                assert c.glued_partner(side) == other.glued_partner(side)
+            assert c.unglued_slots() == other.unglued_slots()
+        cases += 1
+    assert cases == 12 + 12 + 6 + 3 + 3
 
 
 def test_complex_json_roundtrip():
