@@ -263,6 +263,9 @@ def _walk(expr):
                                              node.value.denominator))
             lists[-1].append((node, node.value))
         elif isinstance(node, QLoop):
+            if type(node.m) is not int:   # 2.5 would read as Q_2, True as Q_1
+                raise ParseError("qloop m must be an integer, got %r"
+                                 % (node.m,))
             if node.m < 1:
                 raise ParseError("loop tangles need m >= 1")
             loops.append(node.m)

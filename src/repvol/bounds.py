@@ -698,9 +698,13 @@ class ComposedBound(NamedTuple):
 
 
 def _tangle_operand(operand):
-    """None or a ComposedBound as is; else a TangleRef of known names."""
-    if operand is None or isinstance(operand, ComposedBound):
+    """A ComposedBound as is; else a TangleRef of known names."""
+    if isinstance(operand, ComposedBound):
         return operand
+    if not isinstance(operand, (tuple, list)) or not 3 <= len(operand) <= 4:
+        raise BoundsError("a tangle operand must be a ComposedBound or a "
+                          "(family, conway, ambient[, orientation]) "
+                          "sequence, got %r" % (operand,))
     ref = TangleRef(*operand)
     _check_names(ref.family, ref.ambient)
     return ref
@@ -768,9 +772,10 @@ def compose_bound(db, tangle_a, tangle_b=None, rule="thickened-cylinder",
     else:
         raise BoundsError("unknown composition rule %r" % (rule,))
 
-    tangle_a, tangle_b = _tangle_operand(tangle_a), _tangle_operand(tangle_b)
+    tangle_a = _tangle_operand(tangle_a)
     if tangle_b is None:
         return _factor(db, tangle_a, signature, ambient, rule)
+    tangle_b = _tangle_operand(tangle_b)
 
     _check_composable(tangle_a, tangle_b)
     left = _factor(db, tangle_a, ground_sig, ambient, rule)

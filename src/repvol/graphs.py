@@ -82,19 +82,35 @@ def _norm_edge(pos, u, v):
     return (u, v) if pos[u] <= pos[v] else (v, u)
 
 
+def _pair(item, name, *where):
+    """``item`` unpacked as two entries, else a GraphError naming it as
+    ``name % where``."""
+    try:
+        a, b = item
+    except (TypeError, ValueError):
+        raise GraphError("%s must be a pair, got %r"
+                         % (name % where, item)) from None
+    return a, b
+
+
 class Reflection:
     """An involution of the vertex set tagged with edges it transposes.
 
     ``mapping`` takes any dict or pair sequence; ``swaps`` is the sequence
-    of distinguished edges.  Axioms are checked by the graph's validator,
-    not here.
+    of distinguished edges.  Only their shape is checked here; axioms are
+    checked by the graph's validator.
     """
 
     __slots__ = ("mapping", "swaps")
 
     def __init__(self, mapping, swaps):
-        self.mapping = dict(mapping)
-        self.swaps = tuple((a, b) for a, b in swaps)
+        try:
+            self.mapping = dict(mapping)
+        except (TypeError, ValueError):
+            raise GraphError("mapping must be a dict or pairs of vertices, "
+                             "got %r" % (mapping,)) from None
+        self.swaps = tuple(_pair(swap, "swap %d", j)
+                           for j, swap in enumerate(swaps))
 
     def __repr__(self):
         return "Reflection(%d vertices, %d swaps)" % (
@@ -108,10 +124,11 @@ class ReflectionGraph:
     vertices, stored with endpoints ordered by vertex position; duplicate
     edges are rejected here, loops are kept and fail validation later.
     ``reflections`` accepts Reflection objects, (mapping, swaps) pairs, or
-    dicts with those keys.  ``ambient`` names the manifold the replicant
-    links live in.  Construction checks shape only; call
-    ``validate_reflection_graph`` for the real audit, whose report is
-    cached on the instance.
+    dicts with a mapping and optional swaps.  ``ambient`` names the
+    manifold the replicant links live in.  Construction checks shape
+    only, and refuses a part of the wrong shape with a GraphError naming
+    its index; call ``validate_reflection_graph`` for the real audit,
+    whose report is cached on the instance.
     """
 
     __slots__ = ("vertices", "edges", "reflections", "ambient",
@@ -120,8 +137,13 @@ class ReflectionGraph:
     def __init__(self, vertices, edges, reflections, ambient="S3"):
         self.vertices = tuple(vertices)
         pos = {}
-        for v in self.vertices:
-            if v in pos:
+        for i, v in enumerate(self.vertices):
+            try:
+                known = v in pos
+            except TypeError:
+                raise GraphError("vertex %d is not hashable: %r"
+                                 % (i, v)) from None
+            if known:
                 raise GraphError("duplicate vertex %r" % (v,))
             pos[v] = len(pos)
         self._pos = pos
@@ -131,9 +153,13 @@ class ReflectionGraph:
 
         seen = set()
         normal = []
-        for edge in edges:
-            u, v = edge
-            if u not in pos or v not in pos:
+        for i, edge in enumerate(edges):
+            u, v = _pair(edge, "edge %d", i)
+            try:
+                known = u in pos and v in pos
+            except TypeError:   # no vertex is unhashable
+                known = False
+            if not known:
                 raise GraphError(
                     "edge %r has an endpoint that is not a vertex" % (edge,))
             e = _norm_edge(pos, u, v)
@@ -145,15 +171,18 @@ class ReflectionGraph:
         self.edges = tuple(normal)
 
         coerced = []
-        for item in reflections:
-            if isinstance(item, Reflection):
-                coerced.append(item)
-            elif isinstance(item, dict):
-                coerced.append(Reflection(item["mapping"],
-                                          item.get("swaps", ())))
-            else:
-                mapping, swaps = item
-                coerced.append(Reflection(mapping, swaps))
+        for k, item in enumerate(reflections):
+            if not isinstance(item, Reflection):
+                if isinstance(item, dict):
+                    if "mapping" not in item:
+                        raise GraphError("reflection %d has no mapping" % k)
+                    item = item["mapping"], item.get("swaps", ())
+                mapping, swaps = _pair(item, "reflection %d", k)
+                try:
+                    item = Reflection(mapping, swaps)
+                except GraphError as exc:
+                    raise GraphError("reflection %d: %s" % (k, exc)) from None
+            coerced.append(item)
         self.reflections = tuple(coerced)
         self._report = None
 
@@ -474,6 +503,14 @@ def _vertex_in(v):
     return _recast(v, list, tuple) if isinstance(v, list) else v
 
 
+def _pair_in(p):
+    """A JSON edge or swap as a pair of vertices; any other value as
+    ``_vertex_in`` reads it, for the constructor to refuse by index."""
+    if type(p) is list and len(p) == 2:
+        return _vertex_in(p[0]), _vertex_in(p[1])
+    return _vertex_in(p)
+
+
 def graph_to_json_dict(graph):
     """Serialize a ReflectionGraph; tuples become lists, at any depth."""
     pos = graph._pos
@@ -497,13 +534,11 @@ def graph_from_json_dict(data):
     """Rebuild a ReflectionGraph from its JSON dictionary."""
     try:
         vertices = [_vertex_in(v) for v in data["vertices"]]
-        edges = [(_vertex_in(u), _vertex_in(v)) for u, v in data["edges"]]
-        reflections = [
-            Reflection({_vertex_in(k): _vertex_in(w)
-                        for k, w in item["mapping"]},
-                       [(_vertex_in(a), _vertex_in(b))
-                        for a, b in item["swaps"]])
-            for item in data["reflections"]]
+        edges = [_pair_in(e) for e in data["edges"]]
+        reflections = [({_vertex_in(k): _vertex_in(w)
+                         for k, w in item["mapping"]},
+                        [_pair_in(swap) for swap in item["swaps"]])
+                       for item in data["reflections"]]
         ambient = data.get("ambient", "S3")
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError("malformed graph JSON: %s" % exc) from None
@@ -642,7 +677,9 @@ def _faces(edges, rotation):
     An end whose edge or side is not a plain int is refused by name,
     so 0.9 is not read as edge 0, nor True as side 1.
     """
-    edges = [tuple(e) for e in edges]
+    # a tuple pair is kept, not copied: a large system holds many
+    edges = [e if type(e) is tuple and len(e) == 2 else _pair(e, "edge %d", i)
+             for i, e in enumerate(edges)]
     # tuples, not lists, here and in ``adj``: the collector stops tracking
     # a tuple of ints, so a large system adds little to its later passes
     rotation = {v: tuple([(e, s) for e, s in ends])
@@ -694,8 +731,6 @@ def _faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - m + len(faces)
 
-    for _, _ in edges:  # an edge longer than a pair fails to unpack
-        pass
     adj = [tuple([host[(2 * e + s) ^ 1] for e, s in ends])
            for ends in rotation.values()]
     _, reached, odd = _two_colour(range(len(rotation)), adj)

@@ -342,15 +342,16 @@ class GluingComplex:
     ``copies`` is a sequence of (template, label) with distinct labels,
     each label a tuple of integers.  ``gluings`` pair face slots, at most
     one gluing per slot, with an endpoint bijection per gluing (omit the
-    bijection for the label-identity).  Gluing sides are stored in copy
-    order so that complexes built the same way compare equal.
+    bijection for the label-identity).
 
-    Readers work on copy positions (indices into ``copies``) through one
-    face table, ``_partners``: per position, per face, None or (other
-    position, other face, pairing read from this side, sorted).
+    The face table ``_partners`` is the only stored form of the gluings:
+    per copy position (index into ``copies``), per face, None or (other
+    position, other face, pairing read from this side, sorted).  Readers
+    work on positions; the ``gluings`` property writes the table out as
+    labelled Gluings, each once, from its lower (position, face) side.
     """
 
-    __slots__ = ("copies", "gluings", "_position", "_partners")
+    __slots__ = ("copies", "_position", "_partners")
 
     def __init__(self, copies, gluings):
         copies = tuple((template, _label("copy labels", label))
@@ -366,8 +367,7 @@ class GluingComplex:
         self.copies = copies
         self._position = position
 
-        keyed = []
-        used = set()
+        partners = [[None] * len(template.faces) for template, _ in copies]
         for item in gluings:
             if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
                 raise PieceError("gluings must have 2 or 3 entries, got %r"
@@ -397,19 +397,17 @@ class GluingComplex:
                     raise PieceError(
                         "pairing is not a bijection between %r and %r"
                         % (side_a, side_b))
-            key_a = (position[side_a[0]], side_a[1])
-            key_b = (position[side_b[0]], side_b[1])
-            forward = tuple(sorted(pairing))
-            back = tuple(sorted((y, x) for x, y in pairing))
-            if key_b < key_a:
-                side_a, side_b, key_a, key_b = side_b, side_a, key_b, key_a
-                forward, back = back, forward
-            for side in (side_a, side_b):
-                if side in used:
+            x, face_x = position[side_a[0]], side_a[1]
+            y, face_y = position[side_b[0]], side_b[1]
+            # the table finds a slot glued twice; name the lower side first
+            for here, face_no, side in sorted([(x, face_x, side_a),
+                                               (y, face_y, side_b)]):
+                if partners[here][face_no - 1] is not None:
                     raise PieceError("face slot %r glued twice" % (side,))
-                used.add(side)
-            keyed.append((*key_a, *key_b, forward, back))
-        self._glue(keyed)
+            back = tuple(sorted((b, a) for a, b in pairing))
+            partners[x][face_x - 1] = (y, face_y, tuple(sorted(pairing)))
+            partners[y][face_y - 1] = (x, face_x, back)
+        self._partners = tuple(map(tuple, partners))
 
     @classmethod
     def _mirror(cls, copies, gluings):
@@ -419,34 +417,30 @@ class GluingComplex:
         self = cls.__new__(cls)
         self.copies = copies
         self._position = {label: i for i, (_, label) in enumerate(copies)}
+        partners = [[None] * len(template.faces) for template, _ in copies]
         identity = {}
-        keyed = []
         for x, y, face in gluings:
             labels = copies[x][0].faces[face - 1]
             pairing = identity.get(labels)
             if pairing is None:
                 pairing = identity[labels] = tuple(zip(labels, labels))
-            if y < x:
-                x, y = y, x
-            keyed.append((x, face, y, face, pairing, pairing))
-        self._glue(keyed)
+            partners[x][face - 1] = (y, face, pairing)
+            partners[y][face - 1] = (x, face, pairing)
+        self._partners = tuple(map(tuple, partners))
         return self
 
-    def _glue(self, keyed):
-        """Store (position, face, position, face, pairing, reversed
-        pairing) gluings, first side first, in key order, and fill the
-        face table from them."""
-        keyed.sort()
+    @property
+    def gluings(self):
+        """The gluings in (position, face) order of their lower side."""
         copies = self.copies
-        partners = [[None] * len(template.faces) for template, _ in copies]
-        gluings = []
-        for x, face_x, y, face_y, pairing, back in keyed:
-            gluings.append(Gluing((copies[x][1], face_x),
-                                  (copies[y][1], face_y), pairing))
-            partners[x][face_x - 1] = (y, face_y, pairing)
-            partners[y][face_y - 1] = (x, face_x, back)
-        self.gluings = tuple(gluings)
-        self._partners = tuple(map(tuple, partners))
+        out = []
+        for x, row in enumerate(self._partners):
+            for face_no, glued in enumerate(row, 1):
+                if glued is not None and (x, face_no) < glued[:2]:
+                    y, face_y, pairing = glued
+                    out.append(Gluing((copies[x][1], face_no),
+                                      (copies[y][1], face_y), pairing))
+        return tuple(out)
 
     def _face_labels(self, side):
         label, face_no = side
@@ -486,10 +480,11 @@ class GluingComplex:
     def __eq__(self, other):
         if not isinstance(other, GluingComplex):
             return NotImplemented
-        return self.copies == other.copies and self.gluings == other.gluings
+        return self.copies == other.copies and \
+            self._partners == other._partners
 
     def __hash__(self):
-        return hash((self.copies, self.gluings))
+        return hash((self.copies, self._partners))
 
     def __repr__(self):
         return "GluingComplex(%d copies, %d gluings)" % (
@@ -832,7 +827,7 @@ def isomorphic(a, b):
     if len(a.copies) > ISO_COPY_LIMIT or len(b.copies) > ISO_COPY_LIMIT:
         raise SizeExceeded("refusing isomorphism search above %d copies"
                            % ISO_COPY_LIMIT)
-    if len(a.copies) != len(b.copies) or len(a.gluings) != len(b.gluings):
+    if len(a.copies) != len(b.copies):
         return IsoResult(False, None)
     base = _template_index((a, b))
     colors_a = _refine_colors(a, base)
@@ -870,14 +865,13 @@ def verify_isomorphism(a, b, witness):
     """Check that a witness map really carries a onto b.
 
     The map must be a dict from a's copy labels onto b's, each label a
-    tuple of ints, that keeps templates, and each gluing of ``a`` must
-    land on a gluing of ``b`` with the same faces and endpoint pairing;
-    equal gluing counts then make the gluings correspond one to one.
-    Anything else, however malformed, is False.
+    tuple of ints, that keeps templates, and each face of ``a`` must land
+    on a face of ``b`` glued alike: both unglued, or glued to the image
+    face with the same endpoint pairing.  The gluings then correspond one
+    to one.  Anything else, however malformed, is False.
     """
     if not isinstance(witness, dict) or \
-            not len(witness) == len(a.copies) == len(b.copies) or \
-            len(a.gluings) != len(b.gluings):
+            not len(witness) == len(a.copies) == len(b.copies):
         return False
     labels = [*witness, *witness.values()]
     # equality would find the copy (3,) under the key (3.0,) or (True,)
@@ -897,8 +891,8 @@ def verify_isomorphism(a, b, witness):
         if template is not image_template and template != image_template:
             return False
         for glued, image_glued in zip(a._partners[here], b._partners[there]):
-            if glued is not None and \
-                    image_glued != (to[glued[0]], glued[1], glued[2]):
+            if image_glued != (None if glued is None else
+                                (to[glued[0]], glued[1], glued[2])):
                 return False
     return True
 

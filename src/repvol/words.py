@@ -6,10 +6,10 @@ cyclically consecutive letters may differ only by +1, 0 or -1 mod 2m, and
 the marks are forced by those steps: an ascending pair is unmarked, a
 descending pair is marked on both letters, and a repeated subscript flips
 the mark.  Words are stored by their subscript sequence alone and marks are
-re-derived on validation.  The one genuine ambiguity is order 2, where
+re-derived on each access.  The one genuine ambiguity is order 2, where
 +1 == -1 mod 2 makes T_1 T_2 and its marked twin distinct representatives
-of the same word; the chosen representative is remembered there and nowhere
-else.
+of the same word; one stored bit remembers the chosen representative, and
+only words with no forced mark read it.
 
 Every valid word w satisfies the halving relation
 
@@ -137,30 +137,29 @@ def _least_rotation(seq):
 class CyclicWord:
     """A validated cyclic word, stored in canonical (lex-least) rotation.
 
+    It holds ``order``, ``indices`` and ``reflected``, the representative
+    bit that only words with no forced mark read (constant words and
+    order 2); ``flags`` is derived on each access.
     Create instances with validate_word(); the constructor trusts its
     arguments, and every method assumes ``indices`` is a valid word in
     least rotation (is_constant reads only its two ends).  Code that
     receives a word from outside, such as replay_certificate(), validates
-    it first.  When ``flags`` is omitted the marks are derived from
-    ``indices`` on first access, as for the words split_relation() builds.
-    Equality and hashing use (order, indices) only, so the two order-2
-    representatives compare equal, as they should: they name the same
-    word.
+    it first.  Equality and hashing use (order, indices) only, so the two
+    order-2 representatives compare equal, as they should: they name the
+    same word.
     """
 
-    __slots__ = ("order", "indices", "_flags", "_hash")
+    __slots__ = ("order", "indices", "reflected", "_hash")
 
-    def __init__(self, order, indices, flags=None):
+    def __init__(self, order, indices, reflected=False):
         self.order = order
         self.indices = indices
-        self._flags = flags
+        self.reflected = reflected
         self._hash = hash((order, indices))
 
     @property
     def flags(self):
-        if self._flags is None:
-            self._flags = _derive_flags(self.order, self.indices)
-        return self._flags
+        return _derive_flags(self.order, self.indices, self.reflected)
 
     def __eq__(self, other):
         if not isinstance(other, CyclicWord):
@@ -191,13 +190,12 @@ class CyclicWord:
 
     def reverse(self):
         """The reversed word, canonicalized.  An involution."""
-        rep = self.flags[0] if self.order == 2 else False
         return validate_word(self.order, tuple(reversed(self.indices)),
-                             reflected=rep)
+                             reflected=self.order == 2 and self.reflected)
 
     def to_json_dict(self):
         d = {"order": self.order, "indices": list(self.indices)}
-        if self.order == 2 and self.flags[0]:
+        if self.order == 2 and self.reflected:
             d["reflected"] = True
         return d
 
@@ -243,14 +241,14 @@ def validate_word(order, indices, reflected=False):
         if type(i) is not int or not 1 <= i <= order:
             raise DeltaOutOfRange(
                 "letter subscript {!r} outside 1..{}".format(i, order))
-    flags = _derive_flags(order, indices, reflected)
+    _derive_flags(order, indices, reflected)   # raises if no marking fits
     # The marks follow the letters round the cycle, so the canonical
-    # rotation carries the same rotation of them.  Where no step forces
+    # rotation derives the same rotation of them.  Where no step forces
     # a mark, the word is constant (its least rotation starts at 0) or
     # has order 2 (all marks equal), and ``reflected`` lands on the same
     # canonical letter either way.
     k = _least_rotation(indices)
-    return CyclicWord(order, indices[k:] + indices[:k], flags[k:] + flags[:k])
+    return CyclicWord(order, indices[k:] + indices[:k], reflected)
 
 
 class SplitResult(NamedTuple):
@@ -282,7 +280,7 @@ def split_relation(word, at=0, memo=None):
     or split_relation() is.  A doubled half a.rev(a) of a valid word is
     then valid too (the steps of rev(a) are those of a negated, and both
     joins are repeats), so the produced words are only put into least
-    rotation, never re-validated; their marks are derived on first use.
+    rotation, never re-validated; their marks are derived on access.
     A hand-built CyclicWord that breaks the step rules is untrusted input
     and gives an unspecified result: validate it first.  replay_certificate()
     relies on this: it validates the root and any step word that no earlier

@@ -274,6 +274,22 @@ def test_contains_qloop():
     assert not contains_qloop(Sum(leaf("3/2"), leaf("5/2")), 1)
 
 
+@pytest.mark.parametrize("m", [2.5, True, 2.0, "2", None])
+def test_a_loop_size_that_is_no_int_is_refused(m):
+    # classify(QLoop(2.5)) gave the reason "Q_2" and QLoop(True) "Q_1";
+    # every reader now refuses as expr_from_json_dict does
+    message = "qloop m must be an integer, got %r" % (m,)
+    with pytest.raises(ParseError) as info:
+        expr_from_json_dict({"kind": "qloop", "m": m})
+    assert str(info.value) == message
+    for expr in (QLoop(m), Sum(leaf("3/2"), Rotate90(QLoop(m)))):
+        for call in (classify, canonicalize, is_rational,
+                     lambda e: contains_qloop(e, 1)):
+            with pytest.raises(ParseError) as info:
+                call(expr)
+            assert str(info.value) == message
+
+
 # classification
 
 def test_classify_integers_and_infinity():

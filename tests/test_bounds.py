@@ -680,6 +680,32 @@ def test_compose_refuses_unknown_names(db):
                 assert str(info.value) == "unknown %s %r" % (field, value)
 
 
+@pytest.mark.parametrize("operand", [
+    5, None, ("reciprocal-saucer",), "abc", {"family": "reciprocal-saucer"},
+    ("reciprocal-saucer", "1/3", "S3", "standard", "extra"),
+], ids=["int", "None", "one entry", "string", "dict", "five entries"])
+def test_compose_refuses_an_operand_that_is_no_tangle(db, operand):
+    # 5 and a one-entry tuple raised bare TypeErrors, None an
+    # AttributeError, and a three-letter string read as family "a"
+    saucer = bounds.TangleRef("reciprocal-saucer", "1/3", "S3")
+    message = ("a tangle operand must be a ComposedBound or a (family, "
+               "conway, ambient[, orientation]) sequence, got %r"
+               % (operand,))
+    cases = [(operand,), (operand, saucer)]
+    if operand is not None:  # a missing second factor is one-fold
+        cases.append((saucer, operand))
+    for operands in cases:
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.compose_bound(db, *operands, rule="saucer",
+                                 signature=(4,))
+        assert type(info.value) is bounds.BoundsError
+        assert str(info.value) == message
+    # a list is a sequence like a tuple
+    assert bounds.compose_bound(db, list(saucer), rule="saucer",
+                                signature=(4,)) == \
+        bounds.compose_bound(db, saucer, rule="saucer", signature=(4,))
+
+
 def test_compose_factor_refusals_name_the_factor(db):
     clasp = bounds.TangleRef("reciprocal-saucer", "1/2", "S3")
     with pytest.raises(bounds.UncertifiedTangle) as info:

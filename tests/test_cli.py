@@ -200,6 +200,26 @@ def test_reduce_certificate_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("template, argv, digest", [
+    (pieces.square_template("2"), ["replicate", "{}", "--schedule", "2,4"],
+     "734e1dd8ef55949be0008bd1037a594d79c37c0868a3ebfb3440d0ff629f413e"),
+    (pieces.cylindrical_template("3", 3), ["replicate", "{}", "--schedule",
+                                           "4"],
+     "a423e4a570be28d271883d757894547b89b969ce57d610a9c868fe0cf1bcd2c7"),
+    (pieces.saucer_template("S"), ["graph", "replicant", "{c6}", "--template",
+                                   "{}"],
+     "b64b3cb1ff43a14500d832bdb19777c013c07da08ea2b4f85e6f0581c51752e3"),
+], ids=["square-2x4", "cylinder-3-strands", "c6-saucer"])
+def test_complex_output_is_pinned(capsys, tmp_path, c6_path, template, argv,
+                                  digest):
+    # SHA-256 of stdout, fixed so that the gluings a complex writes out,
+    # their order, sides and pairings, cannot drift
+    path = write_json(tmp_path / "template.json", template.to_json_dict())
+    code, out, _ = run(capsys, [arg.format(path, c6=c6_path) for arg in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_clasp(capsys):
     code, out, _ = run(capsys, ["classify", "rat(1/2)"])
     assert code == 0
@@ -515,6 +535,15 @@ def test_graph_validate_rejects(capsys, tmp_path):
     code, _, err = run(capsys, ["graph", "validate", path])
     assert code == 2
     assert err.startswith("NotBipartite:")
+
+
+def test_graph_validate_names_an_object_vertex(capsys, tmp_path):
+    # printed a bare "TypeError: unhashable type: 'dict'"
+    path = write_json(tmp_path / "g.json", {"vertices": [0, {"a": 1}],
+                                            "edges": [], "reflections": []})
+    code, out, err = run(capsys, ["graph", "validate", path])
+    assert (code, out) == (2, "")
+    assert err == "GraphError: vertex 1 is not hashable: {'a': 1}\n"
 
 
 def test_graph_validate_too_deep_json_exit_2(capsys, tmp_path):

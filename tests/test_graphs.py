@@ -665,6 +665,47 @@ def test_graph_json_malformed():
                               "reflections": []})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ReflectionGraph([0, 1], [(0, 1), (0, 1, 2)], []),
+     "edge 1 must be a pair, got (0, 1, 2)"),
+    (lambda: ReflectionGraph([0, 1], [(0, [1])], []),
+     "edge (0, [1]) has an endpoint that is not a vertex"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)], [{"swaps": [(0, 1)]}]),
+     "reflection 0 has no mapping"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)], [({0: 1, 1: 0}, [(0, 1)]), 5]),
+     "reflection 1 must be a pair, got 5"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)],
+                             [({0: 1, 1: 0}, [(0, 1), (0, 1, 0)])]),
+     "reflection 0: swap 1 must be a pair, got (0, 1, 0)"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)], [{"mapping": [(0, 1, 0)]}]),
+     "reflection 0: mapping must be a dict or pairs of vertices, got "
+     "[(0, 1, 0)]"),
+    (lambda: Reflection({0: 1}, [(0, 1, 2)]),
+     "swap 0 must be a pair, got (0, 1, 2)"),
+    (lambda: graph_from_json_dict({"vertices": [0, {"a": 1}], "edges": [],
+                                   "reflections": []}),
+     "vertex 1 is not hashable: {'a': 1}"),
+    (lambda: graph_from_json_dict({"vertices": [0, 1],
+                                   "edges": [[0, 1], [1, 0, 1]],
+                                   "reflections": []}),
+     "edge 1 must be a pair, got (1, 0, 1)"),
+    (lambda: graph_from_json_dict({
+        "vertices": [0, 1], "edges": [[0, 1]],
+        "reflections": [{"mapping": [[0, 1], [1, 0]],
+                         "swaps": [[0, 1, 0]]}]}),
+     "reflection 0: swap 0 must be a pair, got (0, 1, 0)"),
+], ids=["edge of three", "unhashable endpoint", "no mapping",
+        "reflection of another kind", "swap of three", "mapping of threes",
+        "bare reflection", "json object vertex", "json edge of three",
+        "json swap of three"])
+def test_graph_parts_of_the_wrong_shape_are_refused_by_index(build, message):
+    # each of these ended in a bare KeyError, TypeError or ValueError, or
+    # in "too many values to unpack" from the JSON reader
+    with pytest.raises(GraphError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # face tracing
 
 def test_trace_faces_fixtures():
@@ -791,10 +832,37 @@ def test_incomplete_rotation():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("edge", [(0,), ("u", "v", "w"), 5, None],
+                         ids=["one entry", "three entries", "int", "None"])
+def test_an_edge_that_is_not_a_pair_is_refused_by_index(edge):
+    # a short edge ended in a bare IndexError, a long one in a bare
+    # ValueError and a number in a bare TypeError
+    edges, rotation = dipole(4)
+    edges[2] = edge
+    message = "edge 2 must be a pair, got %r" % (edge,)
+    for call in (trace_faces, torus_boundary_check,
+                 lambda e, r: bigon_bound_check(e, r, 1)):
+        with pytest.raises(GraphError) as info:
+            call(edges, rotation)
+        assert type(info.value) is GraphError
+        assert str(info.value) == message
+    with pytest.raises(GraphError, match=r"^edge 0 must be a pair, got "
+                       r"\(0, 1, 2\)$"):
+        trace_faces([(0, 1, 2)], {0: [(0, 0)], 1: [(0, 1)]})
+
+
 def reference_faces(edges, rotation):
     """Face tracing on (e, s) tuples, kept as the reference the integer
     dart tracer must agree with, result for result and error for error."""
-    edges = [tuple(e) for e in edges]
+    pairs = []
+    for i, e in enumerate(edges):
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError("edge %d must be a pair, got %r" % (i, e)) \
+                from None
+        pairs.append((u, v))
+    edges = pairs
     rotation = {v: tuple((e, s) for e, s in ends)
                 for v, ends in rotation.items()}
     place = {}
@@ -962,7 +1030,9 @@ def test_face_tracing_matches_reference(monkeypatch):
         if isinstance(new[0], tuple) and len(new[0]) == 2 \
                 and isinstance(new[0][0], type):
             refused.add(new[0][0])
-    assert refused == {IncompleteRotation, ValueError, TypeError, IndexError}
+    # a malformed rotation end still fails to unpack; an edge that is not
+    # a pair is refused by index
+    assert refused == {IncompleteRotation, ValueError, GraphError}
 
 
 # bigon bound

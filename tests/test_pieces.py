@@ -579,6 +579,26 @@ def test_a_changed_partner_map_leaves_the_complex_alone():
     assert verify_isomorphism(a, b, identity)
 
 
+def test_one_gluing_more_on_either_side_is_refused():
+    # the gluing counts are no longer compared first: both searches must
+    # see the extra gluing face by face
+    t = saucer_template("s")
+    copies = [(t, (i,)) for i in range(4)]
+    fewer = GluingComplex(copies, [(((0,), 1), ((1,), 1)),
+                                   (((2,), 2), ((3,), 2))])
+    more = GluingComplex(copies, [(((0,), 1), ((1,), 1)),
+                                  (((2,), 2), ((3,), 2)),
+                                  (((1,), 2), ((2,), 1))])
+    identity = {label: label for _, label in copies}
+    assert verify_isomorphism(fewer, fewer, identity)
+    for a, b in ((fewer, more), (more, fewer)):
+        assert isomorphic(a, b) == (False, None)
+        assert verify_isomorphism(a, b, identity) is False
+        for image in itertools.permutations(range(4)):
+            witness = {(i,): (j,) for i, j in enumerate(image)}
+            assert verify_isomorphism(a, b, witness) is False
+
+
 @pytest.mark.parametrize("change", [
     lambda w: {**w, (3,): [3]},
     lambda w: {**w, (3,): "3"},
@@ -887,6 +907,45 @@ def test_complex_validation():
                       [(((0,), 1), ((1,), 1), ((1, 1), (2, 1)))])
     with pytest.raises(PieceError):
         GluingComplex([(t, (0,))], [(((0,), 1), ((2,), 1))])
+
+
+def test_gluing_order_and_sides_do_not_matter():
+    # the face table is the complex: gluings given in another order, each
+    # written from its other side, build an equal complex that writes out
+    # the same gluings, JSON and hash
+    rng = random.Random(18)
+    cases = [replicate(square_template("2"), (2, 4)),
+             replicate(random_template(rng, 2), ReplicantSchedule((4, 2),
+                                                                  (2, 1))),
+             build_cylinder_stack([cylindrical_template("c", 3)] * 3),
+             relabeled(rng, replicate(saucer_template("s"), (6,)))]
+    pool = [saucer_template("s"), cylindrical_template("c", 3),
+            square_template("2"), random_template(rng, 2)]
+    cases += [random_complex(rng, pool, 8) for _ in range(20)]
+    for c in cases:
+        flipped = [(g.b, g.a, [(y, x) for x, y in g.pairing])
+                   for g in reversed(c.gluings)]
+        again = GluingComplex(list(c.copies), flipped)
+        assert again == c and hash(again) == hash(c)
+        assert again.gluings == c.gluings
+        assert again.to_json_dict() == c.to_json_dict()
+        sides = [[(c._position[label], face) for label, face in (g.a, g.b)]
+                 for g in c.gluings]
+        assert all(a < b for a, b in sides)
+        assert sides == sorted(sides)
+
+
+def test_a_slot_glued_twice_is_named_from_its_lower_side():
+    t = saucer_template("v")
+    copies = [(t, (i,)) for i in range(3)]
+    first = (((0,), 1), ((1,), 1))
+    for second, side in [((((1,), 1), ((0,), 1)), ((0,), 1)),
+                         ((((2,), 1), ((0,), 1)), ((0,), 1)),
+                         ((((0,), 2), ((1,), 1)), ((1,), 1)),
+                         ((((1,), 1), ((2,), 2)), ((1,), 1))]:
+        with pytest.raises(PieceError) as info:
+            GluingComplex(copies, [first, second])
+        assert str(info.value) == "face slot %r glued twice" % (side,)
 
 
 def mirror_oracle(copies, sizes, pairs):

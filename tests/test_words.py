@@ -119,15 +119,46 @@ def test_constant_word_mark_alternation():
 
 
 def test_canonical_marks_are_the_input_marks_rotated():
-    # validate_word rotates the marks of the input instead of deriving
-    # them again on the canonical rotation; both must agree
+    # a word keeps only its subscripts and the reflected bit, and derives
+    # its marks on the canonical rotation; they must be the marks of the
+    # input, rotated the same way
     for order in (2, 4, 6, 8):
         for w in all_valid_words(order):
             for k in range(order):
                 rotated = w.indices[k:] + w.indices[:k]
+                start = words._least_rotation(rotated)
                 for rep in (False, True):
+                    marks = words._derive_flags(order, rotated, rep)
                     assert validate_word(order, rotated, reflected=rep).flags \
-                        == words._derive_flags(order, w.indices, rep)
+                        == marks[start:] + marks[:start]
+
+
+@pytest.mark.parametrize("order, indices, text, data, back", [
+    (2, (2, 1), "T1^R T2^R", {"order": 2, "indices": [1, 2],
+                              "reflected": True}, "T1^R T2^R"),
+    (2, (2, 2), "T2^R T2", {"order": 2, "indices": [2, 2],
+                            "reflected": True}, "T2^R T2"),
+    (4, (3, 3, 3, 3), "T3^R T3 T3^R T3", {"order": 4, "indices": [3] * 4},
+     "T3 T3^R T3 T3^R"),
+    (6, (1,) * 6, "T1^R T1 T1^R T1 T1^R T1", {"order": 6, "indices": [1] * 6},
+     "T1 T1^R T1 T1^R T1 T1^R"),
+])
+def test_unforced_words_keep_their_representative(order, indices, text, data,
+                                                  back):
+    # Only words with no forced mark read the stored reflected bit.  An
+    # order-2 word keeps its representative through reverse() and JSON; a
+    # constant word of higher order comes back as the unmarked-first
+    # rotation of the same word, whose JSON is the same.
+    def marks(text):
+        return tuple(letter.endswith("^R") for letter in text.split())
+
+    w = validate_word(order, indices, reflected=True)
+    assert (w.flags, str(w), w.to_json_dict()) == (marks(text), text, data)
+    loaded = words.CyclicWord.from_json_dict(json.loads(json.dumps(data)))
+    for again in (w.reverse(), loaded, w.reverse().reverse()):
+        assert again == w
+        assert (again.flags, str(again), again.to_json_dict()) == \
+            (marks(back), back, data)
 
 
 def test_least_rotation_matches_brute_force():
