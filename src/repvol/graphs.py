@@ -23,7 +23,7 @@ validator and in the rotation-system checks alike, come from one
 breadth-first two-colouring.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,10 +76,6 @@ class NotSphere(GraphError):
 
 class GroupTooLarge(LimitExceeded):
     """The reflection group has more than pieces.COPY_LIMIT elements."""
-
-
-def _norm_edge(pos, u, v):
-    return (u, v) if pos[u] <= pos[v] else (v, u)
 
 
 def _pair(item, name, *where):
@@ -152,7 +148,6 @@ class ReflectionGraph:
         self.ambient = ambient
 
         seen = set()
-        normal = []
         for i, edge in enumerate(edges):
             u, v = _pair(edge, "edge %d", i)
             try:
@@ -162,13 +157,11 @@ class ReflectionGraph:
             if not known:
                 raise GraphError(
                     "edge %r has an endpoint that is not a vertex" % (edge,))
-            e = _norm_edge(pos, u, v)
+            e = (u, v) if pos[u] <= pos[v] else (v, u)
             if e in seen:
                 raise GraphError("duplicate edge %r" % (e,))
             seen.add(e)
-            normal.append(e)
-        normal.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
-        self.edges = tuple(normal)
+        self.edges = tuple(sorted(seen, key=lambda e: (pos[e[0]], pos[e[1]])))
 
         coerced = []
         for k, item in enumerate(reflections):
@@ -200,35 +193,33 @@ class ValidationReport(NamedTuple):
     parts: tuple
 
 
-def _two_colour(vertices, adj):
-    """Breadth-first two-colouring of ``adj``, one component after another.
+def _two_colour(adj):
+    """Breadth-first two-colouring of the adjacency list ``adj``.
 
-    ``vertices`` may be any iterable, and ``adj`` anything indexable by its
-    vertices that yields their neighbours: a dict, or a list when the
-    vertices are range(n).  Roots are taken in ``vertices`` order and
-    neighbours in ``adj`` order.
-    Returns the colour (0 or 1) of every vertex, the size of the first
-    vertex's component, and ``odd``: () on a bipartite graph, otherwise a
-    1-tuple holding the first vertex found on an edge whose ends share a
-    colour (a loop counts).  The traversal keeps going past that vertex.
+    ``adj[i]`` lists the neighbours of vertex i, all in range(len(adj)).
+    Roots are taken in order, one component after another, and neighbours
+    in ``adj`` order.  Returns the list of colours (0 or 1), the size of
+    the first component, and ``odd``: None on a bipartite graph, otherwise
+    the first vertex found on an edge whose ends share a colour (a loop
+    counts).  The traversal keeps going past that vertex.
     """
-    colour = {}
+    colour = [-1] * len(adj)
     first = 0
-    odd = ()
-    for root in vertices:
-        if root in colour:
+    odd = None
+    for root in range(len(adj)):
+        if colour[root] >= 0:
             continue
         colour[root] = 0
         queue = [root]
         for u in queue:
             for w in adj[u]:
-                if w not in colour:
+                if colour[w] < 0:
                     colour[w] = 1 - colour[u]
                     queue.append(w)
-                elif not odd and colour[w] == colour[u]:
-                    odd = (w,)
+                elif odd is None and colour[w] == colour[u]:
+                    odd = w
         if not first:
-            first = len(colour)
+            first = len(queue)
     return colour, first, odd
 
 
@@ -241,6 +232,9 @@ def validate_reflection_graph(graph):
     edge, then the generated group G: no nontrivial element may fix a
     vertex, which is the same as the edge orbits ("classes") numbering
     exactly the valence, and |G| must not exceed pieces.COPY_LIMIT.
+    Every check reads vertex positions; each reflection is read once into
+    ``perm``, perm[i] the position of vertex i's image, for every axiom
+    and the class search.  Labels return in refusals and the report.
 
     The group is not listed.  Once every edge is tagged, each edge is
     transposed by a generator, so on a connected graph G is transitive
@@ -260,75 +254,81 @@ def validate_reflection_graph(graph):
     """
     if graph._report is not None:
         return graph._report
-    if not graph.vertices:
+    vertices = graph.vertices
+    if not vertices:
         raise NotConnected("the graph has no vertices")
     pos = graph._pos
-    n = len(graph.vertices)
+    n = len(vertices)
 
-    adj = {v: [] for v in graph.vertices}
-    for u, v in graph.edges:
-        if u == v:
-            raise NotBipartite("loop at %r" % (u,))
-        adj[u].append(v)
-        adj[v].append(u)
+    ends = [(pos[u], pos[v]) for u, v in graph.edges]
+    adj = [[] for _ in vertices]
+    for a, b in ends:
+        if a == b:
+            raise NotBipartite("loop at %r" % (vertices[a],))
+        adj[a].append(b)
+        adj[b].append(a)
 
-    color, reached, odd = _two_colour(graph.vertices, adj)
-    if odd:
-        raise NotBipartite("odd cycle through %r" % odd)
+    color, reached, odd = _two_colour(adj)
+    if odd is not None:
+        raise NotBipartite("odd cycle through %r" % (vertices[odd],))
     if reached != n:
         raise NotConnected("%d of %d vertices reachable from %r"
-                           % (reached, n, graph.vertices[0]))
+                           % (reached, n, vertices[0]))
 
-    degrees = {len(adj[v]) for v in graph.vertices}
+    degrees = {len(nbrs) for nbrs in adj}
     if len(degrees) != 1:
         raise NotRegular("valences %s" % sorted(degrees))
     valence = degrees.pop()
     if valence == 0:
         raise NotRegular("the graph has no edges")
 
-    vertex_set = set(graph.vertices)
-    edge_set = set(graph.edges)
-    tagged = set()
-    perms = []
+    edge_index = {e: k for k, e in enumerate(ends)}
+    tagged = bytearray(len(ends))
+    perms = set()
     for idx, refl in enumerate(graph.reflections):
         mapping = refl.mapping
-        if set(mapping) != vertex_set or set(mapping.values()) != vertex_set:
+        try:    # a vertex left out, or an image that is no vertex
+            perm = tuple([pos[mapping[v]] for v in vertices])
+        except (KeyError, TypeError):
+            perm = ()
+        if len(mapping) != n or len(set(perm)) != n:
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
-        for v in graph.vertices:
-            if mapping[mapping[v]] != v:
+        for a, b in enumerate(perm):
+            if perm[b] != a:
                 raise BadReflection("reflection %d is not an involution" % idx)
-            if color[mapping[v]] == color[v]:
+            if color[b] == color[a]:
                 raise BadReflection(
-                    "reflection %d keeps %r on its own side" % (idx, v))
-        for u, v in graph.edges:
-            if _norm_edge(pos, mapping[u], mapping[v]) not in edge_set:
+                    "reflection %d keeps %r on its own side"
+                    % (idx, vertices[a]))
+        for k, (a, b) in enumerate(ends):
+            x, y = perm[a], perm[b]
+            if ((x, y) if x < y else (y, x)) not in edge_index:
                 raise BadReflection(
                     "reflection %d does not preserve the edge %r"
-                    % (idx, (u, v)))
+                    % (idx, graph.edges[k]))
         if not refl.swaps:
             raise BadReflection("reflection %d is tagged with no edge" % idx)
-        for a, b in refl.swaps:
-            if a not in pos or b not in pos or \
-                    _norm_edge(pos, a, b) not in edge_set:
+        for swap in refl.swaps:
+            try:
+                x, y = pos[swap[0]], pos[swap[1]]
+                k = edge_index[(x, y) if x < y else (y, x)]
+            except (KeyError, TypeError):
                 raise BadReflection(
                     "reflection %d tags %r, which is not an edge"
-                    % (idx, (a, b)))
-            if mapping[a] != b:
+                    % (idx, swap)) from None
+            if perm[x] != y:
                 raise BadReflection(
                     "reflection %d does not transpose its tagged edge %r"
-                    % (idx, (a, b)))
-            tagged.add(_norm_edge(pos, a, b))
-        perms.append(tuple(pos[mapping[v]] for v in graph.vertices))
+                    % (idx, swap))
+            tagged[k] = 1
+        perms.add(perm)
 
-    for edge in graph.edges:
-        if edge not in tagged:
-            raise BadReflection(
-                "edge %r has no distinguished reflection" % (edge,))
+    if 0 in tagged:
+        raise BadReflection("edge %r has no distinguished reflection"
+                            % (graph.edges[tagged.index(0)],))
 
-    generators = sorted(set(perms))
-    ends = [(pos[u], pos[v]) for u, v in graph.edges]
-    edge_index = {e: k for k, e in enumerate(ends)}
+    generators = sorted(perms)
     class_of = [None] * len(ends)
     classes = []
     for start in range(len(ends)):
@@ -348,13 +348,13 @@ def validate_reflection_graph(graph):
 
     if len(classes) != valence:
         raise VertexStabilizerNontrivial(
-            "a nontrivial symmetry fixes the vertex %r" % (graph.vertices[0],))
+            "a nontrivial symmetry fixes the vertex %r" % (vertices[0],))
     if n > pieces.COPY_LIMIT:
         raise GroupTooLarge(
             "the reflection group exceeds %d elements" % pieces.COPY_LIMIT)
 
-    parts = (tuple(v for v in graph.vertices if color[v] == 0),
-             tuple(v for v in graph.vertices if color[v] == 1))
+    parts = (tuple(v for v, c in zip(vertices, color) if c == 0),
+             tuple(v for v, c in zip(vertices, color) if c == 1))
     report = ValidationReport(valence, n, tuple(classes), parts)
     graph._report = report
     return report
@@ -545,11 +545,20 @@ def graph_from_json_dict(data):
     return ReflectionGraph(vertices, edges, reflections, ambient)
 
 
-def _plain_graph(g):
+def _adjacency_sets(g):
+    """The vertices of ``g``, its edge count and neighbour position sets."""
     if isinstance(g, ReflectionGraph):
-        return g.vertices, g.edges
-    vertices, edges = g
-    return tuple(vertices), tuple(tuple(e) for e in edges)
+        g = g.vertices, g.edges
+    vertices, edges = map(tuple, g)
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
+        raise GraphError("a graph lists a vertex twice")
+    adj = [set() for _ in vertices]
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        adj[a].add(b)
+        adj[b].add(a)
+    return vertices, len(edges), adj
 
 
 def graph_isomorphic(a, b):
@@ -559,40 +568,29 @@ def graph_isomorphic(a, b):
     the underlying simple graphs are compared, reflections are ignored.
     Backtracking, on an explicit stack, over a breadth-first vertex order
     with iff-adjacency pruning against everything already mapped; meant
-    for the small graphs handled here.  Returns a mapping dict, or None.
+    for the small graphs handled here, run on vertex positions.  Returns
+    a dict of labels or None; a pair listing a vertex twice is refused.
     """
-    va, ea = _plain_graph(a)
-    vb, eb = _plain_graph(b)
-    if len(va) != len(vb) or len(ea) != len(eb):
+    va, ma, adj_a = _adjacency_sets(a)
+    vb, mb, adj_b = _adjacency_sets(b)
+    if len(va) != len(vb) or ma != mb:
         return None
-    adj_a = {v: set() for v in va}
-    for u, v in ea:
-        adj_a[u].add(v)
-        adj_a[v].add(u)
-    adj_b = {v: set() for v in vb}
-    for u, v in eb:
-        adj_b[u].add(v)
-        adj_b[v].add(u)
-    if sorted(len(s) for s in adj_a.values()) != \
-            sorted(len(s) for s in adj_b.values()):
+    if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
         return None
-    pos_a = {v: i for i, v in enumerate(va)}
-    pos_b = {v: i for i, v in enumerate(vb)}
 
     order = []
-    seen = set()
-    for root in va:
-        if root in seen:
+    seen = bytearray(len(va))
+    for root in range(len(va)):
+        if seen[root]:
             continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in sorted(adj_a[u], key=pos_a.get):
-                if w not in seen:
-                    seen.add(w)
+        seen[root] = 1
+        queue = [root]
+        for u in queue:
+            for w in sorted(adj_a[u]):
+                if not seen[w]:
+                    seen[w] = 1
                     queue.append(w)
+        order += queue
 
     mapping = {}
     used = set()
@@ -606,9 +604,9 @@ def graph_isomorphic(a, b):
             for img in mapped[1:]:
                 candidates &= adj_b[img]
         else:
-            candidates = set(vb)
+            candidates = set(range(len(vb)))
         degree = len(adj_a[u])
-        for c in sorted(candidates - used, key=pos_b.get):
+        for c in sorted(candidates - used):
             if len(adj_b[c]) != degree:
                 continue
             if any((mapping[w] in adj_b[c]) != (w in adj_a[u])
@@ -631,7 +629,7 @@ def graph_isomorphic(a, b):
             if not pending:
                 return None
             used.discard(mapping.pop(order[len(pending) - 1]))
-    return mapping
+    return {va[u]: vb[c] for u, c in mapping.items()}
 
 
 class FaceReport(NamedTuple):
@@ -646,10 +644,11 @@ def trace_faces(edges, rotation):
     """Trace the faces of the ribbon graph (edges, rotation).
 
     ``edges`` lists unordered vertex pairs; repeated pairs and loops are
-    allowed, and edges are identified by position.  ``rotation`` maps
-    every vertex to the cyclic order of its incident edge ends as
-    (edge_index, end) with end in {0, 1}; end s of edge e must sit at the
-    vertex edges[e][s], and every end must appear exactly once overall.
+    allowed, and edges are identified by position.  ``rotation`` is a
+    dict mapping every vertex to the cyclic order of its incident edge
+    ends, a list or tuple of (edge_index, end) pairs with end in {0, 1};
+    end s of edge e must sit at the vertex edges[e][s], and every end
+    must appear exactly once overall.
 
     A dart (e, s) leaves the vertex holding end s.  Travelling it lands
     on end (e, 1-s), and the face continues with the next entry after
@@ -660,6 +659,12 @@ def trace_faces(edges, rotation):
     Faces come in the order of their least dart, darts compared as
     (e, s) tuples, and each face starts at its least dart.  The run time
     is linear in the number of vertices and edge ends.
+
+    Refuses with GraphError ``edges`` that are no sequence of pairs, an
+    edge that is no pair (by index) and a ``rotation`` that is no dict;
+    with IncompleteRotation a vertex whose rotation is no list or tuple,
+    an end that is no pair, an unknown end, an end at the wrong vertex,
+    and an end listed twice or missing.
     """
     return _faces(edges, rotation)[0]
 
@@ -668,30 +673,42 @@ def _faces(edges, rotation):
     """``trace_faces`` and the size of the first vertex's component.
 
     Works on integer darts: end (e, s) is dart 2e + s, so d ^ 1 is the
-    other end of d's edge.  One pass over ``rotation`` records ``host``,
-    the index of the vertex holding each end, and ``after``, the end that
-    follows it in that vertex's cyclic order; the face after dart d goes
-    on with after[d ^ 1].  2e + s sorts as (e, s) does, so tracing from
-    each untraced dart in turn meets the faces in the order of their
-    least dart.  The (e, s) tuples are the ends themselves, repacked.
-    An end whose edge or side is not a plain int is refused by name,
-    so 0.9 is not read as edge 0, nor True as side 1.
+    other end of d's edge.  One pass over ``rotation`` unpacks each end
+    once and records ``host``, the position of the vertex holding each
+    end, ``after``, the end that follows it at that vertex, and each
+    vertex's ring of darts.  The face after dart d goes on with
+    after[d ^ 1]; 2e + s sorts as (e, s) does, so tracing from each
+    untraced dart in turn meets the faces in the order of their least
+    dart.  The rings, d read as host[d ^ 1], are the adjacency lists of
+    the two-colouring.  An end whose edge or side is not a plain int is
+    refused by name, so 0.9 is not read as edge 0, nor True as side 1.
     """
-    # a tuple pair is kept, not copied: a large system holds many
-    edges = [e if type(e) is tuple and len(e) == 2 else _pair(e, "edge %d", i)
-             for i, e in enumerate(edges)]
-    # tuples, not lists, here and in ``adj``: the collector stops tracking
-    # a tuple of ints, so a large system adds little to its later passes
-    rotation = {v: tuple([(e, s) for e, s in ends])
-                for v, ends in rotation.items()}
+    try:
+        # a tuple pair is kept, not copied: a large system holds many
+        edges = [e if type(e) is tuple and len(e) == 2
+                 else _pair(e, "edge %d", i) for i, e in enumerate(edges)]
+    except TypeError:
+        raise GraphError("edges must be a sequence of pairs, got %r"
+                         % (edges,)) from None
+    if not isinstance(rotation, dict):
+        raise GraphError("rotation must be a dict, got %s"
+                         % type(rotation).__name__)
     m = len(edges)
     host = [-1] * (2 * m)
     after = [0] * (2 * m)
     pairs = [None] * (2 * m)
+    rings = []
     for i, (v, ends) in enumerate(rotation.items()):
+        if not isinstance(ends, (list, tuple)):
+            raise IncompleteRotation(
+                "the rotation at %r is not a list of edge ends" % (v,))
         ring = []
         for end in ends:
-            e, s = end
+            try:
+                e, s = end
+            except (TypeError, ValueError):
+                raise IncompleteRotation(
+                    "edge end %r at %r is not a pair" % (end, v)) from None
             if type(e) is not int or type(s) is not int \
                     or not 0 <= e < m or s not in (0, 1):
                 raise IncompleteRotation(
@@ -705,10 +722,11 @@ def _faces(edges, rotation):
                 raise IncompleteRotation(
                     "end (%d, %d) appears more than once" % (e, s))
             host[d] = i
-            pairs[d] = end
+            pairs[d] = end if type(end) is tuple else (e, s)
             ring.append(d)
         for j, d in enumerate(ring):
             after[ring[j - 1]] = d
+        rings.append(ring)
     if -1 in host:
         e, s = divmod(host.index(-1), 2)
         raise IncompleteRotation(
@@ -731,16 +749,18 @@ def _faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - m + len(faces)
 
-    adj = [tuple([host[(2 * e + s) ^ 1] for e, s in ends])
-           for ends in rotation.values()]
-    _, reached, odd = _two_colour(range(len(rotation)), adj)
-    if not odd and any(k % 2 for k in lengths):
+    # tuples, not lists: the collector stops tracking a tuple of ints, so
+    # a large system adds little to its later passes
+    for i, ring in enumerate(rings):
+        rings[i] = tuple([host[d ^ 1] for d in ring])
+    _, reached, odd = _two_colour(rings)
+    if odd is None and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"
             % sorted(k for k in lengths if k % 2))
 
     return FaceReport(tuple(faces), tuple(sorted(lengths.items())),
-                      euler, not odd), reached
+                      euler, odd is None), reached
 
 
 class BigonCheck(NamedTuple):

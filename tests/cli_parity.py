@@ -47,6 +47,59 @@ def cycle_graph(size, untagged=False):
             "reflections": reflections, "ambient": "S3"}
 
 
+def lattice_graph(rows, cols):
+    """The JSON of the torus grid with its row and column reflections;
+    vertices are [i, j] pairs, read back as tuples."""
+    vertices = [[i, j] for i in range(rows) for j in range(cols)]
+    edges = []
+    for i, j in vertices:
+        edges += [[[i, j], [(i + 1) % rows, j]], [[i, j], [i, (j + 1) % cols]]]
+    reflections = []
+    for a in range(rows // 2):
+        rows_hit = (a, (a + rows // 2) % rows)
+        reflections.append({
+            "mapping": [[[i, j], [(2 * a + 1 - i) % rows, j]]
+                        for i, j in vertices],
+            "swaps": [[[i, j], [(i + 1) % rows, j]] for i in rows_hit
+                      for j in range(cols)]})
+    for b in range(cols // 2):
+        cols_hit = (b, (b + cols // 2) % cols)
+        reflections.append({
+            "mapping": [[[i, j], [i, (2 * b + 1 - j) % cols]]
+                        for i, j in vertices],
+            "swaps": [[[i, j], [i, (j + 1) % cols]] for j in cols_hit
+                      for i in range(rows)]})
+    return {"vertices": vertices, "edges": edges,
+            "reflections": reflections, "ambient": "S3"}
+
+
+def plain_graph(size, edges, reflections=()):
+    return {"vertices": list(range(size)), "edges": edges,
+            "reflections": list(reflections)}
+
+
+def c6_with(mapping, swaps):
+    """The 6-cycle with one reflection, for the axiom refusals."""
+    return plain_graph(6, [[v, (v + 1) % 6] for v in range(6)],
+                       [{"mapping": [[v, mapping(v)] for v in range(6)],
+                         "swaps": swaps}])
+
+
+def cube_with_stabilizer():
+    """The cube with its three coordinate flips and a fourth reflection
+    whose group fixes a vertex."""
+    edges = [[v, v ^ bit] for v in range(8) for bit in (1, 2, 4)
+             if v < v ^ bit]
+    reflections = [{"mapping": [[v, v ^ bit] for v in range(8)],
+                    "swaps": [e for e in edges if e[0] ^ e[1] == bit]}
+                   for bit in (1, 2, 4)]
+    reflections.append({
+        "mapping": [[v, ((v & 1) | (v & 2) << 1 | (v & 4) >> 1) ^ 1]
+                    for v in range(8)],
+        "swaps": [[0, 1], [6, 7]]})
+    return plain_graph(8, edges, reflections)
+
+
 def template(id, faces, strands, **extra):
     return dict({"id": id, "faces": faces, "strands": strands}, **extra)
 
@@ -265,7 +318,26 @@ def build_fixtures(root):
               "untagged": cycle_graph(6, untagged=True),
               "shapeless": {"vertices": 3}, "empty": {"vertices": [],
                                                       "edges": [],
-                                                      "reflections": []}}
+                                                      "reflections": []},
+              "lattice": lattice_graph(4, 4),
+              "c5": plain_graph(5, [[v, (v + 1) % 5] for v in range(5)]),
+              "loop": plain_graph(2, [[0, 1], [1, 1]]),
+              "two-c4": plain_graph(8, [[v, (v + 1) % 4 + 4 * (v >= 4)]
+                                        for v in range(8)]),
+              "irregular": plain_graph(3, [[0, 1], [1, 2]]),
+              "no-edges": plain_graph(1, []),
+              "not-permutation": c6_with(lambda v: 0, [[0, 1]]),
+              "non-involution": c6_with(lambda v: (v + 1) % 6, [[0, 1]]),
+              "same-side": c6_with(lambda v: {0: 2, 2: 0}.get(v, v), [[0, 1]]),
+              "edge-moved": c6_with(lambda v: v ^ 1, [[0, 1]]),
+              "tag-no-edge": c6_with(lambda v: (1 - v) % 6, [[0, 2]]),
+              "tag-kept": c6_with(lambda v: (1 - v) % 6, [[1, 2]]),
+              "no-tags": c6_with(lambda v: (1 - v) % 6, []),
+              "cube-stabilizer": cube_with_stabilizer(),
+              "unhashable-image": {"vertices": [0, 1], "edges": [[0, 1]],
+                                   "reflections": [
+                                       {"mapping": [[0, {}], [1, 0]],
+                                        "swaps": [[0, 1]]}]}}
     for name, data in graphs.items():
         write(os.path.join(root, "graph-%s.json" % name), data)
         path = "graph-%s.json" % name

@@ -220,6 +220,24 @@ def test_complex_output_is_pinned(capsys, tmp_path, c6_path, template, argv,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--format", "json", "graph", "validate", "{}"],
+     "6c1b8b78c1649f99dcdef376b12a7f77bfe7438ae83f74bdefbe0479ae71ab0d"),
+    (["graph", "product", "{}"],
+     "200d1978138c4f97fe8649a241a510e5d28f4b85af69594a648c5a1d9a7ca434"),
+], ids=["validate-json", "product"])
+def test_lattice_graph_output_is_pinned(capsys, tmp_path, argv, digest):
+    # SHA-256 of stdout on the 4x4 lattice, whose vertices are tuples, fixed
+    # so that the edge classes, parts and product a graph writes out, and
+    # their order, cannot drift
+    graph = graphs.lattice_reflection_graph(4, 4)
+    path = write_json(tmp_path / "lattice.json",
+                      graphs.graph_to_json_dict(graph))
+    code, out, _ = run(capsys, [arg.format(path) for arg in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_clasp(capsys):
     code, out, _ = run(capsys, ["classify", "rat(1/2)"])
     assert code == 0
@@ -544,6 +562,17 @@ def test_graph_validate_names_an_object_vertex(capsys, tmp_path):
     code, out, err = run(capsys, ["graph", "validate", path])
     assert (code, out) == (2, "")
     assert err == "GraphError: vertex 1 is not hashable: {'a': 1}\n"
+
+
+def test_graph_validate_refuses_an_unhashable_image(capsys, tmp_path):
+    # printed a "TypeError: unhashable type: 'dict'" traceback, exit 1
+    path = write_json(tmp_path / "g.json", {
+        "vertices": [0, 1], "edges": [[0, 1]],
+        "reflections": [{"mapping": [[0, {}], [1, 0]], "swaps": [[0, 1]]}]})
+    code, out, err = run(capsys, ["graph", "validate", path])
+    assert (code, out) == (2, "")
+    assert err == ("BadReflection: reflection 0 is not a permutation of "
+                   "the vertex set\n")
 
 
 def test_graph_validate_too_deep_json_exit_2(capsys, tmp_path):

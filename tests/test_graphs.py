@@ -612,6 +612,9 @@ def test_graph_isomorphic_rejects():
     hexagon = (range(6), [(v, (v + 1) % 6) for v in range(6)])
     triangles = (range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert graph_isomorphic(hexagon, triangles) is None
+    # answered None, though the first graph is no graph
+    with pytest.raises(GraphError, match="^a graph lists a vertex twice$"):
+        graph_isomorphic(([0, 0, 1], [(0, 1)]), (range(3), [(0, 1)]))
 
 
 def test_graph_isomorphic_does_not_recurse():
@@ -703,6 +706,26 @@ def test_graph_parts_of_the_wrong_shape_are_refused_by_index(build, message):
     # in "too many values to unpack" from the JSON reader
     with pytest.raises(GraphError) as info:
         build()
+    assert str(info.value) == message
+
+
+UNHASHABLE_IMAGE = {"vertices": [0, 1], "edges": [[0, 1]],
+                    "reflections": [{"mapping": [[0, {}], [1, 0]],
+                                     "swaps": [[0, 1]]}]}
+UNHASHABLE_TAG = {"vertices": [0, 1], "edges": [[0, 1]],
+                  "reflections": [{"mapping": [[0, 1], [1, 0]],
+                                   "swaps": [[0, {}]]}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (UNHASHABLE_IMAGE, "reflection 0 is not a permutation of the vertex set"),
+    (UNHASHABLE_TAG, "reflection 0 tags (0, {}), which is not an edge"),
+], ids=["mapping value", "swap endpoint"])
+def test_unhashable_reflection_parts_are_refused(data, message):
+    # both ended in a bare "TypeError: unhashable type: 'dict'"
+    graph = graph_from_json_dict(data)
+    with pytest.raises(BadReflection) as info:
+        validate_reflection_graph(graph)
     assert str(info.value) == message
 
 
@@ -851,6 +874,34 @@ def test_an_edge_that_is_not_a_pair_is_refused_by_index(edge):
         trace_faces([(0, 1, 2)], {0: [(0, 0)], 1: [(0, 1)]})
 
 
+@pytest.mark.parametrize("edges, rotation, kind, message", [
+    ([(0, 1)], {0: [(0,)], 1: [(0, 1)]}, IncompleteRotation,
+     "edge end (0,) at 0 is not a pair"),
+    ([(0, 1)], {0: [(0, 0)], 1: [(0, 1, 0)]}, IncompleteRotation,
+     "edge end (0, 1, 0) at 1 is not a pair"),
+    ([(0, 1)], {0: [(0, 0)], 1: [5]}, IncompleteRotation,
+     "edge end 5 at 1 is not a pair"),
+    ([(0, 1)], {0: 5, 1: [(0, 1)]}, IncompleteRotation,
+     "the rotation at 0 is not a list of edge ends"),
+    ([(0, 1)], {0: {(0, 0)}, 1: [(0, 1)]}, IncompleteRotation,
+     "the rotation at 0 is not a list of edge ends"),
+    ([(0, 1)], [(0, [(0, 0)]), (1, [(0, 1)])], GraphError,
+     "rotation must be a dict, got list"),
+    (None, {}, GraphError, "edges must be a sequence of pairs, got None"),
+], ids=["short end", "long end", "int end", "int rotation", "set rotation",
+        "rotation list", "edges None"])
+def test_malformed_rotations_are_refused_by_name(edges, rotation, kind,
+                                                 message):
+    # each ended in a bare ValueError, TypeError or AttributeError, but
+    # the set, which was traced in its arbitrary iteration order
+    for call in (trace_faces, torus_boundary_check,
+                 lambda e, r: bigon_bound_check(e, r, 1)):
+        with pytest.raises(GraphError) as info:
+            call(edges, rotation)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+
 def reference_faces(edges, rotation):
     """Face tracing on (e, s) tuples, kept as the reference the integer
     dart tracer must agree with, result for result and error for error."""
@@ -863,11 +914,19 @@ def reference_faces(edges, rotation):
                 from None
         pairs.append((u, v))
     edges = pairs
-    rotation = {v: tuple((e, s) for e, s in ends)
-                for v, ends in rotation.items()}
     place = {}
+    rings = {}
     for v, ends in rotation.items():
-        for i, (e, s) in enumerate(ends):
+        if not isinstance(ends, (list, tuple)):
+            raise IncompleteRotation(
+                "the rotation at %r is not a list of edge ends" % (v,))
+        rings[v] = []
+        for i, end in enumerate(ends):
+            try:
+                e, s = end
+            except (TypeError, ValueError):
+                raise IncompleteRotation(
+                    "edge end %r at %r is not a pair" % (end, v)) from None
             if type(e) is not int or type(s) is not int \
                     or not 0 <= e < len(edges) or s not in (0, 1):
                 raise IncompleteRotation(
@@ -880,6 +939,7 @@ def reference_faces(edges, rotation):
                 raise IncompleteRotation(
                     "end (%d, %d) appears more than once" % (e, s))
             place[(e, s)] = (v, i)
+            rings[v].append((e, s))
     for e in range(len(edges)):
         for s in (0, 1):
             if (e, s) not in place:
@@ -899,7 +959,7 @@ def reference_faces(edges, rotation):
             traced.add(dart)
             e, s = dart
             v, i = place[(e, 1 - s)]
-            ends = rotation[v]
+            ends = rings[v]
             dart = ends[(i + 1) % len(ends)]
             if dart == start:
                 break
@@ -908,18 +968,20 @@ def reference_faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - len(edges) + len(faces)
 
-    adj = {v: [] for v in rotation}
+    index = {v: i for i, v in enumerate(rotation)}
+    adj = [[] for _ in rotation]
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    _, reached, odd = graphs_module._two_colour(rotation, adj)
-    if not odd and any(k % 2 for k in lengths):
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    _, reached, odd = graphs_module._two_colour(adj)
+    if odd is None and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"
             % sorted(k for k in lengths if k % 2))
 
     return graphs_module.FaceReport(
-        tuple(faces), tuple(sorted(lengths.items())), euler, not odd), reached
+        tuple(faces), tuple(sorted(lengths.items())), euler,
+        odd is None), reached
 
 
 def random_rotation_system(rng):
@@ -1030,9 +1092,9 @@ def test_face_tracing_matches_reference(monkeypatch):
         if isinstance(new[0], tuple) and len(new[0]) == 2 \
                 and isinstance(new[0][0], type):
             refused.add(new[0][0])
-    # a malformed rotation end still fails to unpack; an edge that is not
-    # a pair is refused by index
-    assert refused == {IncompleteRotation, ValueError, GraphError}
+    # a rotation end that is not a pair is refused by name, an edge that
+    # is not a pair by index
+    assert refused == {IncompleteRotation, GraphError}
 
 
 # bigon bound
