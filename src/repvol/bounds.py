@@ -27,8 +27,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from . import AMBIENTS, FAMILIES, Uncertified, arborescent, pieces
-from .pieces import EndpointMismatch
+import repvol
+from . import AMBIENTS, FAMILIES, Uncertified, shape_refusal
 
 ARRANGEMENTS = ("bracelet", "lattice", "cylinder-stack", "custom")
 
@@ -351,6 +351,7 @@ def certify_hyperbolic(db, tangle, signature):
             "recorded as not hyperbolic at %r" % (signature,))
 
     if tangle.family == "reciprocal-saucer" and len(signature) == 1:
+        from . import arborescent
         try:
             value = arborescent.parse_conway(tangle.conway)
         except arborescent.ParseError:
@@ -555,10 +556,10 @@ def parse_link_spec(data):
     if arrangement == "lattice":
         if rows <= 0 or cols <= 0:
             raise ArrangementInvalid("a lattice needs rows and cols")
-        if rows * cols > pieces.COPY_LIMIT:
+        if rows * cols > repvol.COPY_LIMIT:
             raise ArrangementInvalid(
                 "a %d x %d lattice has more than %d slots"
-                % (rows, cols, pieces.COPY_LIMIT))
+                % (rows, cols, repvol.COPY_LIMIT))
         if raw_slots is None and "slot" in data:
             # one slot for every cell: check it once, as slot 0, and
             # repeat its SlotSpec
@@ -610,16 +611,23 @@ def parse_link_spec(data):
                               tuple(signature)))
     slots *= repeat
 
-    try:
-        pieces.check_shape(arrangement, len(slots), rows, cols)
-    except pieces.PieceError as exc:
-        raise ArrangementInvalid(str(exc)) from None
+    refusal = shape_refusal(arrangement, len(slots), rows, cols)
+    if refusal is not None:
+        raise ArrangementInvalid(refusal)
     if fixed and ambient not in fixed.rules:
         raise ArrangementInvalid(fixed.elsewhere % ambient)
 
+    name = data.get("name", arrangement)
+    if not isinstance(name, str):
+        raise BoundsError("name must be a string, got %r" % (name,))
     reference = data.get("reference_volume")
-    return LinkSpec(data.get("name", arrangement), arrangement, ambient,
-                    tuple(slots), rows, cols,
+    if reference is not None and (
+            isinstance(reference, bool)
+            or not isinstance(reference, (str, int, float, Decimal,
+                                          Fraction))):
+        raise BoundsError("reference_volume must be a string or a number, "
+                          "got %r" % (reference,))
+    return LinkSpec(name, arrangement, ambient, tuple(slots), rows, cols,
                     str(reference) if reference is not None else None)
 
 
@@ -737,6 +745,7 @@ def _check_composable(a, b):
 
     ca, cb = count(a), count(b)
     if ca is not None and cb is not None and ca != cb:
+        from .pieces import EndpointMismatch
         raise EndpointMismatch(
             "factors meet with %d and %d strand endpoints" % (ca, cb))
 

@@ -18,7 +18,8 @@ any was uncertified.
 
 Each command imports the library layers it runs, and no others, so a
 process compiles only what its command needs: ``reduce`` loads ``words``
-alone and ``classify`` ``arborescent`` alone.
+alone, ``classify`` ``arborescent`` alone, and ``bound`` ``bounds`` alone
+unless a slot falls back to the classifier.
 """
 
 import argparse

@@ -27,7 +27,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import AMBIENTS, InvariantViolation, LimitExceeded, pieces
+import repvol
+from . import AMBIENTS, InvariantViolation, LimitExceeded
 
 
 class GraphError(ValueError):
@@ -75,7 +76,7 @@ class NotSphere(GraphError):
 
 
 class GroupTooLarge(LimitExceeded):
-    """The reflection group has more than pieces.COPY_LIMIT elements."""
+    """The reflection group has more than repvol.COPY_LIMIT elements."""
 
 
 def _pair(item, name, *where):
@@ -87,6 +88,20 @@ def _pair(item, name, *where):
         raise GraphError("%s must be a pair, got %r"
                          % (name % where, item)) from None
     return a, b
+
+
+def _edge_ends(edge, k, pos):
+    """Edge ``k`` unpacked as two vertices of ``pos``, else a GraphError
+    naming it."""
+    u, v = _pair(edge, "edge %d", k)
+    try:
+        known = u in pos and v in pos
+    except TypeError:   # no vertex is unhashable
+        known = False
+    if not known:
+        raise GraphError(
+            "edge %r has an endpoint that is not a vertex" % (edge,))
+    return u, v
 
 
 class Reflection:
@@ -149,14 +164,7 @@ class ReflectionGraph:
 
         seen = set()
         for i, edge in enumerate(edges):
-            u, v = _pair(edge, "edge %d", i)
-            try:
-                known = u in pos and v in pos
-            except TypeError:   # no vertex is unhashable
-                known = False
-            if not known:
-                raise GraphError(
-                    "edge %r has an endpoint that is not a vertex" % (edge,))
+            u, v = _edge_ends(edge, i, pos)
             e = (u, v) if pos[u] <= pos[v] else (v, u)
             if e in seen:
                 raise GraphError("duplicate edge %r" % (e,))
@@ -231,7 +239,7 @@ def validate_reflection_graph(graph):
     preservation axioms and tag correctness, then tag coverage of every
     edge, then the generated group G: no nontrivial element may fix a
     vertex, which is the same as the edge orbits ("classes") numbering
-    exactly the valence, and |G| must not exceed pieces.COPY_LIMIT.
+    exactly the valence, and |G| must not exceed repvol.COPY_LIMIT.
     Every check reads vertex positions; each reflection is read once into
     ``perm``, perm[i] the position of vertex i's image, for every axiom
     and the class search.  Labels return in refusals and the report.
@@ -349,9 +357,9 @@ def validate_reflection_graph(graph):
     if len(classes) != valence:
         raise VertexStabilizerNontrivial(
             "a nontrivial symmetry fixes the vertex %r" % (vertices[0],))
-    if n > pieces.COPY_LIMIT:
+    if n > repvol.COPY_LIMIT:
         raise GroupTooLarge(
-            "the reflection group exceeds %d elements" % pieces.COPY_LIMIT)
+            "the reflection group exceeds %d elements" % repvol.COPY_LIMIT)
 
     parts = (tuple(v for v, c in zip(vertices, color) if c == 0),
              tuple(v for v, c in zip(vertices, color) if c == 1))
@@ -374,6 +382,7 @@ def g_replicant(graph, template):
     exactly as many faces as the graph valence.  Copy labels are vertex
     positions.
     """
+    from . import pieces
     report = graph._report
     if report is None:
         raise NotValidated("validate the graph before building a replicant")
@@ -546,7 +555,9 @@ def graph_from_json_dict(data):
 
 
 def _adjacency_sets(g):
-    """The vertices of ``g``, its edge count and neighbour position sets."""
+    """The vertices of ``g``, its edge count and neighbour position sets;
+    a (vertices, edges) pair has its edges checked as the constructor
+    does."""
     if isinstance(g, ReflectionGraph):
         g = g.vertices, g.edges
     vertices, edges = map(tuple, g)
@@ -554,7 +565,8 @@ def _adjacency_sets(g):
     if len(pos) != len(vertices):
         raise GraphError("a graph lists a vertex twice")
     adj = [set() for _ in vertices]
-    for u, v in edges:
+    for k, edge in enumerate(edges):
+        u, v = _edge_ends(edge, k, pos)
         a, b = pos[u], pos[v]
         adj[a].add(b)
         adj[b].add(a)

@@ -23,11 +23,10 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import LimitExceeded
+import repvol
+from . import LimitExceeded, shape_refusal
 
 ISO_COPY_LIMIT = 10 ** 4
-# Most copies a lattice, replicant or reflection group may hold.
-COPY_LIMIT = 10 ** 6
 
 
 class PieceError(ValueError):
@@ -565,34 +564,32 @@ def replicate(template, schedule):
     Copies are labeled by index tuples, one coordinate per face pair in
     schedule order, and glued by the mirror pattern of _mirror_gluings().
     Every face slot ends up glued exactly once; free boundary is
-    untouched.  A schedule of more than COPY_LIMIT copies is refused
-    before any copy is labeled.
+    untouched.  A schedule of more than ``repvol.COPY_LIMIT`` copies is
+    refused before any copy is labeled.
     """
     if len(template.faces) % 2:
         raise ScheduleMismatch(
             "replication reflects across face pairs; template %r has an "
             "unpaired face" % template.id)
     indices, order = _normalize_schedule(schedule, template.ell)
-    if math.prod(indices) > COPY_LIMIT:
+    if math.prod(indices) > repvol.COPY_LIMIT:
         raise SizeExceeded("schedule %r makes more than %d copies"
-                           % (indices, COPY_LIMIT))
+                           % (indices, repvol.COPY_LIMIT))
     sizes = [indices[k - 1] for k in order]
     labels = itertools.product(*map(range, sizes))
     return GluingComplex._mirror(tuple((template, label) for label in labels),
                                  _mirror_gluings(sizes, order))
 
 
+_SHAPE_ERRORS = {"bracelet": OddLength, "lattice": OddDimension,
+                 "cylinder-stack": PieceError}
+
+
 def check_shape(arrangement, count, rows=0, cols=0):
     """Refuse a bracelet, lattice or stack whose size cannot close up."""
-    if arrangement == "bracelet" and (count < 2 or count % 2):
-        raise OddLength("a bracelet needs an even number of tangles, "
-                        "at least two, got %d" % count)
-    if arrangement == "lattice" and (rows < 2 or cols < 2 or rows % 2
-                                     or cols % 2):
-        raise OddDimension("lattice dimensions must be even and at least "
-                           "2 x 2, got %d x %d" % (rows, cols))
-    if arrangement == "cylinder-stack" and not count:
-        raise PieceError("a cylinder stack needs at least one tangle")
+    refusal = shape_refusal(arrangement, count, rows, cols)
+    if refusal is not None:
+        raise _SHAPE_ERRORS[arrangement](refusal)
 
 
 def build_bracelet(tangles):

@@ -227,6 +227,10 @@ MORE_SPECS = [
     ("uncertified", {"arrangement": "bracelet", "ambient": "S3",
                      "slots": ["1/7", "1/7"]}),
     ("top-list", [1, 2]),
+    ("name-object", {"name": {"a": 1}, "arrangement": "bracelet",
+                     "ambient": "S3", "slots": ["1/4"] * 4}),
+    ("reference-list", {"arrangement": "bracelet", "ambient": "S3",
+                        "slots": ["1/4"] * 4, "reference_volume": [1]}),
 ]
 
 DB_QUERIES = [

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import repvol
 from repvol import arborescent, bounds, pieces
 
 
@@ -500,7 +501,29 @@ MALFORMED_SPECS = [
         ([[2], 2], "signature must be a tuple of even counts"),
         ([1, 1], "signature entries must be positive and even, got [1, 1]"),
     ]
+] + [
+    # a JSON object name printed as a Python dict; a list reference
+    # volume turned into the string "[1]"
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": ["1/4"] * 4,
+      "name": name}, "name must be a string, got %r" % (name,))
+    for name in [{"a": 1}, ["x"], 7, None]
+] + [
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": ["1/4"] * 4,
+      "reference_volume": ref},
+     "reference_volume must be a string or a number, got %r" % (ref,))
+    for ref in [[1], {"v": 1}, True]
 ]
+
+
+def test_names_and_reference_volumes_that_are_kept():
+    spec = {"arrangement": "bracelet", "ambient": "S3", "slots": ["1/4"] * 4}
+    parsed = bounds.parse_link_spec(spec)
+    assert (parsed.name, parsed.reference_volume) == ("bracelet", None)
+    for ref, kept in [("32.98", "32.98"), (33, "33"), (32.5, "32.5"),
+                      (Decimal("32.98"), "32.98")]:
+        parsed = bounds.parse_link_spec(dict(spec, name="b4",
+                                             reference_volume=ref))
+        assert (parsed.name, parsed.reference_volume) == ("b4", kept)
 
 
 def test_malformed_descriptions_are_refused_before_certifying(db,
@@ -518,7 +541,7 @@ def test_malformed_descriptions_are_refused_before_certifying(db,
 
 def test_lattice_slot_limit_refuses_before_expanding(db, monkeypatch):
     calls = counting_certifier(monkeypatch)
-    limit = pieces.COPY_LIMIT
+    limit = repvol.COPY_LIMIT
     listed = ["2"] * (limit + 1)
     for rows, cols, slots in [(limit + 1, 1, None), (1, limit + 1, None),
                               (10 ** 20, 2, None), (2, 10 ** 20, None),
@@ -642,7 +665,7 @@ def test_compose_errors(db):
     cyl = bounds.TangleRef("integer-cylindrical", "2", "TxI")
     square = bounds.TangleRef("rational-square", "2", "TxI")
     saucer = bounds.TangleRef("reciprocal-saucer", "1/3", "S3")
-    with pytest.raises(bounds.EndpointMismatch):
+    with pytest.raises(pieces.EndpointMismatch):
         bounds.compose_bound(db, cyl, square)
     with pytest.raises(bounds.BoundsError):
         bounds.compose_bound(db, cyl, saucer)

@@ -127,24 +127,37 @@ print(sorted(m.split(".")[1] for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (["reduce", "--order", "10", "--indices", V4_INDICES], ["words"]),
-    (["classify", "rat(2 1)"], ["arborescent"]),
-    (["replicate", "{template}", "--schedule", "2"], ["pieces"]),
-    (["bound", "{spec}"], ["arborescent", "bounds", "pieces"]),
-    (["graph", "validate", "{graph}"], ["graphs", "pieces"]),
-    (["db", "check"], ["arborescent", "bounds", "pieces"]),
-], ids=["reduce", "classify", "replicate", "bound", "graph", "db"])
-def test_each_command_loads_only_its_layers(c6_path, saucer_path, bracelet6,
-                                            argv, layers):
-    argv = [a.format(graph=c6_path, template=saucer_path, spec=bracelet6)
-            for a in argv]
+@pytest.mark.parametrize("argv, layers, refusal", [
+    (["reduce", "--order", "10", "--indices", V4_INDICES], ["words"], ""),
+    (["classify", "rat(2 1)"], ["arborescent"], ""),
+    (["replicate", "{template}", "--schedule", "2"], ["pieces"], ""),
+    (["bound", "{spec}"], ["bounds"], ""),
+    (["report", "{spec}"], ["bounds"], ""),
+    # no recorded entry grounds (2,), so the slot reaches the classifier
+    (["bound", "{pair}"], ["arborescent", "bounds"], "UncertifiedTangle"),
+    (["graph", "validate", "{graph}"], ["graphs"], ""),
+    (["graph", "product", "{graph}"], ["graphs"], ""),
+    (["graph", "replicant", "{graph}", "--template", "{template}"],
+     ["graphs", "pieces"], ""),
+    (["db", "check"], ["bounds"], ""),
+], ids=["reduce", "classify", "replicate", "bound", "report",
+        "bound-classifier", "graph", "graph-product", "graph-replicant",
+        "db"])
+def test_each_command_loads_only_its_layers(tmp_path, c6_path, saucer_path,
+                                            bracelet6, argv, layers,
+                                            refusal):
+    pair = write_json(tmp_path / "pair.json",
+                      {"arrangement": "bracelet", "ambient": "S3",
+                       "slots": ["1/4", "1/4"]})
+    argv = [a.format(graph=c6_path, template=saucer_path, spec=bracelet6,
+                     pair=pair) for a in argv]
     src = os.path.dirname(os.path.dirname(repvol.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("RV_DB", None)
     proc = subprocess.run([sys.executable, "-c", LAYERS_LOADED, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.returncode == 0
+    assert proc.stderr.split(":")[0] == refusal
     assert proc.stdout.splitlines()[-1] == repr(layers)
 
 
@@ -406,7 +419,7 @@ def test_bound_oversized_lattice_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["bound", path])
     assert (code, out) == (2, "")
     assert err == ("ArrangementInvalid: a %d x 2 lattice has more than %d "
-                   "slots\n" % (10 ** 20, pieces.COPY_LIMIT))
+                   "slots\n" % (10 ** 20, repvol.COPY_LIMIT))
 
 
 def test_batch_bound_malformed_descriptions(capsys, tmp_path):
@@ -650,7 +663,7 @@ def test_replicate_oversized_schedule_exits_2(capsys, saucer_path):
                                   str(10 ** 20)])
     assert (code, out) == (2, "")
     assert err == ("SizeExceeded: schedule (%d,) makes more than %d copies\n"
-                   % (10 ** 20, pieces.COPY_LIMIT))
+                   % (10 ** 20, repvol.COPY_LIMIT))
 
 
 def test_replicate_template_errors_keep_their_class(capsys, tmp_path):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import repvol
 from repvol import InvariantViolation, pieces
 from repvol.graphs import (
     BadReflection, GraphError, GroupTooLarge, IncompleteRotation,
@@ -274,7 +275,7 @@ def test_vertex_stabilizer_detected():
 
 
 def test_group_cap(monkeypatch):
-    monkeypatch.setattr(pieces, "COPY_LIMIT", 4)
+    monkeypatch.setattr(repvol, "COPY_LIMIT", 4)
     with pytest.raises(GroupTooLarge):
         validate_reflection_graph(cycle_reflection_graph(6))
 
@@ -290,16 +291,16 @@ def test_non_free_action_refused_before_group_cap(monkeypatch):
                        [(0, 1), (6, 7)])
     bad = ReflectionGraph(cube.vertices, cube.edges,
                           cube.reflections + (extra,))
-    monkeypatch.setattr(pieces, "COPY_LIMIT", 4)
+    monkeypatch.setattr(repvol, "COPY_LIMIT", 4)
     with pytest.raises(VertexStabilizerNontrivial):
         validate_reflection_graph(bad)
 
 
 def test_group_cap_is_exact(monkeypatch):
-    monkeypatch.setattr(pieces, "COPY_LIMIT", 5)
+    monkeypatch.setattr(repvol, "COPY_LIMIT", 5)
     with pytest.raises(GroupTooLarge):
         validate_reflection_graph(cycle_reflection_graph(6))
-    monkeypatch.setattr(pieces, "COPY_LIMIT", 6)
+    monkeypatch.setattr(repvol, "COPY_LIMIT", 6)
     assert validate_reflection_graph(
         cycle_reflection_graph(6)).group_order == 6
 
@@ -615,6 +616,22 @@ def test_graph_isomorphic_rejects():
     # answered None, though the first graph is no graph
     with pytest.raises(GraphError, match="^a graph lists a vertex twice$"):
         graph_isomorphic(([0, 0, 1], [(0, 1)]), (range(3), [(0, 1)]))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 5)], "edge (0, 5) has an endpoint that is not a vertex"),
+    ([(0, 1), (0, [1])], "edge (0, [1]) has an endpoint that is not a vertex"),
+    ([(0, 1), (0, 1, 2)], "edge 1 must be a pair, got (0, 1, 2)"),
+    ([5], "edge 0 must be a pair, got 5"),
+], ids=["unknown endpoint", "unhashable endpoint", "edge of three",
+        "no pair"])
+def test_graph_isomorphic_refuses_malformed_edges(edges, message):
+    # a bare KeyError, TypeError or ValueError before; either side
+    good = (range(2), [(0, 1)])
+    for a, b in (((range(2), edges), good), (good, (range(2), edges))):
+        with pytest.raises(GraphError) as info:
+            graph_isomorphic(a, b)
+        assert str(info.value) == message
 
 
 def test_graph_isomorphic_does_not_recurse():

@@ -196,3 +196,36 @@ def test_cli_reads_nothing_from_sys_modules():
     found = ["line %d" % node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "modules"]
     assert found == []
+
+
+def test_no_layer_imports_another_at_module_level():
+    # a process compiles only the layers its command runs, which matters
+    # when no bytecode is cached; a layer that needs another imports it
+    # inside the function that runs it
+    layers = {path.stem for path in SOURCE.glob("*.py")} - {"__init__"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        todo = list(ast.parse(path.read_text()).body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue   # runs when called, not on import
+            todo += ast.iter_child_nodes(node)
+            if isinstance(node, ast.Import):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:   # relative to the package
+                    base = "repvol." + base if base else "repvol"
+                named = {base} | {"%s.%s" % (base, alias.name)
+                                  for alias in node.names}
+            else:
+                continue
+            hit = sorted({name.split(".")[1] for name in named
+                          if name.startswith("repvol.")
+                          and name.split(".")[1] in layers})
+            found += ["%s:%d imports %s" % (path.name, node.lineno, layer)
+                      for layer in hit]
+    assert found == []

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import repvol
 from repvol import bounds, graphs, pieces
 from repvol.pieces import (
     ComponentCount, EndpointMismatch, GluingComplex, OddDimension, OddLength,
@@ -251,7 +252,7 @@ def test_schedule_entries_must_be_integers():
 def test_replicate_refuses_schedules_above_the_copy_limit():
     # The product is checked before a single copy is labeled: expanding
     # (10**20,) would try to allocate every copy.
-    limit = pieces.COPY_LIMIT
+    limit = repvol.COPY_LIMIT
     tracemalloc.start()
     try:
         for template, schedule in [
@@ -275,8 +276,8 @@ def test_replicate_refuses_schedules_above_the_copy_limit():
 
 def test_one_copy_limit_read_at_call_time(monkeypatch):
     # Lattice slots, replicant copies and reflection group elements are
-    # all capped by pieces.COPY_LIMIT; at the limit each is still built.
-    monkeypatch.setattr(pieces, "COPY_LIMIT", 36)
+    # all capped by repvol.COPY_LIMIT; at the limit each is still built.
+    monkeypatch.setattr(repvol, "COPY_LIMIT", 36)
     square = {"arrangement": "lattice", "ambient": "TxI", "slot": "2"}
     assert bounds.parse_link_spec(dict(square, rows=6, cols=6)).rows == 6
     with pytest.raises(bounds.ArrangementInvalid) as info:
