@@ -464,7 +464,9 @@ def expr_from_json_dict(data):
             raise ParseError("%s must be a JSON object, got %r"
                              % (part, data))
         kind = data.get("kind")
-        for field in _NODE_FIELDS.get(kind, ()):
+        if not isinstance(kind, str) or kind not in _NODE_FIELDS:
+            raise ParseError("unknown expression kind %r" % (kind,))
+        for field in _NODE_FIELDS[kind]:
             if field not in data:
                 raise ParseError("%s node has no %s" % (kind, field))
         if kind == "rational":
@@ -478,8 +480,6 @@ def expr_from_json_dict(data):
             todo += ((Sum, None), (data, "right"), (data, "left"))
         elif kind == "rotate90":
             todo += ((Rotate90, None), (data, "child"))
-        elif kind == "reflect":
+        else:  # reflect
             todo += ((Reflect, None), (data, "child"))
-        else:
-            raise ParseError("unknown expression kind %r" % kind)
     return built[0]

@@ -185,11 +185,20 @@ class VolumeDB:
                                       % (where, list(entries).index(key)))
                 entries[key] = (value, row.get("provenance", provenance))
             where = "volume table limits"
-            limits = {c: Decimal(v) for c, v in data.get("limits", {}).items()}
+            limits = {}
+            for c, v in data.get("limits", {}).items():
+                if isinstance(v, (list, tuple)):
+                    # Decimal would read [0, [1], 0] as the triple
+                    # (sign, digits, exponent) of 1
+                    raise ValueError(v)
+                limits[c] = Decimal(v)
+        except BoundsError:  # a ValueError: keep the refusal above
+            raise
         except KeyError as missing:
             raise BoundsError("%s has no %s field" % (where, missing)) \
                 from None
-        except (AttributeError, TypeError, ArithmeticError) as exc:
+        except (AttributeError, TypeError, ValueError,
+                ArithmeticError) as exc:
             raise BoundsError("malformed %s (%s)"
                               % (where, type(exc).__name__)) from None
         return cls(entries, limits)

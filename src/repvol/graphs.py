@@ -90,6 +90,10 @@ def _pair(item, name, *where):
     return a, b
 
 
+def _unhashable_vertex(i, v):
+    return GraphError("vertex %d is not hashable: %r" % (i, v))
+
+
 def _edge_ends(edge, k, pos):
     """Edge ``k`` unpacked as two vertices of ``pos``, else a GraphError
     naming it."""
@@ -152,8 +156,7 @@ class ReflectionGraph:
             try:
                 known = v in pos
             except TypeError:
-                raise GraphError("vertex %d is not hashable: %r"
-                                 % (i, v)) from None
+                raise _unhashable_vertex(i, v) from None
             if known:
                 raise GraphError("duplicate vertex %r" % (v,))
             pos[v] = len(pos)
@@ -556,12 +559,22 @@ def graph_from_json_dict(data):
 
 def _adjacency_sets(g):
     """The vertices of ``g``, its edge count and neighbour position sets;
-    a (vertices, edges) pair has its edges checked as the constructor
-    does."""
+    a (vertices, edges) pair has its vertices and edges checked as the
+    constructor does, else a GraphError."""
     if isinstance(g, ReflectionGraph):
         g = g.vertices, g.edges
-    vertices, edges = map(tuple, g)
-    pos = {v: i for i, v in enumerate(vertices)}
+    vertices, edges = _pair(g, "a graph")
+    try:
+        vertices, edges = tuple(vertices), tuple(edges)
+    except TypeError:
+        raise GraphError("a graph must be a pair of vertices and edges, "
+                         "got %r" % (g,)) from None
+    pos = {}
+    for i, v in enumerate(vertices):
+        try:
+            pos[v] = i
+        except TypeError:
+            raise _unhashable_vertex(i, v) from None
     if len(pos) != len(vertices):
         raise GraphError("a graph lists a vertex twice")
     adj = [set() for _ in vertices]

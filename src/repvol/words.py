@@ -300,9 +300,10 @@ def split_relation(word, at=0, memo=None):
     if memo is None:
         memo = {}
     m = word.order // 2
-    doubled = word.indices + word.indices
-    a1 = doubled[at:at + m]
-    a2 = doubled[at + m:at + 2 * m]
+    indices = word.indices
+    if at:
+        indices = indices[at:] + indices[:at]
+    a1, a2 = indices[:m], indices[m:]
     produced = []
     for half in (a1, a2):
         p = memo.get(half)
@@ -433,10 +434,13 @@ def reduce(word):
     mean a bug, not bad input).  Exceeding 4x the single-mountain word
     count in halving steps raises NonTermination.
 
-    Every combination is held fraction-free, as a pair (den, {word: int})
+    Every combination is held fraction-free, as a pair (den, {key: int})
     in lowest terms, so a frame's solve w = rest / (2*den - self) divides
-    nothing; Fractions are built only for the solved cycles and the
-    result.
+    nothing.  Keys are ints: the word split at step t is t, and the
+    constant word x_i is -i.  Words and Fractions are built back only for
+    the solved cycles and the result.  A popped word's cached value is
+    rewritten with the resolved values of the popped words it mentions
+    whenever it is read, so each substitution is made once.
 
     >>> w = validate_word(10, [1,1,1,1,1,1,1,1,2,2])
     >>> coeffs, cert = reduce(w)
@@ -445,61 +449,70 @@ def reduce(word):
     """
     order = word.order
     budget = 4 * count_single_mountain_words(order)
-    doubled = {}    # half -> its produced word, for split_relation()
-    cache = {}      # popped word -> (den, {word: int}) over its ancestors
-    active = set()  # words whose frames are on the stack
-    frames = []     # [word, iterator over its produced words, den, sum]
+    doubled = {}  # half -> its produced word, for split_relation()
+    index = {}    # split word -> its step
+    cache = []    # step -> (den, {key: int}), None while its frame is open
+    frames = []   # [step, iterator over its produced words, den, sum]
     steps = []
     solved = []
 
-    def resolve(vec):
-        # Substitute cached values for any popped words.  A cached vector
-        # only mentions words that were ancestors of its frame when it
-        # popped, so the substitution chain runs strictly down the old
-        # stack and terminates.  Words still on the stack stay symbolic;
-        # the frame that owns them will solve them.  The chain is walked
-        # in post-order, each popped word resolved once.
-        done = {}
-        path = [(None, iter(vec[1]))]
+    def word_of(k):
+        return steps[k].word if k >= 0 else CyclicWord(order, (-k,) * order)
+
+    def resolve(t):
+        # Substitute resolved values for the popped steps in cache[t] and
+        # write each result back.  A cached vector only mentions steps
+        # that were ancestors of its frame when it popped, so the
+        # substitution chain runs strictly down the old stack and
+        # terminates.  Steps whose frames are open stay symbolic; the
+        # frame that owns them will solve them.  A resolved value mentions
+        # only constants and open frames, which were such ancestors too,
+        # so writing it back keeps that rule.  The chain is walked in
+        # post-order, each popped step resolved once per call.
+        done = set()
+        path = [(t, iter(cache[t][1]))]
         while path:
             owner, pending = path[-1]
-            for w in pending:
-                if not (w.is_constant or w in active or w in done):
-                    path.append((w, iter(cache[w][1])))
+            for k in pending:
+                if k >= 0 and k not in done and cache[k] is not None:
+                    path.append((k, iter(cache[k][1])))
                     break
             else:
                 path.pop()
-                den, nums = vec if owner is None else cache[owner]
-                # out is over den * up, up the lcm of the denominators
-                # of the values substituted
-                up = math.lcm(*(done[w][0] for w in nums if w in done))
-                out = {}
-                for w, c in nums.items():
-                    if w in done:
-                        d, sub = done[w]
-                        _add_into(out, sub.items(), c * (up // d))
-                    else:
-                        _add_into(out, ((w, c),), up)
-                out = _lowest_terms(den * up, out)
-                if owner is None:
-                    return out
-                done[owner] = out
+                den, nums = cache[owner]
+                popped = [k for k in nums if k in done]
+                if popped:
+                    # out is over den * up, up the lcm of the denominators
+                    # of the values substituted
+                    up = math.lcm(*(cache[k][0] for k in popped))
+                    out = {k: c * up for k, c in nums.items()
+                           if k not in done}
+                    for k in popped:
+                        d, sub = cache[k]
+                        _add_into(out, sub.items(), nums[k] * (up // d))
+                    cache[owner] = _lowest_terms(den * up, out)
+                done.add(owner)
+        return cache[t]
 
     def enter(w):
         # w's vector when it is already known, else push w's frame and
         # return None.
-        if w.is_constant or w in active:
-            return 1, {w: 1}
-        if w in cache:
-            return resolve(cache[w])
-        if len(steps) >= budget:
-            raise NonTermination(
-                "exceeded {} halving steps at order {}".format(budget, order))
-        active.add(w)
-        s = split_relation(w, memo=doubled)
-        steps.append(s)
-        frames.append([w, iter(s.produced), 1, {}])
-        return None
+        if w.is_constant:
+            return 1, {-w.indices[0]: 1}
+        t = index.get(w)
+        if t is None:
+            if len(steps) >= budget:
+                raise NonTermination("exceeded {} halving steps at order {}"
+                                     .format(budget, order))
+            t = index[w] = len(steps)
+            s = split_relation(w, memo=doubled)
+            steps.append(s)
+            cache.append(None)
+            frames.append([t, iter(s.produced), 1, {}])
+            return None
+        if cache[t] is None:
+            return 1, {t: 1}
+        return resolve(t)
 
     vec = enter(word)
     while frames:
@@ -519,27 +532,27 @@ def reduce(word):
             vec = enter(p)
             continue
         frames.pop()
-        w, _, den, acc = frame
-        active.discard(w)
+        t, _, den, acc = frame
         # w = acc / (2*den), and acc may hold w itself: w = c*w + rest
         # with c = self / (2*den), so w = rest / (2*den - self)
-        own = acc.pop(w, 0)
+        own = acc.pop(t, 0)
         if own >= 2 * den:
             raise NonTermination(
                 "self-coefficient {} leaves nothing to solve".format(
                     Fraction(own, 2 * den)))
-        vec = _lowest_terms(2 * den - own, acc)
+        vec = cache[t] = _lowest_terms(2 * den - own, acc)
         if own:
-            value = {u: Fraction(x, vec[0]) for u, x in vec[1].items()}
-            solved.append(SolvedCycle(w, Fraction(own, 2 * den), value))
-        cache[w] = vec
+            value = {word_of(k): Fraction(x, vec[0])
+                     for k, x in vec[1].items()}
+            solved.append(SolvedCycle(steps[t].word, Fraction(own, 2 * den),
+                                      value))
 
     den, nums = vec
-    leftover = [w for w in nums if not w.is_constant]
+    leftover = [word_of(k) for k in nums if k >= 0]
     if leftover:
         raise InvariantViolation(
             "non-constant words survived: {}".format(leftover))
-    coefficients = {w.indices[0]: Fraction(x, den) for w, x in nums.items()}
+    coefficients = {-k: Fraction(x, den) for k, x in nums.items()}
 
     counts = word.letter_counts()
     expected = {i: Fraction(q, order) for i, q in counts.items()}

@@ -251,6 +251,7 @@ DB_QUERIES = [
 TABLES = {
     "table-empty": {"entries": [], "limits": {}},
     "table-bad": {"entries": [5]},
+    "table-bad-limit": {"entries": [], "limits": {"1/4": [1, 2]}},
     "table-small": {"entries": [
         {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
          "signature": [2], "volume": "3.5"},

@@ -399,9 +399,13 @@ def test_expr_json_loop_size_must_be_an_integer():
      "rotate90 child must be a JSON object, got [1]"),
     ({"kind": "sum", "left": {"kind": "qloop", "m": 2}, "right": "q(2)"},
      "sum right must be a JSON object, got 'q(2)'"),
+    ({"kind": [1]}, "unknown expression kind [1]"),
+    ({"kind": "sum", "left": {"kind": "qloop", "m": 2},
+      "right": {"kind": {"a": 1}}}, "unknown expression kind {'a': 1}"),
 ])
 def test_expr_json_names_its_malformed_node(data, message):
-    # a missing field raised KeyError, and a list AttributeError
+    # a missing field raised KeyError, a list AttributeError, and an
+    # unhashable kind TypeError
     with pytest.raises(ParseError) as info:
         expr_from_json_dict(data)
     assert str(info.value) == message

@@ -715,6 +715,10 @@ def test_reduce_reflected_must_be_a_bool(capsys, tmp_path):
                    "ambient": "S3", "signature": [6], "volume": v}
                   for v in ("1.0", "2.0")]},
      "volume table row 1 repeats row 0"),
+    ({"entries": [], "limits": {"1/4": [1, 2]}},
+     "malformed volume table limits (ValueError)"),
+    ({"entries": [], "limits": {"1/4": [0, [1], 0]}},
+     "malformed volume table limits (ValueError)"),
 ])
 def test_db_malformed_table_exit_2(capsys, tmp_path, table, message):
     path = write_json(tmp_path / "table.json", table)

@@ -634,6 +634,21 @@ def test_graph_isomorphic_refuses_malformed_edges(edges, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("graph, message", [
+    (([[0]], []), "vertex 0 is not hashable: [0]"),
+    (((0, 1),), "a graph must be a pair, got ((0, 1),)"),
+    (5, "a graph must be a pair, got 5"),
+    ((5, []), "a graph must be a pair of vertices and edges, got (5, [])"),
+], ids=["unhashable vertex", "one item", "not iterable", "no vertex list"])
+def test_graph_isomorphic_refuses_malformed_pairs(graph, message):
+    # a bare TypeError or ValueError before; either side
+    good = (range(1), [])
+    for a, b in ((graph, good), (good, graph)):
+        with pytest.raises(GraphError) as info:
+            graph_isomorphic(a, b)
+        assert str(info.value) == message
+
+
 def test_graph_isomorphic_does_not_recurse():
     rng = random.Random(1000)
     size = 1000

@@ -520,6 +520,10 @@ GOLDEN_CERTIFICATES = [
      "479b5814c07d2dbbd4a8e8427afa0fd5532234364f65dd2d5cf9d345022a5993"),
     ((1, 1, 16, 16, 1, 2, 3, 3, 2, 2, 2, 2, 2, 1, 16, 16),
      "5a70e751ed283797910259ee65e248fec86a35bca568f46aea60d07bec90364c"),
+    # order 40: 3103 steps and 310 solved cycles
+    ((38, 38, 39, 40, 40, 40, 1, 2, 2, 1, 40, 40, 1, 1, 1, 1, 1, 2, 2, 1,
+      1, 2, 2, 2, 2, 1, 1, 1, 40, 40, 1, 2, 3, 3, 2, 1, 1, 1, 40, 39),
+     "c055afe553a17540362c12b0832e7c5ae04e9797f68c367eab4647735fb63c04"),
 ]
 
 
