@@ -147,6 +147,9 @@ class VolumeDB:
                 volume, provenance = entry
                 if volume is not NON_HYPERBOLIC:
                     volume = Decimal(volume)
+                    if not volume.is_finite():
+                        raise BoundsError("volumes must be finite, got %s"
+                                          % volume)
                     if volume <= 0:
                         raise BoundsError("volumes must be positive, got %s"
                                           % volume)
@@ -164,6 +167,9 @@ class VolumeDB:
         self.limits = {_normalize_conway(c): Decimal(v)
                        for c, v in dict(limits).items()}
         for conway, limit in self.limits.items():
+            if not limit.is_finite():
+                raise BoundsError("volume table limits: the limit for %s "
+                                  "must be finite, got %s" % (conway, limit))
             if limit <= 0:
                 raise BoundsError("limit volumes must be positive")
 
@@ -191,7 +197,7 @@ class VolumeDB:
                     # Decimal would read [0, [1], 0] as the triple
                     # (sign, digits, exponent) of 1
                     raise ValueError(v)
-                limits[c] = Decimal(v)
+                limits[c] = Decimal(str(v))
         except BoundsError:  # a ValueError: keep the refusal above
             raise
         except KeyError as missing:
@@ -396,7 +402,6 @@ def certify_hyperbolic(db, tangle, signature):
 
 
 class Term(NamedTuple):
-    slot: object
     family: str
     conway: str
     signature: tuple
@@ -412,7 +417,7 @@ class ClassicalBound(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """One volume lower bound: rule, per-slot terms, exact total."""
+    """One volume lower bound: rule, terms (slot i's is terms[i]), total."""
     name: str
     arrangement: str
     ambient: str
@@ -430,11 +435,11 @@ class BoundReport(NamedTuple):
             "ambient": self.ambient,
             "rule": self.rule,
             "terms": [{
-                "slot": t.slot,
+                "slot": i,
                 "family": t.family, "conway": t.conway,
                 "signature": list(t.signature), "volume": str(t.volume),
                 "provenance": t.provenance, "basis": t.basis,
-            } for t in self.terms],
+            } for i, t in enumerate(self.terms)],
             "total": format_fixed(self.total, places),
             "total_exact": "%d/%d" % (self.total.numerator,
                                       self.total.denominator),
@@ -460,9 +465,9 @@ class BoundReport(NamedTuple):
         lines.append("")
         lines.append("| slot | tangle | signature | volume | basis |")
         lines.append("| --- | --- | --- | --- | --- |")
-        for t in self.terms:
+        for i, t in enumerate(self.terms):
             lines.append("| %s | %s %s | %s | %s | %s |" % (
-                t.slot, t.family, t.conway,
+                i, t.family, t.conway,
                 "(%s)" % ", ".join(str(n) for n in t.signature),
                 t.volume, t.basis))
         lines.append("")
@@ -679,29 +684,27 @@ def lower_bound(db, spec, comparisons=()):
     exactly that signature.  Slot reflections share the unreflected
     tangle's database key, so a reflected slot needs no separate row.
 
-    Each distinct (slot, demand) is certified and looked up once; the
-    slots that repeat it reuse its basis and entry.  Terms stay in slot
+    Each distinct (slot, demand) is certified and looked up once, into
+    one Term that every slot repeating it shares.  Terms stay in slot
     order, and a refusal names the first failing slot.
     """
     spec = parse_link_spec(spec)
     rule, demands = _demanded_signatures(spec)
 
-    keys = list(zip(spec.slots, demands))
-    known = {}  # (slot, demand) -> (basis, entry)
+    known = {}  # (slot, demand) -> its Term
     terms = []
-    for i, key in enumerate(keys):
-        slot, demand = key
+    for i, key in enumerate(zip(spec.slots, demands)):
         if key not in known:
+            slot, demand = key
             ref = TangleRef(slot.family, slot.conway, spec.ambient,
                             slot.orientation)
             verdict, entry = _certified_entry(db, ref, demand, "slot %d" % i,
                                               slot=i)
-            known[key] = verdict.basis, entry
-        basis, entry = known[key]
-        terms.append(Term(i, slot.family, slot.conway, demand,
-                          entry.volume, entry.provenance, basis))
-    total = sum((Fraction(known[key][1].volume) * count
-                 for key, count in Counter(keys).items()), Fraction(0))
+            known[key] = Term(slot.family, slot.conway, demand, entry.volume,
+                              entry.provenance, verdict.basis)
+        terms.append(known[key])
+    total = sum((Fraction(t.volume) * count
+                 for t, count in Counter(terms).items()), Fraction(0))
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
                        tuple(comparisons), spec.reference_volume)

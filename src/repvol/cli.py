@@ -23,6 +23,7 @@ unless a slot falls back to the classifier.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -66,8 +67,13 @@ def _read_json(path):
         return json.load(f)
 
 
-def _dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _print_json(obj):
+    """Print obj as JSON, 2**14 encoder chunks (never empty) per write, so
+    neither the whole text nor a write per chunk (unbuffered) is made."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    for text in iter(lambda: "".join(itertools.islice(chunks, 1 << 14)), ""):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _load_db(args):
@@ -109,7 +115,7 @@ def cmd_reduce(args):
                                 sorted(coefficients.items())}}
         if args.certificate:
             out["certificate"] = cert.to_json_dict()
-        print(_dump_json(out))
+        _print_json(out)
         return 0
 
     if args.format == "markdown":
@@ -151,7 +157,7 @@ def cmd_replicate(args):
     from . import pieces
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
     built = pieces.replicate(template, _int_list(args.schedule))
-    print(_dump_json(built.to_json_dict()))
+    _print_json(built.to_json_dict())
     return 0
 
 
@@ -173,9 +179,9 @@ def _plain_report(report, places):
     from . import bounds
     lines = ["%s: %s in %s, rule %s" % (report.name, report.arrangement,
                                         report.ambient, report.rule)]
-    for t in report.terms:
+    for i, t in enumerate(report.terms):
         lines.append("  slot %s: %s %s (%s) = %s [%s, %s]" % (
-            t.slot, t.family, t.conway,
+            i, t.family, t.conway,
             ", ".join(str(n) for n in t.signature),
             t.volume, t.basis, t.provenance))
     lines.append("total: %s" % bounds.format_fixed(report.total, places))
@@ -190,8 +196,7 @@ def _plain_report(report, places):
 
 
 def _render_report(report, args):
-    if args.format == "json":
-        return _dump_json(report.to_json_dict(args.precision))
+    """The plain or markdown text of a report."""
     if args.format == "markdown":
         return report.to_markdown(args.precision).rstrip("\n")
     return _plain_report(report, args.precision)
@@ -209,7 +214,7 @@ def _print_batch(results, args):
                 rows.append({"file": name,
                              "error": {"type": type(exc).__name__,
                                        "message": str(exc)}})
-        print(_dump_json({"results": rows}))
+        _print_json({"results": rows})
     else:
         blocks = []
         for name, report, exc in results:
@@ -227,7 +232,10 @@ def cmd_bound(args):
     comparisons = _comparisons_from(args)
     if not os.path.isdir(args.spec):
         report = bounds.lower_bound(db, _read_json(args.spec), comparisons)
-        print(_render_report(report, args))
+        if args.format == "json":
+            _print_json(report.to_json_dict(args.precision))
+        else:
+            print(_render_report(report, args))
         return 0
     names = sorted(n for n in os.listdir(args.spec) if n.endswith(".json"))
     if not names:
@@ -259,7 +267,7 @@ def cmd_classify(args):
         out = result.to_json_dict()
         out["principal_signature"] = (list(signature)
                                       if signature is not None else None)
-        print(_dump_json(out))
+        _print_json(out)
         return 0
 
     if args.format == "markdown":
@@ -286,13 +294,13 @@ def cmd_graph_validate(args):
     report = graphs.validate_reflection_graph(graph)
 
     if args.format == "json":
-        print(_dump_json({
+        _print_json({
             "valid": True,
             "valence": report.valence,
             "group_order": report.group_order,
             "edge_classes": report.edge_classes,
             "parts": report.parts,
-        }))
+        })
         return 0
 
     print("valid, |G|=%d, edge classes: %d" %
@@ -306,8 +314,8 @@ def cmd_graph_replicant(args):
     graphs.validate_reflection_graph(graph)
     template = pieces.PieceTemplate.from_json_dict(_read_json(args.template))
     built = graphs.g_replicant(graph, template)
-    print(_dump_json({"group_order": built.group_order,
-                      "complex": built.complex.to_json_dict()}))
+    _print_json({"group_order": built.group_order,
+                 "complex": built.complex.to_json_dict()})
     return 0
 
 
@@ -316,7 +324,7 @@ def cmd_graph_product(args):
     graph = graphs.graph_from_json_dict(_read_json(args.graph))
     graphs.validate_reflection_graph(graph)
     product = graphs.product_p1(graph)
-    print(_dump_json(graphs.graph_to_json_dict(product)))
+    _print_json(graphs.graph_to_json_dict(product))
     return 0
 
 
@@ -354,7 +362,7 @@ def cmd_db_query(args):
                         for sig, entry in rows]}
         if limit is not None:
             out["limit"] = bounds.format_fixed(limit, args.precision)
-        print(_dump_json(out))
+        _print_json(out)
         return 0
 
     for sig, entry in rows:
@@ -373,12 +381,12 @@ def cmd_db_check(args):
     observations = bounds.column_monotonicity(db)
 
     if args.format == "json":
-        print(_dump_json({
+        _print_json({
             "violations": [{"kind": v.kind, "subject": v.subject,
                             "detail": v.detail} for v in violations],
             "observations": [{"kind": v.kind, "subject": v.subject,
                               "detail": v.detail} for v in observations],
-        }))
+        })
         return 0
 
     if not violations:

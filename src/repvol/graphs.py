@@ -844,7 +844,7 @@ def torus_boundary_check(edges, rotation):
     The checks run in order and the first failure names the verdict:
     NotConnected, ChiMismatch (Euler characteristic must vanish),
     BigonFace, OddCycle (the graph must be bipartite), WrongValence
-    (4 everywhere), NonSquareFace.  Success reports CompatibleSquares.
+    (4 everywhere).  Success reports CompatibleSquares.
     """
     report, reached = _faces(edges, rotation)
     if not rotation:
@@ -873,9 +873,7 @@ def torus_boundary_check(edges, rotation):
         return TorusVerdict(False, "WrongValence",
                             "vertex %r has valence %d, expected 4"
                             % (v, len(rotation[v])), report)
-    if set(lengths) != {4}:
-        other = sorted(k for k in lengths if k != 4)
-        return TorusVerdict(False, "NonSquareFace",
-                            "face lengths %s present" % other, report)
+    # now E = 2V and F = V, and F faces of even length >= 4 whose
+    # lengths sum to 2E = 4F are all squares
     return TorusVerdict(True, "CompatibleSquares",
                         "every face is a square on a torus", report)

@@ -401,18 +401,9 @@ class ReductionCertificate:
 
 
 def _add_into(acc, terms, factor):
-    """acc[w] += factor * x for each (w, x) in terms; a zero sum drops w."""
+    """acc[w] += factor * x for each (w, x) in terms."""
     for w, x in terms:
-        x *= factor
-        old = acc.get(w)
-        if old is None:
-            acc[w] = x
-        else:
-            x += old
-            if x:
-                acc[w] = x
-            else:
-                del acc[w]
+        acc[w] = acc.get(w, 0) + x * factor
 
 
 def _lowest_terms(den, acc):

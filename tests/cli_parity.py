@@ -259,6 +259,17 @@ TABLES = {
          "signature": [4], "volume": "0"}],
         "limits": {"1/4": "7.0"}},
 }
+# Volumes and limits that are not finite numbers, and limits that JSON
+# types as a bool or a float.
+for name, volume, limit in (("nan-volume", float("nan"), "7.0"),
+                            ("infinite-volume", "Infinity", "7.0"),
+                            ("nan-limit", "3.5", "NaN"),
+                            ("infinite-limit", "3.5", float("inf")),
+                            ("true-limit", "3.5", True),
+                            ("float-limit", "3.5", 0.1)):
+    TABLES["table-" + name] = {"entries": [
+        {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
+         "signature": [6], "volume": volume}], "limits": {"1/4": limit}}
 
 
 def write(path, data):

@@ -115,6 +115,15 @@ def test_db_refusals_name_the_row():
     assert len(bounds.VolumeDB.builtin().entries) == 55
 
 
+def test_db_limits_read_as_written():
+    # a float limit reads as its JSON text, as a float volume does, not as
+    # its binary expansion
+    db = bounds.VolumeDB.from_json_dict({"entries": [], "limits": {
+        "1/4": 0.1, "1/5": "6.5", "1/6": 7}})
+    assert db.limits == {"1/4": Decimal("0.1"), "1/5": Decimal("6.5"),
+                         "1/6": Decimal(7)}
+
+
 def test_db_json_round_trip(db):
     again = bounds.VolumeDB.from_json_dict(db.to_json_dict())
     assert again.entries == db.entries
@@ -883,7 +892,7 @@ def per_slot_lower_bound(db, spec):
             raise bounds.UncertifiedTangle(
                 "slot %d (%s %s): recorded as not hyperbolic at %r"
                 % (i, slot.family, slot.conway, demand), slot=i)
-        terms.append(bounds.Term(i, slot.family, slot.conway, demand,
+        terms.append(bounds.Term(slot.family, slot.conway, demand,
                                  entry.volume, entry.provenance,
                                  verdict.basis))
         total += Fraction(entry.volume)
@@ -1067,8 +1076,19 @@ def test_repeated_slot_is_certified_once(db, monkeypatch):
     assert len(report.terms) == 40000
     assert report.total == 40000 * Fraction(Decimal("7.48167784"))
     assert report.terms[-1] == bounds.Term(
-        39999, "rational-square", "2 1", (2, 2), Decimal("7.48167784"),
+        "rational-square", "2 1", (2, 2), Decimal("7.48167784"),
         "builtin", "DatabaseEntry")
+
+
+def test_slots_with_one_key_share_one_term(db):
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 200,
+            "cols": 200, "slot": "2 1"}
+    assert len({id(t) for t in bounds.lower_bound(db, spec).terms}) == 1
+    rng = random.Random(5)
+    slots = [rng.choice(("2", "3", "-3", "2 1")) for _ in range(36)]
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 6,
+            "cols": 6, "slots": slots}
+    assert len({id(t) for t in bounds.lower_bound(db, spec).terms}) == 3
 
 
 def test_mixed_slots_are_certified_once_each(db, monkeypatch):

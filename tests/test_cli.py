@@ -326,6 +326,42 @@ def test_bound_json_deterministic(capsys, bracelet6):
     assert len(data["comparisons"]) == 3
 
 
+def test_bound_slot_numbers_follow_slot_order(capsys, tmp_path):
+    # slots 0, 2 and 1, 4 share a term each; every format still numbers
+    # the slots 0..n-1
+    path = write_json(tmp_path / "custom.json", {
+        "arrangement": "custom", "ambient": "S3", "slots": [
+            {"family": "rational-square", "conway": c, "signature": sig}
+            for c, sig in (("2", [2, 2]), ("2", [2, 4]), ("2", [2, 2]),
+                           ("3", [2, 2]), ("2", [2, 4]))]})
+    _, out, _ = run(capsys, ["bound", path])
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("  slot ")] == \
+        ["  slot %d" % i for i in range(5)]
+    _, out, _ = run(capsys, ["report", path])
+    assert [line.split(" | ")[0] for line in out.splitlines()
+            if line.startswith("| ") and "rational-square" in line] == \
+        ["| %d" % i for i in range(5)]
+    _, out, _ = run(capsys, ["bound", path, "--format", "json"])
+    terms = json.loads(out)["terms"]
+    assert [t["slot"] for t in terms] == list(range(5))
+    assert [t["conway"] for t in terms] == ["2", "2", "2", "3", "2"]
+    assert [t["signature"] for t in terms] == [[2, 2], [2, 4], [2, 2],
+                                               [2, 2], [2, 4]]
+
+
+def test_json_output_is_json_dumps_across_writes(capsys, tmp_path):
+    # 1600 terms make 56 036 encoder chunks, so four writes
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 40,
+            "cols": 40, "slot": "2 1"}
+    path = write_json(tmp_path / "lattice.json", spec)
+    code, out, _ = run(capsys, ["bound", path, "--format", "json"])
+    report = bounds.lower_bound(bounds.VolumeDB.builtin(), spec)
+    assert code == 0
+    assert out == json.dumps(report.to_json_dict(), indent=2,
+                             sort_keys=True) + "\n"
+
+
 def test_bound_uncertified_exit_3(capsys, tmp_path):
     path = write_json(tmp_path / "clasp4.json", CLASP_BRACELET)
     code, out, err = run(capsys, ["bound", path])
@@ -719,6 +755,20 @@ def test_reduce_reflected_must_be_a_bool(capsys, tmp_path):
      "malformed volume table limits (ValueError)"),
     ({"entries": [], "limits": {"1/4": [0, [1], 0]}},
      "malformed volume table limits (ValueError)"),
+] + [
+    ({"entries": [{"family": "reciprocal-saucer", "conway": "1/4",
+                   "ambient": "S3", "signature": [6], "volume": v}]},
+     "volume table row 0: volumes must be finite, got %s" % shown)
+    for v, shown in ((float("nan"), "NaN"), ("NaN", "NaN"),
+                     ("Infinity", "Infinity"), (float("inf"), "Infinity"))
+] + [
+    ({"entries": [], "limits": {"1/4": v}},
+     "volume table limits: the limit for 1/4 must be finite, got %s" % shown)
+    for v, shown in ((float("nan"), "NaN"), ("NaN", "NaN"),
+                     ("Infinity", "Infinity"))
+] + [
+    ({"entries": [], "limits": {"1/4": True}},
+     "malformed volume table limits (InvalidOperation)"),
 ])
 def test_db_malformed_table_exit_2(capsys, tmp_path, table, message):
     path = write_json(tmp_path / "table.json", table)
