@@ -127,6 +127,24 @@ def _key(family, conway, ambient, signature, orientation):
             _normalize_signature(signature), str(orientation))
 
 
+def _positive(value, what, numbers):
+    """``value`` as a finite positive Decimal, or a BoundsError opening
+    with ``what``.  Decimal would read the list [0, [1], 0] as the
+    triple (sign, digits, exponent) of 1, and True as 1."""
+    try:
+        if isinstance(value, (bool, list, tuple)):
+            raise TypeError
+        number = Decimal(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise BoundsError("%s must be %s, got %r" % (what, numbers, value)) \
+            from None
+    if not number.is_finite():
+        raise BoundsError("%s must be finite, got %s" % (what, number))
+    if number <= 0:
+        raise BoundsError("%s must be positive, got %s" % (what, number))
+    return number
+
+
 class VolumeDB:
     """Immutable volume table plus limit volumes.
 
@@ -146,13 +164,7 @@ class VolumeDB:
                 key = _key(*key)
                 volume, provenance = entry
                 if volume is not NON_HYPERBOLIC:
-                    volume = Decimal(volume)
-                    if not volume.is_finite():
-                        raise BoundsError("volumes must be finite, got %s"
-                                          % volume)
-                    if volume <= 0:
-                        raise BoundsError("volumes must be positive, got %s"
-                                          % volume)
+                    volume = _positive(volume, "volumes", "numbers")
                 if key in table:
                     raise BoundsError("duplicate entry for %r" % (key,))
             except BoundsError as exc:
@@ -164,14 +176,11 @@ class VolumeDB:
                                {})[signature] = table[key]
         self.entries = table
         self._columns = columns
-        self.limits = {_normalize_conway(c): Decimal(v)
-                       for c, v in dict(limits).items()}
-        for conway, limit in self.limits.items():
-            if not limit.is_finite():
-                raise BoundsError("volume table limits: the limit for %s "
-                                  "must be finite, got %s" % (conway, limit))
-            if limit <= 0:
-                raise BoundsError("limit volumes must be positive")
+        limits = {_normalize_conway(c): v for c, v in dict(limits).items()}
+        self.limits = {
+            c: _positive(v, "volume table limits: the limit for %s" % c,
+                         "a number")
+            for c, v in limits.items()}
 
     @classmethod
     def from_json_dict(cls, data, provenance="user"):
@@ -546,6 +555,10 @@ def parse_link_spec(data):
     naming the slot or field.  Of the gluing, only the count and shape of
     the slots can be wrong: the templates glued (saucers, squares,
     cylinders) always meet with equal endpoint counts.
+
+    A link lists a few tangles many times, so each distinct string slot
+    is checked once, at its first index, and its repeats share that
+    one SlotSpec.  Object slots are checked one by one.
     """
     if isinstance(data, LinkSpec):
         data = data._asdict()
@@ -589,7 +602,12 @@ def parse_link_spec(data):
         raise BoundsError("slots must be a list, got %r" % (raw_slots,))
 
     slots = []
+    checked = {}  # a plain string slot -> its SlotSpec, once it passed
     for i, raw in enumerate(raw_slots):
+        text = raw if type(raw) is str else None
+        if text in checked:
+            slots.append(checked[text])
+            continue
         if isinstance(raw, str):
             raw = {"conway": raw}
         elif isinstance(raw, SlotSpec):
@@ -621,8 +639,13 @@ def parse_link_spec(data):
         orientation = raw.get("orientation", "standard")
         if not isinstance(orientation, str):
             raise BoundsError("slot %d: orientation must be a string" % i)
-        slots.append(SlotSpec(family, _normalize_conway(conway), orientation,
-                              tuple(signature)))
+        try:
+            conway = _normalize_conway(conway)
+        except BoundsError as exc:
+            raise BoundsError("slot %d: %s" % (i, exc)) from None
+        slots.append(SlotSpec(family, conway, orientation, tuple(signature)))
+        if text is not None:
+            checked[text] = slots[-1]
     slots *= repeat
 
     refusal = shape_refusal(arrangement, len(slots), rows, cols)

@@ -231,6 +231,20 @@ MORE_SPECS = [
                      "ambient": "S3", "slots": ["1/4"] * 4}),
     ("reference-list", {"arrangement": "bracelet", "ambient": "S3",
                         "slots": ["1/4"] * 4, "reference_volume": [1]}),
+    # Strings that repeat, among object slots naming the same tangles
+    # and others.
+    ("lattice-mixed", {"arrangement": "lattice", "ambient": "TxI",
+                       "rows": 4, "cols": 4,
+                       "slots": ["2", {"conway": "2"}, "3", "-2", "2 1",
+                                 {"conway": "-2"}, "2", {"conway": "4"},
+                                 "3", " 2  1", "2", {"conway": "5"},
+                                 "-2", "2", "3", {"conway": "2 1"}]}),
+    ("lattice-uncertified", {"arrangement": "lattice", "ambient": "TxI",
+                             "rows": 2, "cols": 4,
+                             "slots": ["2", "3", "7", "2", "7", "3",
+                                       {"conway": "7"}, "7"]}),
+    ("conway-blank", {"arrangement": "bracelet", "ambient": "S3",
+                      "slots": ["1/3", " - "]}),
 ]
 
 DB_QUERIES = [
@@ -252,6 +266,7 @@ TABLES = {
     "table-empty": {"entries": [], "limits": {}},
     "table-bad": {"entries": [5]},
     "table-bad-limit": {"entries": [], "limits": {"1/4": [1, 2]}},
+    "table-negative-limit": {"entries": [], "limits": {"1/4": "-1"}},
     "table-small": {"entries": [
         {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
          "signature": [2], "volume": "3.5"},

@@ -124,6 +124,36 @@ def test_db_limits_read_as_written():
                          "1/6": Decimal(7)}
 
 
+def test_db_constructor_refusals_name_the_row_or_limit():
+    # Called directly, the constructor leaked a bare InvalidOperation or
+    # ValueError, read the list [0, [1], 0] as 1, and refused a negative
+    # limit without naming it.
+    key = ("reciprocal-saucer", "1/4", "S3", (6,), "standard")
+    row = "volume table row 0: volumes must be "
+    limit = "volume table limits: the limit for 1/4 must be "
+    cases = [
+        ({key: ("abc", "user")}, {}, row + "numbers, got 'abc'"),
+        ({key: ([0, [1], 0], "user")}, {}, row + "numbers, got [0, [1], 0]"),
+        ({key: (True, "user")}, {}, row + "numbers, got True"),
+        ({key: ({}, "user")}, {}, row + "numbers, got {}"),
+        ({key: ("-2", "user")}, {}, row + "positive, got -2"),
+        ({}, {"1/4": "abc"}, limit + "a number, got 'abc'"),
+        ({}, {"1/4": [1, 2]}, limit + "a number, got [1, 2]"),
+        ({}, {"-1/4": (0, (1,), 0)}, limit + "a number, got (0, (1,), 0)"),
+        ({}, {"1/4": "-1"}, limit + "positive, got -1"),
+        ({}, {"1/4": 0}, limit + "positive, got 0"),
+        ({}, {"1/4": Decimal("NaN")}, limit + "finite, got NaN"),
+    ]
+    for entries, limits, message in cases:
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.VolumeDB(entries, limits)
+        assert str(info.value) == message
+    db = bounds.VolumeDB({key: (Decimal("5.5"), "user")},
+                         {"-1/4": 7, "1/5": "6.5"})
+    assert db.query(*key) == Decimal("5.5")
+    assert db.limits == {"1/4": Decimal(7), "1/5": Decimal("6.5")}
+
+
 def test_db_json_round_trip(db):
     again = bounds.VolumeDB.from_json_dict(db.to_json_dict())
     assert again.entries == db.entries
@@ -521,6 +551,9 @@ MALFORMED_SPECS = [
       "reference_volume": ref},
      "reference_volume must be a string or a number, got %r" % (ref,))
     for ref in [[1], {"v": 1}, True]
+] + [
+    ({"arrangement": "bracelet", "ambient": "S3", "slots": ["1/3", " - "]},
+     "slot 1: empty tangle notation"),
 ]
 
 
@@ -1053,6 +1086,71 @@ def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
     assert kinds["report"] > 30
     assert kinds["conway must be a str"] > 100
     assert kinds["signature must be a "] > 100
+
+
+# Strings repeat, an object slot names the same tangle as a string in
+# another orientation, and a SlotSpec slot names a third.
+MIXED_SLOTS = [{"conway": "2", "orientation": "rotated"}, "2", "3", "-2",
+               {"conway": "2"}, " 2  1", "2",
+               bounds.SlotSpec("rational-square", "5", "standard", ()),
+               "3", {"conway": "4"}, "2", {"conway": "2",
+                                          "orientation": "rotated"},
+               "2 1", "-2", "3", "2"]
+ROTATED_ROW = {"family": "rational-square", "conway": "2", "ambient": "TxI",
+               "signature": [2, 2], "orientation": "rotated",
+               "volume": "9.5"}
+
+
+def test_each_distinct_string_slot_is_checked_once(db):
+    table = db.extended([ROTATED_ROW])
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 4,
+            "cols": 4, "slots": MIXED_SLOTS}
+    parsed = bounds.parse_link_spec(spec)
+    # Read independently of the checker: a string is a standard slot of
+    # the lattice's family, an object says what it differs in.
+    expected = []
+    for raw in MIXED_SLOTS:
+        if isinstance(raw, str):
+            raw = {"conway": raw}
+        elif isinstance(raw, bounds.SlotSpec):
+            raw = raw._asdict()
+        expected.append(bounds.SlotSpec(
+            "rational-square", " ".join(raw["conway"].split()).lstrip("- "),
+            raw.get("orientation", "standard"), ()))
+    assert parsed.slots == tuple(expected)
+    for i, j in itertools.combinations(range(len(MIXED_SLOTS)), 2):
+        if isinstance(MIXED_SLOTS[i], str) and MIXED_SLOTS[i] == \
+                MIXED_SLOTS[j]:
+            assert parsed.slots[i] is parsed.slots[j]
+    report = bounds.lower_bound(table, spec)
+    assert report == per_slot_lower_bound(table, spec)
+    volumes = {("2", "standard"): "4.3692852", ("2", "rotated"): "9.5",
+               ("3", "standard"): "6.26446133", ("4", "standard"): "7.37277416",
+               ("5", "standard"): "8.05714498",
+               ("2 1", "standard"): "7.48167784"}
+    assert report.total == sum(Fraction(volumes[s.conway, s.orientation])
+                               for s in expected)
+
+
+def test_a_repeated_bad_string_is_refused_at_its_first_index(db):
+    cases = [
+        ({"arrangement": "lattice", "ambient": "TxI", "rows": 2, "cols": 2,
+          "slots": ["2", " - ", "3", " - "]},
+         bounds.BoundsError, "slot 1: empty tangle notation", None),
+        ({"arrangement": "custom", "ambient": "S3", "slots": [
+            {"family": "rational-square", "conway": "2",
+             "signature": [2, 2]}, "1/4", "1/4"]},
+         bounds.BoundsError, "slot 1 needs an explicit family", None),
+        ({"arrangement": "lattice", "ambient": "TxI", "rows": 2, "cols": 4,
+          "slots": ["2", "3", "7", {"conway": "7"}, "2", "7", "7", "3"]},
+         bounds.UncertifiedTangle, "slot 2 (rational-square 7): ", 2),
+    ]
+    for spec, kind, message, slot in cases:
+        got = outcome(bounds.lower_bound, db, spec)
+        assert got[0] is kind
+        assert got[1].startswith(message)
+        assert got[2] == slot
+        assert got == outcome(per_slot_lower_bound, db, spec)
 
 
 def counting_certifier(monkeypatch):

@@ -769,6 +769,10 @@ def test_reduce_reflected_must_be_a_bool(capsys, tmp_path):
 ] + [
     ({"entries": [], "limits": {"1/4": True}},
      "malformed volume table limits (InvalidOperation)"),
+] + [
+    ({"entries": [], "limits": {"1/4": v}},
+     "volume table limits: the limit for 1/4 must be positive, got %s" % v)
+    for v in ("-1", 0)
 ])
 def test_db_malformed_table_exit_2(capsys, tmp_path, table, message):
     path = write_json(tmp_path / "table.json", table)

@@ -718,6 +718,60 @@ def test_many_unglued_copies_match_without_rescanning(monkeypatch):
     assert result.witness == {(i,): (last - i,) for i in range(last + 1)}
 
 
+def counting_refinements(monkeypatch):
+    refined = []
+    real = pieces._refine_colors
+
+    def refine(complex, base):
+        refined.append(len(complex.copies))
+        return real(complex, base)
+
+    monkeypatch.setattr(pieces, "_refine_colors", refine)
+    return refined
+
+
+def test_a_match_that_never_misses_refines_nothing(monkeypatch):
+    # Every first image propagates, so the template-coloured scan is the
+    # whole search; refinement would leave the witness as it is.
+    sq = square_template("2")
+    for n in (10, 20, 30, 40):
+        a = replicate(sq, (n, n))
+        b = replicate(sq, ReplicantSchedule((n, n), (2, 1)))
+        with monkeypatch.context() as patch:
+            refined = counting_refinements(patch)
+            result = isomorphic(a, b)
+        assert refined == []
+        assert result.isomorphic
+        assert result.witness == first_fit_witness(a, b)
+
+
+def cross_wired(c):
+    """``c`` with its first face-1 and first face-3 gluings trading their
+    second sides."""
+    gluings = list(c.gluings)
+    one = next(k for k, g in enumerate(gluings) if g.a[1] == 1)
+    three = next(k for k, g in enumerate(gluings) if g.a[1] == 3)
+    g1, g3 = gluings[one], gluings[three]
+    gluings[one] = (g1.a, g3.b, g1.pairing)
+    gluings[three] = (g3.a, g1.b, g3.pairing)
+    return GluingComplex(c.copies, gluings)
+
+
+def test_a_near_miss_is_refused_after_one_failed_propagation(monkeypatch):
+    plain = replicate(square_template("2"), (20, 20))
+    crossed = cross_wired(plain)
+    assert [g.pairing for g in crossed.gluings] == \
+        [((1, 1),)] * len(plain.gluings)
+    assert crossed != plain
+    for a, b in ((plain, crossed), (crossed, plain)):
+        with monkeypatch.context() as patch:
+            trials = counting_trials(patch)
+            refined = counting_refinements(patch)
+            assert isomorphic(a, b) == (False, None)
+        assert len(trials) <= 1
+        assert refined == [400, 400]
+
+
 # bracelets
 
 def test_homogeneous_bracelet_is_the_replicant():
