@@ -145,6 +145,18 @@ def _positive(value, what, numbers):
     return number
 
 
+def _unpack(item, size, name, shape):
+    """``item`` as a tuple of ``size`` entries, else a BoundsError saying
+    the ``name`` must be ``shape``."""
+    try:
+        out = tuple(item)
+    except TypeError:
+        out = ()
+    if len(out) != size:
+        raise BoundsError("%s must be %s, got %r" % (name, shape, item))
+    return out
+
+
 class VolumeDB:
     """Immutable volume table plus limit volumes.
 
@@ -161,8 +173,10 @@ class VolumeDB:
         columns = {}
         for i, (key, entry) in enumerate(dict(entries).items()):
             try:
-                key = _key(*key)
-                volume, provenance = entry
+                key = _key(*_unpack(key, 5, "key", "(family, conway, "
+                                    "ambient, signature, orientation)"))
+                volume, provenance = _unpack(entry, 2, "entry",
+                                             "a (volume, provenance) pair")
                 if volume is not NON_HYPERBOLIC:
                     volume = _positive(volume, "volumes", "numbers")
                 if key in table:
@@ -176,11 +190,23 @@ class VolumeDB:
                                {})[signature] = table[key]
         self.entries = table
         self._columns = columns
-        limits = {_normalize_conway(c): v for c, v in dict(limits).items()}
+        limits = dict(limits)
+        named = {}  # normalised tangle -> the limit key first naming it
+        for c in limits:
+            try:
+                tangle = _normalize_conway(c)
+            except BoundsError:
+                raise BoundsError("volume table limits: the limit key %r "
+                                  "names no tangle" % (c,)) from None
+            if tangle in named:
+                raise BoundsError(
+                    "volume table limits: %r and %r both give the limit "
+                    "for %s" % (named[tangle], c, tangle))
+            named[tangle] = c
         self.limits = {
-            c: _positive(v, "volume table limits: the limit for %s" % c,
-                         "a number")
-            for c, v in limits.items()}
+            tangle: _positive(limits[c], "volume table limits: the limit "
+                              "for %s" % tangle, "a number")
+            for tangle, c in named.items()}
 
     @classmethod
     def from_json_dict(cls, data, provenance="user"):

@@ -204,34 +204,43 @@ class ValidationReport(NamedTuple):
     parts: tuple
 
 
-def _two_colour(adj):
-    """Breadth-first two-colouring of the adjacency list ``adj``.
+def _two_colour(first, after, host):
+    """Breadth-first two-colouring of a graph given by its darts.
 
-    ``adj[i]`` lists the neighbours of vertex i, all in range(len(adj)).
-    Roots are taken in order, one component after another, and neighbours
-    in ``adj`` order.  Returns the list of colours (0 or 1), the size of
-    the first component, and ``odd``: None on a bipartite graph, otherwise
-    the first vertex found on an edge whose ends share a colour (a loop
-    counts).  The traversal keeps going past that vertex.
+    Dart d sits at vertex host[d], and d ^ 1 is the other end of its
+    edge, so d leads to the neighbour host[d ^ 1].  The darts at vertex i
+    form the chain first[i], after[first[i]], ..., which ends at -1 or
+    where it comes back to first[i]; first[i] is -1 at a vertex with no
+    darts.  Roots are taken in order, one component after another, and
+    neighbours in chain order.  Returns the list of colours (0 or 1), the
+    size of the first component, and ``odd``: None on a bipartite graph,
+    otherwise the first vertex found on an edge whose ends share a colour
+    (a loop counts).  The traversal keeps going past that vertex.
     """
-    colour = [-1] * len(adj)
-    first = 0
+    colour = [-1] * len(first)
+    reached = 0
     odd = None
-    for root in range(len(adj)):
+    for root in range(len(first)):
         if colour[root] >= 0:
             continue
         colour[root] = 0
         queue = [root]
         for u in queue:
-            for w in adj[u]:
+            c = colour[u]
+            start = d = first[u]
+            while d >= 0:
+                w = host[d ^ 1]
                 if colour[w] < 0:
-                    colour[w] = 1 - colour[u]
+                    colour[w] = 1 - c
                     queue.append(w)
-                elif odd is None and colour[w] == colour[u]:
+                elif odd is None and colour[w] == c:
                     odd = w
-        if not first:
-            first = len(queue)
-    return colour, first, odd
+                d = after[d]
+                if d == start:
+                    break
+        if not reached:
+            reached = len(queue)
+    return colour, reached, odd
 
 
 def validate_reflection_graph(graph):
@@ -244,8 +253,12 @@ def validate_reflection_graph(graph):
     vertex, which is the same as the edge orbits ("classes") numbering
     exactly the valence, and |G| must not exceed repvol.COPY_LIMIT.
     Every check reads vertex positions; each reflection is read once into
-    ``perm``, perm[i] the position of vertex i's image, for every axiom
-    and the class search.  Labels return in refusals and the report.
+    ``perm``, perm[i] the position of vertex i's image.  Each distinct
+    perm is checked once: the edge-preservation check keeps what it
+    looks up, ``image``, image[k] the position of edge k's image, and a
+    reflection whose perm was seen before passes those checks as that
+    one did, so only its mapping size and its tags are checked again.
+    Labels return in refusals and the report.
 
     The group is not listed.  Once every edge is tagged, each edge is
     transposed by a generator, so on a connected graph G is transitive
@@ -258,7 +271,8 @@ def validate_reflection_graph(graph):
     tagged reflection, and is that reflection; either way the edge comes
     back to itself, so each class meets v once.  A free transitive action
     has |G| = n, and the stage is a breadth-first search for the classes
-    over the generators, O(n * generators).  Stabilizers are conjugate
+    that reads image[k] of each distinct generator for each edge k, with
+    no vertex pair looked up again.  Stabilizers are conjugate
     under a transitive action, so a refusal names the first vertex.  The
     report is cached on the instance and returned on later calls without
     rechecking.
@@ -272,21 +286,28 @@ def validate_reflection_graph(graph):
     n = len(vertices)
 
     ends = [(pos[u], pos[v]) for u, v in graph.edges]
-    adj = [[] for _ in vertices]
+    host = []   # edge k's ends are the darts 2k and 2k + 1
     for a, b in ends:
         if a == b:
             raise NotBipartite("loop at %r" % (vertices[a],))
-        adj[a].append(b)
-        adj[b].append(a)
+        host += (a, b)
+    first = [-1] * n
+    after = [-1] * len(host)
+    degree = [0] * n
+    for d in range(len(host) - 1, -1, -1):
+        v = host[d]
+        after[d] = first[v]
+        first[v] = d
+        degree[v] += 1
 
-    color, reached, odd = _two_colour(adj)
+    color, reached, odd = _two_colour(first, after, host)
     if odd is not None:
         raise NotBipartite("odd cycle through %r" % (vertices[odd],))
     if reached != n:
         raise NotConnected("%d of %d vertices reachable from %r"
                            % (reached, n, vertices[0]))
 
-    degrees = {len(nbrs) for nbrs in adj}
+    degrees = set(degree)
     if len(degrees) != 1:
         raise NotRegular("valences %s" % sorted(degrees))
     valence = degrees.pop()
@@ -295,29 +316,36 @@ def validate_reflection_graph(graph):
 
     edge_index = {e: k for k, e in enumerate(ends)}
     tagged = bytearray(len(ends))
-    perms = set()
+    images = {}     # perm -> image[k], the position of edge k's image
     for idx, refl in enumerate(graph.reflections):
         mapping = refl.mapping
         try:    # a vertex left out, or an image that is no vertex
             perm = tuple([pos[mapping[v]] for v in vertices])
         except (KeyError, TypeError):
             perm = ()
-        if len(mapping) != n or len(set(perm)) != n:
+        seen = perm in images
+        if len(mapping) != n or not seen and len(set(perm)) != n:
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
-        for a, b in enumerate(perm):
-            if perm[b] != a:
-                raise BadReflection("reflection %d is not an involution" % idx)
-            if color[b] == color[a]:
-                raise BadReflection(
-                    "reflection %d keeps %r on its own side"
-                    % (idx, vertices[a]))
-        for k, (a, b) in enumerate(ends):
-            x, y = perm[a], perm[b]
-            if ((x, y) if x < y else (y, x)) not in edge_index:
-                raise BadReflection(
-                    "reflection %d does not preserve the edge %r"
-                    % (idx, graph.edges[k]))
+        if not seen:
+            for a, b in enumerate(perm):
+                if perm[b] != a:
+                    raise BadReflection(
+                        "reflection %d is not an involution" % idx)
+                if color[b] == color[a]:
+                    raise BadReflection(
+                        "reflection %d keeps %r on its own side"
+                        % (idx, vertices[a]))
+            image = []
+            for k, (a, b) in enumerate(ends):
+                x, y = perm[a], perm[b]
+                j = edge_index.get((x, y) if x < y else (y, x))
+                if j is None:
+                    raise BadReflection(
+                        "reflection %d does not preserve the edge %r"
+                        % (idx, graph.edges[k]))
+                image.append(j)
+            images[perm] = image
         if not refl.swaps:
             raise BadReflection("reflection %d is tagged with no edge" % idx)
         for swap in refl.swaps:
@@ -333,13 +361,12 @@ def validate_reflection_graph(graph):
                     "reflection %d does not transpose its tagged edge %r"
                     % (idx, swap))
             tagged[k] = 1
-        perms.add(perm)
 
     if 0 in tagged:
         raise BadReflection("edge %r has no distinguished reflection"
                             % (graph.edges[tagged.index(0)],))
 
-    generators = sorted(perms)
+    generators = list(images.values())
     class_of = [None] * len(ends)
     classes = []
     for start in range(len(ends)):
@@ -348,10 +375,8 @@ def validate_reflection_graph(graph):
         class_of[start] = len(classes)
         members = [start]
         for k in members:
-            a, b = ends[k]
-            for gen in generators:
-                x, y = gen[a], gen[b]
-                j = edge_index[(x, y) if x < y else (y, x)]
+            for image in generators:
+                j = image[k]
                 if class_of[j] is None:
                     class_of[j] = len(classes)
                     members.append(j)
@@ -700,13 +725,16 @@ def _faces(edges, rotation):
     Works on integer darts: end (e, s) is dart 2e + s, so d ^ 1 is the
     other end of d's edge.  One pass over ``rotation`` unpacks each end
     once and records ``host``, the position of the vertex holding each
-    end, ``after``, the end that follows it at that vertex, and each
-    vertex's ring of darts.  The face after dart d goes on with
+    end, ``after``, the end that follows it at that vertex, and
+    ``first``, the first end listed at each vertex (-1 if none).  A
+    vertex's ring is its ``after`` chain from ``first``; no container is
+    built per vertex, so a large system gives the collector no
+    per-vertex objects to promote.  The face after dart d goes on with
     after[d ^ 1]; 2e + s sorts as (e, s) does, so tracing from each
     untraced dart in turn meets the faces in the order of their least
-    dart.  The rings, d read as host[d ^ 1], are the adjacency lists of
-    the two-colouring.  An end whose edge or side is not a plain int is
-    refused by name, so 0.9 is not read as edge 0, nor True as side 1.
+    dart.  The two-colouring walks the same chains.  An end whose edge
+    or side is not a plain int is refused by name, so 0.9 is not read as
+    edge 0, nor True as side 1.
     """
     try:
         # a tuple pair is kept, not copied: a large system holds many
@@ -722,12 +750,12 @@ def _faces(edges, rotation):
     host = [-1] * (2 * m)
     after = [0] * (2 * m)
     pairs = [None] * (2 * m)
-    rings = []
+    first = [-1] * len(rotation)
     for i, (v, ends) in enumerate(rotation.items()):
         if not isinstance(ends, (list, tuple)):
             raise IncompleteRotation(
                 "the rotation at %r is not a list of edge ends" % (v,))
-        ring = []
+        head = prev = -1
         for end in ends:
             try:
                 e, s = end
@@ -748,10 +776,14 @@ def _faces(edges, rotation):
                     "end (%d, %d) appears more than once" % (e, s))
             host[d] = i
             pairs[d] = end if type(end) is tuple else (e, s)
-            ring.append(d)
-        for j, d in enumerate(ring):
-            after[ring[j - 1]] = d
-        rings.append(ring)
+            if prev < 0:
+                head = d
+            else:
+                after[prev] = d
+            prev = d
+        if head >= 0:
+            after[prev] = head
+            first[i] = head
     if -1 in host:
         e, s = divmod(host.index(-1), 2)
         raise IncompleteRotation(
@@ -774,11 +806,7 @@ def _faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - m + len(faces)
 
-    # tuples, not lists: the collector stops tracking a tuple of ints, so
-    # a large system adds little to its later passes
-    for i, ring in enumerate(rings):
-        rings[i] = tuple([host[d ^ 1] for d in ring])
-    _, reached, odd = _two_colour(rings)
+    _, reached, odd = _two_colour(first, after, host)
     if odd is None and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"

@@ -47,6 +47,17 @@ def cycle_graph(size, untagged=False):
             "reflections": reflections, "ambient": "S3"}
 
 
+def cycle_graph_repeating(size, swaps=None):
+    """``cycle_graph(size)`` with its first reflection listed again, tagged
+    with ``swaps``, or with its own tags if None."""
+    data = cycle_graph(size)
+    first = data["reflections"][0]
+    data["reflections"].append({
+        "mapping": first["mapping"],
+        "swaps": first["swaps"] if swaps is None else swaps})
+    return data
+
+
 def lattice_graph(rows, cols):
     """The JSON of the torus grid with its row and column reflections;
     vertices are [i, j] pairs, read back as tuples."""
@@ -267,6 +278,9 @@ TABLES = {
     "table-bad": {"entries": [5]},
     "table-bad-limit": {"entries": [], "limits": {"1/4": [1, 2]}},
     "table-negative-limit": {"entries": [], "limits": {"1/4": "-1"}},
+    "table-limit-twice": {"entries": [],
+                          "limits": {"1/4": "-1", "-1/4": "7"}},
+    "table-empty-limit": {"entries": [], "limits": {" - ": "7"}},
     "table-small": {"entries": [
         {"family": "reciprocal-saucer", "conway": "1/4", "ambient": "S3",
          "signature": [2], "volume": "3.5"},
@@ -347,6 +361,9 @@ def build_fixtures(root):
 
     graphs = {"c4": cycle_graph(4), "c6": cycle_graph(6), "c8": cycle_graph(8),
               "untagged": cycle_graph(6, untagged=True),
+              "c6-repeat": cycle_graph_repeating(6),
+              "c6-repeat-tag-no-edge": cycle_graph_repeating(6, [[0, 2]]),
+              "c6-repeat-tag-kept": cycle_graph_repeating(6, [[1, 2]]),
               "shapeless": {"vertices": 3}, "empty": {"vertices": [],
                                                       "edges": [],
                                                       "reflections": []},

@@ -154,6 +154,52 @@ def test_db_constructor_refusals_name_the_row_or_limit():
     assert db.limits == {"1/4": Decimal(7), "1/5": Decimal("6.5")}
 
 
+def test_db_refuses_malformed_keys_and_entries_by_row():
+    # a key of the wrong length or shape leaked a bare TypeError, an entry
+    # that is no pair a bare ValueError or TypeError
+    key = ("reciprocal-saucer", "1/4", "S3", (6,), "standard")
+    shape = ("volume table row 1: key must be (family, conway, ambient, "
+             "signature, orientation), got ")
+    pair = "volume table row 1: entry must be a (volume, provenance) pair, "
+    other = ("reciprocal-saucer", "1/5", "S3", (6,), "standard")
+    cases = [
+        (other[:4], ("1.0", "user"), shape + repr(other[:4])),
+        (other + ("x",), ("1.0", "user"), shape + repr(other + ("x",))),
+        (5, ("1.0", "user"), shape + "5"),
+        (other, ("1.0", "user", "extra"),
+         pair + "got ('1.0', 'user', 'extra')"),
+        (other, ("1.0",), pair + "got ('1.0',)"),
+        (other, 7, pair + "got 7"),
+    ]
+    for second, entry, message in cases:
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.VolumeDB({key: ("1.0", "user"), second: entry}, {})
+        assert str(info.value) == message
+
+
+def test_db_refuses_limits_naming_one_tangle_or_none():
+    # "-1/4" normalises to "1/4": the last value won, so the negative
+    # limit was never checked; an empty key named no limit in its refusal
+    both = ("volume table limits: '1/4' and '-1/4' both give the limit "
+            "for 1/4")
+    cases = [
+        ({"1/4": "-1", "-1/4": "7"}, both),
+        ({"1/4": "7", "-1/4": "7"}, both),
+        ({"1/5": "6", " 1/4": "7", "- -1/4": "8"},
+         "volume table limits: ' 1/4' and '- -1/4' both give the limit "
+         "for 1/4"),
+        ({" - ": "7"}, "volume table limits: the limit key ' - ' names no "
+         "tangle"),
+    ]
+    for limits, message in cases:
+        for load in (lambda: bounds.VolumeDB({}, limits),
+                     lambda: bounds.VolumeDB.from_json_dict(
+                         {"entries": [], "limits": limits})):
+            with pytest.raises(bounds.BoundsError) as info:
+                load()
+            assert str(info.value) == message
+
+
 def test_db_json_round_trip(db):
     again = bounds.VolumeDB.from_json_dict(db.to_json_dict())
     assert again.entries == db.entries

@@ -198,6 +198,45 @@ def test_cube_and_k33_validate():
     assert len(report.edge_classes) == 3
 
 
+def test_a_mapping_listed_twice_validates_as_listed_once():
+    # a permutation seen before is not checked again and adds no
+    # generator, whatever subset of its edges the repeat is tagged with
+    for g in (cycle_reflection_graph(8), lattice_reflection_graph(4, 6),
+              cube_reflection_graph(), k33_reflection_graph()):
+        expected = validate_reflection_graph(g)
+        listed = list(g.reflections)
+        for k, refl in enumerate(listed):
+            for swaps in (refl.swaps, refl.swaps[-1:]):
+                repeat = Reflection(refl.mapping, swaps)
+                for where in (k, k + 1, len(listed)):
+                    twice = ReflectionGraph(
+                        g.vertices, g.edges,
+                        listed[:where] + [repeat] + listed[where:])
+                    assert validate_reflection_graph(twice) == expected
+
+
+def test_a_repeated_mapping_has_its_own_tags_checked():
+    g = cycle_reflection_graph(8)
+    first = g.reflections[0]   # v -> 1 - v, tagged (0, 1) and (4, 5)
+    extra = dict(first.mapping, stray=0)
+    cases = [
+        (Reflection(first.mapping, [(0, 2)]),
+         "reflection 4 tags (0, 2), which is not an edge"),
+        (Reflection(first.mapping, [(0, 1), (1, 2)]),
+         "reflection 4 does not transpose its tagged edge (1, 2)"),
+        (Reflection(first.mapping, []),
+         "reflection 4 is tagged with no edge"),
+        (Reflection(extra, first.swaps),
+         "reflection 4 is not a permutation of the vertex set"),
+    ]
+    for repeat, message in cases:
+        bad = ReflectionGraph(g.vertices, g.edges,
+                              list(g.reflections) + [repeat])
+        with pytest.raises(BadReflection) as info:
+            validate_reflection_graph(bad)
+        assert str(info.value) == message
+
+
 def test_c5_not_bipartite():
     g = ReflectionGraph(range(5), [(v, (v + 1) % 5) for v in range(5)], [])
     with pytest.raises(NotBipartite):
@@ -1000,20 +1039,36 @@ def reference_faces(edges, rotation):
     lengths = Counter(len(f) for f in faces)
     euler = len(rotation) - len(edges) + len(faces)
 
-    index = {v: i for i, v in enumerate(rotation)}
-    adj = [[] for _ in rotation]
+    # a plain breadth-first two-colouring on labels, shared with nothing
+    # in the module under test
+    adj = {v: [] for v in rotation}
     for u, v in edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    _, reached, odd = graphs_module._two_colour(adj)
-    if odd is None and any(k % 2 for k in lengths):
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = {}
+    bipartite = True
+    reached = 0
+    for root in rotation:
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    bipartite = False
+        reached = reached or len(queue)
+    if bipartite and any(k % 2 for k in lengths):
         raise InvariantViolation(
             "odd face lengths %s on a bipartite graph"
             % sorted(k for k in lengths if k % 2))
 
     return graphs_module.FaceReport(
         tuple(faces), tuple(sorted(lengths.items())), euler,
-        odd is None), reached
+        bipartite), reached
 
 
 def random_rotation_system(rng):
