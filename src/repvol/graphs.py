@@ -253,12 +253,10 @@ def validate_reflection_graph(graph):
     vertex, which is the same as the edge orbits ("classes") numbering
     exactly the valence, and |G| must not exceed repvol.COPY_LIMIT.
     Every check reads vertex positions; each reflection is read once into
-    ``perm``, perm[i] the position of vertex i's image.  Each distinct
-    perm is checked once: the edge-preservation check keeps what it
-    looks up, ``image``, image[k] the position of edge k's image, and a
-    reflection whose perm was seen before passes those checks as that
-    one did, so only its mapping size and its tags are checked again.
-    Labels return in refusals and the report.
+    ``perm``, perm[i] the position of vertex i's image.  The
+    edge-preservation check keeps what it looks up, ``image``, image[k]
+    the position of edge k's image, once per distinct perm.  Labels
+    return in refusals and the report.
 
     The group is not listed.  Once every edge is tagged, each edge is
     transposed by a generator, so on a connected graph G is transitive
@@ -323,29 +321,27 @@ def validate_reflection_graph(graph):
             perm = tuple([pos[mapping[v]] for v in vertices])
         except (KeyError, TypeError):
             perm = ()
-        seen = perm in images
-        if len(mapping) != n or not seen and len(set(perm)) != n:
+        if len(mapping) != n or len(set(perm)) != n:
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
-        if not seen:
-            for a, b in enumerate(perm):
-                if perm[b] != a:
-                    raise BadReflection(
-                        "reflection %d is not an involution" % idx)
-                if color[b] == color[a]:
-                    raise BadReflection(
-                        "reflection %d keeps %r on its own side"
-                        % (idx, vertices[a]))
-            image = []
-            for k, (a, b) in enumerate(ends):
-                x, y = perm[a], perm[b]
-                j = edge_index.get((x, y) if x < y else (y, x))
-                if j is None:
-                    raise BadReflection(
-                        "reflection %d does not preserve the edge %r"
-                        % (idx, graph.edges[k]))
-                image.append(j)
-            images[perm] = image
+        for a, b in enumerate(perm):
+            if perm[b] != a:
+                raise BadReflection(
+                    "reflection %d is not an involution" % idx)
+            if color[b] == color[a]:
+                raise BadReflection(
+                    "reflection %d keeps %r on its own side"
+                    % (idx, vertices[a]))
+        image = []
+        for k, (a, b) in enumerate(ends):
+            x, y = perm[a], perm[b]
+            j = edge_index.get((x, y) if x < y else (y, x))
+            if j is None:
+                raise BadReflection(
+                    "reflection %d does not preserve the edge %r"
+                    % (idx, graph.edges[k]))
+            image.append(j)
+        images[perm] = image
         if not refl.swaps:
             raise BadReflection("reflection %d is tagged with no edge" % idx)
         for swap in refl.swaps:

@@ -199,8 +199,8 @@ def test_cube_and_k33_validate():
 
 
 def test_a_mapping_listed_twice_validates_as_listed_once():
-    # a permutation seen before is not checked again and adds no
-    # generator, whatever subset of its edges the repeat is tagged with
+    # a repeated permutation adds no generator, whatever subset of its
+    # edges the repeat is tagged with
     for g in (cycle_reflection_graph(8), lattice_reflection_graph(4, 6),
               cube_reflection_graph(), k33_reflection_graph()):
         expected = validate_reflection_graph(g)
