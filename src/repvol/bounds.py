@@ -21,8 +21,7 @@ Totals are computed as exact Fractions and rendered fixed-point.
 """
 
 import json
-from collections import Counter
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
@@ -520,17 +519,14 @@ class BoundReport(NamedTuple):
 
 
 def format_fixed(value, places=8):
-    """Render a Fraction or Decimal fixed-point, banker's rounding."""
+    """Render a Fraction or Decimal fixed-point, banker's rounding.
+
+    The rounding is exact at any size: round() of a Fraction rounds half
+    to even, and a Decimal read from a string keeps every digit."""
     if not 1 <= places <= 12:
         raise BoundsError("places must be within 1..12")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        if isinstance(value, Fraction):
-            value = Decimal(value.numerator) / Decimal(value.denominator)
-        else:
-            value = Decimal(value)
-        return str(value.quantize(Decimal(1).scaleb(-places),
-                                  rounding=ROUND_HALF_EVEN))
+    scaled = round(Fraction(value) * 10 ** places)
+    return str(Decimal("%dE-%d" % (scaled, places)))
 
 
 class SlotSpec(NamedTuple):
@@ -734,26 +730,30 @@ def lower_bound(db, spec, comparisons=()):
     tangle's database key, so a reflected slot needs no separate row.
 
     Each distinct (slot, demand) is certified and looked up once, into
-    one Term that every slot repeating it shares.  Terms stay in slot
+    one Term that every slot repeating it shares, and the total adds
+    each distinct volume times its slot count.  Terms stay in slot
     order, and a refusal names the first failing slot.
     """
     spec = parse_link_spec(spec)
     rule, demands = _demanded_signatures(spec)
 
-    known = {}  # (slot, demand) -> its Term
+    known = {}  # (slot, demand) -> [its Term, how many slots share it]
     terms = []
     for i, key in enumerate(zip(spec.slots, demands)):
-        if key not in known:
+        shared = known.get(key)
+        if shared is None:
             slot, demand = key
             ref = TangleRef(slot.family, slot.conway, spec.ambient,
                             slot.orientation)
             verdict, entry = _certified_entry(db, ref, demand, "slot %d" % i,
                                               slot=i)
-            known[key] = Term(slot.family, slot.conway, demand, entry.volume,
-                              entry.provenance, verdict.basis)
-        terms.append(known[key])
-    total = sum((Fraction(t.volume) * count
-                 for t, count in Counter(terms).items()), Fraction(0))
+            shared = known[key] = [
+                Term(slot.family, slot.conway, demand, entry.volume,
+                     entry.provenance, verdict.basis), 0]
+        shared[1] += 1
+        terms.append(shared[0])
+    total = sum((Fraction(t.volume) * count for t, count in known.values()),
+                Fraction(0))
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
                        tuple(comparisons), spec.reference_volume)
@@ -886,15 +886,18 @@ def classical_bounds(twist_number, category):
                              % t)
     if category not in ("alternating", "montesinos"):
         raise BoundsError("unknown category %r" % (category,))
-    out = [
-        ClassicalBound("alternating-twist lower", "lower",
-                       V_OCT * (t - 2) / 2),
-        ClassicalBound("alternating-twist upper", "upper",
-                       10 * V_TET * (t - 1)),
-    ]
-    if category == "montesinos":
-        out.append(ClassicalBound("montesinos-family lower", "lower",
-                                  V_OCT * t / 2))
+    with localcontext() as ctx:
+        # digits enough for t times a constant, halved: nothing rounds
+        ctx.prec = t.bit_length() // 3 + 12
+        out = [
+            ClassicalBound("alternating-twist lower", "lower",
+                           V_OCT * (t - 2) / 2),
+            ClassicalBound("alternating-twist upper", "upper",
+                           10 * V_TET * (t - 1)),
+        ]
+        if category == "montesinos":
+            out.append(ClassicalBound("montesinos-family lower", "lower",
+                                      V_OCT * t / 2))
     return out
 
 

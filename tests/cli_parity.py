@@ -1,32 +1,38 @@
-"""Compare the repvol command line of two source trees, byte for byte.
+"""The repvol command line's fixtures, and the digests of what it prints.
 
-    python3 tests/cli_parity.py OLD_SRC NEW_SRC [--show N]
+    python3 tests/cli_parity.py
 
-Each ``*_SRC`` is a directory holding the ``repvol`` package, such as the
-``src`` directory of two checkouts.  The script writes its input files to
-a temporary directory, then runs every command once against each tree,
-one fresh ``python -m repvol.cli`` process at a time, and compares
-stdout, stderr and the exit code.  The commands cover every subcommand
-and output format, every arrangement in every ambient at the sizes
-around its shape rule, each refusal class and exit code, and batch
-directories.  It prints each command that differs (the first ``N``
-with their outputs) and exits 1 if any does, else 0.
+writes ``tests/cli_digests.txt``: one line per command that
+``build_fixtures`` returns, holding its argv, its exit code and the
+SHA-256 of its stdout and of its stderr.  The commands cover every
+subcommand and output format, every arrangement in every ambient at the
+sizes around its shape rule, each refusal class and exit code, and batch
+directories.  ``tests/test_cli.py`` replays every command through
+``replay`` and compares the lines with the file, so any byte the command
+line prints differently fails the tier-1 suite.  When an output change
+is intended, rerun this script and name each command whose line moved.
 
-Each process runs with a 1 GB address-space limit and a time limit, so a
-tree that tries to build an oversized input fails instead of exhausting
-the host.  Standard library only; pytest does not collect this file.
+Each command runs in-process through ``repvol.cli.main``, from the
+directory holding the fixtures, with ``RV_DB`` unset and argparse
+wrapping at 80 columns, as in a fresh process writing to a pipe.  A
+command that lets an exception escape ``main`` stops the run with its
+name: a traceback is never a recorded output.  Standard library only;
+pytest does not collect this file.
 """
 
-import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
-import resource
-import subprocess
 import sys
 import tempfile
+from pathlib import Path
+from unittest import mock
 
-MEMORY_LIMIT = 1 << 30
-TIME_LIMIT = 120
+DIGESTS = Path(__file__).resolve().with_name("cli_digests.txt")
+HEADER = ("# argv | exit code | SHA-256 of stdout | SHA-256 of stderr; "
+          "written by\n# tests/cli_parity.py, replayed by test_cli.py\n")
 AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 FORMATS = ("plain", "json", "markdown")
 
@@ -126,6 +132,9 @@ TEMPLATES = {
     "saucer": SAUCER,
     "square": SQUARE,
     "cylinder": CYLINDER,
+    "cylinder-3": template("cylinder 3", [[1, 2, 3], [1, 2, 3]],
+                           [[[1, 1], [2, 1]], [[1, 2], [2, 2]],
+                            [[1, 3], [2, 3]]], interfaces=[1]),
     "boundary": dict(SAUCER, free_boundary=[0, 1], closed_components=2,
                      interfaces=[3]),
     "unmatched": template("x", [[1, 2]], []),
@@ -145,6 +154,7 @@ SCHEDULES = {
     "square": ["2,2", "2,4", "4,6", "2", "2,3", "2,100000000000000000000",
                "1000,1002"],
     "cylinder": ["2", "8"],
+    "cylinder-3": ["4"],
     "boundary": ["4"],
 }
 
@@ -340,7 +350,10 @@ def build_fixtures(root):
     for extra in (["--compare", "t=6"], ["--compare", "t=2", "--compare",
                                          "t=9"], ["--compare", "t=1"],
                   ["--compare", "six"], ["--precision", "3"],
-                  ["--precision", "12", "--format", "json"]):
+                  ["--precision", "12", "--format", "json"],
+                  ["--compare", "t=%d" % 10 ** 20],
+                  ["--compare", "t=%d" % 10 ** 41],
+                  ["--precision", "12", "--compare", "t=%d" % 10 ** 38]):
         commands.append(["bound", "spec-bracelet6.json"] + extra)
     batches = {"batch-mixed": [name for name, _ in specs[:40:3]]
                + ["bracelet6", "uncertified", "mystery", "lattice-huge"],
@@ -413,67 +426,43 @@ def build_fixtures(root):
     return commands
 
 
-def limit_resources():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+def digest(argv):
+    """Run ``repvol argv`` in-process: (digest line, stdout, stderr)."""
+    from repvol import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses with exit code 2
+            code = exc.code
+        except Exception as exc:
+            raise RuntimeError("repvol %s let %s escape"
+                               % (" ".join(argv), type(exc).__name__)) \
+                from exc
+    out, err = out.getvalue(), err.getvalue()
+    line = " | ".join([json.dumps(argv), str(code)]
+                      + [hashlib.sha256(text.encode()).hexdigest()
+                         for text in (out, err)])
+    return line, out, err
 
 
-def run(src, argv, cwd):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-               PYTHONDONTWRITEBYTECODE="1")
-    env.pop("RV_DB", None)
-    try:
-        done = subprocess.run([sys.executable, "-m", "repvol.cli"] + argv,
-                              cwd=cwd, env=env, capture_output=True,
-                              timeout=TIME_LIMIT, preexec_fn=limit_resources)
-    except subprocess.TimeoutExpired:
-        return ("", "", "timeout after %d s" % TIME_LIMIT)
-    return (done.stdout.decode(errors="replace"),
-            done.stderr.decode(errors="replace"), done.returncode)
-
-
-def clip(text, lines=6):
-    parts = text.splitlines()
-    more = len(parts) - lines
-    return "\n".join(parts[:lines] + (["... %d more lines" % more]
-                                      if more > 0 else []))
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
-    parser.add_argument("--show", type=int, default=20, metavar="N",
-                        help="print the outputs of the first N differences")
-    args = parser.parse_args(argv)
-    for src in (args.old_src, args.new_src):
-        if not os.path.isdir(os.path.join(src, "repvol")):
-            parser.error("no repvol package under %s" % src)
-
-    with tempfile.TemporaryDirectory(prefix="repvol-parity-") as root:
-        commands = build_fixtures(root)
-        differ = []
-        for argv in commands:
-            old = run(args.old_src, argv, root)
-            new = run(args.new_src, argv, root)
-            if old != new:
-                differ.append((argv, old, new))
-
-    codes = {}
-    for argv, old, new in differ:
-        codes[old[2], new[2]] = codes.get((old[2], new[2]), 0) + 1
-    for i, (argv, old, new) in enumerate(differ):
-        print("DIFFERS: repvol %s" % " ".join(argv))
-        if i < args.show:
-            for side, (out, err, code) in (("old", old), ("new", new)):
-                print("  %s exit %s\n  stdout: %s\n  stderr: %s"
-                      % (side, code, clip(out).replace("\n", "\n    "),
-                         clip(err).replace("\n", "\n    ")))
-    print("%d commands, %d identical, %d differ%s"
-          % (len(commands), len(commands) - len(differ), len(differ),
-             "".join("; exit %s -> %s: %d" % (a, b, n)
-                     for (a, b), n in sorted(codes.items(), key=str))))
-    return 1 if differ else 0
+def replay(root):
+    """Write the fixtures under root and run each command from there:
+    a list of (argv, digest line, stdout, stderr)."""
+    commands = build_fixtures(root)
+    cwd = os.getcwd()
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        os.environ.pop("RV_DB", None)
+        os.chdir(root)
+        try:
+            return [(argv,) + digest(argv) for argv in commands]
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.path.append(str(DIGESTS.parent.parent / "src"))
+    with tempfile.TemporaryDirectory(prefix="repvol-digests-") as root:
+        lines = [line for _, line, _, _ in replay(root)]
+    DIGESTS.write_text(HEADER + "".join(line + "\n" for line in lines))
+    print("%d commands written to %s" % (len(lines), DIGESTS))

@@ -866,6 +866,18 @@ def test_classical_degenerate_and_bad():
                                    % (t,))
 
 
+def test_classical_bounds_are_exact_at_any_twist_number():
+    for t in (10 ** 20, 10 ** 38, 10 ** 41):
+        values = [c.value for c in bounds.classical_bounds(t, "montesinos")]
+        assert values == [Fraction(bounds.V_OCT) * (t - 2) / 2,
+                          10 * Fraction(bounds.V_TET) * (t - 1),
+                          Fraction(bounds.V_OCT) * t / 2]
+    # the 28-digit default context gave 183193118999999999996.33613760
+    lower = bounds.classical_bounds(10 ** 20, "alternating")[0]
+    assert bounds.format_fixed(lower.value) \
+        == "183193118999999999996.33613762"
+
+
 def test_limit_check_shipped_clean(db):
     assert bounds.limit_check(db) == []
 
@@ -915,6 +927,11 @@ def test_format_fixed():
     assert bounds.format_fixed(Fraction(1, 3), 4) == "0.3333"
     assert bounds.format_fixed(Decimal("0.125"), 2) == "0.12"
     assert bounds.format_fixed(Decimal("0.135"), 2) == "0.14"
+    # exact at any size, past the digits of any fixed precision
+    assert bounds.format_fixed(Fraction(10 ** 60, 3), 12) \
+        == "3" * 60 + "." + "3" * 12
+    assert bounds.format_fixed(Decimal("1E+50") + Decimal("0.5E-12"), 12) \
+        == "1" + "0" * 50 + "." + "0" * 12
     for places in (0, 13):
         with pytest.raises(bounds.BoundsError):
             bounds.format_fixed(Fraction(1, 3), places)

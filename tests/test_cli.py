@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +9,8 @@ import pytest
 
 import repvol
 from repvol import bounds, cli, graphs, pieces, words
+
+import cli_parity
 
 V4_INDICES = "1,1,1,1,1,1,1,1,2,2"
 
@@ -197,58 +198,26 @@ def test_reduce_json_deterministic(capsys):
     assert data["certificate"]["coefficients"] == data["coefficients"]
 
 
-@pytest.mark.parametrize("fmt, digest", [
-    ("plain",
-     "56bee77c2ed61037da128331847c3f5e64f7931e3bab0c8eafad4c71c9acbdd5"),
-    ("json",
-     "7e0cb81334d95c272e0c85eb3531ad7bc9282510931cb247695454d623793a7f"),
-    ("markdown",
-     "a23b4f9e1c8bef1207251a3d993f213f629e4bf21ce1129d19899a4cf3f81b4f"),
-])
-def test_reduce_certificate_output_is_pinned(capsys, fmt, digest):
-    # SHA-256 of stdout, fixed so that certificate output cannot drift
-    code, out, _ = run(capsys, ["--format", fmt, "reduce", "--order", "10",
-                                "--indices", V4_INDICES, "--certificate"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("template, argv, digest", [
-    (pieces.square_template("2"), ["replicate", "{}", "--schedule", "2,4"],
-     "734e1dd8ef55949be0008bd1037a594d79c37c0868a3ebfb3440d0ff629f413e"),
-    (pieces.cylindrical_template("3", 3), ["replicate", "{}", "--schedule",
-                                           "4"],
-     "a423e4a570be28d271883d757894547b89b969ce57d610a9c868fe0cf1bcd2c7"),
-    (pieces.saucer_template("S"), ["graph", "replicant", "{c6}", "--template",
-                                   "{}"],
-     "b64b3cb1ff43a14500d832bdb19777c013c07da08ea2b4f85e6f0581c51752e3"),
-], ids=["square-2x4", "cylinder-3-strands", "c6-saucer"])
-def test_complex_output_is_pinned(capsys, tmp_path, c6_path, template, argv,
-                                  digest):
-    # SHA-256 of stdout, fixed so that the gluings a complex writes out,
-    # their order, sides and pairings, cannot drift
-    path = write_json(tmp_path / "template.json", template.to_json_dict())
-    code, out, _ = run(capsys, [arg.format(path, c6=c6_path) for arg in argv])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("argv, digest", [
-    (["--format", "json", "graph", "validate", "{}"],
-     "6c1b8b78c1649f99dcdef376b12a7f77bfe7438ae83f74bdefbe0479ae71ab0d"),
-    (["graph", "product", "{}"],
-     "200d1978138c4f97fe8649a241a510e5d28f4b85af69594a648c5a1d9a7ca434"),
-], ids=["validate-json", "product"])
-def test_lattice_graph_output_is_pinned(capsys, tmp_path, argv, digest):
-    # SHA-256 of stdout on the 4x4 lattice, whose vertices are tuples, fixed
-    # so that the edge classes, parts and product a graph writes out, and
-    # their order, cannot drift
-    graph = graphs.lattice_reflection_graph(4, 4)
-    path = write_json(tmp_path / "lattice.json",
-                      graphs.graph_to_json_dict(graph))
-    code, out, _ = run(capsys, [arg.format(path) for arg in argv])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_cli_output_matches_the_recorded_digests(tmp_path):
+    # every command of tests/cli_parity.py; when an output change is
+    # intended, that script rewrites the digests
+    recorded = [line for line in cli_parity.DIGESTS.read_text().splitlines()
+                if not line.startswith("#")]
+    was = {line.rsplit(" | ", 3)[0]: line for line in recorded}
+    lines, moved = [], []
+    for argv, line, out, err in cli_parity.replay(str(tmp_path)):
+        lines.append(line)
+        old = was.get(json.dumps(argv))
+        if line != old:
+            moved.append("repvol %s: exit %s -> %s\n%s" % (
+                " ".join(argv), old and old.rsplit(" | ", 3)[1],
+                line.rsplit(" | ", 3)[1],
+                "".join("    %s\n" % text
+                        for text in (out + err).splitlines()[:4])))
+    if moved:
+        pytest.fail("%d commands print other bytes:\n%s"
+                    % (len(moved), "".join(moved)), pytrace=False)
+    assert lines == recorded
 
 
 def test_classify_clasp(capsys):
