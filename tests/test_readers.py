@@ -16,7 +16,6 @@ REFUSALS = (ValueError, LookupError, LimitExceeded)
 REPLACEMENTS = (None, 0, 1.5, True, "x", "", [], {}, [[0]], [1, 2, 3],
                 10 ** 30)
 
-SAUCER = pieces.saucer_template("1/4").to_json_dict()
 DB = bounds.VolumeDB.builtin()
 
 
@@ -32,7 +31,7 @@ DOCUMENTS = [
     ("graph", graphs.graph_to_json_dict(graphs.cycle_reflection_graph(4)),
      lambda data: graphs.validate_reflection_graph(
          graphs.graph_from_json_dict(data))),
-    ("template", SAUCER,
+    ("template", pieces.saucer_template("1/4").to_json_dict(),
      lambda data: pieces.replicate(pieces.PieceTemplate.from_json_dict(data),
                                    (4,))),
     ("complex", pieces.replicate(pieces.saucer_template("1/4"),
