@@ -377,9 +377,7 @@ def build_fixtures(root):
               "c6-repeat": cycle_graph_repeating(6),
               "c6-repeat-tag-no-edge": cycle_graph_repeating(6, [[0, 2]]),
               "c6-repeat-tag-kept": cycle_graph_repeating(6, [[1, 2]]),
-              "shapeless": {"vertices": 3}, "empty": {"vertices": [],
-                                                      "edges": [],
-                                                      "reflections": []},
+              "shapeless": {"vertices": 3}, "empty": plain_graph(0, []),
               "lattice": lattice_graph(4, 4),
               "c5": plain_graph(5, [[v, (v + 1) % 5] for v in range(5)]),
               "loop": plain_graph(2, [[0, 1], [1, 1]]),
@@ -395,10 +393,8 @@ def build_fixtures(root):
               "tag-kept": c6_with(lambda v: (1 - v) % 6, [[1, 2]]),
               "no-tags": c6_with(lambda v: (1 - v) % 6, []),
               "cube-stabilizer": cube_with_stabilizer(),
-              "unhashable-image": {"vertices": [0, 1], "edges": [[0, 1]],
-                                   "reflections": [
-                                       {"mapping": [[0, {}], [1, 0]],
-                                        "swaps": [[0, 1]]}]}}
+              "unhashable-image": plain_graph(2, [[0, 1]], [
+                  {"mapping": [[0, {}], [1, 0]], "swaps": [[0, 1]]}])}
     for name, data in graphs.items():
         write(os.path.join(root, "graph-%s.json" % name), data)
         path = "graph-%s.json" % name

@@ -14,8 +14,7 @@ import cli_parity
 
 V4_INDICES = "1,1,1,1,1,1,1,1,2,2"
 
-BRACELET6 = {"name": "bracelet6", "arrangement": "bracelet", "ambient": "S3",
-             "slots": ["1/4"] * 5 + ["1/5"], "reference_volume": "32.9819"}
+BRACELET6 = dict(cli_parity.MORE_SPECS)["bracelet6"]
 LATTICE2X2 = {"name": "lattice2x2-bigon", "arrangement": "lattice",
               "ambient": "S3", "rows": 2, "cols": 2, "slot": "2"}
 CLASP_BRACELET = {"name": "clasp4", "arrangement": "bracelet",
@@ -218,6 +217,51 @@ def test_cli_output_matches_the_recorded_digests(tmp_path):
         pytest.fail("%d commands print other bytes:\n%s"
                     % (len(moved), "".join(moved)), pytrace=False)
     assert lines == recorded
+
+
+def pinned_run(tmp_path, monkeypatch, argv):
+    # (exit code, stdout SHA-256) of a tests/cli_parity.py command; these
+    # pins are fixed by hand, so rewriting the digests file cannot move them
+    cli_parity.build_fixtures(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    return cli_parity.digest(argv.split())[0].split(" | ")[1:3]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("plain",
+     "56bee77c2ed61037da128331847c3f5e64f7931e3bab0c8eafad4c71c9acbdd5"),
+    ("json",
+     "7e0cb81334d95c272e0c85eb3531ad7bc9282510931cb247695454d623793a7f"),
+    ("markdown",
+     "a23b4f9e1c8bef1207251a3d993f213f629e4bf21ce1129d19899a4cf3f81b4f"),
+])
+def test_reduce_certificate_output_is_pinned(tmp_path, monkeypatch, fmt,
+                                             digest):
+    argv = "reduce word-v4.json --certificate --format " + fmt
+    assert pinned_run(tmp_path, monkeypatch, argv) == ["0", digest]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("replicate template-square.json --schedule 2,4",
+     "734e1dd8ef55949be0008bd1037a594d79c37c0868a3ebfb3440d0ff629f413e"),
+    ("replicate template-cylinder-3.json --schedule 4",
+     "a423e4a570be28d271883d757894547b89b969ce57d610a9c868fe0cf1bcd2c7"),
+    ("graph replicant graph-c6.json --template template-saucer.json",
+     "b64b3cb1ff43a14500d832bdb19777c013c07da08ea2b4f85e6f0581c51752e3"),
+], ids=["square-2x4", "cylinder-3-strands", "c6-saucer"])
+def test_complex_output_is_pinned(tmp_path, monkeypatch, argv, digest):
+    assert pinned_run(tmp_path, monkeypatch, argv) == ["0", digest]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("graph validate graph-lattice.json --format json",
+     "6c1b8b78c1649f99dcdef376b12a7f77bfe7438ae83f74bdefbe0479ae71ab0d"),
+    ("graph product graph-lattice.json",
+     "200d1978138c4f97fe8649a241a510e5d28f4b85af69594a648c5a1d9a7ca434"),
+], ids=["validate-json", "product"])
+def test_lattice_graph_output_is_pinned(tmp_path, monkeypatch, argv, digest):
+    # the 4x4 lattice, whose vertices are tuples
+    assert pinned_run(tmp_path, monkeypatch, argv) == ["0", digest]
 
 
 def test_classify_clasp(capsys):
