@@ -522,11 +522,14 @@ def format_fixed(value, places=8):
     """Render a Fraction or Decimal fixed-point, banker's rounding.
 
     The rounding is exact at any size: round() of a Fraction rounds half
-    to even, and a Decimal read from a string keeps every digit."""
+    to even, and a Decimal built from an int keeps every digit.  The
+    digits come from Decimal, not from str() of the int, which refuses
+    more than sys.get_int_max_str_digits() digits."""
     if not 1 <= places <= 12:
         raise BoundsError("places must be within 1..12")
     scaled = round(Fraction(value) * 10 ** places)
-    return str(Decimal("%dE-%d" % (scaled, places)))
+    sign, digits, _ = Decimal(scaled).as_tuple()
+    return str(Decimal((sign, digits, -places)))
 
 
 class SlotSpec(NamedTuple):

@@ -171,7 +171,15 @@ def _comparisons_from(args):
         if m is None:
             raise UsageError("comparisons look like t=<twist number>, "
                              "got %r" % item)
-        out.extend(bounds.classical_bounds(int(m.group(1)), "montesinos"))
+        digits = m.group(1)
+        # 0 when there is none; Python 3.10 before 3.10.7 has no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit:
+            # int() would refuse it with a bare ValueError
+            raise UsageError("comparison t=<%d digits> has more digits than "
+                             "this interpreter reads as an integer (%d)"
+                             % (len(digits), limit))
+        out.extend(bounds.classical_bounds(int(digits), "montesinos"))
     return tuple(out)
 
 

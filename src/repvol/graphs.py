@@ -678,12 +678,79 @@ def graph_isomorphic(a, b):
     return {va[u]: vb[c] for u, c in mapping.items()}
 
 
-class FaceReport(NamedTuple):
-    """Faces of the closed surface a rotation system induces."""
-    faces: tuple
-    vector: tuple
-    euler: int
-    bipartite: bool
+class FaceReport:
+    """Faces of the closed surface a rotation system induces.
+
+    ``vector`` is the sorted (length, count) pairs of the face lengths,
+    ``euler`` the Euler characteristic V - E + F and ``bipartite``
+    whether the underlying multigraph is bipartite.  ``faces`` lists the
+    faces as tuples of (edge, end) darts.  A report from ``trace_faces``
+    counts its faces and derives that list on first access: until then
+    it keeps the tracer's ``after`` list (one int per edge end, nothing
+    of the caller's ``edges`` or ``rotation``), and it drops the list
+    once the faces are built.  A report is read-only; it iterates, compares
+    and hashes as the tuple (faces, vector, euler, bipartite), so it
+    equals one built from those four values.
+    """
+    __slots__ = ("_faces", "_after", "_vector", "_euler", "_bipartite")
+
+    def __init__(self, faces, vector, euler, bipartite):
+        self._faces = faces
+        self._after = None
+        self._vector = vector
+        self._euler = euler
+        self._bipartite = bipartite
+
+    @classmethod
+    def _traced(cls, after, vector, euler, bipartite):
+        report = cls(None, vector, euler, bipartite)
+        report._after = after
+        return report
+
+    @property
+    def faces(self):
+        after = self._after
+        if after is not None:
+            self._faces = _face_list(after)
+            self._after = None
+        return self._faces
+
+    vector = property(lambda self: self._vector)
+    euler = property(lambda self: self._euler)
+    bipartite = property(lambda self: self._bipartite)
+
+    def __iter__(self):
+        return iter((self.faces, self._vector, self._euler, self._bipartite))
+
+    def __eq__(self, other):
+        if not isinstance(other, FaceReport):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return ("FaceReport(faces=%r, vector=%r, euler=%r, bipartite=%r)"
+                % tuple(self))
+
+
+def _face_list(after):
+    """The faces traced from ``after`` as ``_faces`` counts them: from
+    each untraced dart in turn, dart d written as (d >> 1, d & 1)."""
+    traced = bytearray(len(after))
+    faces = []
+    for start in range(len(after)):
+        if traced[start]:
+            continue
+        walk = []
+        d = start
+        while not traced[d]:
+            traced[d] = 1
+            walk.append((d >> 1, d & 1))
+            d = after[d ^ 1]
+        faces.append(tuple(walk))
+    return tuple(faces)
 
 
 def trace_faces(edges, rotation):
@@ -698,13 +765,16 @@ def trace_faces(edges, rotation):
 
     A dart (e, s) leaves the vertex holding end s.  Travelling it lands
     on end (e, 1-s), and the face continues with the next entry after
-    that end in the host's cyclic list.  Returns the faces as dart
-    tuples, the sorted (length, count) vector, the Euler characteristic
-    V - E + F, and whether the underlying multigraph is bipartite.
+    that end in the host's cyclic list.  Returns a ``FaceReport``: the
+    sorted (length, count) vector, the Euler characteristic V - E + F,
+    and whether the underlying multigraph is bipartite, all counted as
+    the faces are traced, and the faces as dart tuples, derived on
+    first access.
 
     Faces come in the order of their least dart, darts compared as
     (e, s) tuples, and each face starts at its least dart.  The run time
-    is linear in the number of vertices and edge ends.
+    is linear in the number of vertices and edge ends, and so is the
+    first access to ``faces``.
 
     Refuses with GraphError ``edges`` that are no sequence of pairs, an
     edge that is no pair (by index) and a ``rotation`` that is no dict;
@@ -728,9 +798,11 @@ def _faces(edges, rotation):
     per-vertex objects to promote.  The face after dart d goes on with
     after[d ^ 1]; 2e + s sorts as (e, s) does, so tracing from each
     untraced dart in turn meets the faces in the order of their least
-    dart.  The two-colouring walks the same chains.  An end whose edge
-    or side is not a plain int is refused by name, so 0.9 is not read as
-    edge 0, nor True as side 1.
+    dart.  The trace only counts each face's length and builds no
+    container per face or dart; the report keeps ``after`` to list the
+    faces if they are read.  The two-colouring walks the same chains.
+    An end whose edge or side is not a plain int is refused by name, so
+    0.9 is not read as edge 0, nor True as side 1.
     """
     try:
         # a tuple pair is kept, not copied: a large system holds many
@@ -745,7 +817,6 @@ def _faces(edges, rotation):
     m = len(edges)
     host = [-1] * (2 * m)
     after = [0] * (2 * m)
-    pairs = [None] * (2 * m)
     first = [-1] * len(rotation)
     for i, (v, ends) in enumerate(rotation.items()):
         if not isinstance(ends, (list, tuple)):
@@ -771,7 +842,6 @@ def _faces(edges, rotation):
                 raise IncompleteRotation(
                     "end (%d, %d) appears more than once" % (e, s))
             host[d] = i
-            pairs[d] = end if type(end) is tuple else (e, s)
             if prev < 0:
                 head = d
             else:
@@ -787,20 +857,20 @@ def _faces(edges, rotation):
             % (e, s, edges[e][s]))
 
     traced = bytearray(2 * m)
-    faces = []
+    sizes = []
     for start in range(2 * m):
         if traced[start]:
             continue
-        walk = []
+        k = 0
         d = start
         while not traced[d]:
             traced[d] = 1
-            walk.append(pairs[d])
+            k += 1
             d = after[d ^ 1]
-        faces.append(tuple(walk))
+        sizes.append(k)
 
-    lengths = Counter(len(f) for f in faces)
-    euler = len(rotation) - m + len(faces)
+    lengths = Counter(sizes)
+    euler = len(rotation) - m + len(sizes)
 
     _, reached, odd = _two_colour(first, after, host)
     if odd is None and any(k % 2 for k in lengths):
@@ -808,8 +878,8 @@ def _faces(edges, rotation):
             "odd face lengths %s on a bipartite graph"
             % sorted(k for k in lengths if k % 2))
 
-    return FaceReport(tuple(faces), tuple(sorted(lengths.items())),
-                      euler, odd is None), reached
+    return FaceReport._traced(after, tuple(sorted(lengths.items())),
+                              euler, odd is None), reached
 
 
 class BigonCheck(NamedTuple):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -386,6 +387,29 @@ def test_bound_uncertified_exit_3(capsys, tmp_path):
 def test_bound_bad_compare(capsys, bracelet6):
     code, _, err = run(capsys, ["bound", bracelet6, "--compare", "six"])
     assert code == 2 and "UsageError" in err
+
+
+def test_bound_compare_longer_than_int_reads_is_refused_by_name(
+        capsys, bracelet6):
+    # one digit over the interpreter's limit ended in a bare ValueError
+    # from int(), and at the limit printing the comparisons did
+    was = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, ["bound", bracelet6,
+                                      "--compare", "t=" + "9" * 4301])
+        assert (code, out) == (2, "")
+        assert err == ("UsageError: comparison t=<4301 digits> has more "
+                       "digits than this interpreter reads as an integer "
+                       "(4300)\n")
+        for fmt in ("plain", "json", "markdown"):
+            code, out, err = run(capsys, [
+                "bound", bracelet6, "--compare", "t=" + "9" * 4300,
+                "--precision", "12", "--format", fmt])
+            assert (code, err) == (0, "")
+            assert re.search(r"\d{4301}\.\d{12}\b", out)
+    finally:
+        sys.set_int_max_str_digits(was)
 
 
 def test_bound_missing_file(capsys, tmp_path):

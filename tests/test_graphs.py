@@ -1184,6 +1184,28 @@ def test_face_tracing_matches_reference(monkeypatch):
     assert refused == {IncompleteRotation, GraphError}
 
 
+@pytest.mark.parametrize("rows, cols", [(200, 200), (51, 50)])
+def test_face_list_is_built_from_the_report_alone(rows, cols):
+    # the faces are listed on first access, after the caller's edges and
+    # rotation are gone
+    edges, rotation = grid_torus(rows, cols, random.Random(rows + cols))
+    expected = reference_faces(edges, rotation)[0]
+    report = trace_faces(edges, rotation)
+    edges.clear()
+    rotation.clear()
+    assert report.faces == expected.faces
+    assert report.vector == expected.vector == ((4, rows * cols),)
+    assert report.bipartite == (rows % 2 == 0 and cols % 2 == 0)
+    assert report == expected
+    rebuilt = graphs_module.FaceReport(report.faces, report.vector,
+                                       report.euler, report.bipartite)
+    assert report == rebuilt and not report != rebuilt
+    assert hash(report) == hash(rebuilt)
+    assert repr(report) == repr(rebuilt)
+    assert tuple(report) == (expected.faces, expected.vector, 0,
+                             expected.bipartite)
+
+
 # bigon bound
 
 def test_bigon_bound_dipoles():
