@@ -156,6 +156,9 @@ def _unpack(item, size, name, shape):
     return out
 
 
+_CERTIFIED_LIMIT = 4096  # certification outcomes one table keeps
+
+
 class VolumeDB:
     """Immutable volume table plus limit volumes.
 
@@ -165,6 +168,13 @@ class VolumeDB:
     replicants approach from below.  Rows are also indexed by column,
     (family, conway, ambient, orientation), each column mapping its
     signatures to entries in insertion order.
+
+    A table also keeps, privately, up to _CERTIFIED_LIMIT outcomes of
+    certifying a bound slot or compose factor (_certified_entry), keyed
+    by (TangleRef, signature): the certificate, the entry and its exact
+    Fraction volume, or the text of the refusal.  The rows are never
+    changed after construction and extended() builds a new table with
+    no outcomes, so a kept outcome cannot go stale.
     """
 
     def __init__(self, entries, limits):
@@ -206,6 +216,7 @@ class VolumeDB:
             tangle: _positive(limits[c], "volume table limits: the limit "
                               "for %s" % tangle, "a number")
             for tangle, c in named.items()}
+        self._certified = {}
 
     @classmethod
     def from_json_dict(cls, data, provenance="user"):
@@ -524,12 +535,14 @@ def format_fixed(value, places=8):
     The rounding is exact at any size: round() of a Fraction rounds half
     to even, and a Decimal built from an int keeps every digit.  The
     digits come from Decimal, not from str() of the int, which refuses
-    more than sys.get_int_max_str_digits() digits."""
+    more than sys.get_int_max_str_digits() digits, and are written with
+    the "f" format, since str() of a Decimal writes 0 and values below
+    10**-6 in scientific notation."""
     if not 1 <= places <= 12:
         raise BoundsError("places must be within 1..12")
     scaled = round(Fraction(value) * 10 ** places)
     sign, digits, _ = Decimal(scaled).as_tuple()
-    return str(Decimal((sign, digits, -places)))
+    return format(Decimal((sign, digits, -places)), "f")
 
 
 class SlotSpec(NamedTuple):
@@ -702,25 +715,48 @@ def _demanded_signatures(spec):
     return rule, [demand(spec)] * len(spec.slots)
 
 
-def _certified_entry(db, ref, signature, label, slot=None):
-    """Certify a link slot or compose factor and fetch its volume entry;
-    a refusal opens with ``label`` and the tangle, and carries ``slot``."""
-    where = "%s (%s %s)" % (label, ref.family, ref.conway)
+def _certify_entry(db, ref, signature):
+    """(certificate, entry, Fraction volume) for a slot or factor, or the
+    text of its refusal."""
     verdict = certify_hyperbolic(db, ref, signature)
     if isinstance(verdict, UnknownHyperbolicity):
-        detail = "; ".join(verdict.counterevidence) or verdict.reason
-        raise UncertifiedTangle("%s: %s" % (where, detail), slot=slot)
+        return "; ".join(verdict.counterevidence) or verdict.reason
     try:
         entry = db.entry(ref.family, ref.conway, ref.ambient, signature,
                          ref.orientation)
     except NotFound:
-        raise UncertifiedTangle(
-            "%s: certified hyperbolic at %r but no volume is recorded there"
-            % (where, signature), slot=slot) from None
+        return ("certified hyperbolic at %r but no volume is recorded there"
+                % (signature,))
     if entry.volume is NON_HYPERBOLIC:
-        raise UncertifiedTangle("%s: recorded as not hyperbolic at %r"
-                                % (where, signature), slot=slot)
-    return verdict, entry
+        return "recorded as not hyperbolic at %r" % (signature,)
+    return verdict, entry, Fraction(entry.volume)
+
+
+def _certified_entry(db, ref, signature, label, slot=None):
+    """Certify a link slot or compose factor and fetch its volume entry,
+    as (certificate, entry, exact Fraction volume); a refusal opens with
+    ``label`` and the tangle, and carries ``slot``.
+
+    The outcome is computed once per table and (ref, signature) and kept
+    on the table (see VolumeDB); a kept refusal is raised as a new
+    UncertifiedTangle under this call's label and slot.  Only keys of
+    exact strs and ints are kept: 2 == 2.0, but the conways 2 and 2.0
+    read as the rows "2" and "2.0"."""
+    if type(signature) is tuple and all(type(n) is int for n in signature) \
+            and all(type(field) is str for field in ref):
+        key = (ref, signature)
+        outcome = db._certified.get(key)
+        if outcome is None:
+            outcome = _certify_entry(db, ref, signature)
+            if len(db._certified) < _CERTIFIED_LIMIT:
+                db._certified[key] = outcome
+    else:
+        outcome = _certify_entry(db, ref, signature)
+    if type(outcome) is str:
+        raise UncertifiedTangle("%s (%s %s): %s" % (label, ref.family,
+                                                    ref.conway, outcome),
+                                slot=slot)
+    return outcome
 
 
 def lower_bound(db, spec, comparisons=()):
@@ -732,15 +768,16 @@ def lower_bound(db, spec, comparisons=()):
     exactly that signature.  Slot reflections share the unreflected
     tangle's database key, so a reflected slot needs no separate row.
 
-    Each distinct (slot, demand) is certified and looked up once, into
-    one Term that every slot repeating it shares, and the total adds
-    each distinct volume times its slot count.  Terms stay in slot
-    order, and a refusal names the first failing slot.
+    Each distinct (slot, demand) is certified and looked up once per
+    table, not once per call: the table keeps the outcome (see
+    VolumeDB).  Every slot repeating a key shares one Term, and the
+    total adds each distinct exact volume times its slot count.  Terms
+    stay in slot order, and a refusal names the first failing slot.
     """
     spec = parse_link_spec(spec)
     rule, demands = _demanded_signatures(spec)
 
-    known = {}  # (slot, demand) -> [its Term, how many slots share it]
+    known = {}  # (slot, demand) -> [Term, exact volume, slots sharing it]
     terms = []
     for i, key in enumerate(zip(spec.slots, demands)):
         shared = known.get(key)
@@ -748,14 +785,14 @@ def lower_bound(db, spec, comparisons=()):
             slot, demand = key
             ref = TangleRef(slot.family, slot.conway, spec.ambient,
                             slot.orientation)
-            verdict, entry = _certified_entry(db, ref, demand, "slot %d" % i,
-                                              slot=i)
+            verdict, entry, volume = _certified_entry(
+                db, ref, demand, "slot %d" % i, slot=i)
             shared = known[key] = [
                 Term(slot.family, slot.conway, demand, entry.volume,
-                     entry.provenance, verdict.basis), 0]
-        shared[1] += 1
+                     entry.provenance, verdict.basis), volume, 0]
+        shared[2] += 1
         terms.append(shared[0])
-    total = sum((Fraction(t.volume) * count for t, count in known.values()),
+    total = sum((volume * count for _, volume, count in known.values()),
                 Fraction(0))
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
@@ -791,8 +828,8 @@ def _factor(db, operand, signature, ambient, rule):
     if operand.ambient != ambient:
         raise BoundsError("factor ambient %s does not match the rule's %s"
                           % (operand.ambient, ambient))
-    verdict, entry = _certified_entry(db, operand, signature, "factor")
-    return ComposedBound(verdict, Fraction(entry.volume), rule)
+    verdict, _, volume = _certified_entry(db, operand, signature, "factor")
+    return ComposedBound(verdict, volume, rule)
 
 
 _FACE_COUNTS = {"reciprocal-saucer": 2, "integer-cylindrical": 2,

@@ -613,7 +613,8 @@ def graph_isomorphic(a, b):
     Accepts ReflectionGraph instances or (vertices, edges) pairs; only
     the underlying simple graphs are compared, reflections are ignored.
     Backtracking, on an explicit stack, over a breadth-first vertex order
-    with iff-adjacency pruning against everything already mapped; meant
+    with iff-adjacency pruning against everything already mapped (a
+    candidate touches exactly the images of u's mapped neighbours); meant
     for the small graphs handled here, run on vertex positions.  Returns
     a dict of labels or None; a pair listing a vertex twice is refused.
     """
@@ -653,10 +654,9 @@ def graph_isomorphic(a, b):
             candidates = set(range(len(vb)))
         degree = len(adj_a[u])
         for c in sorted(candidates - used):
-            if len(adj_b[c]) != degree:
-                continue
-            if any((mapping[w] in adj_b[c]) != (w in adj_a[u])
-                   for w in mapping):
+            # c touches the images of u's mapped neighbours, so it must
+            # touch no other mapped image: O(valence), not O(|mapping|)
+            if len(adj_b[c]) != degree or len(adj_b[c] & used) != len(mapped):
                 continue
             yield c
 

@@ -937,6 +937,17 @@ def test_format_fixed():
             bounds.format_fixed(Fraction(1, 3), places)
 
 
+def test_format_fixed_writes_no_exponent():
+    # str() of a Decimal wrote these as 0E-8 and 1.0E-7
+    assert bounds.format_fixed(0) == "0.00000000"
+    assert bounds.format_fixed(Fraction(1, 10 ** 7)) == "0.00000010"
+    assert bounds.format_fixed(Fraction(-1, 10 ** 9)) == "0.00000000"
+    assert bounds.format_fixed(10 ** 30, 2) == "1" + "0" * 30 + ".00"
+    # more digits than str() of an int writes by default
+    assert bounds.format_fixed(Fraction(10 ** 5000, 3), 3) \
+        == "3" * 5000 + "." + "3" * 3
+
+
 def test_report_renderings(db):
     comparisons = bounds.classical_bounds(6, "alternating")
     report = bounds.lower_bound(db, BRACELET6, comparisons=comparisons)
@@ -1228,12 +1239,15 @@ def counting_certifier(monkeypatch):
     return calls
 
 
-def test_repeated_slot_is_certified_once(db, monkeypatch):
+def test_repeated_slot_is_certified_once(monkeypatch):
+    db = bounds.VolumeDB.builtin()  # the module's table keeps outcomes
     calls = counting_certifier(monkeypatch)
     spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 200,
             "cols": 200, "slot": "2 1"}
     report = bounds.lower_bound(db, spec)
     assert len(calls) == 1
+    assert bounds.lower_bound(db, spec) == report
+    assert len(calls) == 1  # once per table, not once per call
     assert len(report.terms) == 40000
     assert report.total == 40000 * Fraction(Decimal("7.48167784"))
     assert report.terms[-1] == bounds.Term(
@@ -1252,7 +1266,8 @@ def test_slots_with_one_key_share_one_term(db):
     assert len({id(t) for t in bounds.lower_bound(db, spec).terms}) == 3
 
 
-def test_mixed_slots_are_certified_once_each(db, monkeypatch):
+def test_mixed_slots_are_certified_once_each(monkeypatch):
+    db = bounds.VolumeDB.builtin()  # the module's table keeps outcomes
     calls = counting_certifier(monkeypatch)
     rng = random.Random(5)
     slots = [rng.choice(("2", "3", "-3", "2 1")) for _ in range(36)]
@@ -1262,16 +1277,113 @@ def test_mixed_slots_are_certified_once_each(db, monkeypatch):
     distinct = {bounds._normalize_conway(s) for s in slots}
     assert len(distinct) == 3
     assert len(calls) == 3 + 36  # once each here, once per slot in the loop
+    bounds.lower_bound(db, spec)
+    assert len(calls) == 3 + 36
 
     del calls[:]
     custom = {"arrangement": "custom", "ambient": "S3", "slots": [
         {"family": "rational-square", "conway": c, "signature": sig}
         for c, sig in (("2", [2, 2]), ("2", [2, 4]), ("2", [2, 2]),
                        ("3", [2, 2]), ("2", [2, 4]))]}
-    bounds.lower_bound(db, custom)
+    report = bounds.lower_bound(db, custom)
     assert sorted(calls) == sorted(
         {(("rational-square", c, "S3", "standard"), sig)
          for c, sig in (("2", (2, 2)), ("2", (2, 4)), ("3", (2, 2)))})
+    assert bounds.lower_bound(db, custom) == report
+    assert len(calls) == 3
+
+
+# the outcomes a table keeps
+
+# "7" in S3 and "1/9" are hyperbolic at a recorded signature, so by
+# monotonicity at a larger one, where the row records zero: certified,
+# yet refused for its volume.
+ZERO_ABOVE_ROWS = [
+    {"family": "rational-square", "conway": "7", "ambient": "S3",
+     "signature": [2, 2], "volume": "5.0"},
+    {"family": "rational-square", "conway": "7", "ambient": "S3",
+     "signature": [2, 4], "volume": "0"},
+    {"family": "reciprocal-saucer", "conway": "1/9", "ambient": "S3",
+     "signature": [4], "volume": "5.0"},
+    {"family": "reciprocal-saucer", "conway": "1/9", "ambient": "S3",
+     "signature": [8], "volume": "0"},
+]
+
+
+def refusal(call):
+    with pytest.raises(bounds.UncertifiedTangle) as info:
+        call()
+    return info.value
+
+
+def test_a_zero_row_refuses_a_certified_slot_once_per_table(db,
+                                                            monkeypatch):
+    table = db.extended(ZERO_ABOVE_ROWS)
+    calls = counting_certifier(monkeypatch)
+    good = {"family": "rational-square", "conway": "2", "signature": [2, 4]}
+    bad = {"family": "rational-square", "conway": "7", "signature": [2, 4]}
+    cases = [([good, bad], 1), ([good, bad], 1), ([bad, good], 0)]
+    seen = []
+    for slots, slot in cases:
+        spec = {"arrangement": "custom", "ambient": "S3", "slots": slots}
+        expected = outcome(per_slot_lower_bound, table, spec)
+        del calls[:]
+        error = refusal(lambda: bounds.lower_bound(table, spec))
+        assert (type(error), str(error), error.slot) == expected
+        assert str(error) == ("slot %d (rational-square 7): recorded as "
+                              "not hyperbolic at (2, 4)" % slot)
+        assert error.slot == slot
+        seen.append((error, len(calls)))
+    # certified on the first call only; each refusal is its own object
+    assert [count for _, count in seen] == [2, 0, 0]
+    assert len({id(error) for error, _ in seen}) == 3
+
+    saucer = bounds.TangleRef("reciprocal-saucer", "1/9", "S3")
+    seen = []
+    for _ in range(2):
+        del calls[:]
+        error = refusal(lambda: bounds.compose_bound(
+            table, saucer, saucer, rule="saucer", signature=(4,)))
+        assert type(error) is bounds.UncertifiedTangle
+        assert str(error) == ("factor (reciprocal-saucer 1/9): recorded as "
+                              "not hyperbolic at (8,)")
+        assert error.slot is None
+        seen.append((error, len(calls)))
+    assert [count for _, count in seen] == [1, 0]
+    assert seen[0][0] is not seen[1][0]
+
+
+def test_keys_that_are_no_exact_strings_are_not_kept():
+    # 2 == 2.0 and they hash alike, but the conways read as the rows "2"
+    # and "2.0": only the first is recorded
+    two = ("integer-cylindrical", 2, "TxI")
+    two_float = ("integer-cylindrical", 2.0, "TxI")
+
+    def compose(table, ref):
+        return outcome(lambda t, r: bounds.compose_bound(t, r), table, ref)
+
+    refs = (two, two_float)
+    fresh = [compose(bounds.VolumeDB.builtin(), ref) for ref in refs]
+    assert fresh[0].bound == Fraction(Decimal("5.33348957"))
+    assert fresh[1] == (
+        bounds.UncertifiedTangle, "factor (integer-cylindrical 2.0): no "
+        "recorded entry or rule grounds hyperbolicity at (2,)", None)
+    for order in ((0, 1), (1, 0)):
+        table = bounds.VolumeDB.builtin()
+        for k in order:
+            assert compose(table, refs[k]) == fresh[k]
+
+
+def test_outcomes_past_the_kept_bound_are_still_right(db, monkeypatch):
+    monkeypatch.setattr(bounds, "_CERTIFIED_LIMIT", 3)
+    table = db.extended(PARITY_ROWS)
+    rng = random.Random(77)
+    specs = [random_link_spec(rng) for _ in range(60)]
+    for _ in range(2):  # the second pass reads what the first kept
+        for spec in specs:
+            assert outcome(bounds.lower_bound, table, spec) \
+                == outcome(per_slot_lower_bound, table, spec)
+    assert len(table._certified) == 3
 
 
 # the column index

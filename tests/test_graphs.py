@@ -705,6 +705,92 @@ def test_graph_isomorphic_does_not_recurse():
                for u, v in cycle[1])
 
 
+def scan_all_isomorphic(a, b):
+    """The search before candidates were checked against u's mapped
+    neighbours only: each candidate is compared with every mapped
+    vertex."""
+    va, ma, adj_a = graphs_module._adjacency_sets(a)
+    vb, mb, adj_b = graphs_module._adjacency_sets(b)
+    if len(va) != len(vb) or ma != mb:
+        return None
+    if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
+        return None
+    order = []
+    seen = set()
+    for root in range(len(va)):
+        if root not in seen:
+            seen.add(root)
+            queue = [root]
+            for u in queue:
+                for w in sorted(adj_a[u]):
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            order += queue
+    mapping = {}
+
+    def search(k):
+        if k == len(order):
+            return True
+        u = order[k]
+        mapped = [mapping[w] for w in adj_a[u] if w in mapping]
+        candidates = set(range(len(vb)))
+        for img in mapped:
+            candidates &= adj_b[img]
+        for c in sorted(candidates - set(mapping.values())):
+            if len(adj_b[c]) != len(adj_a[u]):
+                continue
+            if any((mapping[w] in adj_b[c]) != (w in adj_a[u])
+                   for w in mapping):
+                continue
+            mapping[u] = c
+            if search(k + 1):
+                return True
+            del mapping[u]
+        return False
+
+    if not search(0):
+        return None
+    return {va[u]: vb[c] for u, c in mapping.items()}
+
+
+def degree_preserving_shuffle(rng, edges, swaps):
+    """``edges`` after ``swaps`` tries at a double edge swap: the same
+    degree sequence, often another graph."""
+    edges = [tuple(e) for e in edges]
+    present = {frozenset(e) for e in edges}
+    for _ in range(swaps):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if len({a, b, c, d}) < 4 or frozenset((a, d)) in present \
+                or frozenset((c, b)) in present:
+            continue
+        present -= {frozenset((a, b)), frozenset((c, d))}
+        present |= {frozenset((a, d)), frozenset((c, b))}
+        edges[i], edges[j] = (a, d), (c, b)
+    return edges
+
+
+def test_graph_isomorphic_matches_the_scan_of_every_mapped_vertex():
+    rng = random.Random(2718)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(4, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(n - 1, min(len(pairs),
+                                                         2 * n)))
+        other = degree_preserving_shuffle(rng, edges, rng.choice((0, 40)))
+        labels = rng.sample(range(100), n)
+        other = [(labels[u], labels[v]) for u, v in other]
+        rng.shuffle(other)
+        a = (range(n), edges)
+        b = (rng.sample(labels, n), other)
+        got = graph_isomorphic(a, b)
+        assert got == scan_all_isomorphic(a, b)
+        verdicts[got is not None] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
 # serialization
 
 def test_graph_json_roundtrip():

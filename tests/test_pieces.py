@@ -793,6 +793,16 @@ def test_mixed_bracelet_valid():
         assert len(g.pairing) == 2
 
 
+def test_label_identity_gluing_needs_equal_endpoint_counts():
+    copies = [(square_template("q"), (0,)), (saucer_template("s"), (1,))]
+    for gluing, counts in (((((0,), 1), ((1,), 1)), (1, 2)),
+                           ((((1,), 2), ((0,), 3)), (2, 1))):
+        with pytest.raises(EndpointMismatch) as info:
+            GluingComplex(copies, [gluing])
+        assert str(info.value) == (
+            "faces %r and %r carry %d and %d endpoints" % (gluing + counts))
+
+
 def test_bracelet_rejections():
     t = saucer_template("a")
     with pytest.raises(OddLength):

@@ -435,6 +435,20 @@ def test_tampered_certificate_is_rejected():
             cert.solved_cycles))
 
 
+def test_cycle_solve_outside_zero_one_is_refused():
+    _, cert = reduce(validate_word(10, V4))
+    (cycle,) = cert.solved_cycles
+    for coefficient in (Fraction(0), Fraction(1)):
+        forged = ReductionCertificate(
+            cert.word, cert.coefficients, cert.steps,
+            (cycle._replace(self_coefficient=coefficient),))
+        with pytest.raises(CertificateError) as info:
+            verify_certificate(forged)
+        assert str(info.value) == (
+            "cycle solve for {!r} has self-coefficient {}".format(
+                cycle.word, coefficient))
+
+
 def test_forged_root_word_is_validated_before_replay():
     # (1, 2, 2, 1) starts and ends on T1 but is no constant word; its
     # least rotation (1, 1, 2, 2) has no step, so the claim is refused.
