@@ -17,6 +17,7 @@ a note to that effect.
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 
@@ -137,22 +138,28 @@ class Reflect(NamedTuple):
 _NODES = (RationalLeaf, QLoop, Sum, Rotate90, Reflect)
 
 
+def _tokens(node):
+    """The tree under ``node`` in preorder: each node's type, then its
+    fields' tokens; a field that is no node is one (type, value) token.
+    Each node type has a fixed arity, so equal streams mean equal trees.
+    Walked on an explicit stack, so deep trees do not recurse."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) in _NODES:
+            yield type(item)
+            stack += reversed(item)
+        else:
+            yield type(item), item
+
+
 def _node_eq(self, other):
     """Nodes are equal when their types and fields are, all the way
     down; a node never equals a plain tuple or a node of another type.
-    Compared on an explicit stack, so deep trees do not recurse."""
+    The token streams are compared up to the first difference."""
     if not isinstance(other, tuple):
         return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if type(a) in _NODES:
-            stack += zip(a, b)
-        elif a != b:
-            return False
-    return True
+    return all(a == b for a, b in zip_longest(_tokens(self), _tokens(other)))
 
 
 def _node_ne(self, other):
@@ -161,21 +168,8 @@ def _node_ne(self, other):
 
 
 def _node_hash(self):
-    """Hash of the type name and the field hashes, folded bottom-up."""
-    done = []
-    stack = [(self, False)]
-    while stack:
-        node, folded = stack.pop()
-        if type(node) not in _NODES:
-            done.append(hash(node))
-        elif folded:
-            fields = done[len(done) - len(node):]
-            del done[len(done) - len(node):]
-            done.append(hash((type(node).__name__, *fields)))
-        else:
-            stack.append((node, True))
-            stack += ((field, False) for field in reversed(node))
-    return done[0]
+    """Hash of the token stream, as a tuple."""
+    return hash(tuple(_tokens(self)))
 
 
 def _node_repr(self):

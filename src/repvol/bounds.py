@@ -172,9 +172,11 @@ class VolumeDB:
     A table also keeps, privately, up to _CERTIFIED_LIMIT outcomes of
     certifying a bound slot or compose factor (_certified_entry), keyed
     by (TangleRef, signature): the certificate, the entry and its exact
-    Fraction volume, or the text of the refusal.  The rows are never
-    changed after construction and extended() builds a new table with
-    no outcomes, so a kept outcome cannot go stale.
+    Fraction volume, or the text of the refusal.  The key's fields are
+    exact strs and its signature a tuple of ints, made so where they
+    enter: parse_link_spec for bound slots, compose_bound for factors.
+    The rows are never changed after construction and extended() builds
+    a new table with no outcomes, so a kept outcome cannot go stale.
     """
 
     def __init__(self, entries, limits):
@@ -327,15 +329,6 @@ class HyperbolicityCertificate(NamedTuple):
     signature: tuple
     basis: str
     chain: tuple
-
-    def to_json_dict(self):
-        tangle = self.tangle
-        if isinstance(tangle, TangleRef):
-            tangle = dict(tangle._asdict())
-        return {"tangle": tangle, "signature": list(self.signature),
-                "basis": self.basis,
-                "chain": [{"rule": s.rule, "detail": s.detail}
-                          for s in self.chain]}
 
 
 class UnknownHyperbolicity(NamedTuple):
@@ -596,7 +589,9 @@ def parse_link_spec(data):
 
     A link lists a few tangles many times, so each distinct string slot
     is checked once, at its first index, and its repeats share that
-    one SlotSpec.  Object slots are checked one by one.
+    one SlotSpec.  Object slots are checked one by one.  Each SlotSpec's
+    family, conway and orientation and the LinkSpec's ambient are exact
+    strs, even where the description held a str subclass.
     """
     if isinstance(data, LinkSpec):
         data = data._asdict()
@@ -609,6 +604,7 @@ def parse_link_spec(data):
     ambient = data.get("ambient")
     if ambient not in AMBIENTS:
         raise BoundsError("unknown ambient %r" % (ambient,))
+    ambient = str(ambient)
     fixed = _FIXED.get(arrangement)
 
     raw_slots = data.get("slots")
@@ -681,7 +677,8 @@ def parse_link_spec(data):
             conway = _normalize_conway(conway)
         except BoundsError as exc:
             raise BoundsError("slot %d: %s" % (i, exc)) from None
-        slots.append(SlotSpec(family, conway, orientation, tuple(signature)))
+        slots.append(SlotSpec(str(family), conway, str(orientation),
+                              tuple(signature)))
         if text is not None:
             checked[text] = slots[-1]
     slots *= repeat
@@ -739,19 +736,17 @@ def _certified_entry(db, ref, signature, label, slot=None):
 
     The outcome is computed once per table and (ref, signature) and kept
     on the table (see VolumeDB); a kept refusal is raised as a new
-    UncertifiedTangle under this call's label and slot.  Only keys of
-    exact strs and ints are kept: 2 == 2.0, but the conways 2 and 2.0
-    read as the rows "2" and "2.0"."""
-    if type(signature) is tuple and all(type(n) is int for n in signature) \
-            and all(type(field) is str for field in ref):
-        key = (ref, signature)
-        outcome = db._certified.get(key)
-        if outcome is None:
-            outcome = _certify_entry(db, ref, signature)
-            if len(db._certified) < _CERTIFIED_LIMIT:
-                db._certified[key] = outcome
-    else:
+    UncertifiedTangle under this call's label and slot.  Every key is
+    exact where it enters: parse_link_spec and _tangle_operand make each
+    TangleRef field a str, and signatures are normalised int tuples, so
+    no two keys that compare equal read different rows (2 == 2.0, but
+    the conways 2 and 2.0 read as the rows "2" and "2.0")."""
+    key = (ref, signature)
+    outcome = db._certified.get(key)
+    if outcome is None:
         outcome = _certify_entry(db, ref, signature)
+        if len(db._certified) < _CERTIFIED_LIMIT:
+            db._certified[key] = outcome
     if type(outcome) is str:
         raise UncertifiedTangle("%s (%s %s): %s" % (label, ref.family,
                                                     ref.conway, outcome),
@@ -807,7 +802,8 @@ class ComposedBound(NamedTuple):
 
 
 def _tangle_operand(operand):
-    """A ComposedBound as is; else a TangleRef of known names."""
+    """A ComposedBound as is; else a TangleRef of known names, each
+    field made a str (the conway 2 reads as "2", as the table does)."""
     if isinstance(operand, ComposedBound):
         return operand
     if not isinstance(operand, (tuple, list)) or not 3 <= len(operand) <= 4:
@@ -816,7 +812,7 @@ def _tangle_operand(operand):
                           "sequence, got %r" % (operand,))
     ref = TangleRef(*operand)
     _check_names(ref.family, ref.ambient)
-    return ref
+    return TangleRef(*map(str, ref))
 
 
 def _factor(db, operand, signature, ambient, rule):

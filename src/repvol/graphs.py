@@ -579,32 +579,24 @@ def graph_from_json_dict(data):
 
 
 def _adjacency_sets(g):
-    """The vertices of ``g``, its edge count and neighbour position sets;
-    a (vertices, edges) pair has its vertices and edges checked as the
-    constructor does, else a GraphError."""
-    if isinstance(g, ReflectionGraph):
-        g = g.vertices, g.edges
-    vertices, edges = _pair(g, "a graph")
-    try:
-        vertices, edges = tuple(vertices), tuple(edges)
-    except TypeError:
-        raise GraphError("a graph must be a pair of vertices and edges, "
-                         "got %r" % (g,)) from None
-    pos = {}
-    for i, v in enumerate(vertices):
+    """The vertices of ``g``, its edge count and neighbour position sets.
+    A (vertices, edges) pair is read by the ReflectionGraph constructor,
+    which refuses what it refuses; a ReflectionGraph is read as it is."""
+    if not isinstance(g, ReflectionGraph):
+        vertices, edges = _pair(g, "a graph")
         try:
-            pos[v] = i
+            vertices, edges = tuple(vertices), tuple(edges)
         except TypeError:
-            raise _unhashable_vertex(i, v) from None
-    if len(pos) != len(vertices):
-        raise GraphError("a graph lists a vertex twice")
-    adj = [set() for _ in vertices]
-    for k, edge in enumerate(edges):
-        u, v = _edge_ends(edge, k, pos)
+            raise GraphError("a graph must be a pair of vertices and edges, "
+                             "got %r" % (g,)) from None
+        g = ReflectionGraph(vertices, edges, ())
+    pos = g._pos
+    adj = [set() for _ in pos]
+    for u, v in g.edges:
         a, b = pos[u], pos[v]
         adj[a].add(b)
         adj[b].add(a)
-    return vertices, len(edges), adj
+    return g.vertices, len(g.edges), adj
 
 
 def graph_isomorphic(a, b):
@@ -616,7 +608,9 @@ def graph_isomorphic(a, b):
     with iff-adjacency pruning against everything already mapped (a
     candidate touches exactly the images of u's mapped neighbours); meant
     for the small graphs handled here, run on vertex positions.  Returns
-    a dict of labels or None; a pair listing a vertex twice is refused.
+    a dict of labels or None.  A pair is read as ReflectionGraph reads
+    its vertices and edges, so one that repeats a vertex or an edge, or
+    has an edge end that is no vertex, is refused with a GraphError.
     """
     va, ma, adj_a = _adjacency_sets(a)
     vb, mb, adj_b = _adjacency_sets(b)
@@ -882,6 +876,17 @@ def _faces(edges, rotation):
                               euler, odd is None), reached
 
 
+def _wrong_valence(rotation, want):
+    """Why not every vertex of ``rotation`` has ``want`` edge ends,
+    naming the least offender by repr, or None."""
+    if set(map(len, rotation.values())) <= {want}:
+        return None
+    v = min((v for v, ring in rotation.items() if len(ring) != want),
+            key=repr)
+    return "vertex %r has valence %d, expected %d" % (v, len(rotation[v]),
+                                                      want)
+
+
 class BigonCheck(NamedTuple):
     """Outcome of the sphere bigon-count estimate."""
     passed: bool
@@ -908,11 +913,9 @@ def bigon_bound_check(edges, rotation, n):
         raise GraphError("n must be at least 1")
     report = trace_faces(edges, rotation)
     want = 2 * (n + 1)
-    offenders = [v for v in rotation if len(rotation[v]) != want]
-    if offenders:
-        v = min(offenders, key=repr)
-        raise WrongValence("vertex %r has valence %d, expected %d"
-                           % (v, len(rotation[v]), want))
+    wrong = _wrong_valence(rotation, want)
+    if wrong:
+        raise WrongValence(wrong)
     if report.euler != 2:
         raise NotSphere("Euler characteristic %d" % report.euler)
     total = sum((Fraction(want - n * k, want) * count
@@ -961,12 +964,9 @@ def torus_boundary_check(edges, rotation):
     if not report.bipartite:
         return TorusVerdict(False, "OddCycle",
                             "the graph carries an odd cycle", report)
-    offenders = [v for v in rotation if len(rotation[v]) != 4]
-    if offenders:
-        v = min(offenders, key=repr)
-        return TorusVerdict(False, "WrongValence",
-                            "vertex %r has valence %d, expected 4"
-                            % (v, len(rotation[v])), report)
+    wrong = _wrong_valence(rotation, 4)
+    if wrong:
+        return TorusVerdict(False, "WrongValence", wrong, report)
     # now E = 2V and F = V, and F faces of even length >= 4 whose
     # lengths sum to 2E = 4F are all squares
     return TorusVerdict(True, "CompatibleSquares",

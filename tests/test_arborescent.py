@@ -59,6 +59,12 @@ def test_quotients_must_be_integers(quotients):
                                % (tuple(quotients),))
 
 
+def test_an_empty_quotient_sequence_is_refused():
+    with pytest.raises(ParseError) as info:
+        rational_from_quotients([])
+    assert str(info.value) == "empty quotient sequence"
+
+
 def test_quotients_match_fraction_oracle():
     rng = random.Random(99)
     for _ in range(300):
@@ -265,6 +271,14 @@ def test_is_rational_sum_rule():
 
     ok, value = is_rational(Rotate90(Sum(leaf("1"), leaf("3/2"))))
     assert ok and (value.numerator, value.denominator) == (-2, 5)
+
+
+def test_a_sum_with_the_infinity_tangle_is_infinite():
+    # an integer tangle plus the infinity tangle 1/0 is 1/0
+    for expr in (Sum(leaf("inf"), leaf("3")), Sum(leaf("3"), leaf("inf")),
+                 parse_expr("sum(rat(inf), rat(3))")):
+        ok, value = is_rational(expr)
+        assert ok and (value.numerator, value.denominator) == (1, 0)
 
 
 def test_contains_qloop():

@@ -775,6 +775,17 @@ def test_compose_errors(db):
                              signature=(4,))
 
 
+def test_saucer_composition_takes_one_index(db):
+    saucer = bounds.TangleRef("reciprocal-saucer", "1/3", "S3")
+    for operands in ((saucer,), (saucer, saucer)):
+        with pytest.raises(bounds.BoundsError) as info:
+            bounds.compose_bound(db, *operands, rule="saucer",
+                                 signature=(2, 2))
+        assert type(info.value) is bounds.BoundsError
+        assert str(info.value) == ("saucer composition takes a one-index "
+                                   "signature")
+
+
 def test_compose_refuses_unknown_names(db):
     cyl = bounds.TangleRef("integer-cylindrical", "2", "TxI")
     saucer = bounds.TangleRef("reciprocal-saucer", "1/3", "S3")
@@ -1372,6 +1383,36 @@ def test_keys_that_are_no_exact_strings_are_not_kept():
         table = bounds.VolumeDB.builtin()
         for k in order:
             assert compose(table, refs[k]) == fresh[k]
+
+
+class Name(str):
+    """A str subclass, such as a hand-built description may hold."""
+
+
+def test_keys_are_made_exact_strings_where_they_enter(monkeypatch):
+    # a str subclass or the conway 2 once kept no outcome, so each call
+    # certified again; the certificate now names the conway "2"
+    table = bounds.VolumeDB.builtin()
+    calls = counting_certifier(monkeypatch)
+    spec = {"arrangement": "bracelet", "ambient": Name("S3"),
+            "slots": [{"family": Name("reciprocal-saucer"),
+                       "conway": Name("1/3"),
+                       "orientation": Name("standard")}] + ["1/3"] * 5}
+    parsed = bounds.parse_link_spec(spec)
+    assert type(parsed.ambient) is str
+    assert {type(field) for slot in parsed.slots
+            for field in slot[:3]} == {str}
+    report = bounds.lower_bound(table, spec)
+    assert bounds.lower_bound(table, spec) == report
+    assert report.total == 6 * Fraction(Decimal("4.45025692"))
+    assert len(calls) == 1
+    composed = bounds.compose_bound(table, ("integer-cylindrical", 2, "TxI"))
+    tangle = composed.certificate.tangle
+    assert tangle == ("integer-cylindrical", "2", "TxI", "standard")
+    assert {type(field) for field in tangle} == {str}
+    assert bounds.compose_bound(table, ("integer-cylindrical", "2",
+                                        "TxI")) == composed
+    assert len(calls) == 2
 
 
 def test_outcomes_past_the_kept_bound_are_still_right(db, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -653,7 +654,7 @@ def test_graph_isomorphic_rejects():
     triangles = (range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert graph_isomorphic(hexagon, triangles) is None
     # answered None, though the first graph is no graph
-    with pytest.raises(GraphError, match="^a graph lists a vertex twice$"):
+    with pytest.raises(GraphError, match="^duplicate vertex 0$"):
         graph_isomorphic(([0, 0, 1], [(0, 1)]), (range(3), [(0, 1)]))
 
 
@@ -662,8 +663,9 @@ def test_graph_isomorphic_rejects():
     ([(0, 1), (0, [1])], "edge (0, [1]) has an endpoint that is not a vertex"),
     ([(0, 1), (0, 1, 2)], "edge 1 must be a pair, got (0, 1, 2)"),
     ([5], "edge 0 must be a pair, got 5"),
+    ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
 ], ids=["unknown endpoint", "unhashable endpoint", "edge of three",
-        "no pair"])
+        "no pair", "repeated edge"])
 def test_graph_isomorphic_refuses_malformed_edges(edges, message):
     # a bare KeyError, TypeError or ValueError before; either side
     good = (range(2), [(0, 1)])
@@ -788,6 +790,73 @@ def test_graph_isomorphic_matches_the_scan_of_every_mapped_vertex():
         got = graph_isomorphic(a, b)
         assert got == scan_all_isomorphic(a, b)
         verdicts[got is not None] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def brute_force_isomorphic(a, b):
+    """Whether some bijection of positions carries the edges of ``a``
+    onto those of ``b``, trying every permutation."""
+    (va, ea), (vb, eb) = a, b
+    if len(va) != len(vb):
+        return False
+    pa, pb = {v: i for i, v in enumerate(va)}, {v: i for i, v in enumerate(vb)}
+    edges_b = {frozenset((pb[u], pb[v])) for u, v in eb}
+    return len(ea) == len(eb) and any(
+        {frozenset((p[pa[u]], p[pa[v]])) for u, v in ea} == edges_b
+        for p in itertools.permutations(range(len(va))))
+
+
+def assert_isomorphism(mapping, a, b):
+    """``mapping`` is a bijection of a's vertices onto b's that carries
+    each edge of ``a`` onto an edge of ``b`` and meets every one."""
+    (va, ea), (vb, eb) = a, b
+    assert sorted(mapping) == sorted(va)
+    assert sorted(mapping.values()) == sorted(vb)
+    images = [frozenset((mapping[u], mapping[v])) for u, v in ea]
+    edges_b = {frozenset(e) for e in eb}
+    assert all(image in edges_b for image in images)
+    assert len(set(images)) == len(edges_b)
+
+
+def test_graph_isomorphic_agrees_with_every_permutation():
+    graphs = []
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(len(pairs) + 1):
+            graphs += ((range(n), list(edges))
+                       for edges in itertools.combinations(pairs, k))
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64
+    verdicts = Counter()
+    for a in graphs:
+        for b in graphs:
+            mapping = graph_isomorphic(a, b)
+            assert (mapping is not None) == brute_force_isomorphic(a, b)
+            if mapping is not None:
+                assert_isomorphism(mapping, a, b)
+            verdicts[mapping is not None] += 1
+    assert verdicts[True] > 300
+
+
+def test_graph_isomorphic_agrees_with_every_permutation_with_loops():
+    rng = random.Random(3141)
+    verdicts = Counter()
+    for _ in range(150):
+        n = rng.randint(5, 6)
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        m = rng.randint(n - 1, 2 * n)
+        edges = rng.sample(pairs, m)
+        labels = rng.sample(range(100), n)
+        if rng.random() < 0.5:  # a relabelled copy, or a random graph
+            other = [(labels[u], labels[v]) for u, v in edges]
+        else:
+            other = [(labels[u], labels[v]) for u, v in rng.sample(pairs, m)]
+        rng.shuffle(other)
+        a, b = (range(n), edges), (rng.sample(labels, n), other)
+        mapping = graph_isomorphic(a, b)
+        assert (mapping is not None) == brute_force_isomorphic(a, b)
+        if mapping is not None:
+            assert_isomorphism(mapping, a, b)
+        verdicts[mapping is not None] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 

@@ -141,6 +141,28 @@ def test_cylindrical_strand_count_must_be_an_int(count):
         cylindrical_template("x", count)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda good: dict(good, free_boundary=[0, -1]),
+     "genus tags must be nonnegative"),
+    (lambda good: dict(good, closed_components=-1),
+     "closed component count must be nonnegative"),
+    (lambda good: dict(good, interfaces=[-1]),
+     "interface counts must be nonnegative"),
+], ids=["genus", "closed components", "interfaces"])
+def test_template_counts_must_be_nonnegative(build, message):
+    good = saucer_template("s").to_json_dict()
+    with pytest.raises(PieceError) as info:
+        PieceTemplate.from_json_dict(build(good))
+    assert type(info.value) is PieceError
+    assert str(info.value) == message
+
+
+def test_cylindrical_piece_needs_a_strand():
+    with pytest.raises(PieceError) as info:
+        cylindrical_template("x", 0)
+    assert str(info.value) == "a cylindrical piece needs at least one strand"
+
+
 def test_template_equality_and_roundtrip():
     t = saucer_template("1/2")
     assert t == PieceTemplate.from_json_dict(t.to_json_dict())
@@ -607,8 +629,9 @@ def test_one_gluing_more_on_either_side_is_refused():
     lambda w: {**w, (3,): (3.0,)},
     lambda w: {(0,): (0,), (1,): (1,), (2,): (2,), (3.0,): (3,)},
     lambda w: {**w, (1,): (True,)},
+    lambda w: {**w, (3,): (99,)},
 ], ids=["list image", "string image", "None", "float image", "float key",
-        "bool image"])
+        "bool image", "unknown image"])
 def test_verify_isomorphism_refuses_a_malformed_witness(change):
     # a list, a string or None raised a bare TypeError from sorted(), and
     # the float label (3.0,) was taken for the copy (3,)
@@ -616,6 +639,36 @@ def test_verify_isomorphism_refuses_a_malformed_witness(change):
     identity = {label: label for _, label in a.copies}
     assert verify_isomorphism(a, a, identity)
     assert verify_isomorphism(a, a, change(identity)) is False
+
+
+def test_bracelets_of_other_shapes_are_not_isomorphic():
+    # two 2-copy bracelets against one 4-copy bracelet: the root's two
+    # faces reach one copy on one side and two on the other; and two
+    # templates alternating against two in pairs: the second copy
+    # reached holds another template
+    s, t = saucer_template("s"), saucer_template("t")
+    two = build_bracelet([s, s])
+    shift = lambda side: ((side[0][0] + 2,), side[1])
+    twice = GluingComplex(
+        [*two.copies, *((template, (label[0] + 2,))
+                        for template, label in two.copies)],
+        [*two.gluings, *((shift(g.a), shift(g.b), g.pairing)
+                         for g in two.gluings)])
+    assert len(twice.copies) == len(twice.gluings) == 4
+    for a, b in ((twice, build_bracelet([s] * 4)),
+                 (build_bracelet([s, t, s, t]), build_bracelet([s, t, t, s]))):
+        assert isomorphic(a, b) == (False, None)
+        assert isomorphic(b, a) == (False, None)
+
+
+def test_templates_sharing_an_id_cannot_be_written():
+    saucer = saucer_template("x")
+    other = PieceTemplate(saucer.id, ((1, 2, 3), (1, 2, 3)),
+                          [((1, k), (2, k)) for k in (1, 2, 3)])
+    pair = GluingComplex([(saucer, (0,)), (other, (1,))], [])
+    with pytest.raises(PieceError) as info:
+        pair.to_json_dict()
+    assert str(info.value) == "distinct templates share id 'saucer x'"
 
 
 def first_fit_witness(a, b):
@@ -1180,6 +1233,7 @@ def test_complex_json_names_a_part_that_is_not_an_array(change, message):
                                       "integers, got 0"),
     ([(saucer_template("S"), (0,)), (saucer_template("S"), (1,))],
      [(((0,), 1), ((1,), 1), 5)], "gluing pairings must be arrays, got 5"),
+    ([("saucer S", (0,))], [], "copies must reference PieceTemplate objects"),
 ])
 def test_complex_names_a_copy_or_gluing_of_the_wrong_kind(copies, gluings,
                                                           message):
