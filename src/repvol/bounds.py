@@ -587,9 +587,13 @@ def parse_link_spec(data):
     the slots can be wrong: the templates glued (saucers, squares,
     cylinders) always meet with equal endpoint counts.
 
-    A link lists a few tangles many times, so each distinct string slot
-    is checked once, at its first index, and its repeats share that
-    one SlotSpec.  Object slots are checked one by one.  Each SlotSpec's
+    A link lists a few tangles many times, so each slot is checked once,
+    at its first index, and its repeats share that one SlotSpec.  A
+    string slot repeats when an equal exact str recurs; any other slot
+    (a dict or a SlotSpec, such as the shared SlotSpecs of a parsed
+    LinkSpec passed back in) when the same object recurs.  The slots
+    list holds every object for the whole check, so no id is reused,
+    and one object always checks the same way.  Each SlotSpec's
     family, conway and orientation and the LinkSpec's ambient are exact
     strs, even where the description held a str subclass.
     """
@@ -636,11 +640,12 @@ def parse_link_spec(data):
         raise BoundsError("slots must be a list, got %r" % (raw_slots,))
 
     slots = []
-    checked = {}  # a plain string slot -> its SlotSpec, once it passed
+    checked = {}  # an exact-str slot, or id() of any other -> its SlotSpec
     for i, raw in enumerate(raw_slots):
-        text = raw if type(raw) is str else None
-        if text in checked:
-            slots.append(checked[text])
+        key = raw if type(raw) is str else id(raw)
+        spec = checked.get(key)
+        if spec is not None:
+            slots.append(spec)
             continue
         if isinstance(raw, str):
             raw = {"conway": raw}
@@ -677,10 +682,9 @@ def parse_link_spec(data):
             conway = _normalize_conway(conway)
         except BoundsError as exc:
             raise BoundsError("slot %d: %s" % (i, exc)) from None
-        slots.append(SlotSpec(str(family), conway, str(orientation),
-                              tuple(signature)))
-        if text is not None:
-            checked[text] = slots[-1]
+        checked[key] = SlotSpec(str(family), conway, str(orientation),
+                                tuple(signature))
+        slots.append(checked[key])
     slots *= repeat
 
     refusal = shape_refusal(arrangement, len(slots), rows, cols)

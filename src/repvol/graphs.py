@@ -90,24 +90,6 @@ def _pair(item, name, *where):
     return a, b
 
 
-def _unhashable_vertex(i, v):
-    return GraphError("vertex %d is not hashable: %r" % (i, v))
-
-
-def _edge_ends(edge, k, pos):
-    """Edge ``k`` unpacked as two vertices of ``pos``, else a GraphError
-    naming it."""
-    u, v = _pair(edge, "edge %d", k)
-    try:
-        known = u in pos and v in pos
-    except TypeError:   # no vertex is unhashable
-        known = False
-    if not known:
-        raise GraphError(
-            "edge %r has an endpoint that is not a vertex" % (edge,))
-    return u, v
-
-
 class Reflection:
     """An involution of the vertex set tagged with edges it transposes.
 
@@ -136,8 +118,10 @@ class ReflectionGraph:
     """A finite simple graph with reflections, validated lazily.
 
     Vertices may be any hashable labels.  Edges are unordered pairs of
-    vertices, stored with endpoints ordered by vertex position; duplicate
-    edges are rejected here, loops are kept and fail validation later.
+    vertices, each end looked up once: an edge is keyed by its (lower,
+    higher) end positions, stored with its ends in that order, and the
+    edges are kept sorted by that key.  Duplicate edges are rejected
+    here; loops are kept and fail validation later.
     ``reflections`` accepts Reflection objects, (mapping, swaps) pairs, or
     dicts with a mapping and optional swaps.  ``ambient`` names the
     manifold the replicant links live in.  Construction checks shape
@@ -154,25 +138,29 @@ class ReflectionGraph:
         pos = {}
         for i, v in enumerate(self.vertices):
             try:
-                known = v in pos
+                first = pos.setdefault(v, i)
             except TypeError:
-                raise _unhashable_vertex(i, v) from None
-            if known:
+                raise GraphError("vertex %d is not hashable: %r"
+                                 % (i, v)) from None
+            if first != i:
                 raise GraphError("duplicate vertex %r" % (v,))
-            pos[v] = len(pos)
         self._pos = pos
         if ambient not in AMBIENTS:
             raise GraphError("unknown ambient %r" % (ambient,))
         self.ambient = ambient
 
-        seen = set()
+        by_ends = {}    # (lower, higher) end position -> oriented edge
         for i, edge in enumerate(edges):
-            u, v = _edge_ends(edge, i, pos)
-            e = (u, v) if pos[u] <= pos[v] else (v, u)
-            if e in seen:
+            u, v = _pair(edge, "edge %d", i)
+            try:
+                a, b = pos[u], pos[v]
+            except (KeyError, TypeError):   # no vertex is unhashable
+                raise GraphError("edge %r has an endpoint that is not a "
+                                 "vertex" % (edge,)) from None
+            key, e = ((a, b), (u, v)) if a <= b else ((b, a), (v, u))
+            if by_ends.setdefault(key, e) is not e:
                 raise GraphError("duplicate edge %r" % (e,))
-            seen.add(e)
-        self.edges = tuple(sorted(seen, key=lambda e: (pos[e[0]], pos[e[1]])))
+        self.edges = tuple(by_ends[key] for key in sorted(by_ends))
 
         coerced = []
         for k, item in enumerate(reflections):

@@ -486,8 +486,10 @@ class GluingComplex:
         return hash((self.copies, self._partners))
 
     def __repr__(self):
+        # no face glues to itself, so each gluing fills two faces
+        glued = sum(f is not None for row in self._partners for f in row)
         return "GluingComplex(%d copies, %d gluings)" % (
-            len(self.copies), len(self.gluings))
+            len(self.copies), glued // 2)
 
     def to_json_dict(self):
         table = {}
@@ -581,17 +583,6 @@ def replicate(template, schedule):
                                  _mirror_gluings(sizes, order))
 
 
-_SHAPE_ERRORS = {"bracelet": OddLength, "lattice": OddDimension,
-                 "cylinder-stack": PieceError}
-
-
-def check_shape(arrangement, count, rows=0, cols=0):
-    """Refuse a bracelet, lattice or stack whose size cannot close up."""
-    refusal = shape_refusal(arrangement, count, rows, cols)
-    if refusal is not None:
-        raise _SHAPE_ERRORS[arrangement](refusal)
-
-
 def build_bracelet(tangles):
     """Close an even cycle of saucer tangles into one complex.
 
@@ -603,7 +594,9 @@ def build_bracelet(tangles):
     """
     tangles = list(tangles)
     count = len(tangles)
-    check_shape("bracelet", count)
+    refusal = shape_refusal("bracelet", count)
+    if refusal is not None:
+        raise OddLength(refusal)
     for i, tangle in enumerate(tangles):
         j = (i + 1) % count
         face_no = 1 if i % 2 == 0 else 2
@@ -638,7 +631,9 @@ def build_torus_lattice(grid):
     if height == 0 or any(len(row) != len(rows[0]) for row in rows):
         raise PieceError("lattice grid must be rectangular")
     width = len(rows[0])
-    check_shape("lattice", height * width, height, width)
+    refusal = shape_refusal("lattice", height * width, height, width)
+    if refusal is not None:
+        raise OddDimension(refusal)
     copies = []
     for r, row in enumerate(rows):
         for c, template in enumerate(row):
@@ -663,7 +658,9 @@ def build_cylinder_stack(tangles):
     (equal labels), cyclically; a single tangle closes onto itself.
     """
     tangles = list(tangles)
-    check_shape("cylinder-stack", len(tangles))
+    refusal = shape_refusal("cylinder-stack", len(tangles))
+    if refusal is not None:
+        raise PieceError(refusal)
     gluings = []
     for i, tangle in enumerate(tangles):
         j = (i + 1) % len(tangles)

@@ -42,6 +42,11 @@ def test_parse_basics():
     assert parse_conway("  4   2 ").fraction == Fraction(9, 4)
 
 
+def test_the_infinity_tangle_has_no_fraction():
+    with pytest.raises(ZeroDivisionError):
+        ConwayRational(1, 0).fraction
+
+
 def test_parse_rejects_junk():
     for bad in ("", "2 x", "1/0/2", "x/2", "--3", "sum(2)"):
         with pytest.raises(ParseError):
@@ -257,6 +262,12 @@ def test_bad_node_is_named_under_its_reflection_parity():
         canonicalize(Sum(leaf("1"), Reflect(Reflect(None))))
     with pytest.raises(ParseError, match=r"node: Reflect\(child=None\)$"):
         classify(Reflect(Sum(leaf("1"), Rotate90(None))))
+
+
+def test_only_expression_nodes_are_written():
+    with pytest.raises(ParseError, match=r"^not an arborescent expression "
+                                         r"node: 5$"):
+        expr_to_json_dict(5)
 
 
 def test_is_rational_sum_rule():

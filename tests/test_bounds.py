@@ -41,6 +41,10 @@ def test_query_zero_row_is_marker_not_absence(db):
     assert value is bounds.NON_HYPERBOLIC
 
 
+def test_non_hyperbolic_repr():
+    assert repr(bounds.NON_HYPERBOLIC) == "NON_HYPERBOLIC"
+
+
 def test_query_missing(db):
     with pytest.raises(bounds.NotFound):
         db.query("reciprocal-saucer", "1/7", "S3", (4,))
@@ -364,14 +368,7 @@ def test_cube_lattice_demands_two_two(db):
     assert report.total == 8 * Fraction(Decimal("4.3692852"))
 
 
-def test_lattice_slot_shorthand_is_read_once(db, monkeypatch):
-    # the shorthand used to copy its text into every cell and normalize
-    # each copy again
-    shorthand = {"arrangement": "lattice", "ambient": "TxI",
-                 "rows": 30, "cols": 20, "slot": " 2   1"}
-    explicit = dict(shorthand, slots=[" 2   1"] * 600)
-    del explicit["slot"]
-    expected = bounds.lower_bound(db, explicit)
+def counting_normalizer(monkeypatch):
     calls = []
     real = bounds._normalize_conway
 
@@ -380,6 +377,18 @@ def test_lattice_slot_shorthand_is_read_once(db, monkeypatch):
         return real(text)
 
     monkeypatch.setattr(bounds, "_normalize_conway", counted)
+    return calls
+
+
+def test_lattice_slot_shorthand_is_read_once(db, monkeypatch):
+    # the shorthand used to copy its text into every cell and normalize
+    # each copy again
+    shorthand = {"arrangement": "lattice", "ambient": "TxI",
+                 "rows": 30, "cols": 20, "slot": " 2   1"}
+    explicit = dict(shorthand, slots=[" 2   1"] * 600)
+    del explicit["slot"]
+    expected = bounds.lower_bound(db, explicit)
+    calls = counting_normalizer(monkeypatch)
     spec = bounds.parse_link_spec(shorthand)
     assert calls == [" 2   1"]
     assert spec.slots == bounds.parse_link_spec(explicit).slots
@@ -389,6 +398,29 @@ def test_lattice_slot_shorthand_is_read_once(db, monkeypatch):
     with pytest.raises(bounds.BoundsError,
                        match="^slot 0: orientation must be a string$"):
         bounds.parse_link_spec(bad)
+
+
+def test_a_parsed_spec_is_checked_once_per_slot_object(monkeypatch):
+    # a parsed LinkSpec shares one SlotSpec among a tangle's repeats, and
+    # passing it back in used to check each repeat again
+    kinds = [bounds.SlotSpec("reciprocal-saucer", conway, "standard", ())
+             for conway in ("1/2", "1/4", "1/6")]
+    spec = bounds.LinkSpec("ring", "bracelet", "S3",
+                           tuple(kinds[i % 3] for i in range(1000)))
+    calls = counting_normalizer(monkeypatch)
+    assert bounds.parse_link_spec(spec) == spec
+    assert calls == ["1/2", "1/4", "1/6"]
+
+
+def test_a_dict_slot_is_checked_once_per_object(monkeypatch):
+    slot = {"conway": "1/4"}
+    shared = {"arrangement": "bracelet", "ambient": "S3", "slots": [slot] * 4}
+    distinct = dict(shared, slots=[dict(slot) for _ in range(4)])
+    calls = counting_normalizer(monkeypatch)
+    parsed = bounds.parse_link_spec(shared)
+    assert calls == ["1/4"]
+    assert bounds.parse_link_spec(distinct) == parsed
+    assert calls == ["1/4"] * 5
 
 
 def test_cylinder_stack_example(db):
@@ -1364,7 +1396,7 @@ def test_a_zero_row_refuses_a_certified_slot_once_per_table(db,
     assert seen[0][0] is not seen[1][0]
 
 
-def test_keys_that_are_no_exact_strings_are_not_kept():
+def test_the_conways_2_and_2_0_are_kept_under_their_own_rows():
     # 2 == 2.0 and they hash alike, but the conways read as the rows "2"
     # and "2.0": only the first is recorded
     two = ("integer-cylindrical", 2, "TxI")

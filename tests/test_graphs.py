@@ -935,6 +935,28 @@ def test_graph_parts_of_the_wrong_shape_are_refused_by_index(build, message):
     assert str(info.value) == message
 
 
+def test_edges_are_stored_by_their_end_positions():
+    # each edge oriented lower position first, sorted by that pair
+    graph = ReflectionGraph("abcd", [("d", "a"), ("c", "b"), ("b", "a"),
+                                     ("d", "c")], ())
+    assert graph.edges == (("a", "b"), ("a", "d"), ("b", "c"), ("c", "d"))
+
+
+@pytest.mark.parametrize("value, text", [
+    (Reflection({0: 1, 1: 0}, [(0, 1)]), "Reflection(2 vertices, 1 swaps)"),
+    (cycle_reflection_graph(4),
+     "ReflectionGraph(4 vertices, 4 edges, 2 reflections, S3)"),
+], ids=["reflection", "graph"])
+def test_graph_reprs(value, text):
+    assert repr(value) == text
+
+
+def test_a_face_report_equals_no_other_type():
+    report = trace_faces(*dipole(4))
+    assert report != tuple(report)
+    assert not report == "report"
+
+
 UNHASHABLE_IMAGE = {"vertices": [0, 1], "edges": [[0, 1]],
                     "reflections": [{"mapping": [[0, {}], [1, 0]],
                                      "swaps": [[0, 1]]}]}

@@ -877,6 +877,22 @@ def test_bracelet_rejections():
         build_bracelet([t, t, t, wide, t, t])
 
 
+# a template with fewer than two faces has no face pair to meet across
+@pytest.mark.parametrize("build, message", [
+    (build_bracelet, "bracelet tangles need a face pair"),
+    (build_cylinder_stack, "stacked tangles need a face pair"),
+], ids=["bracelet", "stack"])
+@pytest.mark.parametrize("faces, strands", [
+    ((), ()), (((1, 2),), (((1, 1), (1, 2)),)),
+], ids=["no face", "one face"])
+def test_builders_need_a_face_pair(build, message, faces, strands):
+    bare = PieceTemplate("bare", faces, strands)
+    with pytest.raises(PieceError) as info:
+        build([bare, bare])
+    assert type(info.value) is PieceError
+    assert str(info.value) == message
+
+
 # lattices
 
 def test_lattice_matches_replicant():
@@ -1006,6 +1022,18 @@ def test_split_union_rejects_other_complexes():
     q = cylindrical_template("q")
     with pytest.raises(PieceError):
         split_union(replicate(p, (2,)), p, q)
+
+
+def test_split_union_refuses_a_gluing_across_the_parts():
+    # endpoints 1-2 of each union face are the left part's, 3-4 the right's
+    s = saucer_template("s")
+    u = template_union(s, s)
+    crossed = GluingComplex(
+        [(u, (0,)), (u, (1,))],
+        [(((0,), 1), ((1,), 1), [(1, 3), (2, 4), (3, 1), (4, 2)])])
+    with pytest.raises(PieceError, match=r"^gluing .* mixes the union's "
+                                         r"parts$"):
+        split_union(crossed, s, s)
 
 
 # complex plumbing
@@ -1276,3 +1304,25 @@ def test_complex_json_must_be_an_object_with_templates():
         with pytest.raises(PieceError) as info:
             GluingComplex.from_json_dict(malformed)
         assert str(info.value).endswith(shown)
+
+
+SAUCER = saucer_template("1/4")
+
+
+@pytest.mark.parametrize("value, text", [
+    (SAUCER, "PieceTemplate(id='saucer 1/4', ell=1)"),
+    (replicate(SAUCER, (4,)), "GluingComplex(4 copies, 4 gluings)"),
+    (build_cylinder_stack([cylindrical_template("c")] * 3),
+     "GluingComplex(3 copies, 3 gluings)"),
+    (GluingComplex([(SAUCER, (0,)), (SAUCER, (1,))], [(((0,), 1), ((1,), 1))]),
+     "GluingComplex(2 copies, 1 gluings)"),
+], ids=["template", "replicant", "stack", "half glued"])
+def test_piece_reprs(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", [SAUCER, replicate(SAUCER, (2,))],
+                         ids=["template", "complex"])
+def test_pieces_equal_no_other_type(value):
+    assert value != value.to_json_dict()
+    assert not value == 5

@@ -191,6 +191,12 @@ def test_letter_counts():
     assert w.letter_counts() == {1: 8, 2: 2}
 
 
+def test_a_word_equals_no_other_type():
+    w = W(4, 1, 2, 3, 4)
+    assert w != (4, (1, 2, 3, 4))
+    assert not w == w.to_json_dict()
+
+
 # reversal
 
 def test_reverse_examples():
@@ -609,6 +615,10 @@ def test_bound_from_reduction_exact_strings():
     total = bound_from_reduction({1: Fraction(1, 2), 2: Fraction(1, 2)},
                                  {1: "3.25", 2: "1/4"})
     assert total == Fraction(7, 4)
+
+
+def test_bound_from_reduction_reads_a_float_by_its_repr():
+    assert bound_from_reduction({1: Fraction(1)}, {1: 0.1}) == Fraction(1, 10)
 
 
 def test_bound_missing_volume():
