@@ -241,7 +241,10 @@ def validate_reflection_graph(graph):
     vertex, which is the same as the edge orbits ("classes") numbering
     exactly the valence, and |G| must not exceed repvol.COPY_LIMIT.
     Every check reads vertex positions; each reflection is read once into
-    ``perm``, perm[i] the position of vertex i's image.  The
+    ``perm``, perm[i] the position of vertex i's image.  An edge is
+    looked up by one int, a * n + b for its ends at positions a (colour
+    0) and b (colour 1), so neither an edge nor its image is hashed as a
+    tuple, and a pair of one colour matches no edge.  The
     edge-preservation check keeps what it looks up, ``image``, image[k]
     the position of edge k's image, once per distinct perm.  Labels
     return in refusals and the report.
@@ -300,7 +303,10 @@ def validate_reflection_graph(graph):
     if valence == 0:
         raise NotRegular("the graph has no edges")
 
-    edge_index = {e: k for k, e in enumerate(ends)}
+    # each edge colour-0 end first; a reflection that passed the class
+    # swap check maps (a, b) to (perm[b], perm[a]), colour-0 end first
+    sides = [(a, b) if color[a] == 0 else (b, a) for a, b in ends]
+    edge_index = {a * n + b: k for k, (a, b) in enumerate(sides)}
     tagged = bytearray(len(ends))
     images = {}     # perm -> image[k], the position of edge k's image
     for idx, refl in enumerate(graph.reflections):
@@ -320,22 +326,19 @@ def validate_reflection_graph(graph):
                 raise BadReflection(
                     "reflection %d keeps %r on its own side"
                     % (idx, vertices[a]))
-        image = []
-        for k, (a, b) in enumerate(ends):
-            x, y = perm[a], perm[b]
-            j = edge_index.get((x, y) if x < y else (y, x))
-            if j is None:
-                raise BadReflection(
-                    "reflection %d does not preserve the edge %r"
-                    % (idx, graph.edges[k]))
-            image.append(j)
+        image = [edge_index.get(perm[b] * n + perm[a]) for a, b in sides]
+        if None in image:
+            raise BadReflection(
+                "reflection %d does not preserve the edge %r"
+                % (idx, graph.edges[image.index(None)]))
         images[perm] = image
         if not refl.swaps:
             raise BadReflection("reflection %d is tagged with no edge" % idx)
         for swap in refl.swaps:
             try:
                 x, y = pos[swap[0]], pos[swap[1]]
-                k = edge_index[(x, y) if x < y else (y, x)]
+                # a pair of one colour gives no edge key
+                k = edge_index[x * n + y if color[x] == 0 else y * n + x]
             except (KeyError, TypeError):
                 raise BadReflection(
                     "reflection %d tags %r, which is not an edge"
@@ -551,13 +554,36 @@ def graph_to_json_dict(graph):
     }
 
 
+def _mapping_in(pairs):
+    """A JSON mapping as a dict of vertices: one ``dict()`` call on a list
+    of list or tuple entries, kept if no key or value is a list; else
+    entry by entry through ``_vertex_in``, which raises what it raises.
+    Entries of other types never reach ``dict()``, which could use up an
+    iterator entry that the second reading needs."""
+    if type(pairs) is list and set(map(type, pairs)) <= {list, tuple}:
+        try:
+            mapping = dict(pairs)
+        except (TypeError, ValueError):
+            pass
+        else:
+            kinds = set(map(type, mapping))
+            kinds.update(map(type, mapping.values()))
+            if not any(issubclass(kind, list) for kind in kinds):
+                return mapping
+    return {_vertex_in(k): _vertex_in(w) for k, w in pairs}
+
+
 def graph_from_json_dict(data):
-    """Rebuild a ReflectionGraph from its JSON dictionary."""
+    """Rebuild a ReflectionGraph from its JSON dictionary.
+
+    Each reflection's mapping, a JSON list of pairs, is built with one
+    ``dict()`` call; labels are recast from lists to tuples only in a
+    mapping where a list appears as a key or a value.
+    """
     try:
         vertices = [_vertex_in(v) for v in data["vertices"]]
         edges = [_pair_in(e) for e in data["edges"]]
-        reflections = [({_vertex_in(k): _vertex_in(w)
-                         for k, w in item["mapping"]},
+        reflections = [(_mapping_in(item["mapping"]),
                         [_pair_in(swap) for swap in item["swaps"]])
                        for item in data["reflections"]]
         ambient = data.get("ambient", "S3")
@@ -787,12 +813,16 @@ def _faces(edges, rotation):
     0.9 is not read as edge 0, nor True as side 1.
     """
     try:
-        # a tuple pair is kept, not copied: a large system holds many
-        edges = [e if type(e) is tuple and len(e) == 2
-                 else _pair(e, "edge %d", i) for i, e in enumerate(edges)]
+        if type(edges) not in (list, tuple):
+            edges = list(edges)
     except TypeError:
         raise GraphError("edges must be a sequence of pairs, got %r"
                          % (edges,)) from None
+    # a list or tuple of tuple pairs is used as it is, checked at C speed;
+    # anything else is read edge by edge, tuple pairs kept, not copied
+    if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}):
+        edges = [e if type(e) is tuple and len(e) == 2
+                 else _pair(e, "edge %d", i) for i, e in enumerate(edges)]
     if not isinstance(rotation, dict):
         raise GraphError("rotation must be a dict, got %s"
                          % type(rotation).__name__)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -298,6 +299,49 @@ def test_bad_reflections():
         validate_reflection_graph(
             c6_with(Reflection(rho0, [(0, 1), (3, 4)])))
     assert "no distinguished reflection" in str(err.value)
+
+
+RHO0 = {v: (1 - v) % 6 for v in range(6)}   # fixes no vertex of C6
+
+
+@pytest.mark.parametrize("swaps, message", [
+    ([(0, 2)], "reflection 0 tags (0, 2), which is not an edge"),
+    ([(1, 3)], "reflection 0 tags (1, 3), which is not an edge"),
+    ([(3, 1)], "reflection 0 tags (3, 1), which is not an edge"),
+    ([(0, 0)], "reflection 0 tags (0, 0), which is not an edge"),
+    ([(1, 1)], "reflection 0 tags (1, 1), which is not an edge"),
+    ([(0, 1), (2, 1)],
+     "reflection 0 does not transpose its tagged edge (2, 1)"),
+    ([(1, 0), (4, 3)], "edge (0, 5) has no distinguished reflection"),
+], ids=["colour-0 pair", "colour-1 pair", "colour-1 pair reversed",
+        "colour-0 loop", "colour-1 loop", "reversed edge not transposed",
+        "reversed edges"])
+def test_tags_are_looked_up_from_their_colour_0_end(swaps, message):
+    # edges are keyed by one int from their colour-0 end: a pair of one
+    # colour or a loop is no edge, and an edge named from either end is
+    # the same edge
+    with pytest.raises(BadReflection) as err:
+        validate_reflection_graph(c6_with(Reflection(RHO0, swaps)))
+    assert str(err.value) == message
+
+
+def test_an_edge_tagged_from_either_end_validates_alike():
+    graph = cycle_reflection_graph(8)
+    reversed_tags = ReflectionGraph(
+        graph.vertices, graph.edges,
+        [Reflection(r.mapping, [(b, a) for a, b in r.swaps])
+         for r in graph.reflections])
+    assert (validate_reflection_graph(reversed_tags)
+            == validate_reflection_graph(graph))
+
+
+def test_the_first_edge_not_preserved_is_named():
+    # v -> v ^ 1 keeps the edge (0, 1) but takes (0, 5), the next edge in
+    # stored order, to (1, 4)
+    with pytest.raises(BadReflection) as err:
+        validate_reflection_graph(
+            c6_with(Reflection({v: v ^ 1 for v in range(6)}, [(0, 1)])))
+    assert str(err.value) == "reflection 0 does not preserve the edge (0, 5)"
 
 
 def test_vertex_stabilizer_detected():
@@ -862,18 +906,23 @@ def test_graph_isomorphic_agrees_with_every_permutation_with_loops():
 
 # serialization
 
-def test_graph_json_roundtrip():
-    import json
+def nested_cycle():
+    """The 6-cycle relabelled with tuples nested two deep."""
     c6 = cycle_reflection_graph(6)
     nest = {v: ("v", (v, (v % 2,))) for v in c6.vertices}
-    nested = ReflectionGraph(
+    return ReflectionGraph(
         [nest[v] for v in c6.vertices],
         [(nest[u], nest[v]) for u, v in c6.edges],
         [Reflection({nest[k]: nest[w] for k, w in r.mapping.items()},
                     [(nest[a], nest[b]) for a, b in r.swaps])
          for r in c6.reflections])
+
+
+def test_graph_json_roundtrip():
+    import json
+    c6 = cycle_reflection_graph(6)
     for g in (c6, product_p1(_validated(cycle_reflection_graph(4))),
-              k33_reflection_graph(), nested):
+              k33_reflection_graph(), nested_cycle()):
         data = graph_to_json_dict(g)
         # lists all the way down: no tuple survives into the dictionary
         assert json.loads(json.dumps(data)) == data
@@ -975,6 +1024,134 @@ def test_unhashable_reflection_parts_are_refused(data, message):
     with pytest.raises(BadReflection) as info:
         validate_reflection_graph(graph)
     assert str(info.value) == message
+
+
+def reference_graph_from_json_dict(data):
+    """The JSON reader reading every mapping entry by entry, each label
+    recast with ``_vertex_in``: the reference ``graph_from_json_dict``
+    must agree with, graph for graph and error for error."""
+    vertex_in, pair_in = graphs_module._vertex_in, graphs_module._pair_in
+    try:
+        vertices = [vertex_in(v) for v in data["vertices"]]
+        edges = [pair_in(e) for e in data["edges"]]
+        reflections = [({vertex_in(k): vertex_in(w)
+                         for k, w in item["mapping"]},
+                        [pair_in(swap) for swap in item["swaps"]])
+                       for item in data["reflections"]]
+        ambient = data.get("ambient", "S3")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError("malformed graph JSON: %s" % exc) from None
+    return ReflectionGraph(vertices, edges, reflections, ambient)
+
+
+def typed(x):
+    """``x`` with the exact type of every value in it, at any depth."""
+    if isinstance(x, dict):
+        return dict, [(typed(k), typed(w)) for k, w in x.items()]
+    if isinstance(x, (list, tuple)):
+        return type(x), [typed(y) for y in x]
+    return type(x), x
+
+
+def read_outcome(reader, data):
+    """What ``reader`` makes of ``data``: every part of the graph with its
+    types and order, or the class and message of its refusal."""
+    try:
+        g = reader(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (typed(g.vertices), typed(g.edges), g.ambient,
+            [(typed(r.mapping), typed(r.swaps)) for r in g.reflections])
+
+
+class HashableList(list):
+    """A list subclass that can be a dict key."""
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+class ListLabel(list):
+    pass
+
+
+def one_mapping(mapping):
+    """A two-vertex graph whose one reflection has ``mapping``."""
+    return {"vertices": [0, 1], "edges": [[0, 1]],
+            "reflections": [{"mapping": mapping, "swaps": [[0, 1]]}]}
+
+
+# name: (a new copy of the mapping, whether the reader refuses it)
+MAPPINGS = {
+    "list key": (lambda: [[HashableList([0]), 1], [1, 0]], False),
+    "list subclass value": (lambda: [[0, ListLabel([1, [2]])], [1, 0]],
+                            False),
+    "list value": (lambda: [[0, [1]], [1, 0]], False),
+    "list in a tuple value": (lambda: [[0, (1, [2])], [1, 0]], False),
+    "repeated keys": (lambda: [[0, 1], [1, 0], [0, 0], [1.0, 1], [True, 5]],
+                      False),
+    "tuple entries": (lambda: [(0, 1), (1, 0)], False),
+    "tuple": (lambda: ([0, 1], [1, 0]), False),
+    "generator": (lambda: (p for p in [[0, 1], [1, 0]]), False),
+    "dict": (lambda: {0: 1, 1: 0}, True),
+    "dict of pairs": (lambda: {(0, 1): None, (1, 0): None}, False),
+    "string": (lambda: "01", True),
+    "string entries": (lambda: ["01", "10"], False),
+    "iterator entries": (lambda: [iter([0, 1]), iter([1])], True),
+    "entry of one": (lambda: [[0, 1], [1]], True),
+    "entry of three": (lambda: [[0, 1], [1, 0, 1]], True),
+    "int": (lambda: 5, True),
+    "int entry": (lambda: [[0, 1], 5], True),
+    "unhashable key": (lambda: [[0, 1], [{}, 0]], True),
+    "unhashable nested key": (lambda: [[[0, {}], 1], [1, 0]], True),
+    "unhashable value": (lambda: [[0, {}], [1, 0]], False),
+}
+
+
+def test_the_reader_agrees_with_the_reference_on_every_cli_fixture(tmp_path):
+    import json
+    import cli_parity
+    cli_parity.build_fixtures(str(tmp_path))
+    paths = sorted(tmp_path.glob("graph-*.json"))
+    assert len(paths) > 20
+    for path in paths:
+        data = json.loads(path.read_text())
+        assert (read_outcome(graph_from_json_dict, data)
+                == read_outcome(reference_graph_from_json_dict, data)), path
+
+
+def test_the_reader_agrees_with_the_reference_on_nested_labels():
+    data = graph_to_json_dict(nested_cycle())
+    assert (read_outcome(graph_from_json_dict, data)
+            == read_outcome(reference_graph_from_json_dict, data))
+    back = graph_from_json_dict(data)
+    assert [r.mapping for r in back.reflections] \
+        == [r.mapping for r in nested_cycle().reflections]
+
+
+@pytest.mark.parametrize("name", list(MAPPINGS))
+def test_the_reader_agrees_with_the_reference_on_every_mapping(name):
+    make, refused = MAPPINGS[name]
+    new = read_outcome(graph_from_json_dict, one_mapping(make()))
+    assert new == read_outcome(reference_graph_from_json_dict,
+                               one_mapping(make()))
+    assert (new[0] is GraphError
+            and new[1].startswith("malformed graph JSON: ")) == refused
+
+
+def test_a_mapping_of_plain_labels_is_not_read_label_by_label(monkeypatch):
+    calls = []
+    vertex_in = graphs_module._vertex_in
+
+    def counted(v):
+        calls.append(v)
+        return vertex_in(v)
+
+    monkeypatch.setattr(graphs_module, "_vertex_in", counted)
+    g = cycle_reflection_graph(8)
+    graph_from_json_dict(graph_to_json_dict(g))
+    swaps = sum(len(r.swaps) for r in g.reflections)
+    # the vertices, both ends of every edge and swap, and no mapping entry
+    assert len(calls) == len(g.vertices) + 2 * len(g.edges) + 2 * swaps
 
 
 # face tracing
@@ -1359,6 +1536,37 @@ def test_face_tracing_matches_reference(monkeypatch):
     # a rotation end that is not a pair is refused by name, an edge that
     # is not a pair by index
     assert refused == {IncompleteRotation, GraphError}
+
+
+class Edge(NamedTuple):
+    u: object
+    v: object
+
+
+# name: the edges of a system given in that shape
+EDGE_SHAPES = {
+    "list of tuples": list,
+    "tuple of tuples": tuple,
+    "list of lists": lambda edges: [list(e) for e in edges],
+    "list of named tuples": lambda edges: [Edge(*e) for e in edges],
+    "list subclass": ListLabel,
+    "generator": lambda edges: (e for e in edges),
+    "dict": lambda edges: {e: None for e in edges},
+    "an edge of three": lambda edges: [edges[0] + (0,)] + list(edges[1:]),
+    "an edge of one": lambda edges: list(edges[:-1]) + [edges[-1][:1]],
+    "an int edge": lambda edges: list(edges[:-1]) + [7],
+    "a string": lambda edges: "uv",
+}
+
+
+@pytest.mark.parametrize("shape", list(EDGE_SHAPES))
+def test_edges_of_every_shape_are_read_as_the_reference_reads_them(shape):
+    # a list or tuple of tuple pairs is checked at C speed, anything else
+    # edge by edge; both read what the reference reads
+    make = EDGE_SHAPES[shape]
+    for edges, rotation in (dipole(4), grid_torus(2, 3), octahedron()):
+        new = outcome(graphs_module._faces, make(edges), rotation)
+        assert new == outcome(reference_faces, make(edges), rotation)
 
 
 @pytest.mark.parametrize("rows, cols", [(200, 200), (51, 50)])
