@@ -127,16 +127,20 @@ class ReflectionGraph:
     manifold the replicant links live in.  Construction checks shape
     only, and refuses a part of the wrong shape with a GraphError naming
     its index; call ``validate_reflection_graph`` for the real audit,
-    whose report is cached on the instance.
+    whose report is cached on the instance.  Each mapping is read once,
+    here, into its one stored form (perm, swaps), perm[i] the position of
+    vertex i's image, or, if it is no permutation, kept as its Reflection:
+    a marker the validator refuses.  ``reflections`` is read-only: a new
+    Reflection per perm, in vertex order, and a marker as it was given.
     """
 
-    __slots__ = ("vertices", "edges", "reflections", "ambient",
+    __slots__ = ("vertices", "edges", "_reflections", "ambient",
                  "_pos", "_report")
 
     def __init__(self, vertices, edges, reflections, ambient="S3"):
-        self.vertices = tuple(vertices)
+        self.vertices = vertices = tuple(vertices)
         pos = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             try:
                 first = pos.setdefault(v, i)
             except TypeError:
@@ -162,7 +166,7 @@ class ReflectionGraph:
                 raise GraphError("duplicate edge %r" % (e,))
         self.edges = tuple(by_ends[key] for key in sorted(by_ends))
 
-        coerced = []
+        stored = []
         for k, item in enumerate(reflections):
             if not isinstance(item, Reflection):
                 if isinstance(item, dict):
@@ -174,13 +178,27 @@ class ReflectionGraph:
                     item = Reflection(mapping, swaps)
                 except GraphError as exc:
                     raise GraphError("reflection %d: %s" % (k, exc)) from None
-            coerced.append(item)
-        self.reflections = tuple(coerced)
+            try:    # a vertex left out, or an image that is no vertex
+                perm = tuple(map(pos.__getitem__,
+                                 map(item.mapping.__getitem__, vertices)))
+            except (KeyError, TypeError):
+                perm = ()
+            if len(item.mapping) == len(vertices) == len(set(perm)):
+                item = perm, item.swaps
+            stored.append(item)
+        self._reflections = tuple(stored)
         self._report = None
+
+    @property
+    def reflections(self):
+        label = self.vertices.__getitem__
+        return tuple(r if isinstance(r, Reflection) else
+                     Reflection(zip(self.vertices, map(label, r[0])), r[1])
+                     for r in self._reflections)
 
     def __repr__(self):
         return "ReflectionGraph(%d vertices, %d edges, %d reflections, %s)" % (
-            len(self.vertices), len(self.edges), len(self.reflections),
+            len(self.vertices), len(self.edges), len(self._reflections),
             self.ambient)
 
 
@@ -240,14 +258,12 @@ def validate_reflection_graph(graph):
     edge, then the generated group G: no nontrivial element may fix a
     vertex, which is the same as the edge orbits ("classes") numbering
     exactly the valence, and |G| must not exceed repvol.COPY_LIMIT.
-    Every check reads vertex positions; each reflection is read once into
-    ``perm``, perm[i] the position of vertex i's image.  An edge is
-    looked up by one int, a * n + b for its ends at positions a (colour
-    0) and b (colour 1), so neither an edge nor its image is hashed as a
-    tuple, and a pair of one colour matches no edge.  The
-    edge-preservation check keeps what it looks up, ``image``, image[k]
-    the position of edge k's image, once per distinct perm.  Labels
-    return in refusals and the report.
+    Checks read vertex positions and the perm stored for each
+    reflection; a marker is refused as no permutation at its turn.  Edge
+    k is looked up by one int, a * n + b for its ends at positions a
+    (colour 0) and b (colour 1), so a pair of one colour matches no
+    edge, and image[k], the position of its image, is kept once per
+    distinct perm.  Labels return in refusals and the report.
 
     The group is not listed.  Once every edge is tagged, each edge is
     transposed by a generator, so on a connected graph G is transitive
@@ -309,15 +325,11 @@ def validate_reflection_graph(graph):
     edge_index = {a * n + b: k for k, (a, b) in enumerate(sides)}
     tagged = bytearray(len(ends))
     images = {}     # perm -> image[k], the position of edge k's image
-    for idx, refl in enumerate(graph.reflections):
-        mapping = refl.mapping
-        try:    # a vertex left out, or an image that is no vertex
-            perm = tuple([pos[mapping[v]] for v in vertices])
-        except (KeyError, TypeError):
-            perm = ()
-        if len(mapping) != n or len(set(perm)) != n:
+    for idx, entry in enumerate(graph._reflections):
+        if isinstance(entry, Reflection):
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
+        perm, swaps = entry
         for a, b in enumerate(perm):
             if perm[b] != a:
                 raise BadReflection(
@@ -332,9 +344,9 @@ def validate_reflection_graph(graph):
                 "reflection %d does not preserve the edge %r"
                 % (idx, graph.edges[image.index(None)]))
         images[perm] = image
-        if not refl.swaps:
+        if not swaps:
             raise BadReflection("reflection %d is tagged with no edge" % idx)
-        for swap in refl.swaps:
+        for swap in swaps:
             try:
                 x, y = pos[swap[0]], pos[swap[1]]
                 # a pair of one colour gives no edge key
@@ -428,19 +440,19 @@ def product_p1(graph):
     if graph._report is None:
         raise NotValidated("validate the graph before taking a product")
     layers = (0, 1)
+    n = len(graph.vertices)
     vertices = [(v, i) for i in layers for v in graph.vertices]
     edges = [((u, i), (v, i)) for i in layers for u, v in graph.edges]
-    edges += [((v, 0), (v, 1)) for v in graph.vertices]
-    reflections = []
-    for refl in graph.reflections:
-        mapping = {(v, i): (refl.mapping[v], i)
-                   for i in layers for v in graph.vertices}
-        swaps = [((a, i), (b, i)) for i in layers for a, b in refl.swaps]
-        reflections.append(Reflection(mapping, swaps))
-    flip = {(v, i): (v, 1 - i) for i in layers for v in graph.vertices}
     vertical = [((v, 0), (v, 1)) for v in graph.vertices]
-    reflections.append(Reflection(flip, vertical))
-    out = ReflectionGraph(vertices, edges, reflections, graph.ambient)
+
+    def reflections():
+        for perm, swaps in graph._reflections:
+            yield (zip(vertices, [vertices[p + i * n]
+                                  for i in layers for p in perm]),
+                   [((a, i), (b, i)) for i in layers for a, b in swaps])
+        yield zip(vertices, vertices[n:] + vertices[:n]), vertical
+    out = ReflectionGraph(vertices, edges + vertical, reflections(),
+                          graph.ambient)
     validate_reflection_graph(out)
     return out
 
@@ -458,12 +470,9 @@ def cycle_reflection_graph(size, ambient="S3"):
     vertices = range(size)
     edges = [(v, (v + 1) % size) for v in vertices]
     half = size // 2
-    reflections = []
-    for a in range(half):
-        mapping = {v: (2 * a + 1 - v) % size for v in vertices}
-        swaps = [(a, a + 1),
-                 ((a + half) % size, (a + half + 1) % size)]
-        reflections.append(Reflection(mapping, swaps))
+    reflections = (({v: (2 * a + 1 - v) % size for v in vertices},
+                    [(a, a + 1), ((a + half) % size, (a + half + 1) % size)])
+                   for a in range(half))
     return ReflectionGraph(vertices, edges, reflections, ambient)
 
 
@@ -485,20 +494,17 @@ def lattice_reflection_graph(rows, cols, ambient="S3"):
     for i, j in vertices:
         edges.append(((i, j), ((i + 1) % rows, j)))
         edges.append(((i, j), (i, (j + 1) % cols)))
-    reflections = []
-    for a in range(rows // 2):
-        mapping = {(i, j): ((2 * a + 1 - i) % rows, j) for i, j in vertices}
-        swaps = []
-        for i in (a, (a + rows // 2) % rows):
-            swaps += [((i, j), ((i + 1) % rows, j)) for j in range(cols)]
-        reflections.append(Reflection(mapping, swaps))
-    for b in range(cols // 2):
-        mapping = {(i, j): (i, (2 * b + 1 - j) % cols) for i, j in vertices}
-        swaps = []
-        for j in (b, (b + cols // 2) % cols):
-            swaps += [((i, j), (i, (j + 1) % cols)) for i in range(rows)]
-        reflections.append(Reflection(mapping, swaps))
-    return ReflectionGraph(vertices, edges, reflections, ambient)
+
+    def reflections():
+        for a in range(rows // 2):
+            yield ({(i, j): ((2 * a + 1 - i) % rows, j) for i, j in vertices},
+                   [((i, j), ((i + 1) % rows, j))
+                    for i in (a, a + rows // 2) for j in range(cols)])
+        for b in range(cols // 2):
+            yield ({(i, j): (i, (2 * b + 1 - j) % cols) for i, j in vertices},
+                   [((i, j), (i, (j + 1) % cols))
+                    for j in (b, b + cols // 2) for i in range(rows)])
+    return ReflectionGraph(vertices, edges, reflections(), ambient)
 
 
 def _recast(v, kind, make):
@@ -536,20 +542,14 @@ def _pair_in(p):
 
 
 def graph_to_json_dict(graph):
-    """Serialize a ReflectionGraph; tuples become lists, at any depth."""
-    pos = graph._pos
-    order = len(pos)
+    """Serialize a ReflectionGraph; tuples become lists, at any depth.
+    Each mapping is written in vertex order, or a marker's as given."""
     return {
         "vertices": _vertex_out(graph.vertices),
         "edges": _vertex_out(graph.edges),
-        "reflections": [
-            {"mapping": [[_vertex_out(k), _vertex_out(w)]
-                         for k, w in sorted(
-                             r.mapping.items(),
-                             key=lambda kv: (pos.get(kv[0], order),
-                                             repr(kv[0])))],
-             "swaps": _vertex_out(r.swaps)}
-            for r in graph.reflections],
+        "reflections": [{"mapping": _vertex_out(tuple(r.mapping.items())),
+                         "swaps": _vertex_out(r.swaps)}
+                        for r in graph.reflections],
         "ambient": graph.ambient,
     }
 

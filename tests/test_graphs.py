@@ -395,6 +395,27 @@ def test_c1000_validates():
     assert len(report.edge_classes) == 2
 
 
+PEAK_RSS = """
+import resource, sys
+from repvol.graphs import cycle_reflection_graph, validate_reflection_graph
+validate_reflection_graph(cycle_reflection_graph(2000))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
+"""
+
+
+def test_c2000_is_built_and_validated_in_under_100_mb():
+    # a graph keeps one position tuple per reflection, not a label dict:
+    # 48 MB peak, against 224 MB when every mapping was stored as a dict
+    pytest.importorskip("resource")
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
+
+
 def _relabelled(graph, rng):
     """The same graph under fresh labels, with every input order shuffled."""
     labels = rng.sample(range(10 * len(graph.vertices)), len(graph.vertices))
@@ -683,6 +704,41 @@ def test_product_p1_chain_to_lattice():
 def test_product_requires_validation():
     with pytest.raises(NotValidated):
         product_p1(cycle_reflection_graph(6))
+
+
+def reference_product_p1(graph):
+    """``product_p1`` built from label dicts: each lifted mapping looks up
+    every vertex's image in the reflection's mapping."""
+    layers = (0, 1)
+    vertices = [(v, i) for i in layers for v in graph.vertices]
+    edges = [((u, i), (v, i)) for i in layers for u, v in graph.edges]
+    edges += [((v, 0), (v, 1)) for v in graph.vertices]
+    reflections = []
+    for refl in graph.reflections:
+        mapping = {(v, i): (refl.mapping[v], i)
+                   for i in layers for v in graph.vertices}
+        swaps = [((a, i), (b, i)) for i in layers for a, b in refl.swaps]
+        reflections.append(Reflection(mapping, swaps))
+    flip = {(v, i): (v, 1 - i) for i in layers for v in graph.vertices}
+    vertical = [((v, 0), (v, 1)) for v in graph.vertices]
+    reflections.append(Reflection(flip, vertical))
+    out = ReflectionGraph(vertices, edges, reflections, graph.ambient)
+    validate_reflection_graph(out)
+    return out
+
+
+def test_product_p1_agrees_with_the_label_dict_reference():
+    bases = [cycle_reflection_graph(size) for size in range(4, 13, 2)]
+    bases += [lattice_reflection_graph(4, 4), lattice_reflection_graph(6, 8),
+              nested_cycle()]
+    for base in bases:
+        validate_reflection_graph(base)
+        got, want = product_p1(base), reference_product_p1(base)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert ([(r.mapping, r.swaps) for r in got.reflections]
+                == [(r.mapping, r.swaps) for r in want.reflections])
+        assert got._report == want._report
 
 
 def test_graph_isomorphic_rejects():
@@ -1126,6 +1182,64 @@ def test_the_reader_agrees_with_the_reference_on_nested_labels():
     back = graph_from_json_dict(data)
     assert [r.mapping for r in back.reflections] \
         == [r.mapping for r in nested_cycle().reflections]
+
+
+def test_every_read_cli_fixture_returns_its_mappings(tmp_path):
+    # a mapping stored as a permutation is written back over the vertices,
+    # and one that is no permutation is returned as it was given
+    import json
+    import cli_parity
+    cli_parity.build_fixtures(str(tmp_path))
+    vertex_in = graphs_module._vertex_in
+    validated = 0
+    for path in sorted(tmp_path.glob("graph-*.json")):
+        data = json.loads(path.read_text())
+        try:
+            g = graph_from_json_dict(data)
+        except GraphError:
+            continue
+        given = [{vertex_in(k): vertex_in(w) for k, w in item["mapping"]}
+                 for item in data["reflections"]]
+        assert [dict(r.mapping) for r in g.reflections] == given, path
+        try:
+            validate_reflection_graph(g)
+        except GraphError:
+            continue
+        validated += 1
+    assert validated >= 5
+
+
+def test_a_mapping_that_is_no_permutation_is_kept_as_given():
+    g = cycle_reflection_graph(8)
+    first = g.reflections[0]
+    stray = Reflection(dict(first.mapping, stray=0), first.swaps)
+    backwards = Reflection(sorted(stray.mapping.items(), key=repr,
+                                  reverse=True), first.swaps)
+    for marker in (stray, backwards):
+        bad = ReflectionGraph(g.vertices, g.edges,
+                              list(g.reflections) + [marker])
+        assert bad.reflections[-1] is marker
+        data = graph_to_json_dict(bad)
+        assert data["reflections"][-1] == {
+            "mapping": [[k, w] for k, w in marker.mapping.items()],
+            "swaps": [list(swap) for swap in marker.swaps]}
+        assert graph_to_json_dict(graph_from_json_dict(data)) == data
+        with pytest.raises(BadReflection) as info:
+            validate_reflection_graph(bad)
+        assert str(info.value) == \
+            "reflection 4 is not a permutation of the vertex set"
+
+
+def test_a_validated_graph_cannot_be_changed_through_what_it_returns():
+    g = _validated(cycle_reflection_graph(6))
+    data = graph_to_json_dict(g)
+    g.reflections[0].mapping[0] = 0
+    assert graph_to_json_dict(g) == data
+    validate_reflection_graph(
+        ReflectionGraph(g.vertices, g.edges, g.reflections))
+    with pytest.raises(AttributeError):
+        g.reflections = ()
+    assert g.reflections[0] is not g.reflections[0]
 
 
 @pytest.mark.parametrize("name", list(MAPPINGS))
