@@ -17,10 +17,12 @@ composite-link description to the matching bound rule and sums the
 recorded volumes at exactly the demanded signature; hyperbolicity may
 transport across signatures but volumes never do.
 
-Totals are computed as exact Fractions and rendered fixed-point.
+Totals are exact Fractions, formed over one common denominator and
+normalised once, and rendered fixed-point.
 """
 
 import json
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -769,9 +771,12 @@ def lower_bound(db, spec, comparisons=()):
 
     Each distinct (slot, demand) is certified and looked up once per
     table, not once per call: the table keeps the outcome (see
-    VolumeDB).  Every slot repeating a key shares one Term, and the
-    total adds each distinct exact volume times its slot count.  Terms
-    stay in slot order, and a refusal names the first failing slot.
+    VolumeDB).  Every slot repeating a key shares one Term.  The total
+    adds each distinct exact volume times its slot count over one
+    common denominator, the lcm of the volumes' denominators, so only
+    the sum is normalised (an empty arrangement totals Fraction(0)).
+    Terms stay in slot order, and a refusal names the first failing
+    slot.
     """
     spec = parse_link_spec(spec)
     rule, demands = _demanded_signatures(spec)
@@ -791,8 +796,10 @@ def lower_bound(db, spec, comparisons=()):
                      entry.provenance, verdict.basis), volume, 0]
         shared[2] += 1
         terms.append(shared[0])
-    total = sum((volume * count for _, volume, count in known.values()),
-                Fraction(0))
+    kept = known.values()
+    den = math.lcm(*(volume.denominator for _, volume, _ in kept))
+    total = Fraction(sum(volume.numerator * (den // volume.denominator)
+                         * count for _, volume, count in kept), den)
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
                        tuple(terms), total, EQUALITY_NOTE,
                        tuple(comparisons), spec.reference_volume)

@@ -25,6 +25,7 @@ breadth-first two-colouring.
 
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 import repvol
@@ -129,9 +130,11 @@ class ReflectionGraph:
     its index; call ``validate_reflection_graph`` for the real audit,
     whose report is cached on the instance.  Each mapping is read once,
     here, into its one stored form (perm, swaps), perm[i] the position of
-    vertex i's image, or, if it is no permutation, kept as its Reflection:
-    a marker the validator refuses.  ``reflections`` is read-only: a new
-    Reflection per perm, in vertex order, and a marker as it was given.
+    vertex i's image; an exact dict is read in place, not copied.  A
+    mapping that is no permutation is kept as a copy in a Reflection of
+    its own: a marker the validator refuses.  ``reflections`` is
+    read-only, and each read returns new Reflections: per perm, in vertex
+    order, and per marker, in the order it was given.
     """
 
     __slots__ = ("vertices", "edges", "_reflections", "ambient",
@@ -168,31 +171,41 @@ class ReflectionGraph:
 
         stored = []
         for k, item in enumerate(reflections):
-            if not isinstance(item, Reflection):
-                if isinstance(item, dict):
-                    if "mapping" not in item:
-                        raise GraphError("reflection %d has no mapping" % k)
-                    item = item["mapping"], item.get("swaps", ())
+            if isinstance(item, dict):
+                if "mapping" not in item:
+                    raise GraphError("reflection %d has no mapping" % k)
+                item = item["mapping"], item.get("swaps", ())
+            if isinstance(item, Reflection):
+                mapping, swaps = item.mapping, item.swaps
+            else:
                 mapping, swaps = _pair(item, "reflection %d", k)
-                try:
-                    item = Reflection(mapping, swaps)
-                except GraphError as exc:
-                    raise GraphError("reflection %d: %s" % (k, exc)) from None
+                if type(mapping) is dict:   # read in place, never kept
+                    swaps = tuple(_pair(swap, "reflection %d: swap %d", k, j)
+                                  for j, swap in enumerate(swaps))
+                else:
+                    try:
+                        item = Reflection(mapping, swaps)
+                    except GraphError as exc:
+                        raise GraphError("reflection %d: %s"
+                                         % (k, exc)) from None
+                    mapping, swaps = item.mapping, item.swaps
             try:    # a vertex left out, or an image that is no vertex
                 perm = tuple(map(pos.__getitem__,
-                                 map(item.mapping.__getitem__, vertices)))
+                                 map(mapping.__getitem__, vertices)))
             except (KeyError, TypeError):
                 perm = ()
-            if len(item.mapping) == len(vertices) == len(set(perm)):
-                item = perm, item.swaps
-            stored.append(item)
+            if len(mapping) == len(vertices) == len(set(perm)):
+                stored.append((perm, swaps))
+            else:   # a marker, copied so that no caller can change it
+                stored.append(Reflection(mapping, swaps))
         self._reflections = tuple(stored)
         self._report = None
 
     @property
     def reflections(self):
         label = self.vertices.__getitem__
-        return tuple(r if isinstance(r, Reflection) else
+        return tuple(Reflection(r.mapping, r.swaps)
+                     if isinstance(r, Reflection) else
                      Reflection(zip(self.vertices, map(label, r[0])), r[1])
                      for r in self._reflections)
 
@@ -325,19 +338,23 @@ def validate_reflection_graph(graph):
     edge_index = {a * n + b: k for k, (a, b) in enumerate(sides)}
     tagged = bytearray(len(ends))
     images = {}     # perm -> image[k], the position of edge k's image
+    identity = tuple(range(n))
+    flipped = tuple(1 - c for c in color)
     for idx, entry in enumerate(graph._reflections):
         if isinstance(entry, Reflection):
             raise BadReflection(
                 "reflection %d is not a permutation of the vertex set" % idx)
         perm, swaps = entry
-        for a, b in enumerate(perm):
-            if perm[b] != a:
-                raise BadReflection(
-                    "reflection %d is not an involution" % idx)
-            if color[b] == color[a]:
-                raise BadReflection(
-                    "reflection %d keeps %r on its own side"
-                    % (idx, vertices[a]))
+        take = itemgetter(*perm)    # n >= 2 here, so it returns tuples
+        if take(perm) != identity or take(color) != flipped:
+            for a, b in enumerate(perm):    # name the first failing vertex
+                if perm[b] != a:
+                    raise BadReflection(
+                        "reflection %d is not an involution" % idx)
+                if color[b] == color[a]:
+                    raise BadReflection(
+                        "reflection %d keeps %r on its own side"
+                        % (idx, vertices[a]))
         image = [edge_index.get(perm[b] * n + perm[a]) for a, b in sides]
         if None in image:
             raise BadReflection(

@@ -1139,6 +1139,64 @@ def test_lower_bound_matches_per_slot_loop(db):
     assert sum(kinds.values()) - kinds["report"] > 300
 
 
+# Volumes written to 1, 2, 3, 0, 3 and 1 decimal places, beside builtin
+# volumes of 7 and 8 places, so that the terms' denominators differ and
+# the largest (8, of 2.125) is no multiple of another (5, of 1.6).
+PLACES_ROWS = [
+    {"family": "reciprocal-saucer", "conway": "1/11", "ambient": "S3",
+     "signature": [4], "volume": "0.5"},
+    {"family": "reciprocal-saucer", "conway": "1/13", "ambient": "S3",
+     "signature": [4], "volume": "1.25"},
+    {"family": "rational-square", "conway": "7", "ambient": "TxI",
+     "signature": [2, 2], "volume": "2.125"},
+    {"family": "rational-square", "conway": "8", "ambient": "TxI",
+     "signature": [2, 2], "volume": "3"},
+    {"family": "integer-cylindrical", "conway": "7", "ambient": "TxI",
+     "signature": [2], "volume": "7.000"},
+    {"family": "integer-cylindrical", "conway": "8", "ambient": "TxI",
+     "signature": [2], "volume": "1.6"},
+]
+
+
+@pytest.mark.parametrize("spec", [
+    BRACELET6,
+    {"arrangement": "bracelet", "ambient": "S3",
+     "slots": ["1/11", "1/13", "1/4", "-1/11"]},
+    {"arrangement": "lattice", "ambient": "TxI", "rows": 2, "cols": 4,
+     "slots": ["7", "8", "2", "7", "3", "-8", "4", "2"]},
+    {"arrangement": "lattice", "ambient": "S3", "rows": 2, "cols": 2,
+     "slot": "2"},
+    {"arrangement": "cylinder-stack", "ambient": "TxI",
+     "slots": ["7", "2", "7", "3"]},
+    {"arrangement": "custom", "ambient": "TxI", "slots": [
+        {"family": "integer-cylindrical", "conway": "7", "signature": [2]},
+        {"family": "rational-square", "conway": "7", "signature": [2, 2]},
+        {"family": "rational-square", "conway": "2", "signature": [2, 2]},
+        {"family": "rational-square", "conway": "7", "signature": [2, 2]}]},
+    {"arrangement": "custom", "ambient": "TxI", "slots": [
+        {"family": "integer-cylindrical", "conway": "7", "signature": [2]},
+        {"family": "rational-square", "conway": "7", "signature": [2, 2]},
+        {"family": "integer-cylindrical", "conway": "8", "signature": [2]},
+        {"family": "rational-square", "conway": "8", "signature": [2, 2]}]},
+], ids=["builtin bracelet", "bracelet", "TxI lattice", "builtin S3 lattice",
+        "cylinder-stack", "custom", "custom of user rows"])
+def test_the_total_is_the_exact_sum_of_its_terms(db, spec):
+    report = bounds.lower_bound(db.extended(PLACES_ROWS), spec)
+    expected = sum(map(Fraction, (t.volume for t in report.terms)))
+    assert type(report.total) is Fraction
+    assert report.total == expected
+    assert report.to_json_dict()["total_exact"] == "%d/%d" % (
+        expected.numerator, expected.denominator)
+
+
+def test_an_empty_custom_arrangement_totals_zero(db):
+    report = bounds.lower_bound(db, {"arrangement": "custom",
+                                     "ambient": "S3", "slots": []})
+    assert type(report.total) is Fraction
+    assert report.total == Fraction(0)
+    assert report.to_json_dict()["total_exact"] == "0/1"
+
+
 def test_lower_bound_odd_slot_fields_match_per_slot_loop(db):
     # A slot field that is not a string is malformed input: refused by
     # the checker as a BoundsError naming the slot, the same for a dict

@@ -301,6 +301,20 @@ def test_bad_reflections():
     assert "no distinguished reflection" in str(err.value)
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({0: 2, 1: 3, 2: 0, 3: 5, 4: 4, 5: 1},
+     "reflection 0 keeps 0 on its own side"),
+    ({0: 1, 1: 2, 2: 0, 3: 4, 4: 3, 5: 5},
+     "reflection 0 is not an involution"),
+], ids=["own side first", "no involution first"])
+def test_the_first_vertex_failing_either_axiom_is_refused(mapping, message):
+    # vertex 0 fails one axiom and a later vertex the other: the refusal is
+    # the one met first in vertex order
+    with pytest.raises(BadReflection) as err:
+        validate_reflection_graph(c6_with(Reflection(mapping, [(0, 1)])))
+    assert str(err.value) == message
+
+
 RHO0 = {v: (1 - v) % 6 for v in range(6)}   # fixes no vertex of C6
 
 
@@ -1218,12 +1232,40 @@ def test_a_mapping_that_is_no_permutation_is_kept_as_given():
     for marker in (stray, backwards):
         bad = ReflectionGraph(g.vertices, g.edges,
                               list(g.reflections) + [marker])
-        assert bad.reflections[-1] is marker
+        kept = bad.reflections[-1]
+        assert kept is not marker
+        assert list(kept.mapping.items()) == list(marker.mapping.items())
+        assert kept.swaps == marker.swaps
         data = graph_to_json_dict(bad)
         assert data["reflections"][-1] == {
             "mapping": [[k, w] for k, w in marker.mapping.items()],
             "swaps": [list(swap) for swap in marker.swaps]}
         assert graph_to_json_dict(graph_from_json_dict(data)) == data
+        with pytest.raises(BadReflection) as info:
+            validate_reflection_graph(bad)
+        assert str(info.value) == \
+            "reflection 4 is not a permutation of the vertex set"
+
+
+def test_a_marker_changed_after_the_build_leaves_the_graph_as_built():
+    g = cycle_reflection_graph(8)
+    first = g.reflections[0]
+    for as_reflection in (False, True):
+        given = dict(first.mapping, stray=0)
+        marker = Reflection(given, first.swaps) if as_reflection \
+            else (given, list(first.swaps))
+        bad = ReflectionGraph(g.vertices, g.edges,
+                              list(g.reflections) + [marker])
+        data = graph_to_json_dict(bad)
+        assert data["reflections"][-1]["mapping"][-1] == ["stray", 0]
+        held = marker.mapping if as_reflection else given
+        for mapping in (held, bad.reflections[-1].mapping):
+            mapping[0] = 5
+            del mapping["stray"]
+        if as_reflection:
+            marker.swaps = ()
+        assert bad.reflections[-1] is not bad.reflections[-1]
+        assert graph_to_json_dict(bad) == data
         with pytest.raises(BadReflection) as info:
             validate_reflection_graph(bad)
         assert str(info.value) == \
