@@ -134,6 +134,51 @@ def _least_rotation(seq):
     return start
 
 
+def _least_mirror_rotation(half):
+    """The least rotation of ``half + half[::-1]``, as a tuple.
+
+    A least rotation starts where a maximal cyclic run of the least
+    letter starts, so only those rotations are compared, each as one
+    slice of the doubled mirror.  Their positions are read off the half:
+    a run of the half that starts at k > 0 starts one at k in the mirror,
+    and one that ends at j < m - 1 starts one at 2m - 1 - j, in the
+    reversed copy.  Positions 0 and m start none: each continues a run
+    across a join, and both joins are repeats.  The first rotation taken
+    starts at the first least letter of the half; for a constant half it
+    is the only one, and elsewhere one extra rotation moves no minimum.
+    Costs O(m * runs); see split_relation().
+
+    >>> _least_mirror_rotation((2, 1, 1, 2, 3))  # the run ending at j = 2
+    (1, 1, 2, 2, 1, 1, 2, 3, 3, 2)
+    """
+    low = min(half)
+    m = len(half)
+    rev = half[::-1]
+    n = 2 * m
+    mirror = half + rev
+    doubled = mirror + mirror
+    k = half.index(low)
+    last = m - 1 - rev.index(low)
+    best = doubled[k:k + n]
+    while True:
+        # k starts a run of ``low`` in the half; move it past the run
+        k += 1
+        while k < m and half[k] == low:
+            k += 1
+        if k == m:
+            return best
+        # the run ended at j = k - 1, so a run starts at 2m - 1 - j
+        rotation = doubled[n - k:2 * n - k]
+        if rotation < best:
+            best = rotation
+        if k > last:
+            return best
+        k = half.index(low, k)
+        rotation = doubled[k:k + n]
+        if rotation < best:
+            best = rotation
+
+
 class CyclicWord:
     """A validated cyclic word, stored in canonical (lex-least) rotation.
 
@@ -273,8 +318,9 @@ def split_relation(word, at=0, memo=None):
     2*word = produced[0] + produced[1], hence for every subscript i
     2*q_i(word) = q_i(produced[0]) + q_i(produced[1]).
 
-    ``at`` indexes into the canonical rotation; anything outside
-    0..order-1 raises BadCut.
+    ``at`` indexes into the canonical rotation and must be a plain int
+    in 0..order-1, else BadCut: True equals 1, but a certificate would
+    write its cut as [true, ...].
 
     ``word`` is trusted to be valid, as every word from validate_word()
     or split_relation() is.  A doubled half a.rev(a) of a valid word is
@@ -286,6 +332,16 @@ def split_relation(word, at=0, memo=None):
     relies on this: it validates the root and any step word that no earlier
     re-derived step produced, and trusts the produced words.
 
+    Each produced word is the least rotation of its doubled half, found
+    by comparing, as tuple slices, only the rotations that start a run of
+    the least letter (_least_mirror_rotation()).  That costs O(order *
+    runs), not O(order): the halves of a near-periodic word of order
+    80 000 take seconds, where Duval's scan takes milliseconds.
+    validate_word() reads words from outside, so it keeps Duval.  Only
+    halves of valid words come here, from reduce() and the replay, and
+    at orders where the scan costs more than Duval the reduction's own
+    steps cost far more again.
+
     ``memo``, if given, maps each half already doubled to its produced
     word and is filled in here, so a half met again returns that same
     CyclicWord without another least-rotation pass.  reduce() and
@@ -294,8 +350,8 @@ def split_relation(word, at=0, memo=None):
     dict kept between calls would grow without end and would let reduce()
     and the replay that checks it share state.
     """
-    if not isinstance(at, int) or not 0 <= at < word.order:
-        raise BadCut("cut position {!r} outside 0..{}".format(
+    if type(at) is not int or not 0 <= at < word.order:
+        raise BadCut("cut position {!r} is not an int in 0..{}".format(
             at, word.order - 1))
     if memo is None:
         memo = {}
@@ -308,9 +364,8 @@ def split_relation(word, at=0, memo=None):
     for half in (a1, a2):
         p = memo.get(half)
         if p is None:
-            mirror = half + half[::-1]
-            k = _least_rotation(mirror)
-            p = memo[half] = CyclicWord(word.order, mirror[k:] + mirror[:k])
+            p = memo[half] = CyclicWord(word.order,
+                                        _least_mirror_rotation(half))
         produced.append(p)
     return SplitResult(word, (at, at + m), (a1, a2), tuple(produced))
 

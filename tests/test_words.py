@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,49 @@ def test_least_rotation_matches_brute_force():
             min(seq[s:] + seq[:s] for s in range(len(seq)))
 
 
+def _least_mirror_brute(half):
+    mirror = half + half[::-1]
+    return min(mirror[s:] + mirror[:s] for s in range(len(mirror)))
+
+
+def _unit_step_walks(order):
+    """Every walk of order // 2 letters in 1..order whose steps are +1, 0
+    or -1 mod order: each half of each valid word at each cut is one."""
+    walks = [(x,) for x in range(1, order + 1)]
+    for _ in range(order // 2 - 1):
+        walks = [w + ((w[-1] - 1 + d) % order + 1,)
+                 for w in walks for d in (-1, 0, 1)]
+    return walks
+
+
+def test_least_mirror_rotation_matches_brute_force():
+    halves = [half for order in range(2, 13, 2)
+              for half in _unit_step_walks(order)]
+    assert len(halves) == 2 + 4 * 3 + 6 * 9 + 8 * 27 + 10 * 81 + 12 * 243
+    rng = random.Random(1984)
+    for _ in range(1500):
+        n = rng.randint(1, 24)
+        alphabet = rng.randint(1, 4)
+        half = tuple(rng.randint(1, alphabet) for _ in range(n))
+        halves.append(half)
+        halves.append(half[:rng.randint(1, 4)] * rng.randint(2, 6))
+    for half in halves:
+        assert words._least_mirror_rotation(half) == \
+            _least_mirror_brute(half), half
+
+
+def test_validate_word_stays_linear_on_a_near_periodic_word():
+    # Duval's scan takes milliseconds here.  Comparing the rotation at
+    # every run start of the least letter, as split_relation() does for
+    # the halves it doubles, takes seconds on this word.
+    order = 80000
+    seq = (1, 1, 2, 2) * ((order - 8) // 4) + (1, 1, 2, 3, 3, 2, 2, 2)
+    start = time.perf_counter()
+    w = validate_word(order, seq)
+    assert time.perf_counter() - start < 2.0
+    assert w.indices == seq
+
+
 def test_is_constant_reads_the_ends_of_the_least_rotation():
     # In least rotation a word is constant exactly when it starts and ends
     # on the same letter; checked on every word of orders 2 to 10.
@@ -240,6 +284,10 @@ def test_split_bad_cut():
         split_relation(w, 4)
     with pytest.raises(BadCut):
         split_relation(w, -1)
+    # True == 1, but a certificate would write the cut as [true, 3]
+    for at in (True, False):
+        with pytest.raises(BadCut):
+            split_relation(w, at)
 
 
 def test_split_words_match_validate_word():
@@ -253,6 +301,15 @@ def test_split_words_match_validate_word():
                     ref = validate_word(order, half + half[::-1])
                     assert p.indices == ref.indices
                     assert p.flags == ref.flags
+    # and on every step of reducing the walk-built words of orders 16-34
+    large = [w for w in PARITY_WORDS if w.order >= 16]
+    assert {w.order for w in large} == set(range(16, 35, 2))
+    for w in large:
+        for s in _reduced(w)[1].steps:
+            for half, p in zip(s.halves, s.produced):
+                ref = validate_word(w.order, half + half[::-1])
+                assert p.indices == ref.indices
+                assert p.flags == ref.flags
 
 
 def test_split_with_a_memo_gives_the_same_words():
