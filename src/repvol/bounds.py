@@ -18,7 +18,9 @@ recorded volumes at exactly the demanded signature; hyperbolicity may
 transport across signatures but volumes never do.
 
 Totals are exact Fractions, formed over one common denominator and
-normalised once, and rendered fixed-point.
+normalised once, and rendered fixed-point.  A link repeats a few tangles
+many times, so checking, certification and formatting run once per
+distinct tangle, and per slot only C-level passes remain.
 """
 
 import json
@@ -26,6 +28,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
+from operator import countOf, mod
 from typing import NamedTuple
 
 import repvol
@@ -173,12 +176,16 @@ class VolumeDB:
 
     A table also keeps, privately, up to _CERTIFIED_LIMIT outcomes of
     certifying a bound slot or compose factor (_certified_entry), keyed
-    by (TangleRef, signature): the certificate, the entry and its exact
-    Fraction volume, or the text of the refusal.  The key's fields are
-    exact strs and its signature a tuple of ints, made so where they
-    enter: parse_link_spec for bound slots, compose_bound for factors.
-    The rows are never changed after construction and extended() builds
-    a new table with no outcomes, so a kept outcome cannot go stale.
+    by (TangleRef, signature): the certificate, the exact Fraction
+    volume and the Term every slot of that tangle shares, or the text of
+    the refusal.  So lower_bound certifies, looks up and builds the Term
+    of each distinct tangle once per table, and a repeat call builds
+    none; its per-slot work is C-level passes (see lower_bound).  The
+    key's fields are exact strs and its signature a tuple of ints, made
+    so where they enter: parse_link_spec for bound slots, compose_bound
+    for factors.  The rows are never changed after construction and
+    extended() builds a new table with no outcomes, so a kept outcome
+    cannot go stale.
     """
 
     def __init__(self, entries, limits):
@@ -498,22 +505,22 @@ class BoundReport(NamedTuple):
         return out
 
     def to_markdown(self, places=8):
-        lines = ["# Volume lower bound: %s" % self.name, ""]
-        lines.append("- arrangement: %s in %s" % (self.arrangement,
-                                                  self.ambient))
-        lines.append("- rule: %s" % self.rule)
-        lines.append("")
-        lines.append("| slot | tangle | signature | volume | basis |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for i, t in enumerate(self.terms):
-            lines.append("| %s | %s %s | %s | %s | %s |" % (
-                i, t.family, t.conway,
-                "(%s)" % ", ".join(str(n) for n in t.signature),
-                t.volume, t.basis))
-        lines.append("")
-        lines.append("**Total: %s**" % format_fixed(self.total, places))
-        lines.append("")
-        lines.append("Note: %s." % self.equality_note)
+        return "".join(self.iter_markdown(places))
+
+    def iter_markdown(self, places=8):
+        """The text of to_markdown() in pieces, the slot rows in blocks."""
+        lines = ["# Volume lower bound: %s" % self.name, "",
+                 "- arrangement: %s in %s" % (self.arrangement, self.ambient),
+                 "- rule: %s" % self.rule, "",
+                 "| slot | tangle | signature | volume | basis |",
+                 "| --- | --- | --- | --- | --- |"]
+        yield "".join(line + "\n" for line in lines)
+        yield from self.slot_lines(lambda t: (
+            "| ", " | %s %s | (%s) | %s | %s |\n" % (
+                t.family, t.conway, ", ".join(map(str, t.signature)),
+                t.volume, t.basis)))
+        lines = ["", "**Total: %s**" % format_fixed(self.total, places), "",
+                 "Note: %s." % self.equality_note]
         for c in self.comparisons:
             lines.append("- %s (%s): %s" % (c.name, c.kind,
                                             format_fixed(c.value, places)))
@@ -521,7 +528,26 @@ class BoundReport(NamedTuple):
             lines.append("")
             lines.append("Reference volume %s (externally computed; "
                          "not derived here)." % self.reference_volume)
-        return "\n".join(lines) + "\n"
+        yield "".join(line + "\n" for line in lines)
+
+    def slot_lines(self, around):
+        """The text of one line per slot, ``before + str(slot) + after``
+        where (before, after) = around(term), in blocks of _BLOCK slots.
+        around() runs once per distinct Term object, and a slot costs
+        only C-level passes."""
+        terms = self.terms
+        formats = {}
+        for key, term in dict(zip(map(id, terms), terms)).items():
+            before, after = around(term)
+            formats[key] = "%s%%d%s" % (before.replace("%", "%%"),
+                                        after.replace("%", "%%"))
+        for start in range(0, len(terms), _BLOCK):
+            block = terms[start:start + _BLOCK]
+            yield "".join(map(mod, map(formats.__getitem__, map(id, block)),
+                              range(start, start + len(block))))
+
+
+_BLOCK = 1 << 12  # slots BoundReport.slot_lines() writes as one text
 
 
 def format_fixed(value, places=8):
@@ -589,16 +615,29 @@ def parse_link_spec(data):
     the slots can be wrong: the templates glued (saucers, squares,
     cylinders) always meet with equal endpoint counts.
 
-    A link lists a few tangles many times, so each slot is checked once,
-    at its first index, and its repeats share that one SlotSpec.  A
-    string slot repeats when an equal exact str recurs; any other slot
-    (a dict or a SlotSpec, such as the shared SlotSpecs of a parsed
-    LinkSpec passed back in) when the same object recurs.  The slots
-    list holds every object for the whole check, so no id is reused,
-    and one object always checks the same way.  Each SlotSpec's
-    family, conway and orientation and the LinkSpec's ambient are exact
-    strs, even where the description held a str subclass.
+    A link lists a few tangles many times, so each distinct slot key is
+    checked once, and every slot listing it shares one SlotSpec.  The key
+    of an exact str slot is its value; of any other slot (a dict or a
+    SlotSpec, such as the shared SlotSpecs of a parsed LinkSpec passed
+    back in), its id.  The slots list holds every object for the whole
+    check, so no id is reused, and one object always checks the same way.
+    Per slot there are only C-level passes: one type test (when every
+    slot is an exact str, the list itself is the key list), one pass
+    finding the distinct keys and one map writing the slots; the "slot"
+    shorthand is one key, checked as slot 0.  A slot's index is looked
+    up only to name it in a refusal, which names the first slot listing
+    the failing key.  Each SlotSpec's family, conway
+    and orientation and the LinkSpec's ambient are exact strs, even where
+    the description held a str subclass.
     """
+    spec, checked = _checked_link(data)
+    return spec._replace(slots=tuple(map(checked.__getitem__, spec.slots)))
+
+
+def _checked_link(data):
+    """parse_link_spec()'s LinkSpec, save that its slots are the slots'
+    keys, and a dict from each distinct key, in the order of first
+    listing, to its SlotSpec."""
     if isinstance(data, LinkSpec):
         data = data._asdict()
     if not isinstance(data, dict):
@@ -628,8 +667,7 @@ def parse_link_spec(data):
                 "a %d x %d lattice has more than %d slots"
                 % (rows, cols, repvol.COPY_LIMIT))
         if raw_slots is None and "slot" in data:
-            # one slot for every cell: check it once, as slot 0, and
-            # repeat its SlotSpec
+            # one slot for every cell: one key, checked once, as slot 0
             raw_slots, repeat = [data["slot"]], rows * cols
         elif not isinstance(raw_slots, (list, tuple)) \
                 or len(raw_slots) != rows * cols:
@@ -641,55 +679,62 @@ def parse_link_spec(data):
     elif not isinstance(raw_slots, (list, tuple)):
         raise BoundsError("slots must be a list, got %r" % (raw_slots,))
 
-    slots = []
-    checked = {}  # an exact-str slot, or id() of any other -> its SlotSpec
-    for i, raw in enumerate(raw_slots):
-        key = raw if type(raw) is str else id(raw)
-        spec = checked.get(key)
-        if spec is not None:
-            slots.append(spec)
-            continue
+    if countOf(map(type, raw_slots), str) == len(raw_slots):
+        keys = raw_slots
+        distinct = dict.fromkeys(keys)
+        firsts = zip(distinct, distinct)
+    else:
+        keys = [raw if type(raw) is str else id(raw) for raw in raw_slots]
+        firsts = dict(zip(keys, raw_slots)).items()
+    where = keys.index  # the first slot listing a key
+    checked = {}
+    for key, raw in firsts:  # each distinct key with a slot listing it
         if isinstance(raw, str):
             raw = {"conway": raw}
         elif isinstance(raw, SlotSpec):
             raw = raw._asdict()
         elif not isinstance(raw, dict):
-            raise BoundsError("slot %d must be a string or an object" % i)
+            raise BoundsError("slot %d must be a string or an object"
+                              % where(key))
         family = raw.get("family", fixed.family if fixed else None)
         if family is None:
-            raise BoundsError("slot %d needs an explicit family" % i)
+            raise BoundsError("slot %d needs an explicit family" % where(key))
         if family not in FAMILIES:
-            raise BoundsError("slot %d: unknown family %r" % (i, family))
+            raise BoundsError("slot %d: unknown family %r"
+                              % (where(key), family))
         signature = raw.get("signature", ())
         if not isinstance(signature, (list, tuple)):
-            raise BoundsError("slot %d: signature must be a list" % i)
+            raise BoundsError("slot %d: signature must be a list"
+                              % where(key))
         if arrangement == "custom":
             if not signature:
-                raise BoundsError(
-                    "custom slots need explicit signatures (slot %d)" % i)
+                raise BoundsError("custom slots need explicit signatures "
+                                  "(slot %d)" % where(key))
             try:
                 signature = _normalize_signature(signature)
             except BoundsError as exc:
-                raise BoundsError("slot %d: %s" % (i, exc)) from None
+                raise BoundsError("slot %d: %s" % (where(key), exc)) \
+                    from None
         elif signature:
             raise BoundsError("only custom arrangements take per-slot "
-                              "signatures (slot %d)" % i)
+                              "signatures (slot %d)" % where(key))
         conway = raw.get("conway")
         if not isinstance(conway, str):
-            raise BoundsError("slot %d: conway must be a string" % i)
+            raise BoundsError("slot %d: conway must be a string" % where(key))
         orientation = raw.get("orientation", "standard")
         if not isinstance(orientation, str):
-            raise BoundsError("slot %d: orientation must be a string" % i)
+            raise BoundsError("slot %d: orientation must be a string"
+                              % where(key))
         try:
             conway = _normalize_conway(conway)
         except BoundsError as exc:
-            raise BoundsError("slot %d: %s" % (i, exc)) from None
+            raise BoundsError("slot %d: %s" % (where(key), exc)) from None
         checked[key] = SlotSpec(str(family), conway, str(orientation),
                                 tuple(signature))
-        slots.append(checked[key])
-    slots *= repeat
+    if repeat > 1:
+        keys = keys * repeat
 
-    refusal = shape_refusal(arrangement, len(slots), rows, cols)
+    refusal = shape_refusal(arrangement, len(keys), rows, cols)
     if refusal is not None:
         raise ArrangementInvalid(refusal)
     if fixed and ambient not in fixed.rules:
@@ -705,21 +750,23 @@ def parse_link_spec(data):
                                           Fraction))):
         raise BoundsError("reference_volume must be a string or a number, "
                           "got %r" % (reference,))
-    return LinkSpec(name, arrangement, ambient, tuple(slots), rows, cols,
-                    str(reference) if reference is not None else None)
+    return LinkSpec(name, arrangement, ambient, keys, rows, cols,
+                    str(reference) if reference is not None else None), \
+        checked
 
 
-def _demanded_signatures(spec):
-    """The bound rule of a checked spec and the signature of each slot."""
+def _demanded_signatures(spec, slots=None):
+    """The bound rule of a checked spec and the signature it demands of
+    each of ``slots``, by default every slot of the spec."""
+    slots = spec.slots if slots is None else slots
     if spec.arrangement == "custom":
-        return "declared-decomposition-bound", [s.signature
-                                                for s in spec.slots]
+        return "declared-decomposition-bound", [s.signature for s in slots]
     rule, demand = _FIXED[spec.arrangement].rules[spec.ambient]
-    return rule, [demand(spec)] * len(spec.slots)
+    return rule, [demand(spec)] * len(slots)
 
 
 def _certify_entry(db, ref, signature):
-    """(certificate, entry, Fraction volume) for a slot or factor, or the
+    """(certificate, Fraction volume, Term) for a slot or factor, or the
     text of its refusal."""
     verdict = certify_hyperbolic(db, ref, signature)
     if isinstance(verdict, UnknownHyperbolicity):
@@ -732,32 +779,37 @@ def _certify_entry(db, ref, signature):
                 % (signature,))
     if entry.volume is NON_HYPERBOLIC:
         return "recorded as not hyperbolic at %r" % (signature,)
-    return verdict, entry, Fraction(entry.volume)
+    return verdict, Fraction(entry.volume), Term(
+        ref.family, ref.conway, signature, entry.volume, entry.provenance,
+        verdict.basis)
 
 
-def _certified_entry(db, ref, signature, label, slot=None):
-    """Certify a link slot or compose factor and fetch its volume entry,
-    as (certificate, entry, exact Fraction volume); a refusal opens with
-    ``label`` and the tangle, and carries ``slot``.
+def _certified_entry(db, ref, signature):
+    """Certify a link slot or compose factor and fetch its volume entry:
+    (certificate, exact Fraction volume, Term), or the text of the
+    refusal, which _uncertified() raises.
 
     The outcome is computed once per table and (ref, signature) and kept
-    on the table (see VolumeDB); a kept refusal is raised as a new
-    UncertifiedTangle under this call's label and slot.  Every key is
-    exact where it enters: parse_link_spec and _tangle_operand make each
-    TangleRef field a str, and signatures are normalised int tuples, so
-    no two keys that compare equal read different rows (2 == 2.0, but
-    the conways 2 and 2.0 read as the rows "2" and "2.0")."""
+    on the table (see VolumeDB).  Every key is exact where it enters:
+    parse_link_spec and _tangle_operand make each TangleRef field a str,
+    and signatures are normalised int tuples, so no two keys that compare
+    equal read different rows (2 == 2.0, but the conways 2 and 2.0 read
+    as the rows "2" and "2.0")."""
     key = (ref, signature)
     outcome = db._certified.get(key)
     if outcome is None:
         outcome = _certify_entry(db, ref, signature)
         if len(db._certified) < _CERTIFIED_LIMIT:
             db._certified[key] = outcome
-    if type(outcome) is str:
-        raise UncertifiedTangle("%s (%s %s): %s" % (label, ref.family,
-                                                    ref.conway, outcome),
-                                slot=slot)
     return outcome
+
+
+def _uncertified(label, ref, reason, slot=None):
+    """The refusal of a slot or factor, opening with ``label`` and the
+    tangle, as a new UncertifiedTangle carrying ``slot``."""
+    return UncertifiedTangle("%s (%s %s): %s" % (label, ref.family,
+                                                 ref.conway, reason),
+                             slot=slot)
 
 
 def lower_bound(db, spec, comparisons=()):
@@ -769,40 +821,41 @@ def lower_bound(db, spec, comparisons=()):
     exactly that signature.  Slot reflections share the unreflected
     tangle's database key, so a reflected slot needs no separate row.
 
+    The checker's slot keys serve the bound too (see parse_link_spec),
+    and no SlotSpec is written per slot.  Per slot there are only the
+    checker's two C-level passes and two more over the keys: one map
+    writes the terms, in slot order, and one sums the scaled volumes.
     Each distinct (slot, demand) is certified and looked up once per
-    table, not once per call: the table keeps the outcome (see
-    VolumeDB).  Every slot repeating a key shares one Term.  The total
-    adds each distinct exact volume times its slot count over one
-    common denominator, the lcm of the volumes' denominators, so only
-    the sum is normalised (an empty arrangement totals Fraction(0)).
-    Terms stay in slot order, and a refusal names the first failing
-    slot.
+    table, not once per call: the table keeps the outcome with its Term
+    (see VolumeDB), so every slot of that tangle shares one Term.  The
+    total adds each slot's exact volume over one common denominator, the
+    lcm of the volumes' denominators, so only the sum is normalised (an
+    empty arrangement totals Fraction(0)).  A refusal names the first
+    failing slot, whose index is looked up only then.
     """
-    spec = parse_link_spec(spec)
-    rule, demands = _demanded_signatures(spec)
-
-    known = {}  # (slot, demand) -> [Term, exact volume, slots sharing it]
-    terms = []
-    for i, key in enumerate(zip(spec.slots, demands)):
-        shared = known.get(key)
-        if shared is None:
-            slot, demand = key
-            ref = TangleRef(slot.family, slot.conway, spec.ambient,
-                            slot.orientation)
-            verdict, entry, volume = _certified_entry(
-                db, ref, demand, "slot %d" % i, slot=i)
-            shared = known[key] = [
-                Term(slot.family, slot.conway, demand, entry.volume,
-                     entry.provenance, verdict.basis), volume, 0]
-        shared[2] += 1
-        terms.append(shared[0])
-    kept = known.values()
-    den = math.lcm(*(volume.denominator for _, volume, _ in kept))
-    total = Fraction(sum(volume.numerator * (den // volume.denominator)
-                         * count for _, volume, count in kept), den)
+    spec, checked = _checked_link(spec)
+    keys = spec.slots
+    rule, demands = _demanded_signatures(spec, checked.values())
+    known = {}  # (slot, demand) -> its outcome, for keys of one slot
+    terms, volumes = {}, {}  # slot key -> its Term, its exact volume
+    for (key, slot), demand in zip(checked.items(), demands):
+        ref = TangleRef(slot.family, slot.conway, spec.ambient,
+                        slot.orientation)
+        outcome = known.get((slot, demand))
+        if outcome is None:
+            outcome = known[slot, demand] = _certified_entry(db, ref, demand)
+        if type(outcome) is str:
+            i = keys.index(key)
+            raise _uncertified("slot %d" % i, ref, outcome, slot=i)
+        _, volumes[key], terms[key] = outcome
+    den = math.lcm(*(volume.denominator for volume in volumes.values()))
+    scaled = {key: volume.numerator * (den // volume.denominator)
+              for key, volume in volumes.items()}
     return BoundReport(spec.name, spec.arrangement, spec.ambient, rule,
-                       tuple(terms), total, EQUALITY_NOTE,
-                       tuple(comparisons), spec.reference_volume)
+                       tuple(map(terms.__getitem__, keys)),
+                       Fraction(sum(map(scaled.__getitem__, keys)), den),
+                       EQUALITY_NOTE, tuple(comparisons),
+                       spec.reference_volume)
 
 
 class ComposedBound(NamedTuple):
@@ -835,8 +888,10 @@ def _factor(db, operand, signature, ambient, rule):
     if operand.ambient != ambient:
         raise BoundsError("factor ambient %s does not match the rule's %s"
                           % (operand.ambient, ambient))
-    verdict, _, volume = _certified_entry(db, operand, signature, "factor")
-    return ComposedBound(verdict, volume, rule)
+    outcome = _certified_entry(db, operand, signature)
+    if type(outcome) is str:
+        raise _uncertified("factor", operand, outcome)
+    return ComposedBound(outcome[0], outcome[1], rule)
 
 
 _FACE_COUNTS = {"reciprocal-saucer": 2, "integer-cylindrical": 2,

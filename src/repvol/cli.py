@@ -5,7 +5,9 @@ Subcommands mirror the public modules: ``reduce`` (cyclic words),
 bounds), ``classify`` (arborescent expressions), ``graph`` (reflection
 graphs) and ``db`` (the volume table).  Output is plain text, markdown
 or JSON; JSON is always dumped with sorted keys and two-space indent so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  A bound report is written as it is
+rendered, a block of slot lines at a time, and a directory's reports one
+file at a time, so memory follows the input, not the output.
 
 Exit codes: 0 success; 2 malformed input or a refused size (a
 RecursionError only from JSON nested too deeply for the stdlib decoder),
@@ -67,10 +69,13 @@ def _read_json(path):
         return json.load(f)
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def _print_json(obj):
     """Print obj as JSON, 2**14 encoder chunks (never empty) per write, so
     neither the whole text nor a write per chunk (unbuffered) is made."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    chunks = _ENCODER.iterencode(obj)
     for text in iter(lambda: "".join(itertools.islice(chunks, 1 << 14)), ""):
         sys.stdout.write(text)
     sys.stdout.write("\n")
@@ -184,54 +189,83 @@ def _comparisons_from(args):
 
 
 def _plain_report(report, places):
+    """The plain text of a report, in pieces."""
     from . import bounds
-    lines = ["%s: %s in %s, rule %s" % (report.name, report.arrangement,
-                                        report.ambient, report.rule)]
-    for i, t in enumerate(report.terms):
-        lines.append("  slot %s: %s %s (%s) = %s [%s, %s]" % (
-            i, t.family, t.conway,
-            ", ".join(str(n) for n in t.signature),
-            t.volume, t.basis, t.provenance))
-    lines.append("total: %s" % bounds.format_fixed(report.total, places))
-    lines.append("note: %s." % report.equality_note)
+    yield "%s: %s in %s, rule %s\n" % (report.name, report.arrangement,
+                                        report.ambient, report.rule)
+    yield from report.slot_lines(lambda t: (
+        "  slot ", ": %s %s (%s) = %s [%s, %s]\n" % (
+            t.family, t.conway, ", ".join(map(str, t.signature)), t.volume,
+            t.basis, t.provenance)))
+    lines = ["total: %s" % bounds.format_fixed(report.total, places),
+             "note: %s." % report.equality_note]
     for c in report.comparisons:
         lines.append("compare %s (%s): %s" %
                      (c.name, c.kind, bounds.format_fixed(c.value, places)))
     if report.reference_volume is not None:
         lines.append("reference volume %s (externally computed; not "
                      "derived here)" % report.reference_volume)
-    return "\n".join(lines)
+    yield "".join(line + "\n" for line in lines)
 
 
-def _render_report(report, args):
-    """The plain or markdown text of a report."""
+def _encoded(obj, indent):
+    """obj as _print_json writes it, every line after the first indented
+    by ``indent`` more."""
+    return _ENCODER.encode(obj).replace("\n", "\n" + indent)
+
+
+def _json_report(report, places, indent=""):
+    """What _print_json writes for report.to_json_dict(places), less the
+    last newline, in pieces, every line after the first indented by
+    ``indent`` more.  Each distinct Term is encoded once, from the
+    to_json_dict() of a one-term report."""
+    head, _, tail = _encoded(report._replace(terms=()).to_json_dict(places),
+                             indent).partition('"terms": []')
+    if not report.terms:
+        yield head + '"terms": []' + tail
+        return
+    pad = indent + "    "
+
+    def around(term):
+        one = report._replace(terms=(term,)).to_json_dict(places)
+        before, _, after = _encoded(one["terms"][0], pad).partition(
+            '"slot": 0')
+        return ",\n" + pad + before + '"slot": ', after
+
+    blocks = report.slot_lines(around)
+    yield head + '"terms": [' + next(blocks)[1:]  # no comma before slot 0
+    yield from blocks
+    yield "\n" + indent + "  ]" + tail
+
+
+def _render_report(report, args, indent=""):
+    """The text of a report in args.format, in pieces."""
+    if args.format == "json":
+        return _json_report(report, args.precision, indent)
     if args.format == "markdown":
-        return report.to_markdown(args.precision).rstrip("\n")
+        return report.iter_markdown(args.precision)
     return _plain_report(report, args.precision)
 
 
-def _print_batch(results, args):
-    """Print (file, report or None, refusal or None) rows as one document."""
-    if args.format == "json":
-        rows = []
-        for name, report, exc in results:
-            if exc is None:
-                rows.append({"file": name,
-                             "report": report.to_json_dict(args.precision)})
-            else:
-                rows.append({"file": name,
-                             "error": {"type": type(exc).__name__,
-                                       "message": str(exc)}})
-        _print_json({"results": rows})
+def _print_batch_row(name, report, exc, args):
+    """Print one file's row of a batch: its report or its refusal."""
+    write = sys.stdout.write
+    if args.format != "json":
+        write("== %s ==\n" % name)
+        if exc is None:
+            sys.stdout.writelines(_render_report(report, args))
+        else:
+            write("error %s: %s\n" % (type(exc).__name__, exc))
+    elif exc is None:
+        head, _, tail = _encoded({"file": name, "report": {}},
+                                 "    ").partition('"report": {}')
+        write(head + '"report": ')
+        sys.stdout.writelines(_render_report(report, args, "      "))
+        write(tail)
     else:
-        blocks = []
-        for name, report, exc in results:
-            if exc is None:
-                body = _render_report(report, args)
-            else:
-                body = "error %s: %s" % (type(exc).__name__, exc)
-            blocks.append("== %s ==\n%s" % (name, body))
-        print("\n\n".join(blocks))
+        write(_encoded({"file": name,
+                        "error": {"type": type(exc).__name__,
+                                  "message": str(exc)}}, "    "))
 
 
 def cmd_bound(args):
@@ -240,27 +274,34 @@ def cmd_bound(args):
     comparisons = _comparisons_from(args)
     if not os.path.isdir(args.spec):
         report = bounds.lower_bound(db, _read_json(args.spec), comparisons)
+        sys.stdout.writelines(_render_report(report, args))
         if args.format == "json":
-            _print_json(report.to_json_dict(args.precision))
-        else:
-            print(_render_report(report, args))
+            sys.stdout.write("\n")
         return 0
     names = sorted(n for n in os.listdir(args.spec) if n.endswith(".json"))
     if not names:
         raise UsageError("no .json link descriptions in %s" % args.spec)
-    results = []
-    for name in names:
-        path = os.path.join(args.spec, name)
+    # One document, {"results": [row, ...]} in JSON, else the rows apart
+    # by a blank line; each row is printed as soon as its file is bounded.
+    opening, between, closing = (
+        ('{\n  "results": [\n    ', ",\n    ", "\n  ]\n}\n")
+        if args.format == "json" else ("", "\n", ""))
+    sys.stdout.write(opening)
+    refused = []  # the exit code of each refused file
+    for k, name in enumerate(names):
+        report = exc = None
         try:
-            report = bounds.lower_bound(db, _read_json(path), comparisons)
-            results.append((name, report, None))
-        except REFUSALS as exc:
-            results.append((name, None, exc))
-    _print_batch(results, args)
+            report = bounds.lower_bound(
+                db, _read_json(os.path.join(args.spec, name)), comparisons)
+        except REFUSALS as refusal:
+            exc = refusal
+            refused.append(_exit_code(refusal))
+        sys.stdout.write(between if k else "")
+        _print_batch_row(name, report, exc, args)
+    sys.stdout.write(closing)
     # the least code among the refused files: malformed input beats an
     # uncertified tangle
-    return min((_exit_code(exc) for _, _, exc in results if exc is not None),
-               default=0)
+    return min(refused, default=0)
 
 
 # -------------------------------------------------------------- classify

@@ -268,6 +268,19 @@ MORE_SPECS = [
                       "slots": ["1/3", " - "]}),
 ]
 
+# Few tangles written in several ways, each repeated many times.
+MIXED_40 = [("2 1", " 2  1", "-3")[(i * i + i // 7) % 3] for i in range(1600)]
+REPEAT_SPECS = [
+    ("lattice40-repeat", {"name": "lattice40", "arrangement": "lattice",
+                          "ambient": "TxI", "rows": 40, "cols": 40,
+                          "slots": MIXED_40}),
+    ("bracelet6-repeat", {"name": "bracelet6-repeat",
+                          "arrangement": "bracelet", "ambient": "S3",
+                          "slots": ["1/4", "-1/4", "1/5", "1/4", " 1/4",
+                                    "1/5"],
+                          "reference_volume": "32.9819"}),
+]
+
 DB_QUERIES = [
     ["--family", "reciprocal-saucer", "--conway", "1/2", "--ambient", "S3"],
     ["--family", "reciprocal-saucer", "--conway", "1/4", "--ambient", "S3",
@@ -420,6 +433,18 @@ def build_fixtures(root):
     commands.append(["db", "check", "--db", "table-missing.json"])
     commands.append(["--precision", "13", "db", "check"])
     commands.append(["frobnicate"])
+
+    # Reports of many slots over few tangles, in every format and as a
+    # directory batch.
+    os.mkdir(os.path.join(root, "batch-repeat"))
+    for name, data in REPEAT_SPECS:
+        write(os.path.join(root, "spec-%s.json" % name), data)
+        write(os.path.join(root, "batch-repeat", name + ".json"), data)
+        for fmt in FORMATS:
+            commands.append(["bound", "spec-%s.json" % name, "--compare",
+                             "t=6", "--format", fmt])
+    commands.append(["bound", "batch-repeat", "--compare", "t=6",
+                     "--format", "json"])
     return commands
 
 

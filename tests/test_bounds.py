@@ -1394,6 +1394,192 @@ def test_mixed_slots_are_certified_once_each(monkeypatch):
     assert len(calls) == 3
 
 
+# the checker and lower_bound work per distinct slot key
+
+def per_slot_slots(data):
+    """The checker's slot rules applied to each slot on its own, in slot
+    order, with no keys: the SlotSpecs, or the first slot's refusal."""
+    fixed = bounds._FIXED.get(data["arrangement"])
+    listed = data.get("slots")
+    if listed is None:
+        listed = [data["slot"]] * (data["rows"] * data["cols"])
+    out = []
+    for i, raw in enumerate(listed):
+        if isinstance(raw, str):
+            raw = {"conway": raw}
+        elif isinstance(raw, bounds.SlotSpec):
+            raw = raw._asdict()
+        elif not isinstance(raw, dict):
+            raise bounds.BoundsError("slot %d must be a string or an "
+                                     "object" % i)
+        family = raw.get("family", fixed.family if fixed else None)
+        if family is None:
+            raise bounds.BoundsError("slot %d needs an explicit family" % i)
+        if family not in repvol.FAMILIES:
+            raise bounds.BoundsError("slot %d: unknown family %r"
+                                     % (i, family))
+        signature = raw.get("signature", ())
+        if not isinstance(signature, (list, tuple)):
+            raise bounds.BoundsError("slot %d: signature must be a list"
+                                     % i)
+        if fixed is None:
+            if not signature:
+                raise bounds.BoundsError("custom slots need explicit "
+                                         "signatures (slot %d)" % i)
+            try:
+                signature = bounds._normalize_signature(signature)
+            except bounds.BoundsError as exc:
+                raise bounds.BoundsError("slot %d: %s" % (i, exc)) from None
+        elif signature:
+            raise bounds.BoundsError("only custom arrangements take "
+                                     "per-slot signatures (slot %d)" % i)
+        conway = raw.get("conway")
+        orientation = raw.get("orientation", "standard")
+        for field, value in (("conway", conway),
+                             ("orientation", orientation)):
+            if not isinstance(value, str):
+                raise bounds.BoundsError("slot %d: %s must be a string"
+                                         % (i, field))
+        conway = " ".join(conway.split()).lstrip("- ")
+        if not conway:
+            raise bounds.BoundsError("slot %d: empty tangle notation" % i)
+        out.append(bounds.SlotSpec(family, conway, orientation, signature))
+    return tuple(out)
+
+
+def per_slot_reference(db, data):
+    """The per-slot loop over the SlotSpecs per_slot_slots() gives."""
+    spec = bounds.LinkSpec(data.get("name", data["arrangement"]),
+                           data["arrangement"], data["ambient"],
+                           per_slot_slots(data), data.get("rows", 0),
+                           data.get("cols", 0))
+    return per_slot_lower_bound(db, spec)
+
+
+def check_against_per_slot(db, data):
+    """lower_bound and the checker on data, compared with the per-slot
+    references; the report, or the refusal as (class, message, slot)."""
+    got = outcome(bounds.lower_bound, db, data)
+    assert got == outcome(per_slot_reference, db, data)
+    try:
+        parsed = bounds.parse_link_spec(data)
+    except bounds.BoundsError as exc:
+        assert got[0] is type(exc) and got[1] == str(exc)
+    else:
+        assert parsed.slots == per_slot_slots(data)
+        assert outcome(bounds.lower_bound, db, parsed) == got
+    return got
+
+
+def test_a_failing_key_seen_late_and_repeated_is_named_at_its_first_slot(
+        db):
+    late = ["2", "3", "2", "-3", "2 1", "3", "2", "3"]
+    cases = [(" - ", bounds.BoundsError,
+              "slot 8: empty tangle notation", None),
+             ("7", bounds.UncertifiedTangle, "slot 8 (rational-square 7): "
+              "no recorded entry or rule grounds hyperbolicity at (2, 2)", 8),
+             ({"conway": "2", "orientation": 3}, bounds.BoundsError,
+              "slot 8: orientation must be a string", None),
+             ({"conway": "2", "signature": [2, 2]}, bounds.BoundsError,
+              "only custom arrangements take per-slot signatures (slot 8)",
+              None)]
+    for bad, kind, message, slot in cases:
+        slots = late + [bad, "2", bad, "3", "2", bad, bad, "2"]
+        spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 4,
+                "cols": 4, "slots": slots}
+        assert check_against_per_slot(db, spec) == (kind, message, slot)
+        # a key that fails at certification is refused only after every
+        # key passes the checker
+        if kind is bounds.UncertifiedTangle:
+            spec["slots"] = slots[:15] + [" - "]
+            assert check_against_per_slot(db, spec)[1] \
+                == "slot 15: empty tangle notation"
+
+
+def test_keys_naming_one_tangle_share_one_term(db, monkeypatch):
+    spellings = ("2 1", " 2  1", "-2 1")
+    rng = random.Random(11)
+    slots = [rng.choice(spellings + ("3",)) for _ in range(64)]
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 8,
+            "cols": 8, "slots": slots}
+    report = check_against_per_slot(db, spec)
+    count = sum(raw in spellings for raw in slots)
+    for _ in range(2):  # from a table keeping outcomes, then keeping none
+        shared = {id(t) for t, raw in zip(report.terms, slots)
+                  if raw in spellings}
+        assert len(shared) == 1
+        term = report.terms[slots.index(spellings[1])]
+        assert report.terms.count(term) == count
+        assert report.total == count * Fraction(term.volume) \
+            + (64 - count) * Fraction(Decimal("6.26446133"))
+        # with no outcome kept on the table, each tangle is still
+        # certified once per call
+        monkeypatch.setattr(bounds, "_CERTIFIED_LIMIT", 0)
+        calls = counting_certifier(monkeypatch)
+        report = bounds.lower_bound(bounds.VolumeDB.builtin(), spec)
+        assert len(calls) == 2
+
+
+def test_a_dict_repeated_by_identity_beside_an_equal_dict(db, monkeypatch):
+    slot = {"conway": " 2  1"}
+    slots = [slot, "3", slot, dict(slot), slot, "3"] * 6
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 6,
+            "cols": 6, "slots": slots}
+    report = check_against_per_slot(db, spec)
+    calls = counting_normalizer(monkeypatch)
+    assert bounds.lower_bound(db, spec) == report
+    # one check for each of the two dict objects, one for "3"
+    assert calls == [" 2  1", "3", " 2  1"]
+    assert len({id(t) for t in report.terms}) == 2
+
+
+def test_a_parsed_spec_passed_back_in_gives_the_same_bound(db,
+                                                            monkeypatch):
+    rng = random.Random(12)
+    spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 8,
+            "cols": 6, "slots": [rng.choice(("2", "3", "-3", " 4"))
+                                 for _ in range(48)]}
+    report = check_against_per_slot(db, spec)
+    parsed = bounds.parse_link_spec(spec)
+    calls = counting_normalizer(monkeypatch)
+    assert bounds.lower_bound(db, parsed) == report
+    # one check per SlotSpec object, the four spellings' four objects
+    firsts = {}
+    for slot in parsed.slots:
+        firsts.setdefault(id(slot), slot.conway)
+    assert len(firsts) == 4
+    assert calls == list(firsts.values())
+
+
+def test_the_slot_shorthand_matches_the_per_slot_loop(db):
+    for slot in (" 2  1", "-3", {"conway": "4"}, " - ", "7",
+                 {"conway": "2", "family": "x"}):
+        spec = {"arrangement": "lattice", "ambient": "TxI", "rows": 6,
+                "cols": 4, "slot": slot}
+        got = check_against_per_slot(db, spec)
+        if not isinstance(got, bounds.BoundReport):
+            assert got[1].startswith("slot 0")
+
+
+def test_a_custom_arrangement_matches_the_per_slot_loop(db):
+    table = db.extended(PARITY_ROWS)
+    square = {"family": "rational-square", "conway": "2",
+              "signature": [2, 4]}
+    saucer = {"family": "reciprocal-saucer", "conway": "1/4",
+              "signature": [6]}
+    unrecorded = {"family": "rational-square", "conway": "2",
+                  "signature": [2, 8]}
+    slots = [square, saucer, dict(square, conway=" 2"), saucer,
+             dict(saucer, orientation="rotated"), square] * 3
+    spec = {"arrangement": "custom", "ambient": "S3", "slots": slots}
+    report = check_against_per_slot(table, spec)
+    assert len({id(t) for t in report.terms}) == 3
+    spec["slots"] = slots + [unrecorded, square, unrecorded]
+    assert check_against_per_slot(table, spec)[2] == 18
+    spec["slots"] = slots + [dict(square, signature=[2, 3]), saucer]
+    assert check_against_per_slot(table, spec)[1].startswith("slot 18: ")
+
+
 # the outcomes a table keeps
 
 # "7" in S3 and "1/9" are hyperbolic at a recorded signature, so by

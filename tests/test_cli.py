@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -374,6 +375,116 @@ def test_json_output_is_json_dumps_across_writes(capsys, tmp_path):
     assert code == 0
     assert out == json.dumps(report.to_json_dict(), indent=2,
                              sort_keys=True) + "\n"
+
+
+def joined_plain_report(report, places=8):
+    """The plain text of a report as it was written before reports were
+    streamed: every line built, then joined."""
+    lines = ["%s: %s in %s, rule %s" % (report.name, report.arrangement,
+                                        report.ambient, report.rule)]
+    for i, t in enumerate(report.terms):
+        lines.append("  slot %s: %s %s (%s) = %s [%s, %s]" % (
+            i, t.family, t.conway, ", ".join(str(n) for n in t.signature),
+            t.volume, t.basis, t.provenance))
+    lines.append("total: %s" % bounds.format_fixed(report.total, places))
+    lines.append("note: %s." % report.equality_note)
+    for c in report.comparisons:
+        lines.append("compare %s (%s): %s" %
+                     (c.name, c.kind, bounds.format_fixed(c.value, places)))
+    if report.reference_volume is not None:
+        lines.append("reference volume %s (externally computed; not "
+                     "derived here)" % report.reference_volume)
+    return "\n".join(lines)
+
+
+def joined_markdown(report, places=8):
+    """BoundReport.to_markdown() as it was written before reports were
+    streamed."""
+    lines = ["# Volume lower bound: %s" % report.name, "",
+             "- arrangement: %s in %s" % (report.arrangement,
+                                          report.ambient),
+             "- rule: %s" % report.rule, "",
+             "| slot | tangle | signature | volume | basis |",
+             "| --- | --- | --- | --- | --- |"]
+    for i, t in enumerate(report.terms):
+        lines.append("| %s | %s %s | %s | %s | %s |" % (
+            i, t.family, t.conway,
+            "(%s)" % ", ".join(str(n) for n in t.signature),
+            t.volume, t.basis))
+    lines += ["", "**Total: %s**" % bounds.format_fixed(report.total,
+                                                         places),
+              "", "Note: %s." % report.equality_note]
+    for c in report.comparisons:
+        lines.append("- %s (%s): %s" % (c.name, c.kind,
+                                        bounds.format_fixed(c.value, places)))
+    if report.reference_volume is not None:
+        lines.append("")
+        lines.append("Reference volume %s (externally computed; "
+                     "not derived here)." % report.reference_volume)
+    return "\n".join(lines) + "\n"
+
+
+def dumped(obj):
+    return json.JSONEncoder(indent=2, sort_keys=True).encode(obj) + "\n"
+
+
+def test_streamed_reports_are_the_joined_text_at_size(capsys, tmp_path):
+    # 14 400 slots over four tangles, more than three blocks of slot
+    # lines; a user row puts "%" in a conway and a provenance
+    table = bounds.VolumeDB.builtin().to_json_dict()
+    table["entries"].append({"family": "rational-square", "conway": "5%d",
+                             "ambient": "TxI", "signature": [2, 2],
+                             "volume": "3.25", "provenance": "100%s"})
+    db_path = write_json(tmp_path / "table.json", table)
+    rng = random.Random(120)
+    lattice = {"name": "lattice %d", "arrangement": "lattice",
+               "ambient": "TxI", "rows": 120, "cols": 120,
+               "slots": [rng.choice(("2 1", " 2  1", "-3", "5%d"))
+                         for _ in range(14400)],
+               "reference_volume": "1e5"}
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    files = {"a-lattice.json": lattice, "b-bracelet.json": BRACELET6,
+             "c-clasp.json": CLASP_BRACELET, "d-empty.json": {
+                 "arrangement": "custom", "ambient": "S3", "slots": []},
+             "e-malformed.json": {"arrangement": "lattice"}}
+    for name, data in files.items():
+        write_json(batch / name, data)
+    path = write_json(tmp_path / "lattice.json", lattice)
+    db = bounds.VolumeDB.load(db_path)
+    comparisons = tuple(bounds.classical_bounds(6, "montesinos"))
+    report = bounds.lower_bound(db, lattice, comparisons)
+    options = ["--db", db_path, "--compare", "t=6"]
+    for fmt, text in (("plain", joined_plain_report(report) + "\n"),
+                      ("markdown", joined_markdown(report)),
+                      ("json", dumped(report.to_json_dict()))):
+        assert run(capsys, ["bound", path, "--format", fmt] + options) \
+            == (0, text, "")
+
+    rows, blocks = [], []
+    for name, data in files.items():
+        try:
+            one = bounds.lower_bound(db, data, comparisons)
+        except bounds.BoundsError as exc:
+            rows.append({"file": name, "error": {
+                "type": type(exc).__name__, "message": str(exc)}})
+            blocks.append("== %s ==\nerror %s: %s"
+                          % (name, type(exc).__name__, exc))
+        else:
+            rows.append({"file": name, "report": one.to_json_dict()})
+            blocks.append((name, one))
+    assert [row["file"] for row in rows if "error" in row] == [
+        "c-clasp.json", "e-malformed.json"]
+    assert run(capsys, ["bound", str(batch), "--format", "json"]
+               + options) == (2, dumped({"results": rows}), "")
+    for fmt, render in (("plain", joined_plain_report),
+                        ("markdown", lambda r: joined_markdown(r)[:-1])):
+        text = "\n\n".join(
+            block if isinstance(block, str) else
+            "== %s ==\n%s" % (block[0], render(block[1]))
+            for block in blocks) + "\n"
+        assert run(capsys, ["bound", str(batch), "--format", fmt]
+                   + options) == (2, text, "")
 
 
 def test_bound_uncertified_exit_3(capsys, tmp_path):
