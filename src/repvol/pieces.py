@@ -8,7 +8,7 @@ components.  Copies of templates glued face-to-face form a GluingComplex.
 Replication reflects a piece repeatedly across its face pairs.  A mirror
 copy is modeled by the same template (reflection fixes the glued face
 pointwise), so every gluing produced here pairs equal endpoint labels.
-One generator writes that mirror pattern for a grid of copies.  Bracelets
+One writer fills that mirror pattern for a grid of copies.  Bracelets
 and torus lattices are the same pattern filled with mixed tangles, which
 is what makes a homogeneous bracelet or lattice literally the replicant
 complex of its tangle; cylinder stacks glue by translation instead.
@@ -21,6 +21,7 @@ link components.
 import collections
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import repvol
@@ -409,23 +410,61 @@ class GluingComplex:
         self._partners = tuple(map(tuple, partners))
 
     @classmethod
-    def _mirror(cls, copies, gluings):
-        """``copies``, distinct and in ``itertools.product`` order, glued
-        by ``_mirror_gluings`` output.  Trusted: the caller has checked
-        that glued faces carry equal endpoint counts."""
+    def _mirror(cls, copies, sizes, pairs):
+        """``copies``, distinct and in ``itertools.product`` order over
+        ``range(sizes[j])``, glued in the replicant mirror pattern: axis j
+        reflects across face pair k = ``pairs[j]``, so copy 2i meets copy
+        2i+1 across face 2k-1 and copy 2i-1 meets copy 2i across face 2k,
+        cyclically.  ``pairs`` permutes 1..len(pairs); later faces stay
+        unglued.  Trusted: the caller has checked that glued faces carry
+        equal endpoint counts.
+
+        Each face is a column of the table: the step to a copy's partner
+        depends on its coordinate on the face's axis alone, so a column
+        is the positions plus the steps repeated, and rows are columns
+        zipped.
+        """
         self = cls.__new__(cls)
         self.copies = copies
-        self._position = {label: i for i, (_, label) in enumerate(copies)}
-        partners = [[None] * len(template.faces) for template, _ in copies]
-        identity = {}
-        for x, y, face in gluings:
-            labels = copies[x][0].faces[face - 1]
-            pairing = identity.get(labels)
-            if pairing is None:
-                pairing = identity[labels] = tuple(zip(labels, labels))
-            partners[x][face - 1] = (y, face, pairing)
-            partners[y][face - 1] = (x, face, pairing)
-        self._partners = tuple(map(tuple, partners))
+        count = len(copies)
+        # one int object per position, shared by every entry naming it
+        positions = list(range(count))
+        self._position = dict(zip(map(operator.itemgetter(1), copies),
+                                  positions))
+        templates = list(map(operator.itemgetter(0), copies))
+        distinct = dict(zip(map(id, templates), templates))
+        identity = {key: [tuple(zip(face, face)) for face in t.faces]
+                    for key, t in distinct.items()}
+        width = 2 * len(pairs)
+        if len(identity) == 1:
+            (faces,) = identity.values()
+            pairings = list(map(itertools.repeat, faces))
+        else:
+            kinds = list(map(identity.__getitem__, map(id, templates)))
+            pairings = [list(map(operator.itemgetter(f), kinds))
+                        for f in range(width)]
+        columns = [None] * width
+        stride = count
+        for n, k in zip(sizes, pairs):
+            stride //= n
+            # steps from coordinates 0..n-1 across faces 2k-1 and 2k
+            for face, steps in ((2 * k - 1, [1, -1] * (n // 2)),
+                                (2 * k, [n - 1, *[1, -1] * (n // 2 - 1),
+                                         1 - n])):
+                steps = list(itertools.chain.from_iterable(
+                    itertools.repeat(d * stride, stride) for d in steps))
+                steps *= count // (n * stride)
+                columns[face - 1] = list(zip(
+                    map(positions.__getitem__,
+                        map(operator.add, positions, steps)),
+                    itertools.repeat(face), pairings[face - 1]))
+        rows = zip(*columns)
+        tails = {key: (None,) * (len(t.faces) - width)
+                 for key, t in distinct.items()}
+        if any(tails.values()):
+            rows = map(operator.add, rows, map(tails.__getitem__,
+                                               map(id, templates)))
+        self._partners = tuple(rows)
         return self
 
     @property
@@ -540,34 +579,14 @@ class GluingComplex:
         return cls(copies, gluings)
 
 
-def _mirror_gluings(sizes, pairs):
-    """The replicant mirror gluings of a grid of copies.
-
-    Copies are the index tuples over ``range(sizes[j])``, in
-    ``itertools.product`` order, and axis j reflects across face pair
-    k = ``pairs[j]`` (faces 2k-1 and 2k): copy 2i meets copy 2i+1 across
-    face 2k-1 and copy 2i-1 meets copy 2i across face 2k, cyclically.
-    Yields (position, position, face) for copies in order and, per copy,
-    axes in order.
-    """
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    for here, label in enumerate(itertools.product(*map(range, sizes))):
-        for i, size, stride, k in zip(label, sizes, strides, pairs):
-            if i % 2:
-                continue
-            # sizes are even, so copy i + 1 never wraps around
-            yield here, here + stride, 2 * k - 1
-            yield here + (size - 1 if i == 0 else -1) * stride, here, 2 * k
-
-
 def replicate(template, schedule):
     """Reflect a piece per its schedule, one face pair at a time.
 
     Copies are labeled by index tuples, one coordinate per face pair in
-    schedule order, and glued by the mirror pattern of _mirror_gluings().
-    Every face slot ends up glued exactly once; free boundary is
-    untouched.  A schedule of more than ``repvol.COPY_LIMIT`` copies is
-    refused before any copy is labeled.
+    schedule order, and glued in the mirror pattern of
+    GluingComplex._mirror().  Every face slot ends up glued exactly once;
+    free boundary is untouched.  A schedule of more than
+    ``repvol.COPY_LIMIT`` copies is refused before any copy is labeled.
     """
     if len(template.faces) % 2:
         raise ScheduleMismatch(
@@ -579,8 +598,8 @@ def replicate(template, schedule):
                            % (indices, repvol.COPY_LIMIT))
     sizes = [indices[k - 1] for k in order]
     labels = itertools.product(*map(range, sizes))
-    return GluingComplex._mirror(tuple((template, label) for label in labels),
-                                 _mirror_gluings(sizes, order))
+    copies = tuple(zip(itertools.repeat(template), labels))
+    return GluingComplex._mirror(copies, sizes, order)
 
 
 def build_bracelet(tangles):
@@ -614,7 +633,7 @@ def build_bracelet(tangles):
                 % (i, j, len(here)))
     return GluingComplex._mirror(
         tuple((tangle, (i,)) for i, tangle in enumerate(tangles)),
-        _mirror_gluings((count,), (1,)))
+        (count,), (1,))
 
 
 def build_torus_lattice(grid):
@@ -634,21 +653,30 @@ def build_torus_lattice(grid):
     refusal = shape_refusal("lattice", height * width, height, width)
     if refusal is not None:
         raise OddDimension(refusal)
-    copies = []
-    for r, row in enumerate(rows):
-        for c, template in enumerate(row):
-            if template.ell < 2:
-                raise PieceError("lattice cells need two face pairs")
-            copies.append((template, (r, c)))
-    copies = tuple(copies)
+    cells = list(itertools.chain.from_iterable(rows))
+    distinct = dict(zip(map(id, cells), cells))
+    if any(t.ell < 2 for t in distinct.values()):
+        raise PieceError("lattice cells need two face pairs")
+    counts = {key: tuple(map(len, t.faces[:4]))
+              for key, t in distinct.items()}
 
-    gluings = list(_mirror_gluings((height, width), (1, 2)))
-    for x, y, face in gluings:
-        if len(copies[x][0].faces[face - 1]) != \
-                len(copies[y][0].faces[face - 1]):
+    def meet(a, b, face):
+        if counts[id(rows[a[0]][a[1]])][face - 1] != \
+                counts[id(rows[b[0]][b[1]])][face - 1]:
             raise EndpointMismatch("cells %r and %r meet with unequal "
-                                   "endpoints" % (copies[x][1], copies[y][1]))
-    return GluingComplex._mirror(copies, gluings)
+                                   "endpoints" % (a, b))
+
+    # cells whose faces all carry alike cannot meet unequally
+    if len(set(counts.values())) > 1:
+        for r, c in itertools.product(range(height), range(width)):
+            if r % 2 == 0:
+                meet((r, c), (r + 1, c), 1)
+                meet(((r - 1) % height, c), (r, c), 2)
+            if c % 2 == 0:
+                meet((r, c), (r, c + 1), 3)
+                meet((r, (c - 1) % width), (r, c), 4)
+    copies = tuple(zip(cells, itertools.product(range(height), range(width))))
+    return GluingComplex._mirror(copies, (height, width), (1, 2))
 
 
 def build_cylinder_stack(tangles):
@@ -685,39 +713,67 @@ def count_components(complex):
 
     Each endpoint has one strand edge (inside its copy) and at most one
     gluing edge, so components are paths, which end at unglued faces,
-    or cycles.  Walks follow a strand, then its gluing, and so on: first
-    from every unglued endpoint not yet passed, counting paths, then
-    from every strand not yet passed, counting cycles.  Closed loops
-    recorded on the templates count as closed components of every copy.
+    or cycles.  A walk follows a strand, then its gluing, and so on,
+    from each endpoint not yet passed: back at its start it has passed a
+    cycle; stopped at an unglued face it is on a path, which a second
+    walk finishes the other way.  Closed loops recorded on the templates
+    count as closed components of every copy.
+
+    Each distinct template numbers its endpoints face by face; passed
+    endpoints are marked in one bytearray at position * ``width`` (the
+    most endpoints of any template) + number; the unused tail of a
+    smaller template is marked as it is found.
     """
     copies, partners = complex.copies, complex._partners
-    seen = set()
+    templates = list(map(operator.itemgetter(0), copies))
+    distinct = dict(zip(map(id, templates), templates))
+    width = max((len(t._mate) for t in distinct.values()), default=0)
+    kinds = {}
+    for key, t in distinct.items():
+        # start[f] + label numbers endpoint (f, label)
+        start = [None, *itertools.accumulate(map(len, t.faces), initial=-1)]
+        ends = [None] * len(t._mate)
+        for (f, x), (g, y) in t._mate.items():
+            ends[start[f] + x] = start[g] + y, g - 1, y - 1
+        kinds[key] = ends, start
+    kinds = list(map(kinds.__getitem__, map(id, templates)))
+    seen = bytearray(len(copies) * width)
 
-    def walk(here, end):
-        while (here, end) not in seen:
-            seen.add((here, end))
-            end = copies[here][0].mate(end)
-            seen.add((here, end))
-            glued = partners[here][end[0] - 1]
+    def walk(here, e):
+        # True when the walk stops at an unglued face
+        ends, start = kinds[here]
+        at = here * width
+        while not seen[at + e]:
+            seen[at + e] = 1
+            e, f, x = ends[e]  # the strand's other end, its face, label
+            seen[at + e] = 1
+            glued = partners[here][f]
             if glued is None:
-                return
+                return True
             here, face_no, pairing = glued
-            end = face_no, pairing[end[1] - 1][1]
+            ends, start = kinds[here]
+            at = here * width
+            e = start[face_no] + pairing[x][1]
+        return False
 
+    closed = sum(map(operator.attrgetter("closed_components"), templates))
     open_count = 0
-    for here, (template, _) in enumerate(copies):
-        for f, glued in enumerate(partners[here]):
-            if glued is None:
-                for x in template.faces[f]:
-                    if (here, (f + 1, x)) not in seen:
-                        open_count += 1
-                        walk(here, (f + 1, x))
-    closed = sum(t.closed_components for t, _ in copies)
-    for here, (template, _) in enumerate(copies):
-        for end, _ in template.strands:
-            if (here, end) not in seen:
-                closed += 1
-                walk(here, end)
+    i = seen.find(0)
+    while i >= 0:
+        here, e = divmod(i, width)
+        ends = kinds[here][0]
+        if e >= len(ends):
+            seen[i] = 1
+        elif not walk(here, e):
+            closed += 1
+        else:
+            open_count += 1
+            _, f, x = ends[ends[e][0]]  # e's own face and label
+            glued = partners[here][f]
+            if glued is not None:
+                there, face_no, pairing = glued
+                walk(there, kinds[there][1][face_no] + pairing[x][1])
+        i = seen.find(0, i + 1)
     return ComponentCount(closed, open_count)
 
 
@@ -899,21 +955,24 @@ def verify_isomorphism(a, b, witness):
     if not {tuple} >= set(map(type, labels)) or \
             not {int} >= set(map(type, itertools.chain.from_iterable(labels))):
         return False
-    to = [None] * len(a.copies)
-    for label, image in witness.items():
-        here, there = a._position.get(label), b._position.get(image)
-        if here is None or there is None:
-            return False
-        to[here] = there
-    if len(set(to)) != len(to):
+    to = dict(zip(map(a._position.get, witness),
+                  map(b._position.get, witness.values())))
+    images = set(to.values())
+    if None in to or None in images or len(images) != len(to):
         return False
-    for here, there in enumerate(to):
+    for here, there in to.items():
         template, image_template = a.copies[here][0], b.copies[there][0]
         if template is not image_template and template != image_template:
             return False
         for glued, image_glued in zip(a._partners[here], b._partners[there]):
-            if image_glued != (None if glued is None else
-                                (to[glued[0]], glued[1], glued[2])):
+            if glued is None or image_glued is None:
+                if glued is not image_glued:
+                    return False
+                continue
+            other, face_no, pairing = glued
+            image, image_face, image_pairing = image_glued
+            if to[other] != image or face_no != image_face or \
+                    pairing != image_pairing:
                 return False
     return True
 

@@ -1,13 +1,16 @@
 """Bound a 1000 x 1000 lattice through the command line, in plain text
-and in JSON, and check the exit code, the total and the peak memory.
+and in JSON, and check the exit code, the total and the peak memory;
+then replicate a square tangle 1000 x 1000 times and count the strands.
 
     PYTHONPATH=src python tests/scale_check.py
 
-Each run is a fresh ``python -m repvol.cli bound`` process; CI runs this
-script under ``timeout 300``.  The check fails if a run exits non-zero,
-prints a total other than the one summed here from the shipped table, or
-peaks above 150 MB resident (the children's ``ru_maxrss``).  The million
-slots name three tangles in five spellings.  Standard library only;
+Each run is a fresh process; CI runs this script under ``timeout 300``.
+A ``python -m repvol.cli bound`` run fails the check if it exits
+non-zero, prints a total other than the one summed here from the
+shipped table, or peaks above 150 MB resident (the children's
+``ru_maxrss``).  The million slots name three tangles in five
+spellings.  The replicant run, ``repvol.COPY_LIMIT`` copies, must count
+ComponentCount(2000, 0) and peak below 900 MB.  Standard library only;
 pytest does not collect this file.
 """
 
@@ -23,6 +26,11 @@ from pathlib import Path
 
 SIDE = 1000
 LIMIT_MB = 150
+REPLICANT_LIMIT_MB = 900
+REPLICANT = """
+from repvol.pieces import count_components, replicate, square_template
+print(count_components(replicate(square_template("2"), (%d, %d))))
+""" % (SIDE, SIDE)
 SPELLINGS = {"2": "2", "3": "3", "2 1": "2 1", " 2  1": "2 1", "-3": "3"}
 TABLE = Path(__file__).resolve().parent.parent / "src" / "repvol" / "data" \
     / "tables1-4.json"
@@ -76,6 +84,17 @@ def main():
             if peak > LIMIT_MB:
                 sys.exit("%s peaked at %.1f MB, over %d MB"
                          % (fmt, peak, LIMIT_MB))
+    # after the bound runs, whose peaks are far lower
+    run = subprocess.run([sys.executable, "-c", REPLICANT],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    got = run.stdout.strip()
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print("replicant: %s; peak RSS of the runs so far %.1f MB" % (got, peak))
+    if got != "ComponentCount(closed=%d, open=0)" % (2 * SIDE):
+        sys.exit("replicant counted %s" % got)
+    if peak > REPLICANT_LIMIT_MB:
+        sys.exit("replicant peaked at %.1f MB, over %d MB"
+                 % (peak, REPLICANT_LIMIT_MB))
 
 
 if __name__ == "__main__":

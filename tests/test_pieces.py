@@ -986,6 +986,36 @@ def test_component_count_matches_oracle():
     bracelet = build_bracelet([saucer_template("1/4")] * 5 +
                               [saucer_template("1/5")])
     assert count_components(bracelet) == components_oracle(bracelet)
+    # random gluings of mixed templates: shuffled pairings, unglued faces
+    # that end paths, glued cycles and loops recorded on the templates
+    pool = [random_template(rng, 2) for _ in range(4)]
+    pool += [cylindrical_template("c", 3)] * 2
+    pool.append(PieceTemplate("loop", ((1,), (1,), (), ()),
+                              (((1, 1), (2, 1)),), closed_components=1))
+    shown = collections.Counter()
+    for _ in range(120):
+        c = random_complex(rng, pool, rng.randint(1, 12))
+        count = count_components(c)
+        assert count == components_oracle(c)
+        loops = sum(t.closed_components for t, _ in c.copies)
+        shown["open"] += count.open > 0
+        shown["cycles"] += count.closed > loops
+        shown["loops"] += loops > 0
+        shown["mixed"] += len({id(t) for t, _ in c.copies}) > 1
+        shown["shuffled"] += any(x != y for g in c.gluings
+                                 for x, y in g.pairing)
+    assert len(shown) == 5 and min(shown.values()) >= 20, shown
+
+
+def test_component_count_marks_endpoints_in_one_bytearray():
+    # a set of (position, endpoint) tuples held over 5 MB here
+    c = replicate(square_template("2"), (100, 100))
+    tracemalloc.start()
+    try:
+        assert count_components(c) == ComponentCount(200, 0)
+        assert tracemalloc.get_traced_memory()[1] < 5 * 10 ** 5
+    finally:
+        tracemalloc.stop()
 
 
 def test_component_count_is_isomorphism_invariant():
@@ -1127,15 +1157,25 @@ def mirror_built_cases():
                 yield (replicate(t, ReplicantSchedule(indices, order)),
                        sizes, order)
     t = random_template(rng, 3)
-    for order in itertools.permutations((1, 2, 3)):
-        sizes = tuple((2, 4, 2)[k - 1] for k in order)
-        yield replicate(t, ReplicantSchedule((2, 4, 2), order)), sizes, order
+    for indices in ((2, 4, 2), (4, 6, 8)):
+        for order in itertools.permutations((1, 2, 3)):
+            sizes = tuple(indices[k - 1] for k in order)
+            yield (replicate(t, ReplicantSchedule(indices, order)), sizes,
+                   order)
+    yield replicate(sq, (10, 8)), (10, 8), (1, 2)
     pool = [s, saucer_template("t"), cylindrical_template("c", 2)]
     for count in (2, 4, 8):
         yield (build_bracelet([rng.choice(pool) for _ in range(count)]),
                (count,), (1,))
+    # four-faced tangles leave their second face pair unglued
+    pool.append(template_union(sq, square_template("3")))
+    tangles = [pool[i % 4] for i in range(10)]
+    yield build_bracelet(tangles), (10,), (1,)
+    # a six-faced cell leaves its third face pair unglued
+    cube = PieceTemplate("cube", ((1,),) * 6,
+                         [((f, 1), (f + 1, 1)) for f in (1, 3, 5)])
     for height, width in ((2, 2), (2, 6), (4, 4)):
-        grid = [[rng.choice([sq, square_template("3"), square_template("x")])
+        grid = [[rng.choice([sq, square_template("3"), cube])
                  for _ in range(width)] for _ in range(height)]
         yield build_torus_lattice(grid), (height, width), (1, 2)
 
@@ -1157,7 +1197,7 @@ def test_mirror_builders_match_the_validating_constructor():
                 assert c.glued_partner(side) == other.glued_partner(side)
             assert c.unglued_slots() == other.unglued_slots()
         cases += 1
-    assert cases == 12 + 12 + 6 + 3 + 3
+    assert cases == 12 + 12 + 12 + 1 + 4 + 3
 
 
 def test_complex_json_roundtrip():
