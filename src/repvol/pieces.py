@@ -120,7 +120,7 @@ class PieceTemplate:
     """
 
     __slots__ = ("id", "faces", "strands", "free_boundary",
-                 "closed_components", "interfaces", "_mate")
+                 "closed_components", "interfaces", "_mate", "_mirrored")
 
     def __init__(self, id, faces, strands, free_boundary=(),
                  closed_components=0, interfaces=None):
@@ -158,6 +158,10 @@ class PieceTemplate:
             raise PieceError("unmatched endpoints: %s" % sorted(missing))
         self.strands = tuple(sorted(normalized))
         self._mate = mate
+        # what a mirror gluing carries across each face, made once so
+        # that every complex built from this template shares it
+        self._mirrored = tuple((f, tuple(zip(face, face)))
+                               for f, face in enumerate(faces, 1))
 
         self.free_boundary = _ints("free_boundary", free_boundary)
         if any(g < 0 for g in self.free_boundary):
@@ -344,14 +348,20 @@ class GluingComplex:
     one gluing per slot, with an endpoint bijection per gluing (omit the
     bijection for the label-identity).
 
-    The face table ``_partners`` is the only stored form of the gluings:
-    per copy position (index into ``copies``), per face, None or (other
-    position, other face, pairing read from this side, sorted).  Readers
-    work on positions; the ``gluings`` property writes the table out as
-    labelled Gluings, each once, from its lower (position, face) side.
+    The face columns are the only stored form of the gluings.  Face
+    number f has two columns, read by copy position (index into
+    ``copies``): ``_other[f - 1]`` holds the position each copy's face f
+    is glued to, -1 where unglued, and ``_carry[f - 1]`` what the gluing
+    carries, (other face, pairing read from this side, sorted), None
+    where unglued.  There is a column pair for each face of the copy
+    with the most faces; a copy with fewer reads as unglued past its
+    last face.  Copies glued alike may share one carried object.
+    Readers work on positions, a column at a time where they can; the
+    ``gluings`` property writes the columns out as labelled Gluings,
+    each once, from its lower (position, face) side.
     """
 
-    __slots__ = ("copies", "_position", "_partners")
+    __slots__ = ("copies", "_position", "_other", "_carry")
 
     def __init__(self, copies, gluings):
         copies = tuple((template, _label("copy labels", label))
@@ -367,7 +377,10 @@ class GluingComplex:
         self.copies = copies
         self._position = position
 
-        partners = [[None] * len(template.faces) for template, _ in copies]
+        width = max((len(template.faces) for template, _ in copies),
+                    default=0)
+        other = [[-1] * len(copies) for _ in range(width)]
+        carry = [[None] * len(copies) for _ in range(width)]
         for item in gluings:
             if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
                 raise PieceError("gluings must have 2 or 3 entries, got %r"
@@ -399,15 +412,18 @@ class GluingComplex:
                         % (side_a, side_b))
             x, face_x = position[side_a[0]], side_a[1]
             y, face_y = position[side_b[0]], side_b[1]
-            # the table finds a slot glued twice; name the lower side first
+            # the columns find a slot glued twice; name the lower side first
             for here, face_no, side in sorted([(x, face_x, side_a),
                                                (y, face_y, side_b)]):
-                if partners[here][face_no - 1] is not None:
+                if other[face_no - 1][here] >= 0:
                     raise PieceError("face slot %r glued twice" % (side,))
-            back = tuple(sorted((b, a) for a, b in pairing))
-            partners[x][face_x - 1] = (y, face_y, tuple(sorted(pairing)))
-            partners[y][face_y - 1] = (x, face_x, back)
-        self._partners = tuple(map(tuple, partners))
+            other[face_x - 1][x] = y
+            carry[face_x - 1][x] = face_y, tuple(sorted(pairing))
+            other[face_y - 1][y] = x
+            carry[face_y - 1][y] = face_x, tuple(sorted((b, a)
+                                                        for a, b in pairing))
+        self._other = tuple(map(tuple, other))
+        self._carry = tuple(map(tuple, carry))
 
     @classmethod
     def _mirror(cls, copies, sizes, pairs):
@@ -419,10 +435,10 @@ class GluingComplex:
         unglued.  Trusted: the caller has checked that glued faces carry
         equal endpoint counts.
 
-        Each face is a column of the table: the step to a copy's partner
-        depends on its coordinate on the face's axis alone, so a column
-        is the positions plus the steps repeated, and rows are columns
-        zipped.
+        The step to a copy's partner across a face depends on its
+        coordinate on the face's axis alone, so a face's partner column
+        is the positions plus the steps repeated.  Each distinct template
+        carries one identity gluing per face, shared down the column.
         """
         self = cls.__new__(cls)
         self.copies = copies
@@ -433,17 +449,16 @@ class GluingComplex:
                                   positions))
         templates = list(map(operator.itemgetter(0), copies))
         distinct = dict(zip(map(id, templates), templates))
-        identity = {key: [tuple(zip(face, face)) for face in t.faces]
-                    for key, t in distinct.items()}
-        width = 2 * len(pairs)
-        if len(identity) == 1:
-            (faces,) = identity.values()
-            pairings = list(map(itertools.repeat, faces))
+        glued = 2 * len(pairs)
+        if len(distinct) == 1:
+            carry = [(c,) * count for c in templates[0]._mirrored[:glued]]
         else:
-            kinds = list(map(identity.__getitem__, map(id, templates)))
-            pairings = [list(map(operator.itemgetter(f), kinds))
-                        for f in range(width)]
-        columns = [None] * width
+            kinds = list(map(operator.attrgetter("_mirrored"), templates))
+            carry = [tuple(map(operator.itemgetter(f), kinds))
+                     for f in range(glued)]
+        width = max((len(t.faces) for t in distinct.values()), default=0)
+        carry += [(None,) * count] * (width - glued)
+        other = [None] * glued + [(-1,) * count] * (width - glued)
         stride = count
         for n, k in zip(sizes, pairs):
             stride //= n
@@ -454,17 +469,11 @@ class GluingComplex:
                 steps = list(itertools.chain.from_iterable(
                     itertools.repeat(d * stride, stride) for d in steps))
                 steps *= count // (n * stride)
-                columns[face - 1] = list(zip(
-                    map(positions.__getitem__,
-                        map(operator.add, positions, steps)),
-                    itertools.repeat(face), pairings[face - 1]))
-        rows = zip(*columns)
-        tails = {key: (None,) * (len(t.faces) - width)
-                 for key, t in distinct.items()}
-        if any(tails.values()):
-            rows = map(operator.add, rows, map(tails.__getitem__,
-                                               map(id, templates)))
-        self._partners = tuple(rows)
+                other[face - 1] = tuple(map(
+                    positions.__getitem__,
+                    map(operator.add, positions, steps)))
+        self._other = tuple(other)
+        self._carry = tuple(carry)
         return self
 
     @property
@@ -472,13 +481,19 @@ class GluingComplex:
         """The gluings in (position, face) order of their lower side."""
         copies = self.copies
         out = []
-        for x, row in enumerate(self._partners):
-            for face_no, glued in enumerate(row, 1):
-                if glued is not None and (x, face_no) < glued[:2]:
-                    y, face_y, pairing = glued
-                    out.append(Gluing((copies[x][1], face_no),
-                                      (copies[y][1], face_y), pairing))
-        return tuple(out)
+        for face_no, others, carries in zip(itertools.count(1), self._other,
+                                            self._carry):
+            # x <= y: the lower side, or a gluing within one copy
+            for x in itertools.compress(itertools.count(), map(
+                    operator.le, itertools.count(), others)):
+                y = others[x]
+                face_y, pairing = carries[x]
+                if x < y or face_no < face_y:
+                    out.append((x, Gluing((copies[x][1], face_no),
+                                          (copies[y][1], face_y), pairing)))
+        # stable: each copy's faces stay in column order
+        out.sort(key=operator.itemgetter(0))
+        return tuple(map(operator.itemgetter(1), out))
 
     def _face_labels(self, side):
         label, face_no = side
@@ -490,19 +505,24 @@ class GluingComplex:
         return faces[face_no - 1]
 
     def template_of(self, label):
-        return self.copies[self._position[label]][0]
+        """The template of copy ``label``; PieceError if no copy has it."""
+        try:
+            return self.copies[self._position[label]][0]
+        except (KeyError, TypeError):
+            raise PieceError("no copy is labelled %r" % (label,)) from None
 
     def glued_partner(self, side):
         """(other side, label map) for a glued slot, else None."""
         label, face_no = side
         here = self._position.get(label)
-        row = () if here is None else self._partners[here]
-        if type(face_no) is not int or not 1 <= face_no <= len(row):
+        if here is None or type(face_no) is not int or \
+                not 1 <= face_no <= len(self.copies[here][0].faces):
             return None
-        glued = row[face_no - 1]
-        if glued is None:
+        other = self._other[face_no - 1][here]
+        if other < 0:
             return None
-        return (self.copies[glued[0]][1], glued[1]), dict(glued[2])
+        face_y, pairing = self._carry[face_no - 1][here]
+        return (self.copies[other][1], face_y), dict(pairing)
 
     def slots(self):
         out = []
@@ -512,21 +532,21 @@ class GluingComplex:
 
     def unglued_slots(self):
         return [(label, f + 1)
-                for (_, label), row in zip(self.copies, self._partners)
-                for f, glued in enumerate(row) if glued is None]
+                for x, (template, label) in enumerate(self.copies)
+                for f in range(len(template.faces)) if self._other[f][x] < 0]
 
     def __eq__(self, other):
         if not isinstance(other, GluingComplex):
             return NotImplemented
         return self.copies == other.copies and \
-            self._partners == other._partners
+            self._other == other._other and self._carry == other._carry
 
     def __hash__(self):
-        return hash((self.copies, self._partners))
+        return hash((self.copies, self._other, self._carry))
 
     def __repr__(self):
         # no face glues to itself, so each gluing fills two faces
-        glued = sum(f is not None for row in self._partners for f in row)
+        glued = sum(len(others) - others.count(-1) for others in self._other)
         return "GluingComplex(%d copies, %d gluings)" % (
             len(self.copies), glued // 2)
 
@@ -719,12 +739,16 @@ def count_components(complex):
     walk finishes the other way.  Closed loops recorded on the templates
     count as closed components of every copy.
 
-    Each distinct template numbers its endpoints face by face; passed
-    endpoints are marked in one bytearray at position * ``width`` (the
-    most endpoints of any template) + number; the unused tail of a
-    smaller template is marked as it is found.
+    Each distinct template numbers its endpoints face by face and lists,
+    per endpoint, the strand's other end with that end's face columns,
+    so a step across a gluing reads the partner and what the gluing
+    carries from the columns by position.  Passed endpoints are marked
+    in one bytearray at position * ``width`` (the most endpoints of any
+    template) + number; the unused tail of a smaller template is marked
+    as it is found.
     """
-    copies, partners = complex.copies, complex._partners
+    copies = complex.copies
+    columns = list(zip(complex._other, complex._carry))
     templates = list(map(operator.itemgetter(0), copies))
     distinct = dict(zip(map(id, templates), templates))
     width = max((len(t._mate) for t in distinct.values()), default=0)
@@ -734,7 +758,7 @@ def count_components(complex):
         start = [None, *itertools.accumulate(map(len, t.faces), initial=-1)]
         ends = [None] * len(t._mate)
         for (f, x), (g, y) in t._mate.items():
-            ends[start[f] + x] = start[g] + y, g - 1, y - 1
+            ends[start[f] + x] = (start[g] + y, *columns[g - 1], y - 1)
         kinds[key] = ends, start
     kinds = list(map(kinds.__getitem__, map(id, templates)))
     seen = bytearray(len(copies) * width)
@@ -745,12 +769,14 @@ def count_components(complex):
         at = here * width
         while not seen[at + e]:
             seen[at + e] = 1
-            e, f, x = ends[e]  # the strand's other end, its face, label
+            # the strand's other end, its face's columns, its label
+            e, others, carries, x = ends[e]
             seen[at + e] = 1
-            glued = partners[here][f]
-            if glued is None:
+            carried = carries[here]
+            if carried is None:
                 return True
-            here, face_no, pairing = glued
+            face_no, pairing = carried
+            here = others[here]
             ends, start = kinds[here]
             at = here * width
             e = start[face_no] + pairing[x][1]
@@ -768,10 +794,12 @@ def count_components(complex):
             closed += 1
         else:
             open_count += 1
-            _, f, x = ends[ends[e][0]]  # e's own face and label
-            glued = partners[here][f]
-            if glued is not None:
-                there, face_no, pairing = glued
+            # e's own face columns and label
+            _, others, carries, x = ends[ends[e][0]]
+            carried = carries[here]
+            if carried is not None:
+                face_no, pairing = carried
+                there = others[here]
                 walk(there, kinds[there][1][face_no] + pairing[x][1])
         i = seen.find(0, i + 1)
     return ComponentCount(closed, open_count)
@@ -792,19 +820,23 @@ def _template_index(complexes):
 
 
 def _refine_colors(complex, base):
-    """Refined colours of the copies, a list by copy position."""
+    """Refined colours of the copies, a list by copy position.
+
+    A copy's signature is its colour, then, face by face, its partner's
+    colour (-1 where unglued) and what the gluing carries: one zip of
+    the columns.  Equal partner colours mean both faces are glued or
+    neither, so sorting never compares a carried gluing with None.
+    """
     colors = [base[id(template)] for template, _ in complex.copies]
     count = len(set(colors))
-    around = [[(face_no, glued[1], glued[0])
-               for face_no, glued in enumerate(row, 1) if glued is not None]
-              for row in complex._partners]
     while True:
-        signatures = [
-            (colour, tuple([(face_no, other_face, colors[other])
-                            for face_no, other_face, other in glued]))
-            for colour, glued in zip(colors, around)]
+        # position -1, an unglued face's partner, reads colour -1
+        around = [*colors, -1]
+        signatures = list(zip(colors, *itertools.chain.from_iterable(
+            (map(around.__getitem__, others), carries)
+            for others, carries in zip(complex._other, complex._carry))))
         palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        colors = [palette[s] for s in signatures]
+        colors = list(map(palette.__getitem__, signatures))
         if len(palette) == count:
             return colors
         count = len(palette)
@@ -822,21 +854,22 @@ def _propagate(a, b, root, image):
     trial = {root: image}
     taken = {image}
     stack = [root]
+    columns = list(zip(a._other, a._carry, b._other, b._carry))
     while stack:
         here = stack.pop()
         there = trial[here]
         template, image_template = a.copies[here][0], b.copies[there][0]
         if template is not image_template and template != image_template:
             return None
-        for glued, image_glued in zip(a._partners[here], b._partners[there]):
-            if glued is None or image_glued is None:
-                if glued is not image_glued:
-                    return None
-                continue
-            other, other_face, pairing = glued
-            image_other, image_other_face, image_pairing = image_glued
-            if other_face != image_other_face or pairing != image_pairing:
+        for others, carries, image_others, image_carries in columns:
+            # what both faces carry: face and pairing, or None if unglued
+            carried, image_carried = carries[here], image_carries[there]
+            if carried is not image_carried and carried != image_carried:
                 return None
+            other = others[here]
+            if other < 0:
+                continue
+            image_other = image_others[there]
             if other in trial:
                 if trial[other] != image_other:
                     return None
@@ -934,8 +967,11 @@ def isomorphic(a, b):
         witness = _first_fit(a, b, colors_a, colors_b, patient=True)
         if witness is None:
             return IsoResult(False, None)
-    return IsoResult(True, {a.copies[x][1]: b.copies[y][1]
-                            for x, y in witness.items()})
+    label = operator.itemgetter(1)
+    return IsoResult(True, dict(zip(map(label, map(a.copies.__getitem__,
+                                                   witness)),
+                                    map(label, map(b.copies.__getitem__,
+                                                   witness.values())))))
 
 
 def verify_isomorphism(a, b, witness):
@@ -946,6 +982,13 @@ def verify_isomorphism(a, b, witness):
     on a face of ``b`` glued alike: both unglued, or glued to the image
     face with the same endpoint pairing.  The gluings then correspond one
     to one.  Anything else, however malformed, is False.
+
+    The witness becomes ``to``, the image position of each of a's
+    positions, with -1 appended so that an unglued face (-1) maps to
+    -1.  One itemgetter of ``to`` reads each of b's face columns, and
+    then b's templates, in a's order; each must equal a's, partner
+    positions read through ``to``.  Partners are compared first and
+    one by one, as a wrong witness mostly breaks a gluing early on.
     """
     if not isinstance(witness, dict) or \
             not len(witness) == len(a.copies) == len(b.copies):
@@ -955,26 +998,23 @@ def verify_isomorphism(a, b, witness):
     if not {tuple} >= set(map(type, labels)) or \
             not {int} >= set(map(type, itertools.chain.from_iterable(labels))):
         return False
-    to = dict(zip(map(a._position.get, witness),
-                  map(b._position.get, witness.values())))
-    images = set(to.values())
-    if None in to or None in images or len(images) != len(to):
+    to = list(map(b._position.get, map(witness.get, map(
+        operator.itemgetter(1), a.copies))))
+    if None in to or len(set(to)) != len(to):
         return False
-    for here, there in to.items():
-        template, image_template = a.copies[here][0], b.copies[there][0]
-        if template is not image_template and template != image_template:
+    # an itemgetter of one position returns a bare item, and of none
+    # fails; one copy or none can only map onto itself
+    pick = operator.itemgetter(*to) if len(to) > 1 else tuple
+    to.append(-1)
+    for others, carries, image_others, image_carries in zip(
+            a._other, a._carry, b._other, b._carry):
+        if not all(map(operator.eq, pick(image_others),
+                       map(to.__getitem__, others))) or \
+                pick(image_carries) != carries:
             return False
-        for glued, image_glued in zip(a._partners[here], b._partners[there]):
-            if glued is None or image_glued is None:
-                if glued is not image_glued:
-                    return False
-                continue
-            other, face_no, pairing = glued
-            image, image_face, image_pairing = image_glued
-            if to[other] != image or face_no != image_face or \
-                    pairing != image_pairing:
-                return False
-    return True
+    template = operator.itemgetter(0)
+    image_templates = list(map(template, b.copies))
+    return pick(image_templates) == tuple(map(template, a.copies))
 
 
 def split_union(complex, left, right):

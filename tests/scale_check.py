@@ -10,7 +10,7 @@ non-zero, prints a total other than the one summed here from the
 shipped table, or peaks above 150 MB resident (the children's
 ``ru_maxrss``).  The million slots name three tangles in five
 spellings.  The replicant run, ``repvol.COPY_LIMIT`` copies, must count
-ComponentCount(2000, 0) and peak below 900 MB.  Standard library only;
+ComponentCount(2000, 0) and peak below 500 MB.  Standard library only;
 pytest does not collect this file.
 """
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 SIDE = 1000
 LIMIT_MB = 150
-REPLICANT_LIMIT_MB = 900
+REPLICANT_LIMIT_MB = 500
 REPLICANT = """
 from repvol.pieces import count_components, replicate, square_template
 print(count_components(replicate(square_template("2"), (%d, %d))))

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -561,9 +562,21 @@ def witness_cases(rng, a, b):
     yield "not bijective", extra
 
 
+def mixed_face_counts(rng):
+    """Mirror-built complexes whose copies have different face counts,
+    each paired with a relabeled copy: their columns are padded past a
+    smaller copy's last face and unglued past the mirror's faces."""
+    for c, _, _ in mirror_built_cases():
+        if len({len(t.faces) for t, _ in c.copies}) > 1:
+            yield c, relabeled(rng, c)
+
+
 def test_verify_isomorphism_matches_rebuilt_check():
     rng = random.Random(91)
     pairs, _ = brute_force_pairs()
+    mixed = list(mixed_face_counts(rng))
+    assert len(mixed) == 3
+    pairs += mixed
     seen = collections.Counter()
     for a, b in pairs:
         cases = list(witness_cases(rng, a, b))
@@ -733,6 +746,7 @@ def test_witness_follows_the_full_scan_order():
         lengths = [rng.choice((2, 4, 6, 8)) for _ in range(rng.randint(1, 8))]
         a = cycles_and_singletons(rng, lengths, rng.randint(0, 5))
         pairs.append((a, relabeled(rng, a)))
+    pairs += mixed_face_counts(rng)
     matched = 0
     for a, b in pairs:
         result = isomorphic(a, b)
@@ -1178,6 +1192,9 @@ def mirror_built_cases():
         grid = [[rng.choice([sq, square_template("3"), cube])
                  for _ in range(width)] for _ in range(height)]
         yield build_torus_lattice(grid), (height, width), (1, 2)
+    # one template with faces past those the mirror glues
+    yield build_bracelet([pool[3]] * 4), (4,), (1,)
+    yield build_torus_lattice([[cube] * 2] * 2), (2, 2), (1, 2)
 
 
 def test_mirror_builders_match_the_validating_constructor():
@@ -1189,7 +1206,7 @@ def test_mirror_builders_match_the_validating_constructor():
         for other in (rebuilt, mirror_oracle(list(c.copies), sizes, pairs)):
             assert c == other and hash(c) == hash(other)
             assert c.to_json_dict() == other.to_json_dict()
-            assert c._partners == other._partners
+            assert (c._other, c._carry) == (other._other, other._carry)
             label, face_count = c.copies[0][1], len(c.copies[0][0].faces)
             missing = [(label, 0), (label, face_count + 1), (label, 1.5),
                        ((-1,) * len(label), 1), ((99,) * len(label), 1)]
@@ -1197,7 +1214,31 @@ def test_mirror_builders_match_the_validating_constructor():
                 assert c.glued_partner(side) == other.glued_partner(side)
             assert c.unglued_slots() == other.unglued_slots()
         cases += 1
-    assert cases == 12 + 12 + 12 + 1 + 4 + 3
+    assert cases == 12 + 12 + 12 + 1 + 4 + 3 + 2
+
+
+def test_template_of_names_a_label_that_names_no_copy():
+    # a missing label raised a bare KeyError, an unhashable one TypeError
+    c = replicate(saucer_template("s"), (2,))
+    assert c.template_of((1,)) == saucer_template("s")
+    for label in [(9,), [0], (0.5,), None]:
+        with pytest.raises(PieceError) as info:
+            c.template_of(label)
+        assert str(info.value) == "no copy is labelled %r" % (label,)
+    assert c.glued_partner(((9,), 1)) is None
+
+
+def test_the_empty_complex():
+    e = GluingComplex([], [])
+    assert verify_isomorphism(e, e, {})
+    assert isomorphic(e, e) == (True, {})
+    assert count_components(e) == (0, 0)
+    assert e.gluings == () and e.unglued_slots() == []
+    assert repr(e) == "GluingComplex(0 copies, 0 gluings)"
+    assert e == e and hash(e) == hash(GluingComplex([], []))
+    again = GluingComplex.from_json_dict(json.loads(json.dumps(
+        e.to_json_dict())))
+    assert again == e and hash(again) == hash(e)
 
 
 def test_complex_json_roundtrip():
