@@ -11,10 +11,11 @@ faces of embedded graphs, and ``cli`` wires it all to a command line.
 What more than one layer reads lives here, so that importing one layer
 does not import another only for a name: the tangle families and ambient
 manifolds of the volume table; ``COPY_LIMIT``, the most copies a lattice,
-replicant or reflection group may hold; ``shape_refusal``, the shape rules
-of bracelets, lattices and cylinder stacks; and the base classes the
-command line maps to exit codes: ``LimitExceeded`` (2), ``Uncertified``
-(3) and ``InvariantViolation`` (4).  No layer imports another at module
+replicant or reflection group may hold; ``JSON_LAYOUT``, how every JSON
+document is laid out; ``shape_refusal``, the shape rules of bracelets,
+lattices and cylinder stacks; and the base classes the command line maps
+to exit codes: ``LimitExceeded`` (2), ``Uncertified`` (3) and
+``InvariantViolation`` (4).  No layer imports another at module
 level, so a process compiles only the layers its command runs.
 """
 
@@ -26,6 +27,10 @@ AMBIENTS = ("TxI", "SolidTorus", "S3", "S2xS1")
 # Most copies a lattice, replicant or reflection group may hold.  Each
 # check reads it here when it runs, so one patch reaches all three.
 COPY_LIMIT = 10 ** 6
+
+# The json.JSONEncoder keywords of every document repvol writes, so that
+# repeated runs are byte-identical.
+JSON_LAYOUT = {"indent": 2, "sort_keys": True}
 
 
 def shape_refusal(arrangement, count, rows=0, cols=0):

@@ -18,13 +18,15 @@ recorded volumes at exactly the demanded signature; hyperbolicity may
 transport across signatures but volumes never do.
 
 Totals are exact Fractions, formed over one common denominator and
-normalised once, and rendered fixed-point.  A link repeats a few tangles
-many times, so checking, certification and formatting run once per
-distinct tangle, and per slot only C-level passes remain.
+normalised once, and rendered fixed-point.  BoundReport.render() is the
+one writer of a report's plain, markdown and JSON text.  A link repeats
+a few tangles many times, so checking, certification and formatting run
+once per distinct tangle, and per slot only C-level passes remain.
 """
 
 import json
 import math
+from itertools import chain
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -505,49 +507,90 @@ class BoundReport(NamedTuple):
         return out
 
     def to_markdown(self, places=8):
-        return "".join(self.iter_markdown(places))
+        return "".join(self.render("markdown", places))
 
-    def iter_markdown(self, places=8):
-        """The text of to_markdown() in pieces, the slot rows in blocks."""
-        lines = ["# Volume lower bound: %s" % self.name, "",
-                 "- arrangement: %s in %s" % (self.arrangement, self.ambient),
-                 "- rule: %s" % self.rule, "",
-                 "| slot | tangle | signature | volume | basis |",
-                 "| --- | --- | --- | --- | --- |"]
-        yield "".join(line + "\n" for line in lines)
-        yield from self.slot_lines(lambda t: (
-            "| ", " | %s %s | (%s) | %s | %s |\n" % (
-                t.family, t.conway, ", ".join(map(str, t.signature)),
-                t.volume, t.basis)))
-        lines = ["", "**Total: %s**" % format_fixed(self.total, places), "",
-                 "Note: %s." % self.equality_note]
-        for c in self.comparisons:
-            lines.append("- %s (%s): %s" % (c.name, c.kind,
-                                            format_fixed(c.value, places)))
-        if self.reference_volume is not None:
-            lines.append("")
-            lines.append("Reference volume %s (externally computed; "
-                         "not derived here)." % self.reference_volume)
-        yield "".join(line + "\n" for line in lines)
-
-    def slot_lines(self, around):
-        """The text of one line per slot, ``before + str(slot) + after``
-        where (before, after) = around(term), in blocks of _BLOCK slots.
-        around() runs once per distinct Term object, and a slot costs
-        only C-level passes."""
+    def render(self, fmt, places=8):
+        """The text of this report as ``fmt``, "plain", "markdown" or
+        "json", in pieces: head, slot lines in blocks of _BLOCK slots,
+        tail.  JSON is what repvol.JSON_LAYOUT encodes of
+        to_json_dict(places), less the last newline.  Each distinct Term
+        object is formatted once, and a slot costs only C-level passes."""
+        if fmt not in _LAYOUTS:
+            raise BoundsError("reports are plain, markdown or json, not %r"
+                              % (fmt,))
         terms = self.terms
-        formats = {}
-        for key, term in dict(zip(map(id, terms), terms)).items():
-            before, after = around(term)
-            formats[key] = "%s%%d%s" % (before.replace("%", "%%"),
-                                        after.replace("%", "%%"))
+        distinct = dict(zip(map(id, terms), terms))
+        head, lines, sep, tail = _LAYOUTS[fmt](
+            self, tuple(distinct.values()), places)
+        formats = dict(zip(distinct, (
+            "%s%%d%s" % (before.replace("%", "%%"), after.replace("%", "%%"))
+            for before, after in lines)))
+        yield head
         for start in range(0, len(terms), _BLOCK):
             block = terms[start:start + _BLOCK]
-            yield "".join(map(mod, map(formats.__getitem__, map(id, block)),
-                              range(start, start + len(block))))
+            # a leading "" separates a later block without a copy or write
+            yield sep.join(chain([""] if start else [], map(
+                mod, map(formats.__getitem__, map(id, block)),
+                range(start, start + len(block)))))
+        yield tail
 
 
-_BLOCK = 1 << 12  # slots BoundReport.slot_lines() writes as one text
+_BLOCK = 1 << 12  # slots BoundReport.render() writes as one text
+
+
+# A layout maps (report, distinct terms, places) to (head, the text before
+# and after the slot number in each distinct term's line, separator, tail).
+
+def _plain_layout(report, distinct, places):
+    tail = ["total: %s" % format_fixed(report.total, places),
+            "note: %s." % report.equality_note]
+    tail += ["compare %s (%s): %s" % (c.name, c.kind, format_fixed(
+        c.value, places)) for c in report.comparisons]
+    if report.reference_volume is not None:
+        tail.append("reference volume %s (externally computed; not "
+                    "derived here)" % report.reference_volume)
+    return ("%s: %s in %s, rule %s\n" % (report.name, report.arrangement,
+                                         report.ambient, report.rule),
+            [("  slot ", ": %s %s (%s) = %s [%s, %s]\n" % (
+                t.family, t.conway, ", ".join(map(str, t.signature)),
+                t.volume, t.basis, t.provenance)) for t in distinct],
+            "", "\n".join(tail) + "\n")
+
+
+def _markdown_layout(report, distinct, places):
+    tail = ["", "**Total: %s**" % format_fixed(report.total, places), "",
+            "Note: %s." % report.equality_note]
+    tail += ["- %s (%s): %s" % (c.name, c.kind, format_fixed(c.value, places))
+             for c in report.comparisons]
+    if report.reference_volume is not None:
+        tail += ["", "Reference volume %s (externally computed; not "
+                 "derived here)." % report.reference_volume]
+    return ("# Volume lower bound: %s\n\n- arrangement: %s in %s\n"
+            "- rule: %s\n\n| slot | tangle | signature | volume | basis |\n"
+            "| --- | --- | --- | --- | --- |\n" % (
+                report.name, report.arrangement, report.ambient, report.rule),
+            [("| ", " | %s %s | (%s) | %s | %s |\n" % (
+                t.family, t.conway, ", ".join(map(str, t.signature)),
+                t.volume, t.basis)) for t in distinct],
+            "", "\n".join(tail) + "\n")
+
+
+def _json_layout(report, distinct, places):
+    # A quote inside a string is written \", so '"slot": ' is found in a
+    # term only as its key, and '"terms": []' only as the emptied terms.
+    encode = json.JSONEncoder(**repvol.JSON_LAYOUT).encode
+    out = report._replace(terms=distinct).to_json_dict(places)
+    rows, out["terms"] = out["terms"], []
+    head, _, tail = encode(out).partition('"terms": []')
+    lines = [(before + '"slot": ', after) for before, _, after in (
+        encode(row).replace("\n", "\n    ").partition('"slot": %d' % i)
+        for i, row in enumerate(rows))]
+    opening, closing = ("[\n    ", "\n  ]") if rows else ("[", "]")
+    return head + '"terms": ' + opening, lines, ",\n    ", closing + tail
+
+
+_LAYOUTS = {"plain": _plain_layout, "markdown": _markdown_layout,
+            "json": _json_layout}
 
 
 def format_fixed(value, places=8):
@@ -755,10 +798,9 @@ def _checked_link(data):
         checked
 
 
-def _demanded_signatures(spec, slots=None):
+def _demanded_signatures(spec, slots):
     """The bound rule of a checked spec and the signature it demands of
-    each of ``slots``, by default every slot of the spec."""
-    slots = spec.slots if slots is None else slots
+    each of ``slots``."""
     if spec.arrangement == "custom":
         return "declared-decomposition-bound", [s.signature for s in slots]
     rule, demand = _FIXED[spec.arrangement].rules[spec.ambient]

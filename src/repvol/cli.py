@@ -4,10 +4,11 @@ Subcommands mirror the public modules: ``reduce`` (cyclic words),
 ``replicate`` (piece templates), ``bound`` and ``report`` (volume lower
 bounds), ``classify`` (arborescent expressions), ``graph`` (reflection
 graphs) and ``db`` (the volume table).  Output is plain text, markdown
-or JSON; JSON is always dumped with sorted keys and two-space indent so
-repeated runs are byte-identical.  A bound report is written as it is
-rendered, a block of slot lines at a time, and a directory's reports one
-file at a time, so memory follows the input, not the output.
+or JSON; JSON is always dumped by ``repvol.JSON_LAYOUT``, sorted keys and
+two-space indent, so repeated runs are byte-identical.  A bound report is
+written as ``BoundReport.render`` yields it, a block of slot lines at a
+time, and a directory's reports one file at a time, so memory follows
+the input, not the output; the command only picks the format.
 
 Exit codes: 0 success; 2 malformed input or a refused size (a
 RecursionError only from JSON nested too deeply for the stdlib decoder),
@@ -31,7 +32,7 @@ import os
 import re
 import sys
 
-from . import AMBIENTS, FAMILIES, LimitExceeded, Uncertified
+from . import AMBIENTS, FAMILIES, JSON_LAYOUT, LimitExceeded, Uncertified
 
 FORMATS = ("plain", "json", "markdown")
 
@@ -69,7 +70,7 @@ def _read_json(path):
         return json.load(f)
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ENCODER = json.JSONEncoder(**JSON_LAYOUT)
 
 
 def _print_json(obj):
@@ -188,63 +189,10 @@ def _comparisons_from(args):
     return tuple(out)
 
 
-def _plain_report(report, places):
-    """The plain text of a report, in pieces."""
-    from . import bounds
-    yield "%s: %s in %s, rule %s\n" % (report.name, report.arrangement,
-                                        report.ambient, report.rule)
-    yield from report.slot_lines(lambda t: (
-        "  slot ", ": %s %s (%s) = %s [%s, %s]\n" % (
-            t.family, t.conway, ", ".join(map(str, t.signature)), t.volume,
-            t.basis, t.provenance)))
-    lines = ["total: %s" % bounds.format_fixed(report.total, places),
-             "note: %s." % report.equality_note]
-    for c in report.comparisons:
-        lines.append("compare %s (%s): %s" %
-                     (c.name, c.kind, bounds.format_fixed(c.value, places)))
-    if report.reference_volume is not None:
-        lines.append("reference volume %s (externally computed; not "
-                     "derived here)" % report.reference_volume)
-    yield "".join(line + "\n" for line in lines)
-
-
 def _encoded(obj, indent):
     """obj as _print_json writes it, every line after the first indented
     by ``indent`` more."""
     return _ENCODER.encode(obj).replace("\n", "\n" + indent)
-
-
-def _json_report(report, places, indent=""):
-    """What _print_json writes for report.to_json_dict(places), less the
-    last newline, in pieces, every line after the first indented by
-    ``indent`` more.  Each distinct Term is encoded once, from the
-    to_json_dict() of a one-term report."""
-    head, _, tail = _encoded(report._replace(terms=()).to_json_dict(places),
-                             indent).partition('"terms": []')
-    if not report.terms:
-        yield head + '"terms": []' + tail
-        return
-    pad = indent + "    "
-
-    def around(term):
-        one = report._replace(terms=(term,)).to_json_dict(places)
-        before, _, after = _encoded(one["terms"][0], pad).partition(
-            '"slot": 0')
-        return ",\n" + pad + before + '"slot": ', after
-
-    blocks = report.slot_lines(around)
-    yield head + '"terms": [' + next(blocks)[1:]  # no comma before slot 0
-    yield from blocks
-    yield "\n" + indent + "  ]" + tail
-
-
-def _render_report(report, args, indent=""):
-    """The text of a report in args.format, in pieces."""
-    if args.format == "json":
-        return _json_report(report, args.precision, indent)
-    if args.format == "markdown":
-        return report.iter_markdown(args.precision)
-    return _plain_report(report, args.precision)
 
 
 def _print_batch_row(name, report, exc, args):
@@ -253,14 +201,15 @@ def _print_batch_row(name, report, exc, args):
     if args.format != "json":
         write("== %s ==\n" % name)
         if exc is None:
-            sys.stdout.writelines(_render_report(report, args))
+            sys.stdout.writelines(report.render(args.format, args.precision))
         else:
             write("error %s: %s\n" % (type(exc).__name__, exc))
     elif exc is None:
         head, _, tail = _encoded({"file": name, "report": {}},
                                  "    ").partition('"report": {}')
         write(head + '"report": ')
-        sys.stdout.writelines(_render_report(report, args, "      "))
+        sys.stdout.writelines(piece.replace("\n", "\n      ") for piece
+                              in report.render("json", args.precision))
         write(tail)
     else:
         write(_encoded({"file": name,
@@ -274,7 +223,7 @@ def cmd_bound(args):
     comparisons = _comparisons_from(args)
     if not os.path.isdir(args.spec):
         report = bounds.lower_bound(db, _read_json(args.spec), comparisons)
-        sys.stdout.writelines(_render_report(report, args))
+        sys.stdout.writelines(report.render(args.format, args.precision))
         if args.format == "json":
             sys.stdout.write("\n")
         return 0

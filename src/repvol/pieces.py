@@ -513,8 +513,11 @@ class GluingComplex:
 
     def glued_partner(self, side):
         """(other side, label map) for a glued slot, else None."""
-        label, face_no = side
-        here = self._position.get(label)
+        try:
+            label, face_no = side
+            here = self._position.get(label)
+        except (TypeError, ValueError):  # not a pair, or unhashable
+            return None
         if here is None or type(face_no) is not int or \
                 not 1 <= face_no <= len(self.copies[here][0].faces):
             return None

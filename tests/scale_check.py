@@ -1,6 +1,7 @@
-"""Bound a 1000 x 1000 lattice through the command line, in plain text
-and in JSON, and check the exit code, the total and the peak memory;
-then replicate a square tangle 1000 x 1000 times and count the strands.
+"""Bound a 1000 x 1000 lattice through the command line, in plain text,
+markdown and JSON, and check the exit code, the total and the peak
+memory; then replicate a square tangle 1000 x 1000 times and count the
+strands.
 
     PYTHONPATH=src python tests/scale_check.py
 
@@ -50,13 +51,14 @@ def expected_total(slots):
 def printed_total(argv, fmt):
     """Run ``repvol bound`` and return its total line, reading the output
     as it comes."""
-    marker = '  "total": "' if fmt == "json" else "total: "
+    marker = {"plain": "total: ", "markdown": "**Total: ",
+              "json": '  "total": "'}[fmt]
     found = None
     with subprocess.Popen([sys.executable, "-m", "repvol.cli", "bound"]
                           + argv, stdout=subprocess.PIPE, text=True) as run:
         for line in run.stdout:
             if line.startswith(marker):
-                found = line[len(marker):].rstrip().rstrip('",')
+                found = line[len(marker):].rstrip().rstrip('",*')
         code = run.wait()
     if code != 0:
         sys.exit("repvol bound %s exited %d" % (" ".join(argv), code))
@@ -73,7 +75,7 @@ def main():
         with open(path, "w") as f:
             json.dump({"arrangement": "lattice", "ambient": "TxI",
                        "rows": SIDE, "cols": SIDE, "slots": slots}, f)
-        for fmt in ("plain", "json"):
+        for fmt in ("plain", "markdown", "json"):
             got = printed_total([path, "--format", fmt], fmt)
             peak = resource.getrusage(
                 resource.RUSAGE_CHILDREN).ru_maxrss / 1024

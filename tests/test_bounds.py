@@ -1013,12 +1013,33 @@ def test_report_renderings(db):
     assert once == twice
 
 
+def test_render_json_is_the_encoded_dict(db):
+    # equal Terms that are distinct objects, none at all, and more slots
+    # than one block, at every precision
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    report = bounds.lower_bound(db, BRACELET6,
+                                bounds.classical_bounds(6, "alternating"))
+    term = report.terms[0]
+    copies = tuple(term._replace(signature=tuple(term.signature))
+                   for _ in range(5))
+    for one in (report, report._replace(terms=()),
+                report._replace(terms=copies, reference_volume="7"),
+                report._replace(terms=report.terms * 1000)):
+        for places in (1, 8, 12):
+            assert "".join(one.render("json", places)) \
+                == encode(one.to_json_dict(places))
+    assert report.to_markdown(3) == "".join(report.render("markdown", 3))
+    with pytest.raises(bounds.BoundsError,
+                       match="reports are plain, markdown or json, not 'html'"):
+        list(report.render("html"))
+
+
 # each distinct slot certified once
 
 def per_slot_lower_bound(db, spec):
     """The per-slot loop: certify and look up every slot on its own."""
     spec = bounds.parse_link_spec(spec)
-    rule, demands = bounds._demanded_signatures(spec)
+    rule, demands = bounds._demanded_signatures(spec, spec.slots)
     terms = []
     total = Fraction(0)
     for i, (slot, demand) in enumerate(zip(spec.slots, demands)):

@@ -430,16 +430,20 @@ def dumped(obj):
 
 def test_streamed_reports_are_the_joined_text_at_size(capsys, tmp_path):
     # 14 400 slots over four tangles, more than three blocks of slot
-    # lines; a user row puts "%" in a conway and a provenance
+    # lines; a user row puts "%", a quote, a backslash, non-ASCII letters
+    # and the text the JSON writer cuts at in a conway and a provenance,
+    # and a newline in the provenance
+    user = '5%d "slot": 0 \\ \u00e9'
     table = bounds.VolumeDB.builtin().to_json_dict()
-    table["entries"].append({"family": "rational-square", "conway": "5%d",
-                             "ambient": "TxI", "signature": [2, 2],
-                             "volume": "3.25", "provenance": "100%s"})
+    table["entries"].append({
+        "family": "rational-square", "conway": user, "ambient": "TxI",
+        "signature": [2, 2], "volume": "3.25",
+        "provenance": '100%s "slot": 0,\n\\ "terms": [] \u00fc'})
     db_path = write_json(tmp_path / "table.json", table)
     rng = random.Random(120)
     lattice = {"name": "lattice %d", "arrangement": "lattice",
                "ambient": "TxI", "rows": 120, "cols": 120,
-               "slots": [rng.choice(("2 1", " 2  1", "-3", "5%d"))
+               "slots": [rng.choice(("2 1", " 2  1", "-3", user))
                          for _ in range(14400)],
                "reference_volume": "1e5"}
     batch = tmp_path / "batch"
@@ -455,11 +459,13 @@ def test_streamed_reports_are_the_joined_text_at_size(capsys, tmp_path):
     comparisons = tuple(bounds.classical_bounds(6, "montesinos"))
     report = bounds.lower_bound(db, lattice, comparisons)
     options = ["--db", db_path, "--compare", "t=6"]
+    assert {t.conway for t in report.terms} == {"2 1", "3", user}
     for fmt, text in (("plain", joined_plain_report(report) + "\n"),
                       ("markdown", joined_markdown(report)),
                       ("json", dumped(report.to_json_dict()))):
         assert run(capsys, ["bound", path, "--format", fmt] + options) \
             == (0, text, "")
+        assert "".join(report.render(fmt)) + "\n" * (fmt == "json") == text
 
     rows, blocks = [], []
     for name, data in files.items():

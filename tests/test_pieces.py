@@ -1226,6 +1226,12 @@ def test_template_of_names_a_label_that_names_no_copy():
             c.template_of(label)
         assert str(info.value) == "no copy is labelled %r" % (label,)
     assert c.glued_partner(((9,), 1)) is None
+    # an unhashable label raised a bare TypeError, and so did a side that
+    # is not a (label, face) pair
+    assert c.glued_partner(([0], 1)) is None
+    for side in [None, 3, (), ((0,),), ((0,), 1, 2), [(0,), 1, 2]]:
+        assert c.glued_partner(side) is None
+    assert c.glued_partner([(0,), 1]) == c.glued_partner(((0,), 1))
 
 
 def test_the_empty_complex():
