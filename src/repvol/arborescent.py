@@ -16,6 +16,7 @@ a note to that effect.
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
@@ -105,7 +106,16 @@ def parse_conway(text):
         m = re.fullmatch(r"(-?\d+)\s*/\s*(-?\d+)", text)
         if not m:
             raise ParseError("bad fraction notation %r" % text)
-        return _reduced(int(m.group(1)), int(m.group(2)))
+        top, bottom = m.group(1, 2)
+        try:
+            p, q = int(top), int(bottom)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(
+                "fraction <%d digits>/<%d digits> has more digits than this "
+                "interpreter reads as an integer (%d)"
+                % (len(top.lstrip("-")), len(bottom.lstrip("-")),
+                   sys.get_int_max_str_digits())) from None
+        return _reduced(p, q)
     try:
         quotients = [int(tok) for tok in text.split()]
     except ValueError:

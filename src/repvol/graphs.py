@@ -91,24 +91,39 @@ def _pair(item, name, *where):
     return a, b
 
 
+def _read_reflection(mapping, swaps, where=""):
+    """(mapping, swaps) read once: an exact dict mapping as it is, any other
+    through one ``dict()`` call, and the swaps paired into a tuple; else a
+    GraphError whose message starts with ``where``."""
+    if type(mapping) is not dict:
+        try:
+            mapping = dict(mapping)
+        except (TypeError, ValueError):
+            raise GraphError("%smapping must be a dict or pairs of vertices, "
+                             "got %r" % (where, mapping)) from None
+    try:
+        numbered = enumerate(swaps)
+    except TypeError:
+        raise GraphError("%sswaps must be a sequence of pairs, got %r"
+                         % (where, swaps)) from None
+    return mapping, tuple(_pair(swap, "%sswap %d", where, j)
+                          for j, swap in numbered)
+
+
 class Reflection:
     """An involution of the vertex set tagged with edges it transposes.
 
-    ``mapping`` takes any dict or pair sequence; ``swaps`` is the sequence
-    of distinguished edges.  Only their shape is checked here; axioms are
-    checked by the graph's validator.
+    ``mapping`` takes any dict or pair sequence, kept as a dict of its own;
+    ``swaps`` is the sequence of distinguished edges.  Only their shape is
+    checked here; axioms are checked by the graph's validator.
     """
 
     __slots__ = ("mapping", "swaps")
 
     def __init__(self, mapping, swaps):
-        try:
+        self.mapping, self.swaps = _read_reflection(mapping, swaps)
+        if self.mapping is mapping:     # never the caller's dict
             self.mapping = dict(mapping)
-        except (TypeError, ValueError):
-            raise GraphError("mapping must be a dict or pairs of vertices, "
-                             "got %r" % (mapping,)) from None
-        self.swaps = tuple(_pair(swap, "swap %d", j)
-                           for j, swap in enumerate(swaps))
 
     def __repr__(self):
         return "Reflection(%d vertices, %d swaps)" % (
@@ -128,13 +143,14 @@ class ReflectionGraph:
     manifold the replicant links live in.  Construction checks shape
     only, and refuses a part of the wrong shape with a GraphError naming
     its index; call ``validate_reflection_graph`` for the real audit,
-    whose report is cached on the instance.  Each mapping is read once,
-    here, into its one stored form (perm, swaps), perm[i] the position of
-    vertex i's image; an exact dict is read in place, not copied.  A
-    mapping that is no permutation is kept as a copy in a Reflection of
-    its own: a marker the validator refuses.  ``reflections`` is
-    read-only, and each read returns new Reflections: per perm, in vertex
-    order, and per marker, in the order it was given.
+    whose report is cached on the instance.  Every reflection goes
+    through one reader: its mapping, an exact dict read in place and any
+    other through one ``dict()`` call, becomes its one stored form (perm,
+    swaps), perm[i] the position of vertex i's image.  A mapping that is
+    no permutation is kept as a copy in a Reflection of its own: a marker
+    the validator refuses.  ``reflections`` is read-only, and each read
+    returns new Reflections: per perm, in vertex order, and per marker,
+    in the order it was given.
     """
 
     __slots__ = ("vertices", "edges", "_reflections", "ambient",
@@ -171,24 +187,14 @@ class ReflectionGraph:
 
         stored = []
         for k, item in enumerate(reflections):
-            if isinstance(item, dict):
+            if isinstance(item, Reflection):
+                item = item.mapping, item.swaps
+            elif isinstance(item, dict):
                 if "mapping" not in item:
                     raise GraphError("reflection %d has no mapping" % k)
                 item = item["mapping"], item.get("swaps", ())
-            if isinstance(item, Reflection):
-                mapping, swaps = item.mapping, item.swaps
-            else:
-                mapping, swaps = _pair(item, "reflection %d", k)
-                if type(mapping) is dict:   # read in place, never kept
-                    swaps = tuple(_pair(swap, "reflection %d: swap %d", k, j)
-                                  for j, swap in enumerate(swaps))
-                else:
-                    try:
-                        item = Reflection(mapping, swaps)
-                    except GraphError as exc:
-                        raise GraphError("reflection %d: %s"
-                                         % (k, exc)) from None
-                    mapping, swaps = item.mapping, item.swaps
+            mapping, swaps = _read_reflection(
+                *_pair(item, "reflection %d", k), "reflection %d: " % k)
             try:    # a vertex left out, or an image that is no vertex
                 perm = tuple(map(pos.__getitem__,
                                  map(mapping.__getitem__, vertices)))
@@ -424,7 +430,8 @@ def g_replicant(graph, template):
     The k-th edge class (classes ordered by their smallest edge) glues
     along face k+1 of both neighbouring copies, so the template must have
     exactly as many faces as the graph valence.  Copy labels are vertex
-    positions.
+    positions.  Every vertex meets every class once, so class k is a full
+    partner column for face k+1 of the pieces' mirror writer.
     """
     from . import pieces
     report = graph._report
@@ -434,15 +441,16 @@ def g_replicant(graph, template):
         raise ValenceMismatch(
             "template %r has %d faces but the graph is %d-valent"
             % (template.id, len(template.faces), report.valence))
-    face_of = {}
-    for k, cls in enumerate(report.edge_classes):
-        for edge in cls:
-            face_of[edge] = k + 1
     pos = graph._pos
-    copies = [(template, (i,)) for i in range(len(graph.vertices))]
-    gluings = [(((pos[u],), face_of[(u, v)]), ((pos[v],), face_of[(u, v)]))
-               for u, v in graph.edges]
-    return GReplicant(pieces.GluingComplex(copies, gluings),
+    columns = []
+    for edges in report.edge_classes:
+        column = [None] * len(pos)
+        for u, v in edges:
+            a, b = pos[u], pos[v]
+            column[a], column[b] = b, a
+        columns.append(column)
+    copies = tuple((template, (i,)) for i in range(len(pos)))
+    return GReplicant(pieces.GluingComplex._mirror(copies, columns),
                       report.group_order)
 
 
@@ -934,8 +942,8 @@ def bigon_bound_check(edges, rotation, n):
     """Check f2 >= 2(n+1) for a 2(n+1)-valent rotation system on a sphere.
 
     Raises WrongValence unless every vertex carries exactly 2(n+1) edge
-    ends, and NotSphere unless the traced surface has Euler
-    characteristic 2.  The exact identity
+    ends, and NotSphere unless the traced surface is connected and has
+    Euler characteristic 2.  The exact identity
 
         sum over face lengths k of  f_k (2(n+1) - nk) / (2(n+1))  =  2,
 
@@ -946,11 +954,15 @@ def bigon_bound_check(edges, rotation, n):
         raise GraphError("n must be an integer, got %r" % (n,))
     if n < 1:
         raise GraphError("n must be at least 1")
-    report = trace_faces(edges, rotation)
+    report, reached = _faces(edges, rotation)
     want = 2 * (n + 1)
     wrong = _wrong_valence(rotation, want)
     if wrong:
         raise WrongValence(wrong)
+    # a sphere beside a torus also counts 2 + 0
+    if reached != len(rotation):
+        raise NotSphere("%d of %d vertices reachable"
+                        % (reached, len(rotation)))
     if report.euler != 2:
         raise NotSphere("Euler characteristic %d" % report.euler)
     total = sum((Fraction(want - n * k, want) * count

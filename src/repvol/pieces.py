@@ -8,10 +8,11 @@ components.  Copies of templates glued face-to-face form a GluingComplex.
 Replication reflects a piece repeatedly across its face pairs.  A mirror
 copy is modeled by the same template (reflection fixes the glued face
 pointwise), so every gluing produced here pairs equal endpoint labels.
-One writer fills that mirror pattern for a grid of copies.  Bracelets
-and torus lattices are the same pattern filled with mixed tangles, which
-is what makes a homogeneous bracelet or lattice literally the replicant
-complex of its tangle; cylinder stacks glue by translation instead.
+One writer fills that pattern from partner columns, for a grid of copies
+or a reflection graph's vertices.  Bracelets and torus lattices are the
+grid pattern filled with mixed tangles, which is what makes a homogeneous
+bracelet or lattice literally the replicant complex of its tangle;
+cylinder stacks glue by translation instead.
 
 Strands are matchings only; there is no crossing-level diagram here, and
 no geometry.  Tracing strand matchings across gluing bijections counts
@@ -426,19 +427,14 @@ class GluingComplex:
         self._carry = tuple(map(tuple, carry))
 
     @classmethod
-    def _mirror(cls, copies, sizes, pairs):
-        """``copies``, distinct and in ``itertools.product`` order over
-        ``range(sizes[j])``, glued in the replicant mirror pattern: axis j
-        reflects across face pair k = ``pairs[j]``, so copy 2i meets copy
-        2i+1 across face 2k-1 and copy 2i-1 meets copy 2i across face 2k,
-        cyclically.  ``pairs`` permutes 1..len(pairs); later faces stay
-        unglued.  Trusted: the caller has checked that glued faces carry
-        equal endpoint counts.
-
-        The step to a copy's partner across a face depends on its
-        coordinate on the face's axis alone, so a face's partner column
-        is the positions plus the steps repeated.  Each distinct template
-        carries one identity gluing per face, shared down the column.
+    def _mirror(cls, copies, other):
+        """``copies``, distinct and at least one, glued in the mirror
+        pattern: face f of copy x meets face f of copy ``other[f - 1][x]``
+        by the identity pairing, and faces past the last column stay
+        unglued.  Trusted: the caller has checked that each column pairs
+        the positions off and that glued faces carry equal endpoint
+        counts.  Each template carries one identity gluing per face,
+        shared down the column.
         """
         self = cls.__new__(cls)
         self.copies = copies
@@ -447,33 +443,20 @@ class GluingComplex:
         positions = list(range(count))
         self._position = dict(zip(map(operator.itemgetter(1), copies),
                                   positions))
+        other = [tuple(map(positions.__getitem__, column))
+                 for column in other]
         templates = list(map(operator.itemgetter(0), copies))
-        distinct = dict(zip(map(id, templates), templates))
-        glued = 2 * len(pairs)
-        if len(distinct) == 1:
-            carry = [(c,) * count for c in templates[0]._mirrored[:glued]]
+        first, glued = templates[0], len(other)
+        if all(map(operator.is_, templates, itertools.repeat(first))):
+            carry = [(c,) * count for c in first._mirrored[:glued]]
+            width = len(first.faces)
         else:
             kinds = list(map(operator.attrgetter("_mirrored"), templates))
             carry = [tuple(map(operator.itemgetter(f), kinds))
                      for f in range(glued)]
-        width = max((len(t.faces) for t in distinct.values()), default=0)
-        carry += [(None,) * count] * (width - glued)
-        other = [None] * glued + [(-1,) * count] * (width - glued)
-        stride = count
-        for n, k in zip(sizes, pairs):
-            stride //= n
-            # steps from coordinates 0..n-1 across faces 2k-1 and 2k
-            for face, steps in ((2 * k - 1, [1, -1] * (n // 2)),
-                                (2 * k, [n - 1, *[1, -1] * (n // 2 - 1),
-                                         1 - n])):
-                steps = list(itertools.chain.from_iterable(
-                    itertools.repeat(d * stride, stride) for d in steps))
-                steps *= count // (n * stride)
-                other[face - 1] = tuple(map(
-                    positions.__getitem__,
-                    map(operator.add, positions, steps)))
-        self._other = tuple(other)
-        self._carry = tuple(carry)
+            width = max(map(len, kinds))
+        self._other = tuple(other + [(-1,) * count] * (width - glued))
+        self._carry = tuple(carry + [(None,) * count] * (width - glued))
         return self
 
     @property
@@ -602,14 +585,37 @@ class GluingComplex:
         return cls(copies, gluings)
 
 
+def _grid_partners(sizes, pairs):
+    """The mirror pattern's partner columns, in face order, for copies in
+    ``itertools.product`` order over ``range(sizes[j])``: axis j reflects
+    across face pair k = ``pairs[j]``, a permutation of 1..len(pairs), so
+    copy 2i meets copy 2i+1 across face 2k-1 and copy 2i-1 meets copy 2i
+    across face 2k, cyclically.  The step to a partner depends on the
+    coordinate on the face's axis alone; columns are yielded lazily, one
+    list of steps at a time.
+    """
+    count = math.prod(sizes)
+    positions = list(range(count))  # a range would make an int per entry
+    for k in range(1, len(pairs) + 1):
+        j = pairs.index(k)
+        n, stride = sizes[j], math.prod(sizes[j + 1:])
+        # steps from coordinates 0..n-1 across faces 2k-1 and 2k
+        for steps in ([1, -1] * (n // 2),
+                      [n - 1, *[1, -1] * (n // 2 - 1), 1 - n]):
+            steps = list(itertools.chain.from_iterable(
+                itertools.repeat(d * stride, stride) for d in steps))
+            steps *= count // (n * stride)
+            yield map(operator.add, positions, steps)
+
+
 def replicate(template, schedule):
     """Reflect a piece per its schedule, one face pair at a time.
 
     Copies are labeled by index tuples, one coordinate per face pair in
-    schedule order, and glued in the mirror pattern of
-    GluingComplex._mirror().  Every face slot ends up glued exactly once;
-    free boundary is untouched.  A schedule of more than
-    ``repvol.COPY_LIMIT`` copies is refused before any copy is labeled.
+    schedule order, and glued in the mirror pattern of _grid_partners().
+    Every face slot ends up glued exactly once; free boundary is
+    untouched.  A schedule of more than ``repvol.COPY_LIMIT`` copies is
+    refused before any copy is labeled.
     """
     if len(template.faces) % 2:
         raise ScheduleMismatch(
@@ -622,7 +628,7 @@ def replicate(template, schedule):
     sizes = [indices[k - 1] for k in order]
     labels = itertools.product(*map(range, sizes))
     copies = tuple(zip(itertools.repeat(template), labels))
-    return GluingComplex._mirror(copies, sizes, order)
+    return GluingComplex._mirror(copies, _grid_partners(sizes, order))
 
 
 def build_bracelet(tangles):
@@ -656,7 +662,7 @@ def build_bracelet(tangles):
                 % (i, j, len(here)))
     return GluingComplex._mirror(
         tuple((tangle, (i,)) for i, tangle in enumerate(tangles)),
-        (count,), (1,))
+        _grid_partners((count,), (1,)))
 
 
 def build_torus_lattice(grid):
@@ -699,7 +705,8 @@ def build_torus_lattice(grid):
                 meet((r, c), (r, c + 1), 3)
                 meet((r, (c - 1) % width), (r, c), 4)
     copies = tuple(zip(cells, itertools.product(range(height), range(width))))
-    return GluingComplex._mirror(copies, (height, width), (1, 2))
+    return GluingComplex._mirror(copies,
+                                 _grid_partners((height, width), (1, 2)))
 
 
 def build_cylinder_stack(tangles):

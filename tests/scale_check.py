@@ -1,7 +1,7 @@
 """Bound a 1000 x 1000 lattice through the command line, in plain text,
 markdown and JSON, and check the exit code, the total and the peak
-memory; then replicate a square tangle 1000 x 1000 times and count the
-strands.
+memory; then count the strands of a square tangle's replicant on the
+100 x 100 lattice reflection graph, and of its 1000 x 1000 replicant.
 
     PYTHONPATH=src python tests/scale_check.py
 
@@ -10,9 +10,12 @@ A ``python -m repvol.cli bound`` run fails the check if it exits
 non-zero, prints a total other than the one summed here from the
 shipped table, or peaks above 150 MB resident (the children's
 ``ru_maxrss``).  The million slots name three tangles in five
-spellings.  The replicant run, ``repvol.COPY_LIMIT`` copies, must count
-ComponentCount(2000, 0) and peak below 500 MB.  Standard library only;
-pytest does not collect this file.
+spellings.  The graph run builds, validates and replicates the lattice
+graph; it must count ComponentCount(200, 0) and stay within the bound
+runs' 150 MB.  The replicant run, ``repvol.COPY_LIMIT`` copies, must
+count ComponentCount(2000, 0) and peak below 500 MB.  The children's
+``ru_maxrss`` is a running maximum, so the runs go in rising order of
+their limits.  Standard library only; pytest does not collect this file.
 """
 
 import json
@@ -26,8 +29,17 @@ from fractions import Fraction
 from pathlib import Path
 
 SIDE = 1000
+GRAPH_SIDE = 100
 LIMIT_MB = 150
 REPLICANT_LIMIT_MB = 500
+GRAPH = """
+from repvol.graphs import (g_replicant, lattice_reflection_graph,
+                           validate_reflection_graph)
+from repvol.pieces import count_components, square_template
+graph = lattice_reflection_graph(%d, %d)
+validate_reflection_graph(graph)
+print(count_components(g_replicant(graph, square_template("2")).complex))
+""" % (GRAPH_SIDE, GRAPH_SIDE)
 REPLICANT = """
 from repvol.pieces import count_components, replicate, square_template
 print(count_components(replicate(square_template("2"), (%d, %d))))
@@ -65,6 +77,21 @@ def printed_total(argv, fmt):
     return found
 
 
+def check_count(name, program, side, limit_mb):
+    """Run ``program`` in a fresh process, and check that it prints the
+    strand count of a ``side`` x ``side`` square replicant and that the
+    runs so far peak within ``limit_mb``."""
+    run = subprocess.run([sys.executable, "-c", program],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    got = run.stdout.strip()
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print("%s: %s; peak RSS of the runs so far %.1f MB" % (name, got, peak))
+    if got != "ComponentCount(closed=%d, open=0)" % (2 * side):
+        sys.exit("%s counted %s" % (name, got))
+    if peak > limit_mb:
+        sys.exit("%s peaked at %.1f MB, over %d MB" % (name, peak, limit_mb))
+
+
 def main():
     names = list(SPELLINGS)
     slots = [names[(i * 7 + i // SIDE) % len(names)]
@@ -86,18 +113,9 @@ def main():
             if peak > LIMIT_MB:
                 sys.exit("%s peaked at %.1f MB, over %d MB"
                          % (fmt, peak, LIMIT_MB))
-    # after the bound runs, whose peaks are far lower
-    run = subprocess.run([sys.executable, "-c", REPLICANT],
-                         stdout=subprocess.PIPE, text=True, check=True)
-    got = run.stdout.strip()
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print("replicant: %s; peak RSS of the runs so far %.1f MB" % (got, peak))
-    if got != "ComponentCount(closed=%d, open=0)" % (2 * SIDE):
-        sys.exit("replicant counted %s" % got)
-    if peak > REPLICANT_LIMIT_MB:
-        sys.exit("replicant peaked at %.1f MB, over %d MB"
-                 % (peak, REPLICANT_LIMIT_MB))
-
+    # in rising order of their limits, as ru_maxrss is a running maximum
+    check_count("graph replicant", GRAPH, GRAPH_SIDE, LIMIT_MB)
+    check_count("replicant", REPLICANT, SIDE, REPLICANT_LIMIT_MB)
 
 if __name__ == "__main__":
     main()

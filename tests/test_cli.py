@@ -529,6 +529,35 @@ def test_bound_compare_longer_than_int_reads_is_refused_by_name(
         sys.set_int_max_str_digits(was)
 
 
+def test_a_fraction_longer_than_int_reads_is_refused_by_name(
+        capsys, tmp_path):
+    # int() of the digits ended in a bare ValueError, which the bound's
+    # classifier fallback did not catch; "1/x" was refused as unreadable
+    from repvol import arborescent
+    was = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        slot = "1/" + "9" * 5000
+        with pytest.raises(arborescent.ParseError) as info:
+            arborescent.parse_conway(slot)
+        assert str(info.value) == (
+            "fraction <1 digits>/<5000 digits> has more digits than this "
+            "interpreter reads as an integer (4300)")
+        for slots in ([slot] * 4, ["1/x"] * 4):
+            spec = dict(CLASP_BRACELET, name="long", slots=slots)
+            with pytest.raises(bounds.UncertifiedTangle):
+                bounds.lower_bound(bounds.VolumeDB.builtin(), spec)
+            path = write_json(tmp_path / "long.json", spec)
+            code, out, err = run(capsys, ["bound", path])
+            assert (code, out) == (3, "")
+            assert err.startswith("UncertifiedTangle: slot 0 ")
+        code, out, err = run(capsys, ["classify", "rat(%s)" % slot])
+        assert (code, out) == (2, "")
+        assert err == "ParseError: %s\n" % info.value
+    finally:
+        sys.set_int_max_str_digits(was)
+
+
 def test_bound_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["bound", str(tmp_path / "absent.json")])
     assert code == 2

@@ -647,12 +647,14 @@ def test_cycle_replicant_matches_replicate():
                                              result.witness)
 
 
+Y = pieces.PieceTemplate(
+    "Y", ((1, 2), (1, 2), (1, 2)),
+    (((1, 1), (2, 1)), ((1, 2), (3, 1)), ((2, 2), (3, 2))))
+
+
 def test_prism_replicant_counts():
     g = product_p1(_validated(cycle_reflection_graph(6)))
-    y = pieces.PieceTemplate(
-        "Y", ((1, 2), (1, 2), (1, 2)),
-        (((1, 1), (2, 1)), ((1, 2), (3, 1)), ((2, 2), (3, 2))))
-    built = g_replicant(g, y)
+    built = g_replicant(g, Y)
     assert len(built.complex.copies) == 12
     assert len(built.complex.gluings) == 18
     assert built.group_order == 12
@@ -673,6 +675,50 @@ def test_lattice_replicant_matches_replicate():
     result = pieces.isomorphic(built.complex, direct)
     assert result.isomorphic
     assert pieces.verify_isomorphism(built.complex, direct, result.witness)
+
+
+def oracle_g_replicant(graph, template):
+    """The replicant through the validating constructor: one labelled
+    gluing per edge, across the face numbered by its edge class."""
+    face_of = {}
+    for k, cls in enumerate(graph._report.edge_classes):
+        for edge in cls:
+            face_of[edge] = k + 1
+    pos = graph._pos
+    copies = [(template, (i,)) for i in range(len(graph.vertices))]
+    gluings = [(((pos[u],), face_of[(u, v)]), ((pos[v],), face_of[(u, v)]))
+               for u, v in graph.edges]
+    return pieces.GluingComplex(copies, gluings)
+
+
+def test_g_replicant_matches_the_validating_constructor():
+    # g_replicant writes its face columns directly; the constructor reads
+    # the same gluings through every check
+    square2 = pieces.PieceTemplate(
+        "square2", ((1, 2),) * 4,
+        (((1, 1), (2, 1)), ((1, 2), (2, 2)), ((3, 1), (4, 2)),
+         ((3, 2), (4, 1))))
+    two = (pieces.saucer_template("s"), pieces.cylindrical_template("c", 3))
+    four = (pieces.square_template("q"), square2)
+    cases = [(cycle_reflection_graph(n), two) for n in range(4, 51, 2)]
+    cases += [(lattice_reflection_graph(rows, cols), four)
+              for rows in range(4, 13, 2) for cols in range(4, 13, 2)]
+    for n in (4, 6, 8, 12):
+        prism = product_p1(_validated(cycle_reflection_graph(n)))
+        cases += [(prism, (Y,)), (product_p1(prism), four)]
+    for graph, templates in cases:
+        report = validate_reflection_graph(graph)
+        for template in templates:
+            built = g_replicant(graph, template)
+            oracle = oracle_g_replicant(graph, template)
+            assert built.group_order == report.group_order
+            c = built.complex
+            assert c == oracle and hash(c) == hash(oracle)
+            assert c.to_json_dict() == oracle.to_json_dict()
+            assert c.gluings == oracle.gluings
+            assert pieces.count_components(c) == \
+                pieces.count_components(oracle)
+    assert len(cases) == 24 + 25 + 8
 
 
 def test_replicant_guards():
@@ -1030,6 +1076,15 @@ def test_graph_json_malformed():
      "[(0, 1, 0)]"),
     (lambda: Reflection({0: 1}, [(0, 1, 2)]),
      "swap 0 must be a pair, got (0, 1, 2)"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)], [({0: 1, 1: 0}, 5)]),
+     "reflection 0: swaps must be a sequence of pairs, got 5"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)], [([(0, 1), (1, 0)], 5)]),
+     "reflection 0: swaps must be a sequence of pairs, got 5"),
+    (lambda: ReflectionGraph([0, 1], [(0, 1)],
+                             [{"mapping": {0: 1, 1: 0}, "swaps": 5}]),
+     "reflection 0: swaps must be a sequence of pairs, got 5"),
+    (lambda: Reflection({0: 1}, 5),
+     "swaps must be a sequence of pairs, got 5"),
     (lambda: graph_from_json_dict({"vertices": [0, {"a": 1}], "edges": [],
                                    "reflections": []}),
      "vertex 1 is not hashable: {'a': 1}"),
@@ -1044,7 +1099,10 @@ def test_graph_json_malformed():
      "reflection 0: swap 0 must be a pair, got (0, 1, 0)"),
 ], ids=["edge of three", "unhashable endpoint", "no mapping",
         "reflection of another kind", "swap of three", "mapping of threes",
-        "bare reflection", "json object vertex", "json edge of three",
+        "bare reflection", "swaps of no sequence",
+        "swaps of no sequence, pair-list mapping",
+        "swaps of no sequence, mapping object", "bare swaps of no sequence",
+        "json object vertex", "json edge of three",
         "json swap of three"])
 def test_graph_parts_of_the_wrong_shape_are_refused_by_index(build, message):
     # each of these ended in a bare KeyError, TypeError or ValueError, or
@@ -1775,6 +1833,20 @@ def test_bigon_bound_guards():
     edges, rotation = dipole(4, planar=False)
     with pytest.raises(NotSphere):
         bigon_bound_check(edges, rotation, 1)
+
+
+def test_bigon_bound_refuses_a_sphere_beside_a_torus():
+    # a dipole of four bigons and a one-vertex torus (loops x, y in the
+    # order x, y, x^-1, y^-1) have Euler characteristic 2 + 0 = 2, and
+    # the pair passed as a sphere
+    edges, rotation = dipole(4)
+    edges = edges + [("w", "w")] * 2
+    rotation["w"] = [(4, 0), (5, 0), (4, 1), (5, 1)]
+    report = trace_faces(edges, rotation)
+    assert report.euler == 2 and report.vector == ((2, 4), (4, 1))
+    with pytest.raises(NotSphere) as info:
+        bigon_bound_check(edges, rotation, 1)
+    assert str(info.value) == "2 of 3 vertices reachable"
 
 
 def test_wrong_valence_names_the_vertex_of_least_repr():
